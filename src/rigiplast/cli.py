@@ -1,4 +1,4 @@
-"""Command-line driver: rigiplast <command> --config <path> [--threads N] [--out DIR].
+"""Command-line driver: rigiplast <command> --config <path> [--out DIR].
 
 Commands:
 
@@ -58,7 +58,7 @@ def _benchmark(config: RunConfig):
     )
 
 
-def _cmd_run(config: RunConfig, out: Path, threads: int) -> dict:
+def _cmd_run(config: RunConfig, out: Path) -> dict:
     bench = _benchmark(config)
     hooke = _hooke(config, config.run_epsilon)
     states, ledger = run_evolution(
@@ -83,7 +83,7 @@ def _cmd_run(config: RunConfig, out: Path, threads: int) -> dict:
     }
 
 
-def _cmd_sweep(config: RunConfig, out: Path, threads: int) -> dict:
+def _cmd_sweep(config: RunConfig, out: Path) -> dict:
     sweep_cfg = SweepConfig(
         epsilons=config.epsilon_list, benchmark=config.benchmark,
         mesh_n=config.mesh_n, n_steps=config.time_steps,
@@ -92,7 +92,7 @@ def _cmd_sweep(config: RunConfig, out: Path, threads: int) -> dict:
         tol=config.tol, stress_tol=config.stress_tol,
         load_scale=config.load_scale, horizon=config.horizon,
     )
-    report = run_sweep(sweep_cfg, threads=threads)
+    report = run_sweep(sweep_cfg)
     write_csv(out / "metrics.csv", CSV_HEADER, report.csv_rows())
 
     fits = {}
@@ -118,7 +118,7 @@ def _cmd_sweep(config: RunConfig, out: Path, threads: int) -> dict:
     return body
 
 
-def _cmd_example41(config: RunConfig, out: Path, threads: int) -> dict:
+def _cmd_example41(config: RunConfig, out: Path) -> dict:
     mesh = build_square_mesh(config.mesh_n, ("left", "right", "bottom", "top"))
     yset = YieldSet(config.yield_radius)
     params = default_example41_params(config.yield_radius)
@@ -134,7 +134,7 @@ def _cmd_example41(config: RunConfig, out: Path, threads: int) -> dict:
     return body
 
 
-def _cmd_safeload(config: RunConfig, out: Path, threads: int) -> dict:
+def _cmd_safeload(config: RunConfig, out: Path) -> dict:
     mesh = build_square_mesh(config.mesh_n, ("bottom", "left", "right"))
     yset = YieldSet(config.yield_radius)
     # half the analytic constant-stress limit, scaled by load_scale
@@ -153,7 +153,7 @@ def _cmd_safeload(config: RunConfig, out: Path, threads: int) -> dict:
     }
 
 
-def _cmd_report(config: RunConfig, out: Path, threads: int) -> dict:
+def _cmd_report(config: RunConfig, out: Path) -> dict:
     import json
 
     path = out / "summary.json"
@@ -192,8 +192,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel sweep workers (default 1, deterministic)")
     parser.add_argument("--out", help="output directory (default: config out_dir)")
     args = parser.parse_args(argv)
 
@@ -212,7 +210,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        body = _COMMANDS[args.command](config, out, max(args.threads, 1))
+        body = _COMMANDS[args.command](config, out)
     except (ConvergenceError, SolverError) as exc:
         record = {
             "error": {

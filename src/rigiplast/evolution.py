@@ -32,12 +32,12 @@ import numpy as np
 
 from .fem import (
     ElasticSystem,
-    body_load_vector,
     boundary_integral_p1,
+    external_load_vector,
+    gauss_traces,
     integrate_tensor_dot,
     strain_of,
     tensor_l2,
-    traction_load_vector,
     weak_divergence_form,
 )
 from .mesh import Mesh
@@ -182,23 +182,19 @@ def slip_nodes_of(mesh: Mesh) -> SlipNodes:
 
     Nodes shared by two faces keep both normals and stay pinned.
     """
-    per_node: dict[int, list] = {}
-    for e in mesh.dirichlet_edges:
-        for nd in e.nodes:
-            per_node.setdefault(nd, []).append(e)
-    nodes, tangents, lengths = [], [], []
-    for nd in sorted(per_node):
-        edges = per_node[nd]
-        faces = {e.face for e in edges}
-        if len(faces) != 1:
-            continue  # corner: pinned
-        nu = edges[0].normal
-        nodes.append(nd)
-        tangents.append([-nu[1], nu[0]])
-        lengths.append(0.5 * sum(e.length for e in edges))
-    return SlipNodes(np.array(nodes, dtype=int),
-                     np.array(tangents, dtype=float).reshape(-1, 2),
-                     np.array(lengths, dtype=float))
+    d = mesh.dirichlet_boundary
+    ends = d.nodes.ravel()
+    normals = np.repeat(d.normals, 2, axis=0)
+    lo = np.full((mesh.n_nodes, 2), np.inf)
+    hi = np.full((mesh.n_nodes, 2), -np.inf)
+    np.minimum.at(lo, ends, normals)
+    np.maximum.at(hi, ends, normals)
+    nodes = np.unique(ends)
+    nodes = nodes[(lo[nodes] == hi[nodes]).all(axis=1)]  # corners: two normals, pinned
+    nu = lo[nodes]
+    lengths = 0.5 * np.bincount(ends, weights=np.repeat(d.lengths, 2),
+                                minlength=mesh.n_nodes)[nodes]
+    return SlipNodes(nodes, np.column_stack([-nu[:, 1], nu[:, 0]]), lengths)
 
 
 @dataclass
@@ -230,33 +226,23 @@ class StepInfo:
     decreases: tuple
 
 
-def _external_work_linear(mesh, u, f_cells, g_edges) -> float:
-    total = float(body_load_vector(mesh, f_cells) @ u.ravel())
-    if len(mesh.neumann_edges):
-        total += float(traction_load_vector(mesh, g_edges) @ u.ravel())
-    return total
-
-
-def _functional(system, mesh, yset, u, p, p_prev, f, g, slip=None, s=None, s_prev=None) -> float:
+def _functional(system, mesh, yset, u, p, p_prev, loads, slip=None, s=None, s_prev=None) -> float:
     val = system.energy(u, p)
     val += yset.radius * float((mesh.areas * norm(p - p_prev)).sum())
     if slip is not None and slip.count:
         val += yset.radius / np.sqrt(2.0) * float((slip.lengths * np.abs(s - s_prev)).sum())
-    val -= _external_work_linear(mesh, u, f, g)
+    val -= float(loads @ u.ravel())
     return val
 
 
-def _slip_pass(system, slip, u, s, s_prev, p, f, g, kappa):
+def _slip_pass(system, slip, u, s, s_prev, p, loads, kappa):
     """One exact Gauss-Seidel sweep over the slip nodes.
 
     Minimizes the incremental functional in each scalar slip with everything
     else frozen; closed-form soft-threshold against the nodal stiffness.
     """
-    mesh = system.mesh
     F = system.plastic_load_vector(p)
-    F += body_load_vector(mesh, f)
-    if len(mesh.neumann_edges):
-        F += traction_load_vector(mesh, g)
+    F += loads
     r = system.K @ u.ravel() - F
     K = system.K
     for i in range(slip.count):
@@ -344,6 +330,7 @@ def incremental_step(
     s = s_prev.copy()
     kappa = yield_set.radius
     slip_arg = slip if relaxed else None
+    loads = external_load_vector(mesh, f_cells, g_edges)  # f and g are fixed within the step
 
     def boundary_values(s_now):
         if not relaxed or not slip.count:
@@ -354,10 +341,10 @@ def incremental_step(
 
     def functional_of(u_val, p_val, s_val):
         return _functional(system, mesh, yield_set, u_val, p_val, p_prev,
-                           f_cells, g_edges, slip_arg, s_val, s_prev)
+                           loads, slip_arg, s_val, s_prev)
 
     p = p_prev.copy()
-    u = system.solve(p, boundary_values(s), f_cells, g_edges)
+    u = system.solve(p, boundary_values(s), loads)
     value = functional_of(u, p, s)
     eu = strain_of(u, mesh, system.B)
     sigma_iter = (eu - p) @ system.cmat.T
@@ -378,7 +365,7 @@ def incremental_step(
         if omega > 1.0:
             p_cand = p + omega * (p_plain - p)
             s_cand = s.copy()
-            u_cand = system.solve(p_cand, boundary_values(s_cand), f_cells, g_edges)
+            u_cand = system.solve(p_cand, boundary_values(s_cand), loads)
             cand_value = functional_of(u_cand, p_cand, s_cand)
             if cand_value <= value + slack * (1.0 + abs(cand_value)):
                 accepted = True
@@ -389,9 +376,8 @@ def incremental_step(
             p_cand = p_plain
             s_cand = s
             if relaxed and slip.count:
-                s_cand, u = _slip_pass(system, slip, u, s, s_prev, p_cand,
-                                       f_cells, g_edges, kappa)
-            u_cand = system.solve(p_cand, boundary_values(s_cand), f_cells, g_edges)
+                s_cand, u = _slip_pass(system, slip, u, s, s_prev, p_cand, loads, kappa)
+            u_cand = system.solve(p_cand, boundary_values(s_cand), loads)
             cand_value = functional_of(u_cand, p_cand, s_cand)
             if not relaxed and it >= 2:
                 omega = min(max(omega, 1.0) * 1.3, 1.95)
@@ -423,8 +409,7 @@ def incremental_step(
             break
 
     state, p = _assemble_state(system, mesh, hooke, yield_set, t, u, p_prev, s)
-    value = _functional(system, mesh, yield_set, u, p, p_prev, f_cells, g_edges,
-                        slip_arg, s, s_prev)
+    value = functional_of(u, p, s)
 
     if not converged:
         last = decreases[-1] if decreases else float("nan")
@@ -437,7 +422,7 @@ def incremental_step(
         # minimality against the admissible lift u_prev + (w_k - w_{k-1})
         u_lift = state_prev.u + (w_nodes - w_prev_nodes)
         value_at_lift = _functional(system, mesh, yield_set, u_lift, p_prev, p_prev,
-                                    f_cells, g_edges, slip_arg, s_prev, s_prev)
+                                    loads, slip_arg, s_prev, s_prev)
         if value > value_at_lift + slack * (1.0 + abs(value)):
             raise AssertionError("incremental minimum above the lifted previous state")
     state.check(mesh, yield_set)
@@ -515,10 +500,8 @@ def run_evolution(
         work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew_k - ew_prev)
         du_dw = (state.u - prev.u) - (program.w[k] - program.w[k - 1])
         f_mid = 0.5 * (f_k + program.f[k - 1])
-        work_inc += float(body_load_vector(mesh, f_mid) @ du_dw.ravel())
-        if len(mesh.neumann_edges):
-            g_mid = 0.5 * (g_k + program.g[k - 1])
-            work_inc += float(traction_load_vector(mesh, g_mid) @ du_dw.ravel())
+        g_mid = 0.5 * (g_k + program.g[k - 1])
+        work_inc += float(external_load_vector(mesh, f_mid, g_mid) @ du_dw.ravel())
 
         ledger.elastic[k] = system.energy(state.u, state.p)
         ledger.dissipation[k] = ledger.dissipation[k - 1] + diss_inc
@@ -555,7 +538,7 @@ def duality_pairing(
     term1 = integrate_tensor_dot(mesh.areas, sigma, ew - state.e)
     gap = state.u - w_nodes
     term2 = weak_divergence_form(mesh, sigma, gap)
-    term3 = boundary_integral_p1(mesh, sigma, gap, mesh.neumann_edges)
+    term3 = boundary_integral_p1(sigma, gap, mesh.neumann_boundary)
     return term1 - term2 + term3
 
 
@@ -565,14 +548,9 @@ def pairing_mass_bound(sigma: np.ndarray, state: FEState, w_nodes: np.ndarray,
     dev_s, _ = dev_decompose(sigma)
     sup = float(norm(dev_s).max())
     mass = float((mesh.areas * norm(state.p)).sum())
-    gap = w_nodes - state.u
-    xa = 0.5 * (1 - 1 / np.sqrt(3.0))
-    xb = 0.5 * (1 + 1 / np.sqrt(3.0))
-    for e in mesh.dirichlet_edges:
-        ga, gb = gap[e.nodes[0]], gap[e.nodes[1]]
-        for xi in (xa, xb):
-            gv = (1 - xi) * ga + xi * gb
-            mass += 0.5 * e.length * float(norm(sym_outer(gv, e.normal)))
+    d = mesh.dirichlet_boundary
+    gv = gauss_traces(w_nodes - state.u, d)
+    mass += float((0.5 * d.lengths * norm(sym_outer(gv, d.normals))).sum())
     return sup * mass
 
 
@@ -613,11 +591,7 @@ def bd_norm_surrogate(mesh: Mesh, u: np.ndarray) -> float:
     """||u||_BD surrogate: Dirichlet trace L1 plus the strain mass."""
     eu = strain_of(u, mesh)
     total = float((mesh.areas * norm(eu)).sum())
-    xa = 0.5 * (1 - 1 / np.sqrt(3.0))
-    xb = 0.5 * (1 + 1 / np.sqrt(3.0))
-    for e in mesh.dirichlet_edges:
-        ua, ub = u[e.nodes[0]], u[e.nodes[1]]
-        for xi in (xa, xb):
-            uv = (1 - xi) * ua + xi * ub
-            total += 0.5 * e.length * float(np.linalg.norm(uv))
+    d = mesh.dirichlet_boundary
+    uv = gauss_traces(u, d)
+    total += float((0.5 * d.lengths * np.sqrt((uv * uv).sum(axis=-1))).sum())
     return total

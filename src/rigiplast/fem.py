@@ -2,9 +2,13 @@
 
 Quadrature is one-point per triangle (exact for P0 integrands and for P1
 integrands via the centroid) and two-point Gauss per boundary edge (exact for
-the P1 traces that appear here). The stiffness matrix depends only on the
-mesh, the Hooke tensor and the Dirichlet node set, so a factorization is kept
-and reused across load/plastic-strain changes.
+the P1 traces that appear here). Operators that depend on the mesh alone are
+built once per mesh and cached read-only on it (``Mesh.B``, the load maps, the
+boundary-edge arrays), so a load vector is one sparse matvec and boundary sums
+are array code; callers assemble the external loads once per load step. The
+stiffness matrix depends only on the mesh, the Hooke tensor and the Dirichlet
+node set, so a factorization is kept and reused across load/plastic-strain
+changes.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh
+from .mesh import EdgeArrays, Mesh
 from .tensors import HookeTensor, ddot, deviator, norm, require_deviatoric
 
 _W2 = np.array([1.0, 2.0, 1.0])  # contraction weights for packed 2-D tensors
+_GAUSS2 = (0.5 * (1 - 1 / np.sqrt(3.0)), 0.5 * (1 + 1 / np.sqrt(3.0)))  # on [0, 1]
 
 
 class SolverError(RuntimeError):
@@ -62,36 +67,40 @@ def strain_of(u: np.ndarray, mesh: Mesh, B: sp.csr_matrix | None = None) -> np.n
     if u.shape != (mesh.n_nodes, 2):
         raise ValueError(f"displacement shape {u.shape} does not match mesh ({mesh.n_nodes}, 2)")
     if B is None:
-        B = strain_matrix(mesh)
+        B = mesh.B
     return (B @ u.ravel()).reshape(mesh.n_cells, 3)
-
-
-def lumped_mass(mesh: Mesh) -> np.ndarray:
-    """Nodal lumped mass: one third of the adjacent cell areas."""
-    m = np.zeros(mesh.n_nodes)
-    np.add.at(m, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-    return m
 
 
 def body_load_vector(mesh: Mesh, f_cells: np.ndarray) -> np.ndarray:
     """Assemble int f . phi for a P0 vector load, as an interleaved dof vector."""
-    F = np.zeros(2 * mesh.n_nodes)
-    w = mesh.areas / 3.0
-    for a in range(3):
-        np.add.at(F, 2 * mesh.triangles[:, a], w * f_cells[:, 0])
-        np.add.at(F, 2 * mesh.triangles[:, a] + 1, w * f_cells[:, 1])
-    return F
+    return mesh.body_load_map @ np.ravel(f_cells)
 
 
 def traction_load_vector(mesh: Mesh, g_edges: np.ndarray) -> np.ndarray:
     """Assemble int_Gamma_N g . phi for per-edge constant tractions."""
-    F = np.zeros(2 * mesh.n_nodes)
-    for g, edge in zip(g_edges, mesh.neumann_edges):
-        half = 0.5 * edge.length
-        for node in edge.nodes:
-            F[2 * node] += half * g[0]
-            F[2 * node + 1] += half * g[1]
+    return mesh.traction_load_map @ np.ravel(g_edges)
+
+
+def external_load_vector(mesh: Mesh, f_cells: np.ndarray | None = None,
+                         g_edges: np.ndarray | None = None) -> np.ndarray:
+    """int f . phi + int_Gamma_N g . phi as one dof vector; a missing load is zero."""
+    F = np.zeros(2 * mesh.n_nodes) if f_cells is None else body_load_vector(mesh, f_cells)
+    if g_edges is not None:
+        F += traction_load_vector(mesh, g_edges)
     return F
+
+
+def cell_tractions(sigma: np.ndarray, edges: EdgeArrays) -> np.ndarray:
+    """sigma . nu on each edge from its adjacent cell, shape (m, 2)."""
+    s, nu = sigma[edges.cells], edges.normals
+    return np.column_stack([s[:, 0] * nu[:, 0] + s[:, 1] * nu[:, 1],
+                            s[:, 1] * nu[:, 0] + s[:, 2] * nu[:, 1]])
+
+
+def gauss_traces(field: np.ndarray, edges: EdgeArrays) -> np.ndarray:
+    """A nodal P1 field at the two Gauss points of each edge, shape (2, m, 2)."""
+    a, b = field[edges.nodes[:, 0]], field[edges.nodes[:, 1]]
+    return np.stack([(1 - xi) * a + xi * b for xi in _GAUSS2])
 
 
 def integrate_tensor_dot(areas: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -119,7 +128,7 @@ class ElasticSystem:
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
         self.mesh = mesh
         self.hooke = hooke
-        self.B = strain_matrix(mesh)
+        self.B = mesh.B
         self.cmat = hooke.matrix(dim=2)
         # block-diagonal integrand weights: area_c * W @ C
         wc = _W2[:, None] * self.cmat
@@ -127,11 +136,8 @@ class ElasticSystem:
         self.K = (self.B.T @ D @ self.B).tocsc()
         self._D = D
 
-        fixed_nodes = mesh.dirichlet_nodes
-        fixed = np.sort(np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1]))
-        all_dofs = np.arange(2 * mesh.n_nodes)
-        self.fixed = fixed
-        self.free = np.setdiff1d(all_dofs, fixed, assume_unique=True)
+        self.fixed = np.flatnonzero(~mesh.free_dofs)
+        self.free = np.flatnonzero(mesh.free_dofs)
         self.K_ff = self.K[np.ix_(self.free, self.free)].tocsc()
         self.K_fc = self.K[np.ix_(self.free, self.fixed)].tocsc()
         self._lu = spla.splu(self.K_ff) if self.free.size else None
@@ -139,22 +145,15 @@ class ElasticSystem:
     def plastic_load_vector(self, p: np.ndarray) -> np.ndarray:
         """Assemble int C^eps p : E(phi) as a dof vector."""
         sig_p = p @ self.cmat.T
-        return self.B.T @ (np.repeat(self.mesh.areas, 3) * (sig_p * _W2).ravel())
+        return self.mesh.B_T @ (np.repeat(self.mesh.areas, 3) * (sig_p * _W2).ravel())
 
-    def solve(
-        self,
-        p: np.ndarray,
-        w_nodes: np.ndarray,
-        f_cells: np.ndarray | None = None,
-        g_edges: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Displacement minimizing the incremental elastic energy, p frozen."""
+    def solve(self, p: np.ndarray, w_nodes: np.ndarray,
+              loads: np.ndarray | None = None) -> np.ndarray:
+        """Displacement minimizing the incremental energy under load vector ``loads``, p frozen."""
         mesh = self.mesh
         F = self.plastic_load_vector(p)
-        if f_cells is not None:
-            F += body_load_vector(mesh, f_cells)
-        if g_edges is not None and len(mesh.neumann_edges):
-            F += traction_load_vector(mesh, g_edges)
+        if loads is not None:
+            F += loads
 
         u = np.zeros(2 * mesh.n_nodes)
         u[self.fixed] = w_nodes.ravel()[self.fixed]
@@ -187,7 +186,8 @@ def solve_elastic(
 ) -> np.ndarray:
     """One-off elastic solve; builds and discards the factorization."""
     require_deviatoric(p, "plastic strain")
-    return ElasticSystem(mesh, hooke).solve(p, w_nodes, f_cells, g_edges)
+    return ElasticSystem(mesh, hooke).solve(p, w_nodes,
+                                            external_load_vector(mesh, f_cells, g_edges))
 
 
 def equilibrium_residual_vector(
@@ -198,14 +198,9 @@ def equilibrium_residual_vector(
     B: sp.csr_matrix | None = None,
 ) -> np.ndarray:
     """Dof vector of R(phi) = int sigma:E(phi) - int f.phi - int_Gamma_N g.phi."""
-    if B is None:
-        B = strain_matrix(mesh)
-    r = B.T @ (np.repeat(mesh.areas, 3) * (sigma * _W2).ravel())
-    if f_cells is not None:
-        r -= body_load_vector(mesh, f_cells)
-    if g_edges is not None and len(mesh.neumann_edges):
-        r -= traction_load_vector(mesh, g_edges)
-    return r
+    B_T = mesh.B_T if B is None else B.T
+    r = B_T @ (np.repeat(mesh.areas, 3) * (sigma * _W2).ravel())
+    return r - external_load_vector(mesh, f_cells, g_edges)
 
 
 def divergence_check(
@@ -223,49 +218,27 @@ def divergence_check(
     the cell tractions sigma.nu and the prescribed g.
     """
     r = equilibrium_residual_vector(mesh, sigma, f_cells, g_edges, B=B)
-    m = np.repeat(lumped_mass(mesh), 2)
-    fixed_nodes = mesh.dirichlet_nodes
-    mask = np.ones(2 * mesh.n_nodes, dtype=bool)
-    mask[2 * fixed_nodes] = False
-    mask[2 * fixed_nodes + 1] = False
+    m = np.repeat(mesh.lumped_mass, 2)
+    mask = mesh.free_dofs
     interior = float(np.sqrt(np.sum(r[mask] ** 2 / m[mask])))
 
-    flux_sq = 0.0
-    neumann = mesh.neumann_edges
-    if neumann:
-        if g_edges is None:
-            g_edges = np.zeros((len(neumann), 2))
-        for g, edge in zip(g_edges, neumann):
-            s = sigma[edge.cell]
-            t = np.array([
-                s[0] * edge.normal[0] + s[1] * edge.normal[1],
-                s[1] * edge.normal[0] + s[2] * edge.normal[1],
-            ])
-            flux_sq += edge.length * float(((t - g) ** 2).sum())
+    neumann = mesh.neumann_boundary
+    g = np.zeros((len(neumann.lengths), 2)) if g_edges is None else g_edges
+    mismatch = cell_tractions(sigma, neumann) - g
+    flux_sq = float((neumann.lengths * (mismatch ** 2).sum(axis=1)).sum())
     return interior, float(np.sqrt(flux_sq))
 
 
-def boundary_integral_p1(mesh: Mesh, sigma: np.ndarray, phi: np.ndarray, edges) -> float:
+def boundary_integral_p1(sigma: np.ndarray, phi: np.ndarray, edges: EdgeArrays) -> float:
     """int (sigma.nu) . phi over the given boundary edges, exact for P1 phi."""
-    total = 0.0
-    for edge in edges:
-        s = sigma[edge.cell]
-        t = np.array([
-            s[0] * edge.normal[0] + s[1] * edge.normal[1],
-            s[1] * edge.normal[0] + s[2] * edge.normal[1],
-        ])
-        mid = 0.5 * (phi[edge.nodes[0]] + phi[edge.nodes[1]])
-        total += edge.length * float(t @ mid)
-    return total
+    mid = 0.5 * (phi[edges.nodes[:, 0]] + phi[edges.nodes[:, 1]])
+    return float((edges.lengths * (cell_tractions(sigma, edges) * mid).sum(axis=1)).sum())
 
 
-def weak_divergence_form(mesh: Mesh, sigma: np.ndarray, phi: np.ndarray,
-                         B: sp.csr_matrix | None = None) -> float:
+def weak_divergence_form(mesh: Mesh, sigma: np.ndarray, phi: np.ndarray) -> float:
     """Discrete  int div(sigma) . phi  := boundary flux minus int sigma : E(phi)."""
-    if B is None:
-        B = strain_matrix(mesh)
-    vol = integrate_tensor_dot(mesh.areas, sigma, strain_of(phi, mesh, B))
-    bdry = boundary_integral_p1(mesh, sigma, phi, mesh.edges)
+    vol = integrate_tensor_dot(mesh.areas, sigma, strain_of(phi, mesh))
+    bdry = boundary_integral_p1(sigma, phi, mesh.boundary)
     return bdry - vol
 
 

@@ -9,13 +9,19 @@ Boundary faces are named "left", "right", "bottom", "top"; each boundary edge
 carries its outward unit normal and a Dirichlet/Neumann label. Displacement
 fields are nodal (P1, shape ``(n_nodes, 2)``); strain/stress fields are
 cellwise packed symmetric tensors (P0, shape ``(n_cells, 3)``).
+
+Everything derived from the mesh alone (boundary-edge arrays, Dirichlet
+nodes, lumped mass, the strain operator and the load maps) is built on first
+use, kept on the mesh instance and marked read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 FACES = ("left", "right", "bottom", "top")
 
@@ -38,6 +44,34 @@ class BoundaryEdge:
     face: str
     length: float
     cell: int
+
+
+@dataclass(frozen=True)
+class EdgeArrays:
+    """Boundary edges as arrays, one row per edge in the order of their tuple."""
+
+    nodes: np.ndarray      # (m, 2) end nodes
+    normals: np.ndarray    # (m, 2) outward unit normals
+    lengths: np.ndarray    # (m,)
+    cells: np.ndarray      # (m,) adjacent cell
+    dirichlet: np.ndarray  # (m,) True on Dirichlet-labelled edges
+
+    @classmethod
+    def of(cls, edges) -> "EdgeArrays":
+        return cls(
+            nodes=_read_only(np.array([e.nodes for e in edges], dtype=int).reshape(-1, 2)),
+            normals=_read_only(np.array([e.normal for e in edges], dtype=float).reshape(-1, 2)),
+            lengths=_read_only(np.array([e.length for e in edges], dtype=float)),
+            cells=_read_only(np.array([e.cell for e in edges], dtype=int)),
+            dirichlet=_read_only(np.array([e.label == DIRICHLET for e in edges], dtype=bool)),
+        )
+
+
+def _read_only(x):
+    """Mark an array, or the arrays behind a sparse matrix, read-only."""
+    for a in (x.data, x.indices, x.indptr) if sp.issparse(x) else (x,):
+        a.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
@@ -69,22 +103,76 @@ class Mesh:
     def centroids(self) -> np.ndarray:
         return self.nodes[self.triangles].mean(axis=1)
 
-    @property
+    @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
         """Sorted indices of nodes on a Dirichlet-labelled edge."""
-        idx = set()
-        for e in self.edges:
-            if e.label == DIRICHLET:
-                idx.update(e.nodes)
-        return np.array(sorted(idx), dtype=int)
+        return _read_only(np.unique(self.boundary.nodes[self.boundary.dirichlet]))
 
-    @property
+    @cached_property
     def neumann_edges(self) -> tuple[BoundaryEdge, ...]:
         return tuple(e for e in self.edges if e.label == NEUMANN)
 
-    @property
+    @cached_property
     def dirichlet_edges(self) -> tuple[BoundaryEdge, ...]:
         return tuple(e for e in self.edges if e.label == DIRICHLET)
+
+    @cached_property
+    def boundary(self) -> EdgeArrays:
+        return EdgeArrays.of(self.edges)
+
+    @cached_property
+    def neumann_boundary(self) -> EdgeArrays:
+        return EdgeArrays.of(self.neumann_edges)
+
+    @cached_property
+    def dirichlet_boundary(self) -> EdgeArrays:
+        return EdgeArrays.of(self.dirichlet_edges)
+
+    @cached_property
+    def lumped_mass(self) -> np.ndarray:
+        """Nodal lumped mass: one third of the adjacent cell areas."""
+        m = np.zeros(self.n_nodes)
+        np.add.at(m, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
+        return _read_only(m)
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        """Strain operator of ``rigiplast.fem.strain_matrix``."""
+        from .fem import strain_matrix  # fem imports this module
+
+        return _read_only(strain_matrix(self))
+
+    @cached_property
+    def B_T(self) -> sp.csr_matrix:
+        """Transpose of ``B`` in CSR form: cell stresses to nodal forces."""
+        return _read_only(self.B.T.tocsr())
+
+    @cached_property
+    def free_dofs(self) -> np.ndarray:
+        """Mask of the interleaved nodal dofs off the Dirichlet nodes."""
+        mask = np.ones((self.n_nodes, 2), dtype=bool)
+        mask[self.dirichlet_nodes] = False
+        return _read_only(mask.ravel())
+
+    @cached_property
+    def body_load_map(self) -> sp.csr_matrix:
+        """Interleaved P0 cell loads to nodal forces: area / 3 to each vertex."""
+        return _read_only(_scatter_map(self.n_nodes, self.triangles, self.areas / 3.0))
+
+    @cached_property
+    def traction_load_map(self) -> sp.csr_matrix:
+        """Interleaved per-Neumann-edge tractions to nodal forces: half the length to each end."""
+        neu = self.neumann_boundary
+        return _read_only(_scatter_map(self.n_nodes, neu.nodes, 0.5 * neu.lengths))
+
+
+def _scatter_map(n_nodes: int, ends: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
+    """Sparse map adding ``weights[k]`` times the 2-vector of item k to each node in ``ends[k]``."""
+    k, per_item = ends.shape
+    rows = (2 * ends[:, :, None] + np.arange(2)).ravel()
+    cols = np.broadcast_to((2 * np.arange(k))[:, None, None] + np.arange(2), (k, per_item, 2))
+    vals = np.repeat(weights, 2 * per_item)
+    return sp.csr_matrix((vals, (rows, cols.ravel())), shape=(2 * n_nodes, 2 * k))
 
 
 def build_square_mesh(n_cells_per_side: int, dirichlet_faces) -> Mesh:

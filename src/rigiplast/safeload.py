@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import divergence_check, lumped_mass, strain_matrix
+from .fem import divergence_check, external_load_vector
 from .mesh import Mesh
 from .tensors import YieldSet, dev_decompose, norm
 
@@ -64,13 +64,12 @@ def verify_safe_load(
     non-positive or any residual exceeds ``tol``; invalidity is a reported
     state, not an error.
     """
-    B = strain_matrix(mesh)
     margins = []
     worst_int, worst_flux = 0.0, 0.0
     for pi, f, g in zip(pi_per_time, f_per_time, g_per_time):
         dev_p, _ = dev_decompose(np.asarray(pi, dtype=float))
         margins.append(yield_set.radius - float(norm(dev_p).max()))
-        interior, flux = divergence_check(pi, mesh, f, g, B=B)
+        interior, flux = divergence_check(pi, mesh, f, g)
         worst_int = max(worst_int, interior)
         worst_flux = max(worst_flux, flux)
     margins = np.array(margins)
@@ -88,41 +87,23 @@ def _equilibrium_operator(mesh: Mesh, f_cells, g_edges):
     Dirichlet nodes (scaled to the lumped-L2 dual norm), then the per-edge
     Neumann flux conditions.
     """
-    from .fem import body_load_vector, traction_load_vector
+    M = (mesh.B.T @ sp.diags(np.repeat(mesh.areas, 3) * np.tile(_W2, mesh.n_cells))).tocsr()
 
-    B = strain_matrix(mesh)
-    M = (B.T @ sp.diags(np.repeat(mesh.areas, 3) * np.tile(_W2, mesh.n_cells))).tocsr()
-
-    fixed_nodes = mesh.dirichlet_nodes
-    mask = np.ones(2 * mesh.n_nodes, dtype=bool)
-    mask[2 * fixed_nodes] = False
-    mask[2 * fixed_nodes + 1] = False
-
-    rhs_full = body_load_vector(mesh, f_cells)
-    if len(mesh.neumann_edges):
-        rhs_full += traction_load_vector(mesh, g_edges)
-
-    scale = 1.0 / np.sqrt(np.repeat(lumped_mass(mesh), 2)[mask])
+    mask = mesh.free_dofs
+    rhs_full = external_load_vector(mesh, f_cells, g_edges)
+    scale = 1.0 / np.sqrt(np.repeat(mesh.lumped_mass, 2)[mask])
     A1 = sp.diags(scale) @ M[mask]
     b1 = scale * rhs_full[mask]
 
-    neumann = mesh.neumann_edges
-    rows, cols, vals = [], [], []
-    b2 = np.zeros(2 * len(neumann))
-    for j, edge in enumerate(neumann):
-        c = edge.cell
-        nx, ny = edge.normal
-        rt = np.sqrt(edge.length)
-        rows += [2 * j, 2 * j, 2 * j + 1, 2 * j + 1]
-        cols += [3 * c, 3 * c + 1, 3 * c + 1, 3 * c + 2]
-        vals += [rt * nx, rt * ny, rt * nx, rt * ny]
-        b2[2 * j] = rt * g_edges[j][0]
-        b2[2 * j + 1] = rt * g_edges[j][1]
-    A2 = sp.coo_matrix((vals, (rows, cols)), shape=(2 * len(neumann), 3 * mesh.n_cells))
-
-    A = sp.vstack([A1, A2]).tocsr() if len(neumann) else A1.tocsr()
-    b = np.concatenate([b1, b2]) if len(neumann) else b1
-    return A, b
+    neumann = mesh.neumann_boundary
+    m = len(neumann.lengths)
+    c, (nx, ny), rt = neumann.cells, neumann.normals.T, np.sqrt(neumann.lengths)
+    rows = np.repeat(np.arange(2 * m), 2)
+    cols = np.column_stack([3 * c, 3 * c + 1, 3 * c + 1, 3 * c + 2]).ravel()
+    vals = np.column_stack([rt * nx, rt * ny, rt * nx, rt * ny]).ravel()
+    A2 = sp.coo_matrix((vals, (rows, cols)), shape=(2 * m, 3 * mesh.n_cells))
+    b2 = (rt[:, None] * np.reshape(g_edges, (m, 2))).ravel()
+    return sp.vstack([A1, A2]).tocsr(), np.concatenate([b1, b2])
 
 
 def _operator_norm(A, iters: int = 60, seed: int = 0) -> float:

@@ -14,14 +14,13 @@ the backward-Euler stepping.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarks import Benchmark, benchmark_catalog
 from .evolution import ConvergenceError, bd_norm_surrogate, run_evolution
-from .fem import divergence_check, scalar_l2, strain_matrix, strain_of, tensor_l2
+from .fem import divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
 
 from .tensors import HookeTensor, ddot, dev_decompose, norm
 
@@ -134,8 +133,7 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig",
-                     B) -> EpsTrajectory:
+def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig") -> EpsTrajectory:
     mesh = benchmark.mesh
     program = benchmark.program
     yset = benchmark.yield_set
@@ -169,30 +167,26 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     sigma_all = np.zeros((n_t, mesh.n_cells, 3))
     ev_all = np.zeros((n_t, mesh.n_cells, 3))
 
-    gauss = (0.5 * (1 - 1 / np.sqrt(3.0)), 0.5 * (1 + 1 / np.sqrt(3.0)))
+    dirichlet = mesh.dirichlet_boundary
     for k, st in enumerate(states):
         e_l2[k] = tensor_l2(areas, st.e)
         sigma_l2[k] = tensor_l2(areas, st.sigma)
         dev_s, _ = dev_decompose(st.sigma)
         sigma_dev_max[k] = float(norm(dev_s).max())
         u_bd[k] = bd_norm_surrogate(mesh, st.u)
-        eu = strain_of(st.u, mesh, B)
+        eu = strain_of(st.u, mesh)
         div_u = eu[:, 0] + eu[:, 2]
         div_u_l2[k] = scalar_l2(areas, div_u)
         hydro = 0.5 * (st.sigma[:, 0] + st.sigma[:, 2])
         hydro_mean = float((areas * hydro).sum() / areas.sum())
         hydro_dev[k] = scalar_l2(areas, hydro - hydro_mean)
-        gap_field = program.w[k] - st.u
-        for e in mesh.dirichlet_edges:
-            ga, gb = gap_field[e.nodes[0]], gap_field[e.nodes[1]]
-            for xi in gauss:
-                gv = (1 - xi) * ga + xi * gb
-                normal_gap[k] = max(normal_gap[k], abs(float(gv @ e.normal)))
+        gv = gauss_traces(program.w[k] - st.u, dirichlet)
+        normal_gap[k] = np.abs((gv * dirichlet.normals).sum(axis=-1)).max(initial=0.0)
         sigma_all[k] = st.sigma
         if k > 0:
             dt = times[k] - times[k - 1]
             v = (st.u - states[k - 1].u) / dt
-            ev = strain_of(v, mesh, B)
+            ev = strain_of(v, mesh)
             ev_all[k] = ev
             gap_cells = kappa * norm(ev) - ddot(dev_s, ev)
             worst = float(gap_cells.min())
@@ -210,21 +204,12 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     )
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> SweepReport:
+def run_sweep(config: SweepConfig) -> SweepReport:
     """One evolution per eps; metrics assembled in decreasing-eps order."""
     benchmark = config.build_benchmark()
     mesh = benchmark.mesh
-    B = strain_matrix(mesh)
     times = benchmark.program.times
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one_epsilon, benchmark, eps, config, B)
-                       for eps in config.epsilons]
-            trajectories = [f.result() for f in futures]
-    else:
-        trajectories = [_run_one_epsilon(benchmark, eps, config, B)
-                        for eps in config.epsilons]
+    trajectories = [_run_one_epsilon(benchmark, eps, config) for eps in config.epsilons]
 
     metrics = {name: np.zeros(len(trajectories)) for name in METRIC_NAMES}
     for i, tr in enumerate(trajectories):
@@ -314,7 +299,6 @@ def rigid_residuals(report: SweepReport, benchmark: Benchmark | None = None) -> 
     kappa = benchmark.yield_set.radius
     tr = report.limit_proxy
     n_t = len(report.times)
-    B = strain_matrix(mesh)
 
     eq_int = np.zeros(n_t)
     eq_flux = np.zeros(n_t)
@@ -323,8 +307,7 @@ def rigid_residuals(report: SweepReport, benchmark: Benchmark | None = None) -> 
 
     for k in range(n_t):
         sigma_k = tr.sigma[k]
-        eq_int[k], eq_flux[k] = divergence_check(sigma_k, mesh, program.f[k],
-                                                 program.g[k], B=B)
+        eq_int[k], eq_flux[k] = divergence_check(sigma_k, mesh, program.f[k], program.g[k])
         dev_s, _ = dev_decompose(sigma_k)
         feas[k] = float(norm(dev_s).max()) - kappa
         ev = tr.ev[k]

@@ -24,3 +24,37 @@ def scalar_prox_golden_section(g_mod, kappa, s_norm, iters=80):
             a, c = c, d
             d = a + invphi * (b - a)
     return 0.5 * (a + b)
+
+
+def body_load_vector_loop(mesh, f_cells):
+    """int f . phi by per-vertex scatter-adds, one vertex slot at a time."""
+    F = np.zeros(2 * mesh.n_nodes)
+    w = mesh.areas / 3.0
+    for a in range(3):
+        np.add.at(F, 2 * mesh.triangles[:, a], w * f_cells[:, 0])
+        np.add.at(F, 2 * mesh.triangles[:, a] + 1, w * f_cells[:, 1])
+    return F
+
+
+def traction_load_vector_loop(mesh, g_edges):
+    """int_Gamma_N g . phi edge by edge: half the edge length to each end node."""
+    F = np.zeros(2 * mesh.n_nodes)
+    for g, edge in zip(g_edges, mesh.neumann_edges):
+        half = 0.5 * edge.length
+        for node in edge.nodes:
+            F[2 * node] += half * g[0]
+            F[2 * node + 1] += half * g[1]
+    return F
+
+
+def flux_residual_loop(mesh, sigma, g_edges):
+    """L2(Gamma_N) mismatch between the cell tractions sigma.nu and g, edge by edge."""
+    flux_sq = 0.0
+    for g, edge in zip(g_edges, mesh.neumann_edges):
+        s = sigma[edge.cell]
+        t = np.array([
+            s[0] * edge.normal[0] + s[1] * edge.normal[1],
+            s[1] * edge.normal[0] + s[2] * edge.normal[1],
+        ])
+        flux_sq += edge.length * float(((t - g) ** 2).sum())
+    return float(np.sqrt(flux_sq))

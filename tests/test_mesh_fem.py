@@ -182,7 +182,7 @@ class TestElasticSolve:
     def test_residual_guard(self):
         mesh = build_square_mesh(3, ALL)
         system = ElasticSystem(mesh, HookeTensor(1.0, 1.0, 1.0))
-        u = system.solve(np.zeros((mesh.n_cells, 3)), shear_field(mesh), None, None)
+        u = system.solve(np.zeros((mesh.n_cells, 3)), shear_field(mesh), None)
         assert u.shape == (mesh.n_nodes, 2)
 
 
