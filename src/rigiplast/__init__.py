@@ -39,12 +39,9 @@ from .sweep import (
 from .tensors import (
     HookeTensor,
     NonDeviatoricError,
-    SymTensor,
     YieldSet,
     dev_decompose,
-    project_K,
     radial_return,
-    support_H,
     sym_outer,
 )
 from .vtkio import write_vtk

@@ -106,11 +106,9 @@ def _cmd_sweep(config: RunConfig, out: Path) -> dict:
             fits[name] = {"error": str(exc)}
 
     residuals = rigid_residuals(report)
-    bench = sweep_cfg.build_benchmark()
     tr = report.limit_proxy
-    u_final = tr.u_final
-    write_vtk(out / "fields_limit.vtk", bench.mesh,
-              point_vectors={"displacement": u_final},
+    write_vtk(out / "fields_limit.vtk", report.benchmark.mesh,
+              point_vectors={"displacement": tr.u_final},
               cell_tensors={"stress": tr.sigma[-1]})
     body = report.summary_dict()
     body["fits"] = fits

@@ -13,8 +13,12 @@ ignored. Unknown keys are errors (fail-closed). Documented keys and defaults:
     bulk_modulus   = 1.0
     yield_radius   = 1.0
     boundary_mode  = strong         strong | relaxed
-    tol            = 1e-10          inner functional-decrease tolerance
-    stress_tol     = 1e-10          inner stress-stationarity tolerance
+    tol            = 1e-10          inner solver: stop once the last decrease
+                                    is below tol * (1 + |functional|)
+                                    at the step's predictor
+    stress_tol     = 1e-10          inner solver: and the equilibrium residual
+                                    is below stress_tol * yield_radius (or its
+                                    round-off floor, if larger)
     load_scale     = 1.0            multiplies the benchmark load amplitude
     horizon        = 1.0            final time T
     out_dir        = out            artifact directory

@@ -4,11 +4,16 @@ Each time step minimizes
 
     (1/2) int C^eps (Eu - p):(Eu - p) + kappa int |p - p_prev| - load terms
 
-over displacements matching the boundary datum and deviatoric plastic strains,
-by alternating an exact sparse elastic solve (p frozen) with the closed-form
-cellwise return map (u frozen). The functional decreases monotonically; the
-loop stops when the decrease drops below ``tol * (1 + |value|)`` and the step
-ends on a return-map half-step so the deviatoric stress satisfies the yield
+over displacements matching the boundary datum and deviatoric plastic strains.
+The closed-form cellwise return map eliminates p, which leaves a convex C^1
+functional of u alone (a Moreau envelope). A semismooth Newton method with
+the consistent tangent of the return map minimizes it; an Armijo line search
+keeps the functional decreasing, and one alternating step (elastic solve with
+p frozen) stands in where a Newton direction fails. A step stops when the
+equilibrium residual on the free dofs is at most ``stress_tol * kappa`` (or
+the round-off floor of its operands) and the last decrease is below
+``tol * (1 + |value|)`` at the predictor. The stress comes from the return
+map of the final iterate, so the deviatoric stress satisfies the yield
 constraint exactly.
 
 Boundary condition modes:
@@ -17,7 +22,8 @@ Boundary condition modes:
 * ``relaxed`` - Dirichlet nodes may slip tangentially; the slip is a plastic
   boundary gap p = (w - u) (.) nu dissipating kappa * |tangential gap|/sqrt(2)
   per unit edge length, with the normal gap held at zero exactly. Corner
-  nodes (two face normals) stay pinned.
+  nodes (two face normals) stay pinned. The slips join the Newton system as
+  a primal-dual active set.
 
 The energy ledger uses time-trapezoid work increments, which makes the purely
 elastic balance exact to solver precision and keeps the plastic balance gap
@@ -29,21 +35,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import (
     ElasticSystem,
+    SolverError,
     boundary_integral_p1,
     external_load_vector,
     gauss_traces,
     integrate_tensor_dot,
     strain_of,
-    tensor_l2,
     weak_divergence_form,
 )
 from .mesh import Mesh
 from .tensors import (
     HookeTensor,
     YieldSet,
+    consistent_tangent,
     dev_decompose,
     norm,
     radial_return,
@@ -55,15 +63,18 @@ RELAXED = "relaxed"
 
 
 class ConvergenceError(RuntimeError):
-    """Inner alternating minimization failed to converge.
+    """The inner Newton iteration failed to converge.
 
-    Carries the last iterate and the history of functional decreases.
+    Carries the last iterate, the history of functional decreases (one per
+    Newton iteration) and the residual history (the predictor's first).
     """
 
-    def __init__(self, message, state=None, decrease_history=None, step_index=None):
+    def __init__(self, message, state=None, decrease_history=None, step_index=None,
+                 residual_history=None):
         super().__init__(message)
         self.state = state
         self.decrease_history = decrease_history or []
+        self.residual_history = residual_history or []
         self.step_index = step_index
 
 
@@ -221,13 +232,24 @@ class EnergyLedger:
 
 @dataclass(frozen=True)
 class StepInfo:
+    """What the inner solver did in one step.
+
+    ``residual`` is the final free-dof residual in the lumped dual norm,
+    ``backtracks`` counts the line-search step halvings and ``fallbacks`` the
+    alternating steps taken where a Newton direction failed.
+    """
+
     iterations: int
     functional: float
     decreases: tuple
+    residual: float
+    backtracks: int
+    fallbacks: int
 
 
-def _functional(system, mesh, yset, u, p, p_prev, loads, slip=None, s=None, s_prev=None) -> float:
-    val = system.energy(u, p)
+def _functional(system, mesh, yset, u, p, p_prev, loads, slip=None, s=None, s_prev=None,
+                eu=None) -> float:
+    val = system.energy(u, p, eu)
     val += yset.radius * float((mesh.areas * norm(p - p_prev)).sum())
     if slip is not None and slip.count:
         val += yset.radius / np.sqrt(2.0) * float((slip.lengths * np.abs(s - s_prev)).sum())
@@ -235,54 +257,36 @@ def _functional(system, mesh, yset, u, p, p_prev, loads, slip=None, s=None, s_pr
     return val
 
 
-def _slip_pass(system, slip, u, s, s_prev, p, loads, kappa):
-    """One exact Gauss-Seidel sweep over the slip nodes.
+@dataclass
+class _Iterate:
+    """One displacement iterate with everything the reduced functional derives from it."""
 
-    Minimizes the incremental functional in each scalar slip with everything
-    else frozen; closed-form soft-threshold against the nodal stiffness.
-    """
-    F = system.plastic_load_vector(p)
-    F += loads
-    r = system.K @ u.ravel() - F
-    K = system.K
-    for i in range(slip.count):
-        nd = slip.nodes[i]
-        t_hat = slip.tangents[i]
-        d0, d1 = 2 * nd, 2 * nd + 1
-        k_a = (t_hat[0] * t_hat[0] * K[d0, d0]
-               + 2.0 * t_hat[0] * t_hat[1] * K[d0, d1]
-               + t_hat[1] * t_hat[1] * K[d1, d1])
-        # increasing s by delta moves u at the node by -delta * t_hat
-        g_a = t_hat[0] * r[d0] + t_hat[1] * r[d1]
-        c_a = kappa * slip.lengths[i] / np.sqrt(2.0)
-        z0 = s[i] - s_prev[i]
-        x = k_a * z0 + g_a
-        zeta = np.sign(x) * max(abs(x) - c_a, 0.0) / k_a
-        delta = zeta - z0
-        if delta != 0.0:
-            s[i] += delta
-            u[nd] -= delta * t_hat
-            col = delta * (K[:, d0].toarray().ravel() * t_hat[0]
-                           + K[:, d1].toarray().ravel() * t_hat[1])
-            r -= col
-    return s, u
+    u: np.ndarray        # (n_nodes, 2), boundary values included
+    z: np.ndarray        # slip increment s - s_prev per slip node
+    eu: np.ndarray
+    e_dev: np.ndarray
+    p: np.ndarray        # return-mapped plastic strain
+    sigma: np.ndarray
+    value: float
+    grad: np.ndarray     # B^T(area W sigma) - F, every dof
 
 
-def _assemble_state(system, mesh, hooke, yield_set, t, u, p_prev, s):
-    """Final return-map half-step and state assembly.
-
-    The deviatoric stress comes straight from the return map (hard-capped at
-    the yield radius); the spherical part is kappa_b/eps * tr(Eu).
-    """
-    eu = strain_of(u, mesh, system.B)
-    e_dev, e_mean = dev_decompose(eu)
-    p, sig_dev = radial_return(e_dev, p_prev, hooke, yield_set)
-    e = eu - p
-    spherical = 2.0 * hooke.bulk_modulus / hooke.epsilon * e_mean
-    sigma = sig_dev.copy()
-    sigma[:, 0] += spherical
-    sigma[:, 2] += spherical
-    return FEState(t=t, u=u, e=e, p=p, sigma=sigma, boundary_slip=s), p
+# Armijo sufficient-decrease constant and the most step halvings before the
+# alternating fallback; multiple of eps_mach * (operand magnitudes) below
+# which a residual is round-off.
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 30
+_ROUNDOFF = 64.0 * np.finfo(float).eps
+# Levenberg-Marquardt damping of the Newton system by a multiple of the
+# elastic stiffness diagonal: raised after a failed direction or a step that
+# needed more than two halvings, lowered after any other step, zero below the
+# minimum (the slip dofs keep the minimum).
+_DAMPING_MIN = 1e-6
+_DAMPING_GROWTH = 10.0
+# Iterations in a row without a new smallest residual before the step is
+# given up: a load beyond the limit load drives the displacement so far that
+# round-off swamps the residual, which then only wanders.
+_MAX_STALLED = 10
 
 
 def incremental_step(
@@ -304,16 +308,36 @@ def incremental_step(
 ) -> tuple[FEState, StepInfo]:
     """One backward-Euler incremental minimization from ``state_prev``.
 
-    Stops when the functional decrease falls below ``tol * (1 + |value|)``
-    AND the estimated distance of the stress iterate to its fixed point (the
-    last update norm times the geometric tail of the observed contraction)
-    falls below ``stress_tol * kappa``. The stress conjunct keeps solver
-    truncation out of the sweep's stress-distance monitors.
+    With p eliminated by the radial return the step minimizes the reduced
+    functional J(u) = sum_cells area psi(Eu) - F.u, which is convex and C^1.
+    It starts from the elastic solve with p frozen at ``p_prev`` and takes
+    semismooth Newton steps: the gradient is B^T(area W sigma) - F, the
+    Hessian is assembled from ``consistent_tangent``, and an Armijo line
+    search on the functional accepts each step (a full step whose change is
+    within round-off of the value is accepted too). Where the tangent is
+    singular, the direction does not descend or the line search gives out,
+    one alternating step (elastic solve with p frozen, then the return map)
+    is taken instead, and later Newton systems are damped by a multiple of
+    the elastic stiffness diagonal until a step succeeds again
+    (Levenberg-Marquardt); this carries the solver through the nearly
+    singular tangents of loads close to the limit load and of a face that
+    slides as a whole. In relaxed mode the slip dofs join the Newton system
+    as a primal-dual active set: a stuck node keeps its previous slip, a
+    sliding node carries the constant friction force kappa * length / sqrt(2).
+
+    The iteration stops when the free-dof residual, in the lumped dual norm,
+    is at most ``stress_tol * kappa`` or the round-off floor of the
+    predictor's operands, whichever is larger, and the last decrease of the
+    functional is below ``tol * (1 + |value|)`` at the predictor; a predictor
+    whose residual passes needs no Newton step. ``max_iters`` bounds the
+    Newton steps, and ten steps in a row without a new smallest residual end
+    the step too.
 
     The functional is asserted non-increasing at every inner iteration and the
     converged value is checked against the admissible lift of the previous
     state (u_prev shifted by the boundary-datum increment). A
-    ``ConvergenceError`` carries the last iterate and the decrease history.
+    ``ConvergenceError`` carries the last iterate and the decrease and
+    residual histories.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -321,103 +345,186 @@ def incremental_step(
         system = ElasticSystem(mesh, hooke)
     if mode not in (STRONG, RELAXED):
         raise ValueError(f"unknown boundary mode {mode!r}")
-    relaxed = mode == RELAXED
-    if relaxed and slip is None:
+    if mode == RELAXED and slip is None:
         slip = slip_nodes_of(mesh)
+    slip_arg = slip if mode == RELAXED else None
+    relaxed = slip_arg is not None and slip.count > 0
 
     p_prev = state_prev.p
-    s_prev = state_prev.boundary_slip if relaxed else np.zeros(0)
-    s = s_prev.copy()
+    s_prev = state_prev.boundary_slip if mode == RELAXED else np.zeros(0)
     kappa = yield_set.radius
-    slip_arg = slip if relaxed else None
     loads = external_load_vector(mesh, f_cells, g_edges)  # f and g are fixed within the step
+    free = system.free
+    inv_mass = 1.0 / np.repeat(mesh.lumped_mass, 2)
+    bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon
+    free_stiffness = system.K.diagonal()[free]
+    slack = 1e-12
 
-    def boundary_values(s_now):
-        if not relaxed or not slip.count:
+    if relaxed:
+        nodes, tangents = slip.nodes, slip.tangents
+        friction = kappa / np.sqrt(2.0) * slip.lengths
+        slip_inv_mass = 1.0 / mesh.lumped_mass[nodes]
+        # strain per unit slip: increasing s moves the node by -tangent
+        slip_B = -(system.B[:, 2 * nodes] @ sp.diags(tangents[:, 0])
+                   + system.B[:, 2 * nodes + 1] @ sp.diags(tangents[:, 1])).tocsr()
+        diag = system.K.diagonal()
+        cross = np.asarray(system.K[2 * nodes, 2 * nodes + 1]).ravel()
+        nodal_stiffness = (tangents[:, 0] ** 2 * diag[2 * nodes] + tangents[:, 1] ** 2
+                           * diag[2 * nodes + 1] + 2.0 * tangents.prod(axis=1) * cross)
+
+    def boundary_values(z):
+        if not relaxed:
             return w_nodes
         w_eff = w_nodes.copy()
-        w_eff[slip.nodes] -= s_now[:, None] * slip.tangents
+        w_eff[nodes] -= (s_prev + z)[:, None] * tangents
         return w_eff
 
-    def functional_of(u_val, p_val, s_val):
-        return _functional(system, mesh, yield_set, u_val, p_val, p_prev,
-                           loads, slip_arg, s_val, s_prev)
-
-    p = p_prev.copy()
-    u = system.solve(p, boundary_values(s), loads)
-    value = functional_of(u, p, s)
-    eu = strain_of(u, mesh, system.B)
-    sigma_iter = (eu - p) @ system.cmat.T
-    decreases = []
-    slack = 1e-12
-    converged = False
-    iterations = 1
-    # safeguarded over-relaxation of the plastic fixed point: candidates that
-    # fail to decrease the functional fall back to the plain return-map step
-    omega = 1.0
-    dsig_prev = None
-    stress_tol_abs = stress_tol * kappa
-
-    for it in range(max_iters):
-        e_dev, _ = dev_decompose(eu)
-        p_plain, _ = radial_return(e_dev, p_prev, hooke, yield_set)
-        accepted = False
-        if omega > 1.0:
-            p_cand = p + omega * (p_plain - p)
-            s_cand = s.copy()
-            u_cand = system.solve(p_cand, boundary_values(s_cand), loads)
-            cand_value = functional_of(u_cand, p_cand, s_cand)
-            if cand_value <= value + slack * (1.0 + abs(cand_value)):
-                accepted = True
-                omega = min(omega * 1.05, 1.95)
-            else:
-                omega = 1.0
-        if not accepted:
-            p_cand = p_plain
-            s_cand = s
-            if relaxed and slip.count:
-                s_cand, u = _slip_pass(system, slip, u, s, s_prev, p_cand, loads, kappa)
-            u_cand = system.solve(p_cand, boundary_values(s_cand), loads)
-            cand_value = functional_of(u_cand, p_cand, s_cand)
-            if not relaxed and it >= 2:
-                omega = min(max(omega, 1.0) * 1.3, 1.95)
-
-        new_value = cand_value
-        decrease = value - new_value
-        decreases.append(decrease)
-        if decrease < -slack * (1.0 + abs(new_value)):
-            raise AssertionError(
-                f"incremental functional increased by {-decrease:.3e} at inner iteration {it}"
-            )
-        p, s, u, value = p_cand, s_cand, u_cand, new_value
+    def evaluate(u, z):
         eu = strain_of(u, mesh, system.B)
-        sigma_new = (eu - p) @ system.cmat.T
-        dsig = tensor_l2(mesh.areas, sigma_new - sigma_iter)
-        sigma_iter = sigma_new
-        iterations += 1
+        e_dev, e_mean = dev_decompose(eu)
+        p, sigma = radial_return(e_dev, p_prev, hooke, yield_set)
+        sigma = sigma.copy()
+        sigma[:, 0] += bulk * e_mean
+        sigma[:, 2] += bulk * e_mean
+        value = _functional(system, mesh, yield_set, u, p, p_prev, loads, slip_arg,
+                            s_prev + z, s_prev, eu=eu)
+        return _Iterate(u, z, eu, e_dev, p, sigma, value, system.nodal_forces(sigma) - loads)
 
-        if dsig == 0.0:
-            stress_done = True
-        elif dsig_prev is not None and dsig_prev > 0.0:
-            rho = min(max(dsig / dsig_prev, 0.1), 0.999)
-            stress_done = dsig * rho / (1.0 - rho) <= stress_tol_abs
+    def slip_forces(it):
+        """Force pushing each slip node along its tangent: minus dJ_smooth/ds."""
+        return (tangents * it.grad.reshape(-1, 2)[nodes]).sum(axis=1)
+
+    def dual_norm(forces, slip_part):
+        """Lumped dual norm of nodal forces on the free dofs plus the slip-node part."""
+        sq = float((forces[free] ** 2 * inv_mass[free]).sum())
+        if relaxed:
+            sq += float((slip_part ** 2 * slip_inv_mass).sum())
+        return np.sqrt(sq)
+
+    def residual(it):
+        """Free-dof residual; at a slip node, the distance of its force from the friction set."""
+        rho = None
+        if relaxed:
+            q = slip_forces(it)
+            rho = np.where(it.z != 0.0, np.abs(q - friction * np.sign(it.z)),
+                           np.maximum(np.abs(q) - friction, 0.0))
+        return dual_norm(it.grad, rho)
+
+    def newton_direction(it, damping):
+        """(du, dz, stuck, slope) of the damped Newton step, or None where it fails."""
+        tangent = consistent_tangent(it.e_dev, p_prev, hooke, yield_set)
+        du = np.zeros(2 * mesh.n_nodes)
+        dz = np.zeros(len(it.z))
+        stuck = np.zeros(len(it.z), dtype=bool)
+        try:
+            if not relaxed:
+                du[free] = system.solve_tangent(tangent, -it.grad[free],
+                                                shift=damping * free_stiffness)
+            else:
+                q = slip_forces(it)
+                y = it.z + q / nodal_stiffness
+                stuck = np.abs(y) <= friction / nodal_stiffness
+                slide = ~stuck
+                dz[stuck] = -it.z[stuck]
+                B_free = sp.hstack([system.B_f, slip_B[:, slide]], format="csr")
+                rhs = -np.concatenate([it.grad[free], friction[slide] * np.sign(y[slide])
+                                       - q[slide]])
+                if np.any(dz[stuck]):
+                    de = (slip_B[:, stuck] @ dz[stuck]).reshape(-1, 3)
+                    ds = np.einsum("cij,cj->ci", tangent, de)
+                    rhs -= system.nodal_forces(ds, B_free.T)
+                # a face that slides as a whole leaves the smooth part flat along
+                # its rigid translation: the slips are always damped a little
+                shift = np.concatenate([damping * free_stiffness,
+                                        max(damping, _DAMPING_MIN) * nodal_stiffness[slide]])
+                sol = system.solve_tangent(tangent, rhs, B_free, shift)
+                du[free] = sol[:len(free)]
+                dz[slide] = sol[len(free):]
+                du.reshape(-1, 2)[nodes] -= dz[:, None] * tangents
+        except SolverError:
+            return None
+        slope = float(it.grad @ du)
+        if relaxed:
+            slope += float((friction * np.where(it.z != 0.0, np.sign(it.z) * dz,
+                                                np.abs(dz))).sum())
+        if not slope < 0.0:
+            return None
+        return du, dz, stuck, slope
+
+    def line_search(it, direction):
+        """(accepted iterate, halvings), or (None, halvings) when it gives out."""
+        du, dz, stuck, slope = direction
+        step = 1.0
+        for halvings in range(_MAX_BACKTRACKS + 1):
+            u = it.u + step * du.reshape(-1, 2)
+            z = it.z + step * dz
+            z[stuck] = (1.0 - step) * it.z[stuck]  # exactly the previous slip at a full step
+            if relaxed:
+                u[nodes] = w_nodes[nodes] - (s_prev + z)[:, None] * tangents
+            trial = evaluate(u, z)
+            change = trial.value - it.value
+            if change <= _ARMIJO * step * slope or (
+                    step == 1.0 and change <= slack * (1.0 + abs(trial.value))):
+                return trial, halvings
+            step *= 0.5
+        return None, _MAX_BACKTRACKS
+
+    it = evaluate(system.solve(p_prev, boundary_values(np.zeros(len(s_prev))), loads),
+                  np.zeros(len(s_prev)))
+    res = residual(it)
+    magnitudes = system.force_magnitudes(it.eu, p_prev, loads)
+    slip_magnitudes = None
+    if relaxed:
+        slip_magnitudes = (np.abs(tangents) * magnitudes.reshape(-1, 2)[nodes]).sum(axis=1)
+        slip_magnitudes += friction
+    threshold = max(stress_tol * kappa, _ROUNDOFF * dual_norm(magnitudes, slip_magnitudes))
+    small_decrease = tol * (1.0 + abs(it.value))
+    decreases, residuals = [], [res]
+    backtracks = fallbacks = 0
+    damping = 0.0
+    converged = res <= threshold
+    iterations = 1
+    stalled = 0  # consecutive iterations without a new smallest residual
+    while not converged and iterations <= max_iters and stalled < _MAX_STALLED:
+        direction = newton_direction(it, damping)
+        new = None
+        if direction is not None:
+            new, halvings = line_search(it, direction)
+            backtracks += halvings
+        if new is None:
+            fallbacks += 1
+            damping = max(_DAMPING_GROWTH * damping, _DAMPING_MIN)
+            new = evaluate(system.solve(it.p, boundary_values(it.z), loads), it.z)
+        elif halvings > 2:
+            damping = max(_DAMPING_GROWTH * damping, _DAMPING_MIN)
         else:
-            stress_done = False
-        dsig_prev = dsig
-        if decrease < tol * (1.0 + abs(new_value)) and stress_done:
-            converged = True
-            break
+            damping = damping / _DAMPING_GROWTH if damping > _DAMPING_MIN else 0.0
+        decrease = it.value - new.value
+        decreases.append(decrease)
+        if decrease < -slack * (1.0 + abs(new.value)):
+            raise AssertionError(
+                f"incremental functional increased by {-decrease:.3e} "
+                f"at inner iteration {iterations}"
+            )
+        it = new
+        iterations += 1
+        res = residual(it)
+        residuals.append(res)
+        converged = res <= threshold and decrease < small_decrease
+        stalled = stalled + 1 if res >= min(residuals[:-1]) else 0
 
-    state, p = _assemble_state(system, mesh, hooke, yield_set, t, u, p_prev, s)
-    value = functional_of(u, p, s)
-
+    state = FEState(t=t, u=it.u, e=it.eu - it.p, p=it.p, sigma=it.sigma,
+                    boundary_slip=s_prev + it.z)
     if not converged:
         last = decreases[-1] if decreases else float("nan")
+        why = (f"residual stalled after {iterations - 1} inner iterations"
+               if stalled >= _MAX_STALLED else f"no convergence in {max_iters} inner iterations")
         raise ConvergenceError(
-            f"no convergence in {max_iters} inner iterations (last decrease {last:.3e})",
-            state=state, decrease_history=decreases,
+            f"{why} (last decrease {last:.3e}, residual {res:.3e})",
+            state=state, decrease_history=decreases, residual_history=residuals,
         )
 
+    value = it.value
     if w_prev_nodes is not None:
         # minimality against the admissible lift u_prev + (w_k - w_{k-1})
         u_lift = state_prev.u + (w_nodes - w_prev_nodes)
@@ -426,7 +533,9 @@ def incremental_step(
         if value > value_at_lift + slack * (1.0 + abs(value)):
             raise AssertionError("incremental minimum above the lifted previous state")
     state.check(mesh, yield_set)
-    return state, StepInfo(iterations=iterations, functional=value, decreases=tuple(decreases))
+    return state, StepInfo(iterations=iterations, functional=value,
+                           decreases=tuple(decreases), residual=res,
+                           backtracks=backtracks, fallbacks=fallbacks)
 
 
 def run_evolution(

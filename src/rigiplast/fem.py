@@ -13,12 +13,14 @@ changes.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import EdgeArrays, Mesh
-from .tensors import HookeTensor, ddot, deviator, norm, require_deviatoric
+from .tensors import HookeTensor, ddot, require_deviatoric
 
 _W2 = np.array([1.0, 2.0, 1.0])  # contraction weights for packed 2-D tensors
 _GAUSS2 = (0.5 * (1 - 1 / np.sqrt(3.0)), 0.5 * (1 + 1 / np.sqrt(3.0)))  # on [0, 1]
@@ -123,6 +125,8 @@ class ElasticSystem:
     Minimizes  (1/2) int C^eps (Eu - p):(Eu - p) - int f.u - int_Gamma_N g.u
     subject to prescribed values at Dirichlet nodes. The factorization is of
     the free-free block; changing p, loads or boundary values reuses it.
+    ``solve_tangent`` factorizes and solves the same assembly with a per-cell
+    tangent in place of C^eps, for the inner solver's Newton steps.
     """
 
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
@@ -134,7 +138,6 @@ class ElasticSystem:
         wc = _W2[:, None] * self.cmat
         D = sp.kron(sp.diags(mesh.areas), sp.csr_matrix(wc), format="csr")
         self.K = (self.B.T @ D @ self.B).tocsc()
-        self._D = D
 
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
@@ -142,10 +145,29 @@ class ElasticSystem:
         self.K_fc = self.K[np.ix_(self.free, self.fixed)].tocsc()
         self._lu = spla.splu(self.K_ff) if self.free.size else None
 
+    @cached_property
+    def B_f(self) -> sp.csr_matrix:
+        """Columns of B at the free dofs."""
+        return self.B[:, self.free].tocsr()
+
+    def nodal_forces(self, sigma: np.ndarray, B_T=None) -> np.ndarray:
+        """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` if given."""
+        B_T = self.mesh.B_T if B_T is None else B_T
+        return B_T @ (np.repeat(self.mesh.areas, 3) * (sigma * _W2).ravel())
+
+    def force_magnitudes(self, eu: np.ndarray, p: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """``nodal_forces(C^eps (eu - p)) - loads`` with every term in absolute value.
+
+        Scaled by eps_mach, it bounds the round-off in that residual.
+        """
+        B_T = self.mesh.B_T
+        abs_B_T = sp.csr_matrix((np.abs(B_T.data), B_T.indices, B_T.indptr), shape=B_T.shape)
+        cells = (np.abs(eu) + np.abs(p)) @ np.abs(self.cmat).T
+        return self.nodal_forces(cells, abs_B_T) + np.abs(loads)
+
     def plastic_load_vector(self, p: np.ndarray) -> np.ndarray:
         """Assemble int C^eps p : E(phi) as a dof vector."""
-        sig_p = p @ self.cmat.T
-        return self.mesh.B_T @ (np.repeat(self.mesh.areas, 3) * (sig_p * _W2).ravel())
+        return self.nodal_forces(p @ self.cmat.T)
 
     def solve(self, p: np.ndarray, w_nodes: np.ndarray,
               loads: np.ndarray | None = None) -> np.ndarray:
@@ -163,17 +185,49 @@ class ElasticSystem:
                 x = self._lu.solve(rhs)
             except RuntimeError as exc:  # pragma: no cover - cannot occur with Gamma_D != 0
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
-            u[self.free] = x
-            res = np.linalg.norm(self.K_ff @ x - rhs)
-            scale = np.linalg.norm(rhs) + np.linalg.norm(x) + 1.0
-            if not np.isfinite(res) or res > 1e-10 * scale:
-                raise SolverError(f"elastic solve residual {res:.3e} exceeds tolerance")
+            u[self.free] = _guarded(self.K_ff, x, rhs, "elastic")
         return u.reshape(mesh.n_nodes, 2)
 
-    def energy(self, u: np.ndarray, p: np.ndarray) -> float:
-        """(1/2) int C^eps (Eu - p):(Eu - p)."""
-        e = strain_of(u, self.mesh, self.B) - p
+    def solve_tangent(self, tangent: np.ndarray, rhs: np.ndarray,
+                      B_free: sp.csr_matrix | None = None,
+                      shift: np.ndarray | None = None) -> np.ndarray:
+        """Solve K_T x = rhs, K_T = B_free^T blockdiag(area W D_c) B_free + diag(shift).
+
+        ``tangent`` holds the packed per-cell tangents D_c, shape
+        (n_cells, 3, 3); ``B_free`` maps the unknowns to cell strains and
+        defaults to the columns of B at the free dofs. A singular factor or a
+        failed residual guard raises ``SolverError``.
+        """
+        B_free = self.B_f if B_free is None else B_free
+        nc = self.mesh.n_cells
+        blocks = self.mesh.areas[:, None, None] * _W2[None, :, None] * tangent
+        cols = (3 * np.arange(nc)[:, None, None] + np.arange(3)) + np.zeros((1, 3, 1), dtype=int)
+        D = sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, 9 * nc + 1, 3)),
+                          shape=(3 * nc, 3 * nc))
+        K = B_free.T @ (D @ B_free)
+        if shift is not None and np.any(shift):
+            K = K + sp.diags(shift)
+        K = K.tocsc()
+        try:
+            # K_T is symmetric: order on its pattern (less fill than the default)
+            x = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        except RuntimeError as exc:
+            raise SolverError(f"tangent factorization failed: {exc}") from exc
+        return _guarded(K, x, rhs, "tangent")
+
+    def energy(self, u: np.ndarray, p: np.ndarray, eu: np.ndarray | None = None) -> float:
+        """(1/2) int C^eps (Eu - p):(Eu - p); ``eu`` is Eu when the caller has it."""
+        e = (strain_of(u, self.mesh, self.B) if eu is None else eu) - p
         return 0.5 * integrate_tensor_dot(self.mesh.areas, e @ self.cmat.T, e)
+
+
+def _guarded(K, x, rhs, what: str) -> np.ndarray:
+    """``x`` if it solves K x = rhs to the solver guard, else ``SolverError``."""
+    res = np.linalg.norm(K @ x - rhs)
+    scale = np.linalg.norm(rhs) + np.linalg.norm(x) + 1.0
+    if not np.isfinite(res) or res > 1e-10 * scale:
+        raise SolverError(f"{what} solve residual {res:.3e} exceeds tolerance")
+    return x
 
 
 def solve_elastic(
@@ -241,7 +295,3 @@ def weak_divergence_form(mesh: Mesh, sigma: np.ndarray, phi: np.ndarray) -> floa
     bdry = boundary_integral_p1(sigma, phi, mesh.boundary)
     return bdry - vol
 
-
-def max_dev_norm(sigma: np.ndarray) -> float:
-    """sup over cells of |sigma_D|."""
-    return float(norm(deviator(sigma)).max()) if len(sigma) else 0.0

@@ -97,9 +97,14 @@ class EpsTrajectory:
 
 @dataclass
 class SweepReport:
-    """All trajectories plus the eps-indexed scalar reductions."""
+    """All trajectories plus the eps-indexed scalar reductions.
+
+    ``benchmark`` is the one the sweep built and ran; the residuals and the
+    limit-field output reuse it.
+    """
 
     config: SweepConfig
+    benchmark: Benchmark
     times: np.ndarray
     trajectories: list[EpsTrajectory]
     metrics: dict[str, np.ndarray]
@@ -146,7 +151,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
         raise ConvergenceError(
             f"epsilon={epsilon:g}, step {exc.step_index}: {exc}",
             state=exc.state, decrease_history=exc.decrease_history,
-            step_index=exc.step_index,
+            step_index=exc.step_index, residual_history=exc.residual_history,
         ) from exc
 
     times = program.times
@@ -232,7 +237,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     signature = (benchmark.id, mesh.n_side, tuple(sorted(mesh.dirichlet_faces)),
                  len(times), float(times[-1]))
-    return SweepReport(config=config, times=times.copy(), trajectories=trajectories,
+    return SweepReport(config=config, benchmark=benchmark, times=times.copy(),
+                       trajectories=trajectories,
                        metrics=metrics, cauchy_distances=cauchy, mesh_signature=signature)
 
 
@@ -290,10 +296,9 @@ class ResidualReport:
         }
 
 
-def rigid_residuals(report: SweepReport, benchmark: Benchmark | None = None) -> ResidualReport:
+def rigid_residuals(report: SweepReport) -> ResidualReport:
     """Evaluate the limit-system residuals on the smallest-eps trajectory."""
-    if benchmark is None:
-        benchmark = report.config.build_benchmark()
+    benchmark = report.benchmark
     mesh = benchmark.mesh
     program = benchmark.program
     kappa = benchmark.yield_set.radius

@@ -16,7 +16,7 @@ is what the component weights below encode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,37 +124,6 @@ def to_matrix(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymTensor:
-    """A single symmetric tensor value; thin wrapper over the packed layout."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (_NCOMP[self.dim],):
-            raise ValueError(f"dim {self.dim} needs {_NCOMP[self.dim]} entries, got {e.shape}")
-        object.__setattr__(self, "entries", e)
-
-    @classmethod
-    def from_matrix(cls, m) -> "SymTensor":
-        m = np.asarray(m, dtype=float)
-        return cls(m.shape[0], from_matrix(m))
-
-    def to_matrix(self) -> np.ndarray:
-        return to_matrix(self.entries)
-
-    def norm(self) -> float:
-        return float(norm(self.entries))
-
-    def trace(self) -> float:
-        return float(trace(self.entries))
-
-    def dev(self) -> "SymTensor":
-        return SymTensor(self.dim, deviator(self.entries))
-
-
-@dataclass(frozen=True)
 class HookeTensor:
     """Isotropic elasticity law C^eps xi = (2 mu dev xi + kappa_b tr(xi) I) / eps.
 
@@ -212,21 +181,10 @@ class YieldSet:
     """The admissible set of deviatoric stresses: a von Mises ball |tau| <= radius."""
 
     radius: float
-    kind: str = field(default="von-mises-ball")
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("yield radius must be positive")
-        if self.kind != "von-mises-ball":
-            raise ValueError(f"unsupported yield set kind: {self.kind!r}")
-
-    @property
-    def inner_radius(self) -> float:
-        return self.radius
-
-    @property
-    def outer_radius(self) -> float:
-        return self.radius
 
     def support(self, p: np.ndarray) -> np.ndarray:
         """Support function H(p) = sup_{tau in K} tau : p = radius * |p|.
@@ -309,11 +267,34 @@ def radial_return(
     return p_new, sigma_dev
 
 
-def project_K(tau: np.ndarray, yield_set: YieldSet) -> np.ndarray:
-    """Module-level alias for the yield-set projection."""
-    return yield_set.project(tau)
 
+def consistent_tangent(
+    e_dev: np.ndarray,
+    p_old: np.ndarray,
+    hooke: HookeTensor,
+    yield_set: YieldSet,
+) -> np.ndarray:
+    """Packed 2-D tangent d sigma / d E of the return-mapped stress, shape (n, 3, 3).
 
-def support_H(p: np.ndarray, yield_set: YieldSet) -> np.ndarray:
-    """Module-level alias for the support function."""
-    return yield_set.support(p)
+    ``sigma = D @ dE`` with packed components and no contraction weights, for
+    the same (``e_dev``, ``p_old``) as ``radial_return``. Elastic cells get
+    the matrix of C^eps. On the plastic branch, with trial stress s and
+    n = s/|s|, the deviatoric part is g (radius/|s|) (I - n n^T W) P, where
+    g = 2 mu / eps, P is the deviator and W = diag(1, 2, 1) holds the
+    contraction weights; the bulk part (kappa_b / eps) i i^T with
+    i = (1, 0, 1) is unchanged (Simo & Taylor's consistent tangent).
+    """
+    g = hooke.scaled_shear
+    s = g * (np.asarray(e_dev, dtype=float) - p_old)
+    m = norm(s)
+    plastic = m > yield_set.radius
+    out = np.repeat(hooke.matrix(2)[None], len(s), axis=0)
+    if np.any(plastic):
+        i = identity(2)
+        proj = np.eye(3) - 0.5 * np.outer(i, i)
+        n = s[plastic] / m[plastic, None]
+        nwp = (n * _WEIGHTS[2]) @ proj
+        alpha = g * yield_set.radius / m[plastic]
+        out[plastic] = (alpha[:, None, None] * (proj - n[:, :, None] * nwp[:, None, :])
+                        + hooke.bulk_modulus / hooke.epsilon * np.outer(i, i))
+    return out

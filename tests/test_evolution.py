@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from rigiplast import evolution
+from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import (
     ConvergenceError,
     FEState,
@@ -100,6 +102,34 @@ class TestIncrementalStep:
                              mesh, tol=1e-300, max_iters=2, stress_tol=1e-300)
         assert err.value.state is not None
         assert len(err.value.decrease_history) == 2
+
+    def test_convergence_error_carries_residual_history(self):
+        mesh = build_square_mesh(3, ("bottom",))
+        w = 3.0 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
+        with pytest.raises(ConvergenceError) as err:
+            incremental_step(FEState.zeros(mesh), 1.0, w, np.zeros((mesh.n_cells, 2)),
+                             np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET,
+                             mesh, max_iters=1)
+        # the predictor's residual, then one per Newton iteration
+        assert len(err.value.residual_history) == 2
+        assert err.value.residual_history[0] > 1e-10
+
+    def test_step_info_reports_solver_work(self):
+        # a stiff clamped fiber stretched while its whole face may slip: the
+        # Newton system is flat along the face's translation and needs damping
+        mesh = build_square_mesh(3, ("bottom",))
+        w = 0.75 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
+        slip = slip_nodes_of(mesh)
+        state, info = incremental_step(FEState.zeros(mesh, slip.count), 0.25, w,
+                                       np.zeros((mesh.n_cells, 2)),
+                                       np.zeros((len(mesh.neumann_edges), 2)),
+                                       HookeTensor(1.0, 1.0, 0.01), YSET, mesh,
+                                       mode="relaxed", slip=slip)
+        assert info.iterations == 1 + len(info.decreases) > 1
+        assert 0.0 <= info.residual <= 1e-10 * YSET.radius
+        assert info.backtracks > 0
+        assert info.fallbacks >= 0
+        assert np.abs(state.boundary_slip).max() > 0.0
 
     def test_invalid_tol(self):
         mesh = build_square_mesh(2, FACES)
@@ -338,3 +368,66 @@ class TestBDSurrogate:
         # strain mass 1/sqrt(2); trace integral: |x2| on the four faces
         # left+right contribute 2 * 1/2, top contributes 1, bottom 0
         assert val == pytest.approx(1 / np.sqrt(2) + 2.0, rel=1e-10)
+
+
+def _step_infos(monkeypatch):
+    """Collect the StepInfo of every incremental step run_evolution takes."""
+    infos = []
+    original = evolution.incremental_step
+
+    def recorded(*args, **kwargs):
+        state, info = original(*args, **kwargs)
+        infos.append(info)
+        return state, info
+
+    monkeypatch.setattr(evolution, "incremental_step", recorded)
+    return infos
+
+
+class TestNewtonSolver:
+    """Iteration counts and answers of the semismooth Newton inner solver."""
+
+    @pytest.mark.parametrize("mesh_n, n_steps", [(16, 32), (32, 8)])
+    def test_traction_iterations_bounded_under_refinement(self, monkeypatch, mesh_n, n_steps):
+        # n=32, M=8 is the CLI's refined TRACTION rung; alternating minimization
+        # needed up to 2351 iterations per step at n=16 and failed at n=32
+        infos = _step_infos(monkeypatch)
+        bench = benchmark_catalog("TRACTION", mesh_n=mesh_n, n_steps=n_steps)
+        states, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(1.0),
+                                       bench.yield_set, bench.mesh)
+        assert len(states) == n_steps + 1
+        assert ledger.iterations.max() <= 30
+        assert ledger.dissipation[-1] > 0.0
+        assert len(infos) == n_steps
+        assert max(i.residual for i in infos) <= 1e-10 * bench.yield_set.radius
+
+    def test_relaxed_traction_matches_alternating_minimization(self):
+        # dissipation and work of the same run by alternating minimization with
+        # a Gauss-Seidel slip sweep, converged to tol = stress_tol = 1e-10
+        bench = benchmark_catalog("TRACTION", mesh_n=8, n_steps=16)
+        states, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(1.0),
+                                       bench.yield_set, bench.mesh, mode="relaxed")
+        assert np.abs(states[-1].boundary_slip).max() > 0.5
+        assert ledger.dissipation[-1] == pytest.approx(1.0968858647177653, rel=1e-6)
+        assert ledger.work[-1] == pytest.approx(1.466348449491755, rel=1e-6)
+        assert ledger.iterations.max() <= 30
+
+    def test_traction_near_the_limit_load(self):
+        # 0.63 kappa on the top face: nearly every cell is plastic and the
+        # tangent has almost no deviatoric stiffness left
+        bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32, load_scale=1.4)
+        states, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(1.0),
+                                       bench.yield_set, bench.mesh)
+        assert ledger.plastic_fraction.max() > 0.95
+        assert ledger.iterations.max() <= 30
+        assert ledger.max_sigma_dev.max() <= bench.yield_set.radius * (1 + 1e-10)
+
+    def test_beyond_the_limit_load_fails_fast(self):
+        # 0.675 kappa exceeds the limit load of the n=8 mesh: the functional of
+        # the last step is unbounded below, so no iterate can be accepted
+        bench = benchmark_catalog("TRACTION", mesh_n=8, n_steps=8, load_scale=1.5)
+        with pytest.raises(ConvergenceError) as err:
+            run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
+                          bench.mesh)
+        assert err.value.step_index == 8
+        assert len(err.value.decrease_history) < 100

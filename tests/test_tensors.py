@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from rigiplast.tensors import (
     HookeTensor,
     NonDeviatoricError,
-    SymTensor,
     YieldSet,
+    consistent_tangent,
     ddot,
     dev_decompose,
     deviator,
+    dim_of,
     from_matrix,
     identity,
     norm,
-    project_K,
     radial_return,
-    support_H,
     sym_outer,
     to_matrix,
     trace,
@@ -156,36 +155,36 @@ class TestHooke:
 
 class TestYieldSet:
     def test_support_zero(self):
-        assert support_H(np.zeros(3), YieldSet(1.0)) == 0.0
+        assert YieldSet(1.0).support(np.zeros(3)) == 0.0
 
     def test_support_value(self):
-        val = support_H(np.array([1.0, 0.0, -1.0]), YieldSet(1.0))
+        val = YieldSet(1.0).support(np.array([1.0, 0.0, -1.0]))
         assert val == pytest.approx(np.sqrt(2))
 
     def test_support_scales_with_radius(self):
         p = random_deviatoric(50)
-        np.testing.assert_allclose(support_H(p, YieldSet(2.5)), 2.5 * norm(p))
+        np.testing.assert_allclose(YieldSet(2.5).support(p), 2.5 * norm(p))
 
     def test_support_bounds(self):
         yset = YieldSet(0.8)
         p = random_deviatoric(100)
-        h = support_H(p, yset)
-        assert np.all(h >= yset.inner_radius * norm(p) * (1 - 1e-12))
-        assert np.all(h <= yset.outer_radius * norm(p) * (1 + 1e-12))
+        h = yset.support(p)
+        assert np.all(h >= yset.radius * norm(p) * (1 - 1e-12))
+        assert np.all(h <= yset.radius * norm(p) * (1 + 1e-12))
 
     def test_support_rejects_trace(self):
         p = np.array([0.3, 0.0, 0.2])  # trace 0.5
         with pytest.raises(NonDeviatoricError):
-            support_H(p, YieldSet(1.0))
+            YieldSet(1.0).support(p)
 
     def test_project_interior_identity(self):
         yset = YieldSet(1.0)
         tau = random_deviatoric(100)
         tau = tau / np.maximum(norm(tau), 1.0)[:, None] * 0.5
-        np.testing.assert_array_equal(project_K(tau, yset), tau)
+        np.testing.assert_array_equal(yset.project(tau), tau)
 
     def test_project_radial(self):
-        out = project_K(np.array([2.0, 0.0, -2.0]), YieldSet(1.0))
+        out = YieldSet(1.0).project(np.array([2.0, 0.0, -2.0]))
         np.testing.assert_allclose(out, [1 / np.sqrt(2), 0.0, -1 / np.sqrt(2)],
                                    rtol=1e-12)
 
@@ -193,13 +192,13 @@ class TestYieldSet:
         # off-diagonal 0.3, diagonal +/-0.2: norm sqrt(0.26) < 1
         tau = np.array([0.2, 0.3, -0.2])
         assert norm(tau) == pytest.approx(np.sqrt(0.26))
-        np.testing.assert_array_equal(project_K(tau, YieldSet(1.0)), tau)
+        np.testing.assert_array_equal(YieldSet(1.0).project(tau), tau)
 
     def test_project_idempotent_exact(self):
         yset = YieldSet(0.9)
         tau = random_deviatoric(500, scale=3.0)
-        once = project_K(tau, yset)
-        twice = project_K(once, yset)
+        once = yset.project(tau)
+        twice = yset.project(once)
         np.testing.assert_array_equal(once, twice)
         assert np.all(norm(once) <= yset.radius)
 
@@ -207,7 +206,7 @@ class TestYieldSet:
         yset = YieldSet(1.0)
         a = random_deviatoric(400, scale=2.0)
         b = random_deviatoric(400, scale=2.0)
-        d_out = norm(project_K(a, yset) - project_K(b, yset))
+        d_out = norm(yset.project(a) - yset.project(b))
         d_in = norm(a - b)
         assert np.all(d_out <= d_in * (1 + 1e-12))
 
@@ -306,18 +305,51 @@ class TestRadialReturn:
             radial_return(np.array([1.0, 0.0, 0.0]), np.zeros(3), hooke, YieldSet(1.0))
 
 
-class TestSymTensorWrapper:
+class TestPackedLayout:
     def test_round_trip(self):
         m = np.array([[1.0, 2.0], [2.0, -3.0]])
-        t = SymTensor.from_matrix(m)
-        np.testing.assert_allclose(t.to_matrix(), m)
-        assert t.trace() == pytest.approx(-2.0)
-        assert t.dev().trace() == pytest.approx(0.0, abs=1e-15)
+        t = from_matrix(m)
+        np.testing.assert_allclose(to_matrix(t), m)
+        assert trace(t) == pytest.approx(-2.0)
+        assert trace(deviator(t)) == pytest.approx(0.0, abs=1e-15)
 
     def test_norm_counts_off_diagonal_twice(self):
-        t = SymTensor(2, np.array([0.0, 1.0, 0.0]))
-        assert t.norm() == pytest.approx(np.sqrt(2))
+        assert norm(np.array([0.0, 1.0, 0.0])) == pytest.approx(np.sqrt(2))
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
-            SymTensor(2, np.zeros(4))
+            dim_of(np.zeros(4))
+
+
+class TestConsistentTangent:
+    def test_matches_finite_differences(self):
+        hooke = HookeTensor(1.3, 0.9, 0.5)
+        yset = YieldSet(0.8)
+        rng = np.random.default_rng(11)
+        E = rng.standard_normal((300, 3))
+        p_old = deviator(rng.standard_normal((300, 3)) * 0.3)
+
+        def stress(E):
+            e_dev, mean = dev_decompose(E)
+            _, sigma = radial_return(e_dev, p_old, hooke, yset)
+            return sigma + 2.0 * hooke.bulk_modulus / hooke.epsilon * mean[:, None] * identity(2)
+
+        tangent = consistent_tangent(deviator(E), p_old, hooke, yset)
+        plastic = norm(hooke.scaled_shear * (deviator(E) - p_old)) > yset.radius
+        assert plastic.any() and (~plastic).any()
+        h = 1e-7
+        for j in range(3):
+            dE = np.zeros(3)
+            dE[j] = h
+            fd = (stress(E + dE) - stress(E - dE)) / (2.0 * h)
+            np.testing.assert_allclose(tangent[:, :, j], fd, atol=1e-6)
+        np.testing.assert_array_equal(tangent[~plastic], np.broadcast_to(
+            hooke.matrix(), (int((~plastic).sum()), 3, 3)))
+
+    def test_weighted_tangent_is_symmetric(self):
+        hooke = HookeTensor(1.0, 2.0, 0.25)
+        rng = np.random.default_rng(12)
+        e_dev = deviator(rng.standard_normal((100, 3)))
+        tangent = consistent_tangent(e_dev, np.zeros((100, 3)), hooke, YieldSet(0.5))
+        weighted = np.array([1.0, 2.0, 1.0])[None, :, None] * tangent
+        np.testing.assert_allclose(weighted, weighted.transpose(0, 2, 1), atol=1e-13)
