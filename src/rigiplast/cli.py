@@ -28,7 +28,7 @@ import numpy as np
 
 from .benchmarks import benchmark_catalog, default_example41_params, example41_verify
 from .config import ConfigError, RunConfig, parse_config
-from .evolution import ConvergenceError, energy_report, run_evolution
+from .evolution import ConvergenceError, EnergyLedger, energy_report, run_evolution
 from .fem import SolverError
 from .mesh import build_square_mesh
 from .reporting import summary_payload, write_csv, write_json
@@ -36,8 +36,6 @@ from .safeload import max_safety_margin, verify_safe_load
 from .sweep import CSV_HEADER, SweepConfig, fit_rate, rigid_residuals, run_sweep
 from .tensors import HookeTensor, YieldSet
 from .vtkio import write_vtk
-
-from .evolution import EnergyLedger
 
 
 def _load_config(path: str | None) -> RunConfig:

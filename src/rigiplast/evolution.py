@@ -355,9 +355,8 @@ def incremental_step(
     kappa = yield_set.radius
     loads = external_load_vector(mesh, f_cells, g_edges)  # f and g are fixed within the step
     free = system.free
-    inv_mass = 1.0 / np.repeat(mesh.lumped_mass, 2)
     bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon
-    free_stiffness = system.K.diagonal()[free]
+    free_stiffness = system.stiffness_diagonal[free]
     slack = 1e-12
 
     if relaxed:
@@ -367,7 +366,7 @@ def incremental_step(
         # strain per unit slip: increasing s moves the node by -tangent
         slip_B = -(system.B[:, 2 * nodes] @ sp.diags(tangents[:, 0])
                    + system.B[:, 2 * nodes + 1] @ sp.diags(tangents[:, 1])).tocsr()
-        diag = system.K.diagonal()
+        diag = system.stiffness_diagonal
         cross = np.asarray(system.K[2 * nodes, 2 * nodes + 1]).ravel()
         nodal_stiffness = (tangents[:, 0] ** 2 * diag[2 * nodes] + tangents[:, 1] ** 2
                            * diag[2 * nodes + 1] + 2.0 * tangents.prod(axis=1) * cross)
@@ -396,7 +395,7 @@ def incremental_step(
 
     def dual_norm(forces, slip_part):
         """Lumped dual norm of nodal forces on the free dofs plus the slip-node part."""
-        sq = float((forces[free] ** 2 * inv_mass[free]).sum())
+        sq = float((forces[free] ** 2 * system.free_inv_mass).sum())
         if relaxed:
             sq += float((slip_part ** 2 * slip_inv_mass).sum())
         return np.sqrt(sq)

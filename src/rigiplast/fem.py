@@ -20,9 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import EdgeArrays, Mesh
-from .tensors import HookeTensor, ddot, require_deviatoric
+from .tensors import WEIGHTS, HookeTensor, ddot, require_deviatoric
 
-_W2 = np.array([1.0, 2.0, 1.0])  # contraction weights for packed 2-D tensors
 _GAUSS2 = (0.5 * (1 - 1 / np.sqrt(3.0)), 0.5 * (1 + 1 / np.sqrt(3.0)))  # on [0, 1]
 
 
@@ -133,9 +132,9 @@ class ElasticSystem:
         self.mesh = mesh
         self.hooke = hooke
         self.B = mesh.B
-        self.cmat = hooke.matrix(dim=2)
+        self.cmat = hooke.matrix()
         # block-diagonal integrand weights: area_c * W @ C
-        wc = _W2[:, None] * self.cmat
+        wc = WEIGHTS[:, None] * self.cmat
         D = sp.kron(sp.diags(mesh.areas), sp.csr_matrix(wc), format="csr")
         self.K = (self.B.T @ D @ self.B).tocsc()
 
@@ -150,20 +149,27 @@ class ElasticSystem:
         """Columns of B at the free dofs."""
         return self.B[:, self.free].tocsr()
 
+    @cached_property
+    def stiffness_diagonal(self) -> np.ndarray:
+        return self.K.diagonal()
+
+    @cached_property
+    def free_inv_mass(self) -> np.ndarray:
+        """Reciprocal lumped mass at the free dofs."""
+        return (1.0 / np.repeat(self.mesh.lumped_mass, 2))[self.free]
+
     def nodal_forces(self, sigma: np.ndarray, B_T=None) -> np.ndarray:
         """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` if given."""
         B_T = self.mesh.B_T if B_T is None else B_T
-        return B_T @ (np.repeat(self.mesh.areas, 3) * (sigma * _W2).ravel())
+        return B_T @ (np.repeat(self.mesh.areas, 3) * (sigma * WEIGHTS).ravel())
 
     def force_magnitudes(self, eu: np.ndarray, p: np.ndarray, loads: np.ndarray) -> np.ndarray:
         """``nodal_forces(C^eps (eu - p)) - loads`` with every term in absolute value.
 
         Scaled by eps_mach, it bounds the round-off in that residual.
         """
-        B_T = self.mesh.B_T
-        abs_B_T = sp.csr_matrix((np.abs(B_T.data), B_T.indices, B_T.indptr), shape=B_T.shape)
         cells = (np.abs(eu) + np.abs(p)) @ np.abs(self.cmat).T
-        return self.nodal_forces(cells, abs_B_T) + np.abs(loads)
+        return self.nodal_forces(cells, self.mesh.abs_B_T) + np.abs(loads)
 
     def plastic_load_vector(self, p: np.ndarray) -> np.ndarray:
         """Assemble int C^eps p : E(phi) as a dof vector."""
@@ -200,7 +206,7 @@ class ElasticSystem:
         """
         B_free = self.B_f if B_free is None else B_free
         nc = self.mesh.n_cells
-        blocks = self.mesh.areas[:, None, None] * _W2[None, :, None] * tangent
+        blocks = self.mesh.areas[:, None, None] * WEIGHTS[None, :, None] * tangent
         cols = (3 * np.arange(nc)[:, None, None] + np.arange(3)) + np.zeros((1, 3, 1), dtype=int)
         D = sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, 9 * nc + 1, 3)),
                           shape=(3 * nc, 3 * nc))
@@ -253,7 +259,7 @@ def equilibrium_residual_vector(
 ) -> np.ndarray:
     """Dof vector of R(phi) = int sigma:E(phi) - int f.phi - int_Gamma_N g.phi."""
     B_T = mesh.B_T if B is None else B.T
-    r = B_T @ (np.repeat(mesh.areas, 3) * (sigma * _W2).ravel())
+    r = B_T @ (np.repeat(mesh.areas, 3) * (sigma * WEIGHTS).ravel())
     return r - external_load_vector(mesh, f_cells, g_edges)
 
 

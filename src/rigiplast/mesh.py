@@ -11,8 +11,9 @@ fields are nodal (P1, shape ``(n_nodes, 2)``); strain/stress fields are
 cellwise packed symmetric tensors (P0, shape ``(n_cells, 3)``).
 
 Everything derived from the mesh alone (boundary-edge arrays, Dirichlet
-nodes, lumped mass, the strain operator and the load maps) is built on first
-use, kept on the mesh instance and marked read-only.
+nodes, lumped mass, the strain operator, its transpose and that in absolute
+value, and the load maps) is built on first use, kept on the mesh instance
+and marked read-only.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ class Mesh:
     def B_T(self) -> sp.csr_matrix:
         """Transpose of ``B`` in CSR form: cell stresses to nodal forces."""
         return _read_only(self.B.T.tocsr())
+
+    @cached_property
+    def abs_B_T(self) -> sp.csr_matrix:
+        """``B_T`` with every entry in absolute value, for round-off bounds."""
+        return _read_only(abs(self.B_T))
 
     @cached_property
     def free_dofs(self) -> np.ndarray:

@@ -77,7 +77,14 @@ class SweepConfig:
 
 @dataclass
 class EpsTrajectory:
-    """Per-time monitor values for one eps, plus the raw fields it needs."""
+    """Per-time monitor values for one eps, plus its stress and velocity strain.
+
+    ``sigma`` and ``ev`` are kept only on the limit proxy (the smallest eps),
+    which the residuals, the limit comparison and the VTK output read.
+    ``run_sweep`` sets them to None on every other trajectory once the
+    Cauchy distance to the next eps is taken, so a sweep holds these
+    (M+1, n_cells, 3) fields for at most two trajectories at a time.
+    """
 
     epsilon: float
     e_l2: np.ndarray
@@ -90,8 +97,8 @@ class EpsTrajectory:
     flow_gap_rate: np.ndarray     # index k is the rate on (t_{k-1}, t_k]; entry 0 is 0
     diss_rate: np.ndarray
     normal_gap: np.ndarray        # sup over Gamma_D of |(w - u) . nu|
-    sigma: np.ndarray             # (M+1, n_cells, 3)
-    ev: np.ndarray                # (M+1, n_cells, 3), entry 0 is 0
+    sigma: np.ndarray | None      # (M+1, n_cells, 3)
+    ev: np.ndarray | None         # (M+1, n_cells, 3), entry 0 is 0
     u_final: np.ndarray
 
 
@@ -100,7 +107,9 @@ class SweepReport:
     """All trajectories plus the eps-indexed scalar reductions.
 
     ``benchmark`` is the one the sweep built and ran; the residuals and the
-    limit-field output reuse it.
+    limit-field output reuse it. ``cauchy_distances[i]`` is the L2-in-time,
+    L2-in-space distance between the stresses at eps i and i+1, taken as
+    soon as eps i+1 is done; only ``limit_proxy`` keeps its fields.
     """
 
     config: SweepConfig
@@ -162,7 +171,6 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
 
     e_l2 = np.zeros(n_t)
     sigma_l2 = np.zeros(n_t)
-    sigma_dev_max = np.zeros(n_t)
     u_bd = np.zeros(n_t)
     div_u_l2 = np.zeros(n_t)
     hydro_dev = np.zeros(n_t)
@@ -176,8 +184,6 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     for k, st in enumerate(states):
         e_l2[k] = tensor_l2(areas, st.e)
         sigma_l2[k] = tensor_l2(areas, st.sigma)
-        dev_s, _ = dev_decompose(st.sigma)
-        sigma_dev_max[k] = float(norm(dev_s).max())
         u_bd[k] = bd_norm_surrogate(mesh, st.u)
         eu = strain_of(st.u, mesh)
         div_u = eu[:, 0] + eu[:, 2]
@@ -193,16 +199,17 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
             v = (st.u - states[k - 1].u) / dt
             ev = strain_of(v, mesh)
             ev_all[k] = ev
-            gap_cells = kappa * norm(ev) - ddot(dev_s, ev)
+            ev_norm = norm(ev)
+            gap_cells = kappa * ev_norm - ddot(dev_decompose(st.sigma)[0], ev)
             worst = float(gap_cells.min())
-            scale = max(kappa * float(norm(ev).max()), 1.0)
+            scale = max(kappa * float(ev_norm.max()), 1.0)
             if worst < -1e-12 * scale:
                 raise AssertionError(f"flow-rule gap negative ({worst:.3e}) at step {k}")
             flow_gap_rate[k] = float((areas * gap_cells).sum())
-            diss_rate[k] = float((areas * kappa * norm(ev)).sum())
+            diss_rate[k] = float((areas * kappa * ev_norm).sum())
 
     return EpsTrajectory(
-        epsilon=epsilon, e_l2=e_l2, sigma_l2=sigma_l2, sigma_dev_max=sigma_dev_max,
+        epsilon=epsilon, e_l2=e_l2, sigma_l2=sigma_l2, sigma_dev_max=ledger.max_sigma_dev,
         dp_mass_cum=ledger.dissipation / kappa, u_bd=u_bd, div_u_l2=div_u_l2,
         hydro_dev=hydro_dev, flow_gap_rate=flow_gap_rate, diss_rate=diss_rate,
         normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, u_final=states[-1].u,
@@ -214,7 +221,16 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     benchmark = config.build_benchmark()
     mesh = benchmark.mesh
     times = benchmark.program.times
-    trajectories = [_run_one_epsilon(benchmark, eps, config) for eps in config.epsilons]
+    trajectories, cauchy = [], []
+    for eps in config.epsilons:
+        tr = _run_one_epsilon(benchmark, eps, config)
+        if trajectories:
+            # the previous trajectory's fields are not needed past this distance
+            prev = trajectories[-1]
+            per_time = np.array([tensor_l2(mesh.areas, d) for d in prev.sigma - tr.sigma])
+            cauchy.append(np.sqrt(_trapezoid(per_time**2, times)))
+            prev.sigma = prev.ev = None
+        trajectories.append(tr)
 
     metrics = {name: np.zeros(len(trajectories)) for name in METRIC_NAMES}
     for i, tr in enumerate(trajectories):
@@ -229,17 +245,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         metrics["flow_gap_int"][i] = float((dt * tr.flow_gap_rate[1:]).sum())
         metrics["diss_rate_int"][i] = float((dt * tr.diss_rate[1:]).sum())
 
-    cauchy = np.zeros(max(len(trajectories) - 1, 0))
-    for i in range(len(cauchy)):
-        diff = trajectories[i].sigma - trajectories[i + 1].sigma
-        per_time = np.array([tensor_l2(mesh.areas, diff[k]) for k in range(len(times))])
-        cauchy[i] = np.sqrt(_trapezoid(per_time**2, times))
-
     signature = (benchmark.id, mesh.n_side, tuple(sorted(mesh.dirichlet_faces)),
                  len(times), float(times[-1]))
     return SweepReport(config=config, benchmark=benchmark, times=times.copy(),
                        trajectories=trajectories,
-                       metrics=metrics, cauchy_distances=cauchy, mesh_signature=signature)
+                       metrics=metrics, cauchy_distances=np.array(cauchy),
+                       mesh_signature=signature)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
 """Symmetric-tensor algebra, the isotropic Hooke law and the von Mises return map.
 
-Symmetric n x n tensors are stored packed, row-major upper triangle:
+The package is plane strain: symmetric 2 x 2 tensors are stored packed,
+row-major upper triangle, as (a11, a12, a22). This order is fixed once here;
+every serialized field in the package uses it. All module functions accept
+arrays of packed tensors (components on the last axis) and broadcast over the
+leading axes, so a cell field of shape ``(n_cells, 3)`` works the same as a
+single tensor of shape ``(3,)``.
 
-    dim 2:  (a11, a12, a22)
-    dim 3:  (a11, a12, a13, a22, a23, a33)
-
-This order is fixed once here; every serialized field in the package uses it.
-All module functions accept arrays of packed tensors (components on the last
-axis) and broadcast over the leading axes, so a cell field of shape
-``(n_cells, 3)`` works the same as a single tensor of shape ``(3,)``.
-
-The double contraction A:B = tr(AB) counts off-diagonal entries twice, which
-is what the component weights below encode.
+The double contraction A:B = tr(AB) counts the off-diagonal entry twice.
+The kernels are written out component by component rather than as numpy
+reductions over the length-3 last axis, which cost several times more per
+call on cell fields; they add in the order such a reduction does, from +0.0,
+so the results are the same bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -23,42 +23,34 @@ import numpy as np
 # Deviatoric tolerance: |tr p| <= DEV_TOL * max(1, |p|) counts as trace-free.
 DEV_TOL = 1e-10
 
-_PACKED = {2: [(0, 0), (0, 1), (1, 1)], 3: [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]}
-_WEIGHTS = {2: np.array([1.0, 2.0, 1.0]), 3: np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])}
-_DIAG = {2: [0, 2], 3: [0, 3, 5]}
-_NCOMP = {2: 3, 3: 6}
-_DIM_OF_NCOMP = {3: 2, 6: 3}
+_PACKED = ((0, 0), (0, 1), (1, 1))
+WEIGHTS = np.array([1.0, 2.0, 1.0])  # contraction weights of the packed components
 
 
 class NonDeviatoricError(ValueError):
     """Raised when an operation defined on trace-free tensors gets a trace."""
 
 
-def ncomp(dim: int) -> int:
-    return _NCOMP[dim]
-
-
 def dim_of(a: np.ndarray) -> int:
-    """Spatial dimension from the packed component count of the last axis."""
-    try:
-        return _DIM_OF_NCOMP[a.shape[-1]]
-    except KeyError:
-        raise ValueError(f"last axis has {a.shape[-1]} components, expected 3 (2-D) or 6 (3-D)")
+    """Spatial dimension of packed tensors: 2; any other component count raises."""
+    if a.shape[-1] != 3:
+        raise ValueError(f"last axis has {a.shape[-1]} components, expected 3 (2-D)")
+    return 2
 
 
-def identity(dim: int) -> np.ndarray:
-    out = np.zeros(_NCOMP[dim])
-    out[_DIAG[dim]] = 1.0
-    return out
+def identity() -> np.ndarray:
+    return np.array([1.0, 0.0, 1.0])
 
 
 def trace(a: np.ndarray) -> np.ndarray:
-    return a[..., _DIAG[dim_of(a)]].sum(axis=-1)
+    dim_of(a)
+    return 0.0 + a[..., 0] + a[..., 2]
 
 
 def ddot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Double contraction A:B = tr(AB), off-diagonals counted twice."""
-    return ((a * b) * _WEIGHTS[dim_of(a)]).sum(axis=-1)
+    dim_of(a)
+    return 0.0 + a[..., 0] * b[..., 0] + (a[..., 1] * b[..., 1]) * 2.0 + a[..., 2] * b[..., 2]
 
 
 def norm(a: np.ndarray) -> np.ndarray:
@@ -69,14 +61,13 @@ def norm(a: np.ndarray) -> np.ndarray:
 def dev_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal split A = dev(A) + mean_trace * I.
 
-    Returns (deviator, mean_trace) with mean_trace = tr(A)/dim, so that
-    dev(A):I = 0 and |A|^2 = |dev A|^2 + dim * mean_trace^2.
+    Returns (deviator, mean_trace) with mean_trace = tr(A)/2, so that
+    dev(A):I = 0 and |A|^2 = |dev A|^2 + 2 * mean_trace^2.
     """
-    d = dim_of(a)
-    mean = trace(a) / d
+    mean = trace(a) / 2
     out = a.astype(float, copy=True)
-    for i in _DIAG[d]:
-        out[..., i] -= mean
+    out[..., 0] -= mean
+    out[..., 2] -= mean
     return out, mean
 
 
@@ -101,26 +92,22 @@ def sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"vector dims differ: {a.shape[-1]} vs {b.shape[-1]}")
-    d = a.shape[-1]
-    if d not in _PACKED:
-        raise ValueError(f"unsupported dim {d}")
-    comps = [0.5 * (a[..., i] * b[..., j] + a[..., j] * b[..., i]) for i, j in _PACKED[d]]
+    if a.shape[-1] != 2:
+        raise ValueError(f"unsupported dim {a.shape[-1]}, expected 2")
+    comps = [0.5 * (a[..., i] * b[..., j] + a[..., j] * b[..., i]) for i, j in _PACKED]
     return np.stack(comps, axis=-1)
 
 
 def from_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    d = m.shape[-1]
-    return np.stack([0.5 * (m[..., i, j] + m[..., j, i]) for i, j in _PACKED[d]], axis=-1)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"matrix shape {m.shape[-2:]}, expected (2, 2)")
+    return np.stack([0.5 * (m[..., i, j] + m[..., j, i]) for i, j in _PACKED], axis=-1)
 
 
 def to_matrix(a: np.ndarray) -> np.ndarray:
-    d = dim_of(a)
-    out = np.zeros(a.shape[:-1] + (d, d))
-    for k, (i, j) in enumerate(_PACKED[d]):
-        out[..., i, j] = a[..., k]
-        out[..., j, i] = a[..., k]
-    return out
+    dim_of(a)
+    return a[..., [[0, 1], [1, 2]]]
 
 
 @dataclass(frozen=True)
@@ -142,13 +129,13 @@ class HookeTensor:
     def with_epsilon(self, epsilon: float) -> "HookeTensor":
         return HookeTensor(self.shear_modulus, self.bulk_modulus, epsilon)
 
-    def alpha(self, dim: int = 2) -> float:
+    def alpha(self) -> float:
         """Lower coercivity constant: alpha |xi|^2 <= C^eps xi : xi."""
-        return min(2.0 * self.shear_modulus, dim * self.bulk_modulus) / self.epsilon
+        return min(2.0 * self.shear_modulus, 2.0 * self.bulk_modulus) / self.epsilon
 
-    def beta(self, dim: int = 2) -> float:
+    def beta(self) -> float:
         """Upper growth constant: C^eps xi : xi <= beta |xi|^2."""
-        return max(2.0 * self.shear_modulus, dim * self.bulk_modulus) / self.epsilon
+        return max(2.0 * self.shear_modulus, 2.0 * self.bulk_modulus) / self.epsilon
 
     @property
     def scaled_shear(self) -> float:
@@ -158,22 +145,15 @@ class HookeTensor:
     def apply(self, xi: np.ndarray) -> np.ndarray:
         """C^eps xi, broadcast over leading axes."""
         dev, mean = dev_decompose(np.asarray(xi, dtype=float))
-        d = dim_of(dev)
         out = self.scaled_shear * dev
-        tr_part = d * self.bulk_modulus / self.epsilon * mean
-        for i in _DIAG[d]:
-            out[..., i] += tr_part
+        tr_part = 2 * self.bulk_modulus / self.epsilon * mean
+        out[..., 0] += tr_part
+        out[..., 2] += tr_part
         return out
 
-    def matrix(self, dim: int = 2) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         """Packed-component matrix of C^eps (sigma = M @ e, no contraction weights)."""
-        nc = _NCOMP[dim]
-        m = np.empty((nc, nc))
-        for k in range(nc):
-            e = np.zeros(nc)
-            e[k] = 1.0
-            m[:, k] = self.apply(e)
-        return m
+        return self.apply(np.eye(3)).T.copy()
 
 
 @dataclass(frozen=True)
@@ -201,9 +181,6 @@ class YieldSet:
         tau = np.asarray(tau, dtype=float)
         require_deviatoric(tau, "projection argument")
         return _cap_to_ball(tau, self.radius)
-
-    def contains(self, tau: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        return norm(deviator(np.asarray(tau, dtype=float))) <= self.radius + slack
 
 
 # One-sided safety factor: plastic stresses are scaled so the stored magnitude
@@ -288,12 +265,12 @@ def consistent_tangent(
     s = g * (np.asarray(e_dev, dtype=float) - p_old)
     m = norm(s)
     plastic = m > yield_set.radius
-    out = np.repeat(hooke.matrix(2)[None], len(s), axis=0)
+    out = np.repeat(hooke.matrix()[None], len(s), axis=0)
     if np.any(plastic):
-        i = identity(2)
+        i = identity()
         proj = np.eye(3) - 0.5 * np.outer(i, i)
         n = s[plastic] / m[plastic, None]
-        nwp = (n * _WEIGHTS[2]) @ proj
+        nwp = (n * WEIGHTS) @ proj
         alpha = g * yield_set.radius / m[plastic]
         out[plastic] = (alpha[:, None, None] * (proj - n[:, :, None] * nwp[:, None, :])
                         + hooke.bulk_modulus / hooke.epsilon * np.outer(i, i))

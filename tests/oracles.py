@@ -2,6 +2,40 @@
 
 import numpy as np
 
+_WEIGHTS = np.array([1.0, 2.0, 1.0])
+
+
+def trace_reduce(a):
+    """tr A of packed 2-D tensors as a numpy reduction over the diagonal components."""
+    return a[..., [0, 2]].sum(axis=-1)
+
+
+def ddot_reduce(a, b):
+    """A:B of packed 2-D tensors as a weighted numpy reduction over the components."""
+    return ((a * b) * _WEIGHTS).sum(axis=-1)
+
+
+def dev_decompose_reduce(a):
+    """(dev A, tr A / 2) with the trace taken by ``trace_reduce``."""
+    mean = trace_reduce(a) / 2
+    out = a.astype(float, copy=True)
+    for i in (0, 2):
+        out[..., i] -= mean
+    return out, mean
+
+
+def cauchy_distances_all_pairs(sigmas, areas, times):
+    """L2-in-time, L2-in-space distances of consecutive stress histories, all held at once.
+
+    ``sigmas`` is a list of (M+1, n_cells, 3) histories, one per eps.
+    """
+    out = []
+    for a, b in zip(sigmas, sigmas[1:]):
+        d = a - b
+        per_time_sq = (areas * ddot_reduce(d, d)).sum(axis=-1)
+        out.append(np.sqrt(np.trapezoid(per_time_sq, times)))
+    return np.array(out)
+
 
 def scalar_prox_golden_section(g_mod, kappa, s_norm, iters=80):
     """Golden-section minimizer of the ray-restricted incremental objective

@@ -2,13 +2,15 @@
 
 The cached load maps and the array-based boundary code are checked against
 the per-edge loops in ``oracles``; the work counts check that operators are
-built once per mesh and loads once per step, not once per inner iteration.
+built once per mesh, per-system invariants once per system, and loads once
+per step, not once per inner iteration.
 """
 
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import body_load_vector_loop, flux_residual_loop, traction_load_vector_loop
 
@@ -16,7 +18,12 @@ import rigiplast.fem
 from rigiplast import cli
 from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import run_evolution
-from rigiplast.fem import body_load_vector, divergence_check, traction_load_vector
+from rigiplast.fem import (
+    ElasticSystem,
+    body_load_vector,
+    divergence_check,
+    traction_load_vector,
+)
 from rigiplast.mesh import DIRICHLET, build_square_mesh
 from rigiplast.sweep import SweepConfig, run_sweep
 
@@ -106,6 +113,36 @@ def test_sweep_builds_strain_matrix_once_per_mesh(monkeypatch):
     _count_calls(monkeypatch, "strain_matrix", counts)
     run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
     assert counts == {"strain_matrix": 1}
+
+
+def test_sweep_builds_per_system_invariants_once(monkeypatch):
+    """|B^T| is built once per mesh and K's diagonal taken at most once per ElasticSystem."""
+    n = 16
+    abs_bt_shape = (2 * (n + 1) ** 2, 3 * 2 * n * n)
+    counts = {"abs_B_T": 0, "diagonal": 0, "systems": 0}
+    csr_init, csc_diagonal, system_init = (sp.csr_matrix.__init__, sp.csc_matrix.diagonal,
+                                           ElasticSystem.__init__)
+
+    def counted_csr_init(self, *args, **kwargs):
+        csr_init(self, *args, **kwargs)
+        if self.shape == abs_bt_shape and self.nnz and self.data.min() >= 0.0:
+            counts["abs_B_T"] += 1
+
+    def counted_diagonal(self, *args, **kwargs):
+        counts["diagonal"] += 1
+        return csc_diagonal(self, *args, **kwargs)
+
+    def counted_system_init(self, *args, **kwargs):
+        counts["systems"] += 1
+        system_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counted_csr_init)
+    monkeypatch.setattr(sp.csc_matrix, "diagonal", counted_diagonal)
+    monkeypatch.setattr(ElasticSystem, "__init__", counted_system_init)
+    run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=n, n_steps=4))
+    assert counts["systems"] == 2
+    assert counts["abs_B_T"] == 1
+    assert counts["diagonal"] <= counts["systems"]
 
 
 def test_traction_run_assembles_loads_per_step(monkeypatch):

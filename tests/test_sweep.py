@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import cauchy_distances_all_pairs
+
+from rigiplast.evolution import run_evolution
 from rigiplast.sweep import (
     SweepConfig,
     compare_limits,
@@ -105,6 +108,24 @@ class TestRunSweep:
         rows = list(shear_report.csv_rows())
         assert len(rows) == len(EPS4) * 17
         assert len(rows[0]) == 11
+
+    def test_cauchy_distances_streamed(self, shear_report):
+        """The streamed distances equal the all-pairs formula; only the limit proxy keeps fields."""
+        rep = shear_report
+        cfg, bench = rep.config, rep.benchmark
+        sigmas = []
+        for eps in cfg.epsilons:
+            states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(eps),
+                                      bench.yield_set, bench.mesh, mode=cfg.mode, tol=cfg.tol,
+                                      stress_tol=cfg.stress_tol, max_iters=cfg.max_iters)
+            sigmas.append(np.stack([st.sigma for st in states]))
+        want = cauchy_distances_all_pairs(sigmas, bench.mesh.areas, rep.times)
+        assert want.shape == (len(EPS4) - 1,) and np.all(want > 0)
+        np.testing.assert_allclose(rep.cauchy_distances, want, rtol=1e-12, atol=0)
+        for tr in rep.trajectories[:-1]:
+            assert tr.sigma is None and tr.ev is None
+        np.testing.assert_array_equal(rep.limit_proxy.sigma, sigmas[-1])
+        assert rep.limit_proxy.ev.shape == sigmas[-1].shape
 
     def test_evolution_errors_tagged_with_epsilon(self):
         from rigiplast.evolution import ConvergenceError

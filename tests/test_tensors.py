@@ -26,8 +26,8 @@ from rigiplast.tensors import (
 RNG = np.random.default_rng(20260808)
 
 
-def random_packed(n, dim=2, scale=1.0, rng=RNG):
-    return rng.standard_normal((n, 3 if dim == 2 else 6)) * scale
+def random_packed(n, scale=1.0, rng=RNG):
+    return rng.standard_normal((n, 3)) * scale
 
 
 def random_deviatoric(n, scale=1.0, rng=RNG):
@@ -36,7 +36,7 @@ def random_deviatoric(n, scale=1.0, rng=RNG):
 
 class TestDevDecompose:
     def test_identity(self):
-        dev, mean = dev_decompose(identity(2))
+        dev, mean = dev_decompose(identity())
         assert np.allclose(dev, 0.0)
         assert mean == pytest.approx(1.0)
 
@@ -45,19 +45,18 @@ class TestDevDecompose:
         np.testing.assert_allclose(dev, [1.0, 0.0, -1.0])
         assert mean == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_orthogonality_and_pythagoras(self, dim):
-        A = random_packed(500, dim=dim)
+    def test_orthogonality_and_pythagoras(self):
+        A = random_packed(500)
         dev, mean = dev_decompose(A)
-        assert np.abs(ddot(dev, identity(dim))).max() < 1e-14 * (1 + norm(A).max())
+        assert np.abs(ddot(dev, identity())).max() < 1e-14 * (1 + norm(A).max())
         lhs = norm(A) ** 2
-        rhs = norm(dev) ** 2 + dim * mean**2
+        rhs = norm(dev) ** 2 + 2 * mean**2
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
     def test_reconstruction(self):
         A = random_packed(100)
         dev, mean = dev_decompose(A)
-        np.testing.assert_allclose(dev + mean[:, None] * identity(2), A, atol=1e-15)
+        np.testing.assert_allclose(dev + mean[:, None] * identity(), A, atol=1e-15)
 
     def test_matrix_round_trip(self):
         A = random_packed(10)
@@ -101,9 +100,9 @@ class TestSymOuter:
             sym_outer(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
     def test_dim3(self):
-        t = sym_outer(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-        assert t.shape == (6,)
-        assert norm(t) == pytest.approx(1 / np.sqrt(2))
+        # the package is plane strain: 3-D vectors have no packed layout
+        with pytest.raises(ValueError, match="unsupported dim"):
+            sym_outer(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
 
 
 class TestHooke:
@@ -111,7 +110,7 @@ class TestHooke:
         hooke = HookeTensor(1.3, 0.7, 0.5)
         xi = random_packed(200)
         dev, mean = dev_decompose(xi)
-        expected = (2 * 1.3 * dev + 0.7 * (2 * mean)[:, None] * identity(2)) / 0.5
+        expected = (2 * 1.3 * dev + 0.7 * (2 * mean)[:, None] * identity()) / 0.5
         np.testing.assert_allclose(hooke.apply(xi), expected, rtol=1e-14)
 
     def test_symmetry(self):
@@ -126,7 +125,7 @@ class TestHooke:
         xi = random_packed(10_000)
         quad = ddot(hooke.apply(xi), xi)
         n2 = norm(xi) ** 2
-        alpha, beta = hooke.alpha(2), hooke.beta(2)
+        alpha, beta = hooke.alpha(), hooke.beta()
         assert alpha == pytest.approx(min(2 * 1.7, 2 * 0.4) / 0.125)
         assert beta == pytest.approx(max(2 * 1.7, 2 * 0.4) / 0.125)
         assert np.all(quad >= alpha * n2 * (1 - 1e-12))
@@ -135,7 +134,7 @@ class TestHooke:
     def test_bounds_attained_on_eigenvectors(self):
         hooke = HookeTensor(1.0, 3.0, 1.0)
         dev_dir = np.array([1.0, 0.0, -1.0])
-        sph_dir = identity(2)
+        sph_dir = identity()
         assert ddot(hooke.apply(dev_dir), dev_dir) == pytest.approx(
             2 * norm(dev_dir) ** 2)
         assert ddot(hooke.apply(sph_dir), sph_dir) == pytest.approx(
@@ -215,7 +214,12 @@ class TestYieldSet:
             YieldSet(0.0)
 
 
-from oracles import scalar_prox_golden_section
+from oracles import (
+    ddot_reduce,
+    dev_decompose_reduce,
+    scalar_prox_golden_section,
+    trace_reduce,
+)
 
 
 class TestRadialReturn:
@@ -319,6 +323,8 @@ class TestPackedLayout:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             dim_of(np.zeros(4))
+        with pytest.raises(ValueError):
+            from_matrix(np.eye(3))
 
 
 class TestConsistentTangent:
@@ -332,7 +338,7 @@ class TestConsistentTangent:
         def stress(E):
             e_dev, mean = dev_decompose(E)
             _, sigma = radial_return(e_dev, p_old, hooke, yset)
-            return sigma + 2.0 * hooke.bulk_modulus / hooke.epsilon * mean[:, None] * identity(2)
+            return sigma + 2.0 * hooke.bulk_modulus / hooke.epsilon * mean[:, None] * identity()
 
         tangent = consistent_tangent(deviator(E), p_old, hooke, yset)
         plastic = norm(hooke.scaled_shear * (deviator(E) - p_old)) > yset.radius
@@ -353,3 +359,43 @@ class TestConsistentTangent:
         tangent = consistent_tangent(e_dev, np.zeros((100, 3)), hooke, YieldSet(0.5))
         weighted = np.array([1.0, 2.0, 1.0])[None, :, None] * tangent
         np.testing.assert_allclose(weighted, weighted.transpose(0, 2, 1), atol=1e-13)
+
+
+def _kernel_inputs():
+    """Packed tensors of shapes (3,), (n, 3) and (M, n, 3), random and with signed zeros."""
+    rng = np.random.default_rng(29)
+    zero_rows = np.array([[s0, s1, s2] for s0 in (0.0, -0.0) for s1 in (0.0, -0.0)
+                          for s2 in (0.0, -0.0)])
+    cases = [row for row in zero_rows] + [zero_rows, zero_rows.reshape(2, 4, 3)]
+    for shape in ((3,), (60, 3), (4, 60, 3)):
+        cases.append(rng.standard_normal(shape))
+        cases.append(rng.choice(np.array([0.0, -0.0, 0.5, -1.25]), size=shape))
+    return cases
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestKernelsMatchReductions:
+    """The component-form kernels equal the reduction forms bit for bit, signed zeros too."""
+
+    @pytest.mark.parametrize("a", _kernel_inputs())
+    def test_trace(self, a):
+        _same_bits(trace(a), trace_reduce(a))
+
+    @pytest.mark.parametrize("a", _kernel_inputs())
+    def test_ddot_and_norm(self, a):
+        for b in (a, a[::-1], -a, np.ones_like(a), np.full_like(a, -0.0)):
+            _same_bits(ddot(a, b), ddot_reduce(a, b))
+        _same_bits(norm(a), np.sqrt(ddot_reduce(a, a)))
+
+    @pytest.mark.parametrize("a", _kernel_inputs())
+    def test_dev_decompose(self, a):
+        dev, mean = dev_decompose(a)
+        want_dev, want_mean = dev_decompose_reduce(a)
+        _same_bits(dev, want_dev)
+        _same_bits(mean, want_mean)
