@@ -136,8 +136,9 @@ def _cmd_safeload(config: RunConfig, out: Path) -> dict:
     # half the analytic constant-stress limit, scaled by load_scale
     s = 0.5 * config.yield_radius / np.sqrt(2.0) * config.load_scale
     f = np.zeros((mesh.n_cells, 2))
-    g = np.array([[s, 0.0] if e.face == "top" else [0.0, 0.0]
-                  for e in mesh.neumann_edges])
+    top = mesh.neumann_boundary.faces == "top"
+    g = np.zeros((len(top), 2))
+    g[top, 0] = s
     c_star, pi_star, diag = max_safety_margin(f, g, mesh, yset)
     cert = verify_safe_load([pi_star], [f], [g], mesh, yset)
     write_vtk(out / "fields_pi.vtk", mesh, cell_tensors={"safe_load": pi_star})

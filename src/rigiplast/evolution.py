@@ -25,14 +25,16 @@ Boundary condition modes:
   nodes (two face normals) stay pinned. The slips join the Newton system as
   a primal-dual active set.
 
-The energy ledger uses time-trapezoid work increments, which makes the purely
-elastic balance exact to solver precision and keeps the plastic balance gap
-one-sided and first order in the step size.
+Every evolution starts from the zero state at the first grid time. The energy
+ledger uses time-trapezoid work increments, which makes the purely elastic
+balance exact to solver precision and keeps the plastic balance gap one-sided
+and first order in the step size; its elastic energy is that of each state's
+elastic strain ``e``, which is ``Eu - p`` bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +62,9 @@ from .tensors import (
 
 STRONG = "strong"
 RELAXED = "relaxed"
+
+_DIV_TOL = 1e-12    # max |div w| a boundary datum may have, relative to max(1, max |w|)
+_CHECK_TOL = 1e-10  # defect a state may have in FEState.check, relative to its scale
 
 
 class ConvergenceError(RuntimeError):
@@ -100,27 +105,28 @@ class LoadProgram:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def validate(self, mesh: Mesh, div_tol: float = 1e-12) -> None:
-        if self.times.ndim != 1 or len(self.times) < 2:
+    def validate(self, mesh: Mesh) -> None:
+        """Raise ``ValueError`` unless the grid, the shapes and div w = 0 hold."""
+        n_t = len(self.times)
+        if self.times.ndim != 1 or n_t < 2:
             raise ValueError("time grid needs at least two points")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if self.w.shape != (len(self.times), mesh.n_nodes, 2):
+        if self.w.shape != (n_t, mesh.n_nodes, 2):
             raise ValueError(f"boundary field shape {self.w.shape} does not match grid/mesh")
-        if self.f.shape != (len(self.times), mesh.n_cells, 2):
+        if self.f.shape != (n_t, mesh.n_cells, 2):
             raise ValueError(f"body load shape {self.f.shape} does not match grid/mesh")
-        n_neu = len(mesh.neumann_edges)
-        if self.g.shape != (len(self.times), n_neu, 2):
+        if self.g.shape != (n_t, len(mesh.neumann_boundary.lengths), 2):
             raise ValueError(f"traction shape {self.g.shape} does not match grid/mesh")
         scale = max(1.0, float(np.abs(self.w).max()))
-        for k in range(len(self.times)):
-            ew = strain_of(self.w[k], mesh)
-            div = ew[:, 0] + ew[:, 2]
-            if np.abs(div).max() > div_tol * scale:
-                raise ValueError(
-                    f"boundary field is not divergence-free at t={self.times[k]:g} "
-                    f"(max |div w| = {np.abs(div).max():.3e})"
-                )
+        ew = mesh.B @ self.w.reshape(n_t, -1).T  # (3 n_cells, n_t): every grid time at once
+        div_max = np.abs(ew[0::3] + ew[2::3]).max(axis=0)
+        bad = np.flatnonzero(div_max > _DIV_TOL * scale)
+        if bad.size:
+            raise ValueError(
+                f"boundary field is not divergence-free at t={self.times[bad[0]]:g} "
+                f"(max |div w| = {div_max[bad[0]]:.3e})"
+            )
 
     def at(self, k: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         return float(self.times[k]), self.w[k], self.f[k], self.g[k]
@@ -160,18 +166,19 @@ class FEState:
                    np.zeros((mesh.n_cells, 3)), np.zeros((mesh.n_cells, 3)),
                    np.zeros(n_slip))
 
-    def check(self, mesh: Mesh, yield_set: YieldSet, tol: float = 1e-10) -> None:
+    def check(self, mesh: Mesh, yield_set: YieldSet) -> None:
+        """Assert Eu = e + p, tr p = 0 and |sigma_D| <= kappa to ``_CHECK_TOL``."""
         eu = strain_of(self.u, mesh)
         gap = float(norm(eu - self.e - self.p).max())
         scale = max(1.0, float(norm(eu).max()))
-        if gap > tol * scale:
+        if gap > _CHECK_TOL * scale:
             raise AssertionError(f"additive decomposition violated by {gap:.3e}")
         tr_p = float(np.abs(self.p[:, 0] + self.p[:, 2]).max())
-        if tr_p > tol * scale:
+        if tr_p > _CHECK_TOL * scale:
             raise AssertionError(f"plastic strain has trace {tr_p:.3e}")
         dev_s, _ = dev_decompose(self.sigma)
         over = float(norm(dev_s).max()) - yield_set.radius
-        if over > tol * yield_set.radius:
+        if over > _CHECK_TOL * yield_set.radius:
             raise AssertionError(f"deviatoric stress exceeds the yield radius by {over:.3e}")
 
 
@@ -247,9 +254,10 @@ class StepInfo:
     fallbacks: int
 
 
-def _functional(system, mesh, yset, u, p, p_prev, loads, slip=None, s=None, s_prev=None,
-                eu=None) -> float:
-    val = system.energy(u, p, eu)
+def _functional(system, mesh, yset, u, eu, p, p_prev, loads, slip=None, s=None,
+                s_prev=None) -> float:
+    """The incremental functional at displacement ``u`` with strain ``eu`` = Eu."""
+    val = system.energy(eu - p)
     val += yset.radius * float((mesh.areas * norm(p - p_prev)).sum())
     if slip is not None and slip.count:
         val += yset.radius / np.sqrt(2.0) * float((slip.lengths * np.abs(s - s_prev)).sum())
@@ -364,8 +372,8 @@ def incremental_step(
         friction = kappa / np.sqrt(2.0) * slip.lengths
         slip_inv_mass = 1.0 / mesh.lumped_mass[nodes]
         # strain per unit slip: increasing s moves the node by -tangent
-        slip_B = -(system.B[:, 2 * nodes] @ sp.diags(tangents[:, 0])
-                   + system.B[:, 2 * nodes + 1] @ sp.diags(tangents[:, 1])).tocsr()
+        slip_B = -(mesh.B[:, 2 * nodes] @ sp.diags(tangents[:, 0])
+                   + mesh.B[:, 2 * nodes + 1] @ sp.diags(tangents[:, 1])).tocsr()
         diag = system.stiffness_diagonal
         cross = np.asarray(system.K[2 * nodes, 2 * nodes + 1]).ravel()
         nodal_stiffness = (tangents[:, 0] ** 2 * diag[2 * nodes] + tangents[:, 1] ** 2
@@ -379,14 +387,14 @@ def incremental_step(
         return w_eff
 
     def evaluate(u, z):
-        eu = strain_of(u, mesh, system.B)
+        eu = strain_of(u, mesh)
         e_dev, e_mean = dev_decompose(eu)
         p, sigma = radial_return(e_dev, p_prev, hooke, yield_set)
         sigma = sigma.copy()
         sigma[:, 0] += bulk * e_mean
         sigma[:, 2] += bulk * e_mean
-        value = _functional(system, mesh, yield_set, u, p, p_prev, loads, slip_arg,
-                            s_prev + z, s_prev, eu=eu)
+        value = _functional(system, mesh, yield_set, u, eu, p, p_prev, loads, slip_arg,
+                            s_prev + z, s_prev)
         return _Iterate(u, z, eu, e_dev, p, sigma, value, system.nodal_forces(sigma) - loads)
 
     def slip_forces(it):
@@ -527,8 +535,8 @@ def incremental_step(
     if w_prev_nodes is not None:
         # minimality against the admissible lift u_prev + (w_k - w_{k-1})
         u_lift = state_prev.u + (w_nodes - w_prev_nodes)
-        value_at_lift = _functional(system, mesh, yield_set, u_lift, p_prev, p_prev,
-                                    loads, slip_arg, s_prev, s_prev)
+        value_at_lift = _functional(system, mesh, yield_set, u_lift, strain_of(u_lift, mesh),
+                                    p_prev, p_prev, loads, slip_arg, s_prev, s_prev)
         if value > value_at_lift + slack * (1.0 + abs(value)):
             raise AssertionError("incremental minimum above the lifted previous state")
     state.check(mesh, yield_set)
@@ -542,13 +550,12 @@ def run_evolution(
     hooke: HookeTensor,
     yield_set: YieldSet,
     mesh: Mesh,
-    init: FEState | None = None,
     mode: str = STRONG,
     tol: float = 1e-10,
     max_iters: int = 10_000,
     stress_tol: float = 1e-10,
 ) -> tuple[list[FEState], EnergyLedger]:
-    """Evolve through every grid time and fill the energy ledger.
+    """Evolve from the zero state through every grid time and fill the energy ledger.
 
     Dissipation accumulates the exact increment costs
     sum_cells area * kappa * |p_k - p_{k-1}| (plus the boundary-slip term in
@@ -559,12 +566,7 @@ def run_evolution(
     system = ElasticSystem(mesh, hooke)
     slip = slip_nodes_of(mesh) if mode == RELAXED else None
     n_slip = slip.count if slip is not None else 0
-
-    if init is None:
-        init = FEState.zeros(mesh, n_slip)
-        init = FEState(float(program.times[0]), init.u, init.e, init.p, init.sigma,
-                       init.boundary_slip)
-    init.check(mesh, yield_set)
+    init = replace(FEState.zeros(mesh, n_slip), t=float(program.times[0]))
 
     M = program.n_steps
     times = program.times
@@ -576,13 +578,11 @@ def run_evolution(
         plastic_fraction=np.zeros(M + 1), iterations=np.zeros(M + 1, dtype=int),
     )
 
-    states = [init]
-    q0 = system.energy(init.u, init.p)
+    states = [init]  # zero stress: max_sigma_dev[0] stays 0
+    q0 = system.energy(init.e)
     ledger.elastic[0] = q0
-    dev0, _ = dev_decompose(init.sigma)
-    ledger.max_sigma_dev[0] = float(norm(dev0).max())
 
-    ew_prev = strain_of(program.w[0], mesh, system.B)
+    ew_prev = strain_of(program.w[0], mesh)
     for k in range(1, M + 1):
         t, w_k, f_k, g_k = program.at(k)
         try:
@@ -603,7 +603,7 @@ def run_evolution(
                 (slip.lengths * np.abs(state.boundary_slip - prev.boundary_slip)).sum()
             )
 
-        ew_k = strain_of(w_k, mesh, system.B)
+        ew_k = strain_of(w_k, mesh)
         sig_mid = 0.5 * (state.sigma + prev.sigma)
         work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew_k - ew_prev)
         du_dw = (state.u - prev.u) - (program.w[k] - program.w[k - 1])
@@ -611,7 +611,7 @@ def run_evolution(
         g_mid = 0.5 * (g_k + program.g[k - 1])
         work_inc += float(external_load_vector(mesh, f_mid, g_mid) @ du_dw.ravel())
 
-        ledger.elastic[k] = system.energy(state.u, state.p)
+        ledger.elastic[k] = system.energy(state.e)
         ledger.dissipation[k] = ledger.dissipation[k - 1] + diss_inc
         ledger.work[k] = ledger.work[k - 1] + work_inc
         ledger.gap[k] = ledger.elastic[k] + ledger.dissipation[k] - ledger.work[k] - q0
@@ -631,16 +631,13 @@ def duality_pairing(
     state: FEState,
     w_nodes: np.ndarray,
     mesh: Mesh,
-    f_cells: np.ndarray | None = None,
-    g_edges: np.ndarray | None = None,
 ) -> float:
     """Mass of the stress/plastic-strain duality pairing.
 
     Evaluates  int sigma:(Ew - e) dx - int div(sigma).(u - w) dx
     + int_Gamma_N (sigma.nu).(u - w) dH  with the module quadrature, the
-    middle term being the discrete weak divergence of ``sigma`` itself.
-    ``f_cells``/``g_edges`` are accepted so callers can report the
-    equilibration residual alongside; they do not enter the value.
+    middle term being the discrete weak divergence of ``sigma`` itself, so
+    the loads do not enter.
     """
     ew = strain_of(w_nodes, mesh)
     term1 = integrate_tensor_dot(mesh.areas, sigma, ew - state.e)
@@ -695,9 +692,8 @@ def energy_report(states, ledger: EnergyLedger, program: LoadProgram,
                          budget_constant=budget_constant, flagged=flagged)
 
 
-def bd_norm_surrogate(mesh: Mesh, u: np.ndarray) -> float:
-    """||u||_BD surrogate: Dirichlet trace L1 plus the strain mass."""
-    eu = strain_of(u, mesh)
+def bd_norm_surrogate(mesh: Mesh, u: np.ndarray, eu: np.ndarray) -> float:
+    """||u||_BD surrogate: Dirichlet trace L1 plus the strain mass; ``eu`` is Eu."""
     total = float((mesh.areas * norm(eu)).sum())
     d = mesh.dirichlet_boundary
     uv = gauss_traces(u, d)

@@ -4,11 +4,11 @@ Quadrature is one-point per triangle (exact for P0 integrands and for P1
 integrands via the centroid) and two-point Gauss per boundary edge (exact for
 the P1 traces that appear here). Operators that depend on the mesh alone are
 built once per mesh and cached read-only on it (``Mesh.B``, the load maps, the
-boundary-edge arrays), so a load vector is one sparse matvec and boundary sums
-are array code; callers assemble the external loads once per load step. The
-stiffness matrix depends only on the mesh, the Hooke tensor and the Dirichlet
-node set, so a factorization is kept and reused across load/plastic-strain
-changes.
+boundary-edge arrays), so a strain or a load vector is one sparse matvec and
+boundary sums are array code; callers assemble the external loads once per
+load step and take each strain once. The stiffness matrix depends only on the
+mesh, the Hooke tensor and the Dirichlet node set, so a factorization is kept
+and reused across load/plastic-strain changes.
 """
 
 from __future__ import annotations
@@ -63,13 +63,11 @@ def strain_matrix(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(3 * ncells, 2 * mesh.n_nodes)).tocsr()
 
 
-def strain_of(u: np.ndarray, mesh: Mesh, B: sp.csr_matrix | None = None) -> np.ndarray:
-    """Elementwise symmetric gradient of a nodal field, shape (n_cells, 3)."""
+def strain_of(u: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Elementwise symmetric gradient ``mesh.B u`` of a nodal field, shape (n_cells, 3)."""
     if u.shape != (mesh.n_nodes, 2):
         raise ValueError(f"displacement shape {u.shape} does not match mesh ({mesh.n_nodes}, 2)")
-    if B is None:
-        B = mesh.B
-    return (B @ u.ravel()).reshape(mesh.n_cells, 3)
+    return (mesh.B @ u.ravel()).reshape(mesh.n_cells, 3)
 
 
 def body_load_vector(mesh: Mesh, f_cells: np.ndarray) -> np.ndarray:
@@ -131,12 +129,11 @@ class ElasticSystem:
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
         self.mesh = mesh
         self.hooke = hooke
-        self.B = mesh.B
         self.cmat = hooke.matrix()
         # block-diagonal integrand weights: area_c * W @ C
         wc = WEIGHTS[:, None] * self.cmat
         D = sp.kron(sp.diags(mesh.areas), sp.csr_matrix(wc), format="csr")
-        self.K = (self.B.T @ D @ self.B).tocsc()
+        self.K = (mesh.B.T @ D @ mesh.B).tocsc()
 
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
@@ -147,7 +144,7 @@ class ElasticSystem:
     @cached_property
     def B_f(self) -> sp.csr_matrix:
         """Columns of B at the free dofs."""
-        return self.B[:, self.free].tocsr()
+        return self.mesh.B[:, self.free].tocsr()
 
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
@@ -221,9 +218,8 @@ class ElasticSystem:
             raise SolverError(f"tangent factorization failed: {exc}") from exc
         return _guarded(K, x, rhs, "tangent")
 
-    def energy(self, u: np.ndarray, p: np.ndarray, eu: np.ndarray | None = None) -> float:
-        """(1/2) int C^eps (Eu - p):(Eu - p); ``eu`` is Eu when the caller has it."""
-        e = (strain_of(u, self.mesh, self.B) if eu is None else eu) - p
+    def energy(self, e: np.ndarray) -> float:
+        """(1/2) int C^eps e:e of the elastic strain e = Eu - p."""
         return 0.5 * integrate_tensor_dot(self.mesh.areas, e @ self.cmat.T, e)
 
 
@@ -250,25 +246,11 @@ def solve_elastic(
                                             external_load_vector(mesh, f_cells, g_edges))
 
 
-def equilibrium_residual_vector(
-    mesh: Mesh,
-    sigma: np.ndarray,
-    f_cells: np.ndarray | None = None,
-    g_edges: np.ndarray | None = None,
-    B: sp.csr_matrix | None = None,
-) -> np.ndarray:
-    """Dof vector of R(phi) = int sigma:E(phi) - int f.phi - int_Gamma_N g.phi."""
-    B_T = mesh.B_T if B is None else B.T
-    r = B_T @ (np.repeat(mesh.areas, 3) * (sigma * WEIGHTS).ravel())
-    return r - external_load_vector(mesh, f_cells, g_edges)
-
-
 def divergence_check(
     sigma: np.ndarray,
     mesh: Mesh,
     f_cells: np.ndarray | None = None,
     g_edges: np.ndarray | None = None,
-    B: sp.csr_matrix | None = None,
 ) -> tuple[float, float]:
     """Discrete equilibrium residuals of a P0 stress field.
 
@@ -277,7 +259,9 @@ def divergence_check(
     norm of the lumped-L2 inner product, and the L2(Gamma_N) mismatch between
     the cell tractions sigma.nu and the prescribed g.
     """
-    r = equilibrium_residual_vector(mesh, sigma, f_cells, g_edges, B=B)
+    # dof vector of R(phi) = int sigma:E(phi) - int f.phi - int_Gamma_N g.phi
+    r = mesh.B_T @ (np.repeat(mesh.areas, 3) * (sigma * WEIGHTS).ravel())
+    r -= external_load_vector(mesh, f_cells, g_edges)
     m = np.repeat(mesh.lumped_mass, 2)
     mask = mesh.free_dofs
     interior = float(np.sqrt(np.sum(r[mask] ** 2 / m[mask])))

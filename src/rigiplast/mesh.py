@@ -56,6 +56,7 @@ class EdgeArrays:
     lengths: np.ndarray    # (m,)
     cells: np.ndarray      # (m,) adjacent cell
     dirichlet: np.ndarray  # (m,) True on Dirichlet-labelled edges
+    faces: np.ndarray      # (m,) face name
 
     @classmethod
     def of(cls, edges) -> "EdgeArrays":
@@ -65,6 +66,7 @@ class EdgeArrays:
             lengths=_read_only(np.array([e.length for e in edges], dtype=float)),
             cells=_read_only(np.array([e.cell for e in edges], dtype=int)),
             dirichlet=_read_only(np.array([e.label == DIRICHLET for e in edges], dtype=bool)),
+            faces=_read_only(np.array([e.face for e in edges], dtype=str)),
         )
 
 

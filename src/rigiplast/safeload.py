@@ -22,9 +22,12 @@ import scipy.sparse as sp
 
 from .fem import divergence_check, external_load_vector
 from .mesh import Mesh
-from .tensors import YieldSet, dev_decompose, norm
+from .tensors import WEIGHTS, YieldSet, dev_decompose, norm
 
-_W2 = np.array([1.0, 2.0, 1.0])
+_CERT_TOL = 1e-8        # equilibrium residual a valid certificate may keep
+_PDHG_ITERS = 4000      # primal-dual iterations per feasibility trial
+_PDHG_TOL = 1e-6        # relative equilibrium residual that ends a trial
+_BISECTION_STEPS = 16   # bisection steps on the margin
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,13 @@ def verify_safe_load(
     g_per_time,
     mesh: Mesh,
     yield_set: YieldSet,
-    tol: float = 1e-8,
 ) -> SafeLoadCertificate:
     """Margin kappa - max|pi_D| and equilibrium residuals of the candidates.
 
     Accepts one field per grid time (a single field may be passed as a
     one-element list). The certificate is invalid when the margin is
-    non-positive or any residual exceeds ``tol``; invalidity is a reported
-    state, not an error.
+    non-positive or any residual exceeds ``_CERT_TOL``; invalidity is a
+    reported state, not an error.
     """
     margins = []
     worst_int, worst_flux = 0.0, 0.0
@@ -74,10 +76,10 @@ def verify_safe_load(
         worst_flux = max(worst_flux, flux)
     margins = np.array(margins)
     margin = float(margins.min())
-    valid = margin > 0.0 and worst_int <= tol and worst_flux <= tol
+    valid = margin > 0.0 and worst_int <= _CERT_TOL and worst_flux <= _CERT_TOL
     return SafeLoadCertificate(margin=margin, interior_residual=worst_int,
                                flux_residual=worst_flux, margins_per_time=margins,
-                               valid=valid, tolerance=tol)
+                               valid=valid, tolerance=_CERT_TOL)
 
 
 def _equilibrium_operator(mesh: Mesh, f_cells, g_edges):
@@ -87,7 +89,7 @@ def _equilibrium_operator(mesh: Mesh, f_cells, g_edges):
     Dirichlet nodes (scaled to the lumped-L2 dual norm), then the per-edge
     Neumann flux conditions.
     """
-    M = (mesh.B.T @ sp.diags(np.repeat(mesh.areas, 3) * np.tile(_W2, mesh.n_cells))).tocsr()
+    M = (mesh.B.T @ sp.diags(np.repeat(mesh.areas, 3) * np.tile(WEIGHTS, mesh.n_cells))).tocsr()
 
     mask = mesh.free_dofs
     rhs_full = external_load_vector(mesh, f_cells, g_edges)
@@ -190,14 +192,12 @@ def max_safety_margin(
     g_edges: np.ndarray,
     mesh: Mesh,
     yield_set: YieldSet,
-    iters: int = 4000,
-    tol: float = 1e-6,
-    bisection_steps: int = 16,
 ) -> tuple[float, np.ndarray, dict]:
     """Largest certified safety margin for the loads at one fixed time.
 
     Bisects on the margin c; each trial solves the feasibility problem
-    {|pi_D| <= kappa - c, equilibrium} by the primal-dual iteration. The best
+    {|pi_D| <= kappa - c, equilibrium} by the primal-dual iteration, and
+    ``diagnostics["bisection_trials"]`` lists its (c, feasible). The best
     feasible field receives one exact least-squares equilibrium projection, so
     the returned pair certifies its own margin c_star = kappa - max|pi_D| with
     equilibrium residuals at solver precision. Returns (c_star, pi_star,
@@ -216,14 +216,14 @@ def max_safety_margin(
     lu = spla.splu(gram + ridge * sp.identity(gram.shape[0], format="csc"))
 
     # endpoint probe: margin kappa means a purely spherical field must work
-    res_top, _ = _feasibility_pdhg(A, b, op_norm, mesh, 0.0, iters, tol)
+    res_top, _ = _feasibility_pdhg(A, b, op_norm, mesh, 0.0, _PDHG_ITERS, _PDHG_TOL)
     if res_top.converged:
         pi_star = _affine_polish(A, b, lu, res_top.pi).reshape(mesh.n_cells, 3)
         dev_p, _ = dev_decompose(pi_star)
         diag["bisection_trials"] = [(kappa, True)]
         return kappa - float(norm(dev_p).max()), pi_star, diag
 
-    res0, y0 = _feasibility_pdhg(A, b, op_norm, mesh, kappa, iters, tol)
+    res0, y0 = _feasibility_pdhg(A, b, op_norm, mesh, kappa, _PDHG_ITERS, _PDHG_TOL)
     trials = [(0.0, res0.converged)]
     if not res0.converged:
         diag["bisection_trials"] = trials
@@ -235,9 +235,9 @@ def max_safety_margin(
     best_pi = res0.pi
     best_hist = res0.residual_history
     warm_pi, warm_y = res0.pi, y0
-    for _ in range(bisection_steps):
+    for _ in range(_BISECTION_STEPS):
         c = 0.5 * (lo + hi)
-        res, y = _feasibility_pdhg(A, b, op_norm, mesh, kappa - c, iters, tol,
+        res, y = _feasibility_pdhg(A, b, op_norm, mesh, kappa - c, _PDHG_ITERS, _PDHG_TOL,
                                    pi0=warm_pi, y0=warm_y)
         trials.append((c, res.converged))
         if res.converged:

@@ -54,7 +54,6 @@ class SweepConfig:
     mode: str = "strong"
     tol: float = 1e-10
     stress_tol: float = 1e-10
-    max_iters: int = 10_000
     load_scale: float = 1.0
     horizon: float = 1.0
 
@@ -154,8 +153,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     hooke = benchmark.hooke.with_epsilon(epsilon)
     try:
         states, ledger = run_evolution(program, hooke, yset, mesh, mode=config.mode,
-                                       tol=config.tol, stress_tol=config.stress_tol,
-                                       max_iters=config.max_iters)
+                                       tol=config.tol, stress_tol=config.stress_tol)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"epsilon={epsilon:g}, step {exc.step_index}: {exc}",
@@ -184,8 +182,8 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     for k, st in enumerate(states):
         e_l2[k] = tensor_l2(areas, st.e)
         sigma_l2[k] = tensor_l2(areas, st.sigma)
-        u_bd[k] = bd_norm_surrogate(mesh, st.u)
         eu = strain_of(st.u, mesh)
+        u_bd[k] = bd_norm_surrogate(mesh, st.u, eu)
         div_u = eu[:, 0] + eu[:, 2]
         div_u_l2[k] = scalar_l2(areas, div_u)
         hydro = 0.5 * (st.sigma[:, 0] + st.sigma[:, 2])
@@ -318,29 +316,34 @@ def rigid_residuals(report: SweepReport) -> ResidualReport:
 
     eq_int = np.zeros(n_t)
     eq_flux = np.zeros(n_t)
-    feas = np.zeros(n_t)
     div_v = np.zeros(n_t)
 
     for k in range(n_t):
-        sigma_k = tr.sigma[k]
-        eq_int[k], eq_flux[k] = divergence_check(sigma_k, mesh, program.f[k], program.g[k])
-        dev_s, _ = dev_decompose(sigma_k)
-        feas[k] = float(norm(dev_s).max()) - kappa
+        eq_int[k], eq_flux[k] = divergence_check(tr.sigma[k], mesh, program.f[k], program.g[k])
         ev = tr.ev[k]
         div_v[k] = scalar_l2(mesh.areas, ev[:, 0] + ev[:, 2])
 
     return ResidualReport(
         epsilon=tr.epsilon, times=report.times.copy(),
         equilibrium_interior=eq_int, equilibrium_flux=eq_flux,
-        feasibility_excess=feas, div_v_l2=div_v,
+        feasibility_excess=tr.sigma_dev_max - kappa, div_v_l2=div_v,
         flow_gap_rate=tr.flow_gap_rate.copy(),
         dirichlet_normal_gap=tr.normal_gap.copy(),
     )
 
 
+# A cell is on the plastic support where |Ev| exceeds _SUPPORT_THRESHOLD times
+# its maximum, and only if that maximum is above the round-off _SUPPORT_FLOOR.
+_SUPPORT_THRESHOLD = 1e-6
+_SUPPORT_FLOOR = 1e-10
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Deviatoric-stress agreement on/off the plastic support of two limits."""
+    """Deviatoric-stress agreement on/off the plastic support of two limits.
+
+    ``threshold`` echoes the relative support threshold ``compare_limits`` used.
+    """
 
     threshold: float
     times: np.ndarray
@@ -357,15 +360,14 @@ class UniquenessReport:
         return float(self.off_support_max.max())
 
 
-def compare_limits(report_a: SweepReport, report_b: SweepReport,
-                   threshold: float = 1e-6,
-                   support_floor: float = 1e-10) -> UniquenessReport:
+def compare_limits(report_a: SweepReport, report_b: SweepReport) -> UniquenessReport:
     """Compare limit-proxy deviatoric stresses where plastic flow is active.
 
     The support at each time is the union of cells where either run's |Ev|
-    exceeds ``threshold`` times its maximum; elsewhere the same difference is
-    reported separately with no smallness claim. Velocity fields whose maximum
-    sits below ``support_floor`` are round-off and contribute no support.
+    exceeds ``_SUPPORT_THRESHOLD`` times its maximum; elsewhere the same
+    difference is reported separately with no smallness claim. Velocity fields
+    whose maximum sits below ``_SUPPORT_FLOOR`` are round-off and contribute
+    no support.
     """
     if report_a.mesh_signature != report_b.mesh_signature:
         raise ValueError("sweeps ran on different meshes or programs")
@@ -380,13 +382,13 @@ def compare_limits(report_a: SweepReport, report_b: SweepReport,
         diff = norm(dev_a - dev_b)
         na, nb = norm(tr_a.ev[k]), norm(tr_b.ev[k])
         mask = np.zeros(len(diff), dtype=bool)
-        if na.max() > support_floor:
-            mask |= na > threshold * na.max()
-        if nb.max() > support_floor:
-            mask |= nb > threshold * nb.max()
+        if na.max() > _SUPPORT_FLOOR:
+            mask |= na > _SUPPORT_THRESHOLD * na.max()
+        if nb.max() > _SUPPORT_FLOOR:
+            mask |= nb > _SUPPORT_THRESHOLD * nb.max()
         frac[k] = float(mask.mean())
         on_max[k] = float(diff[mask].max()) if mask.any() else 0.0
         off_max[k] = float(diff[~mask].max()) if (~mask).any() else 0.0
-    return UniquenessReport(threshold=threshold, times=report_a.times.copy(),
+    return UniquenessReport(threshold=_SUPPORT_THRESHOLD, times=report_a.times.copy(),
                             on_support_max=on_max, off_support_max=off_max,
                             support_fraction=frac)

@@ -358,13 +358,14 @@ class TestRelaxedMode:
 class TestBDSurrogate:
     def test_zero_field(self):
         mesh = build_square_mesh(3, FACES)
-        assert bd_norm_surrogate(mesh, np.zeros((mesh.n_nodes, 2))) == 0.0
+        u = np.zeros((mesh.n_nodes, 2))
+        assert bd_norm_surrogate(mesh, u, strain_of(u, mesh)) == 0.0
 
     def test_shear_value(self):
         mesh = build_square_mesh(4, FACES)
         u = shear_field_local = np.column_stack([mesh.nodes[:, 1],
                                                  np.zeros(mesh.n_nodes)])
-        val = bd_norm_surrogate(mesh, u)
+        val = bd_norm_surrogate(mesh, u, strain_of(u, mesh))
         # strain mass 1/sqrt(2); trace integral: |x2| on the four faces
         # left+right contribute 2 * 1/2, top contributes 1, bottom 0
         assert val == pytest.approx(1 / np.sqrt(2) + 2.0, rel=1e-10)

@@ -79,6 +79,7 @@ class TestAgainstLoops:
                 assert arrays.lengths[j] == e.length
                 assert arrays.cells[j] == e.cell
                 assert arrays.dirichlet[j] == (e.label == DIRICHLET)
+                assert arrays.faces[j] == e.face
         want = sorted({nd for e in mesh.dirichlet_edges for nd in e.nodes})
         assert mesh.dirichlet_nodes.tolist() == want
 
@@ -143,6 +144,14 @@ def test_sweep_builds_per_system_invariants_once(monkeypatch):
     assert counts["systems"] == 2
     assert counts["abs_B_T"] == 1
     assert counts["diagonal"] <= counts["systems"]
+
+
+def test_sweep_takes_each_strain_once(monkeypatch):
+    """One strain per iterate, state check, lifted state, datum and velocity; none to validate."""
+    counts = {}
+    _count_calls(monkeypatch, "strain_of", counts)
+    run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
+    assert counts["strain_of"] <= 52
 
 
 def test_traction_run_assembles_loads_per_step(monkeypatch):

@@ -103,6 +103,6 @@ class TestMaxSafetyMargin:
     def test_reverification_consistency(self):
         mesh, f, g = clamped_shear_case(3, 0.25)
         c, pi, _ = max_safety_margin(f, g, mesh, YSET)
-        cert = verify_safe_load([pi], [f], [g], mesh, YSET, tol=1e-8)
+        cert = verify_safe_load([pi], [f], [g], mesh, YSET)
         assert cert.valid
         assert abs(cert.margin - c) < 1e-10

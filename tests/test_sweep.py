@@ -117,7 +117,7 @@ class TestRunSweep:
         for eps in cfg.epsilons:
             states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(eps),
                                       bench.yield_set, bench.mesh, mode=cfg.mode, tol=cfg.tol,
-                                      stress_tol=cfg.stress_tol, max_iters=cfg.max_iters)
+                                      stress_tol=cfg.stress_tol)
             sigmas.append(np.stack([st.sigma for st in states]))
         want = cauchy_distances_all_pairs(sigmas, bench.mesh.areas, rep.times)
         assert want.shape == (len(EPS4) - 1,) and np.all(want > 0)
@@ -130,8 +130,9 @@ class TestRunSweep:
     def test_evolution_errors_tagged_with_epsilon(self):
         from rigiplast.evolution import ConvergenceError
 
+        # 1.5 x the TRACTION load is beyond the limit load: the step has no minimizer
         cfg = SweepConfig(epsilons=(0.125,), benchmark="TRACTION", mesh_n=4,
-                          n_steps=4, tol=1e-300, stress_tol=1e-300, max_iters=3)
+                          n_steps=4, load_scale=1.5)
         with pytest.raises(ConvergenceError, match="epsilon=0.125"):
             run_sweep(cfg)
 
