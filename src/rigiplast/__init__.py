@@ -10,7 +10,7 @@ from .benchmarks import (
     example41_stress,
     example41_verify,
 )
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config
 from .evolution import (
     BalanceReport,
     ConvergenceError,
@@ -19,10 +19,11 @@ from .evolution import (
     LoadProgram,
     duality_pairing,
     energy_report,
+    evolve,
     incremental_step,
     run_evolution,
 )
-from .fem import ElasticSystem, SolverError, divergence_check, solve_elastic, strain_of
+from .fem import ElasticSystem, SolverError, divergence_check, strain_of
 from .mesh import Mesh, build_square_mesh
 from .safeload import SafeLoadCertificate, max_safety_margin, verify_safe_load
 from .sweep import (

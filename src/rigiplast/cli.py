@@ -26,15 +26,18 @@ from pathlib import Path
 
 import numpy as np
 
+# benchmark_catalog is called through SweepConfig.build_benchmark; it stays
+# bound here because perfbench/test_perfbench.py checks that the tracer wraps
+# cli.benchmark_catalog.
 from .benchmarks import benchmark_catalog, default_example41_params, example41_verify
 from .config import ConfigError, RunConfig, parse_config
-from .evolution import ConvergenceError, EnergyLedger, energy_report, run_evolution
+from .evolution import ConvergenceError, EnergyLedger, evolve
 from .fem import SolverError
 from .mesh import build_square_mesh
 from .reporting import summary_payload, write_csv, write_json
 from .safeload import max_safety_margin, verify_safe_load
 from .sweep import CSV_HEADER, SweepConfig, fit_rate, rigid_residuals, run_sweep
-from .tensors import HookeTensor, YieldSet
+from .tensors import YieldSet
 from .vtkio import write_vtk
 
 
@@ -44,28 +47,30 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _hooke(config: RunConfig, epsilon: float) -> HookeTensor:
-    return HookeTensor(config.shear_modulus, config.bulk_modulus, epsilon)
-
-
-def _benchmark(config: RunConfig):
-    return benchmark_catalog(
-        config.benchmark, mesh_n=config.mesh_n, n_steps=config.time_steps,
-        hooke=_hooke(config, 1.0), yield_radius=config.yield_radius,
+def _sweep_config(config: RunConfig) -> SweepConfig:
+    """The benchmark, grid, law and solver settings of ``config``, as the sweep takes them."""
+    return SweepConfig(
+        epsilons=config.epsilon_list, benchmark=config.benchmark,
+        mesh_n=config.mesh_n, n_steps=config.time_steps,
+        shear_modulus=config.shear_modulus, bulk_modulus=config.bulk_modulus,
+        yield_radius=config.yield_radius, mode=config.boundary_mode,
+        tol=config.tol, stress_tol=config.stress_tol,
         load_scale=config.load_scale, horizon=config.horizon,
     )
 
 
+def _benchmark(config: RunConfig):
+    return _sweep_config(config).build_benchmark()
+
+
 def _cmd_run(config: RunConfig, out: Path) -> dict:
     bench = _benchmark(config)
-    hooke = _hooke(config, config.run_epsilon)
-    states, ledger = run_evolution(
-        bench.program, hooke, bench.yield_set, bench.mesh,
-        mode=config.boundary_mode, tol=config.tol, stress_tol=config.stress_tol,
-    )
-    balance = energy_report(states, ledger, bench.program)
+    ledger = EnergyLedger.zeros(bench.program.times)
+    for final in evolve(bench.program, bench.hooke.with_epsilon(config.run_epsilon),
+                        bench.yield_set, bench.mesh, ledger, mode=config.boundary_mode,
+                        tol=config.tol, stress_tol=config.stress_tol):
+        pass  # only the last state is written
     write_csv(out / "metrics.csv", EnergyLedger.CSV_HEADER, ledger.csv_rows())
-    final = states[-1]
     write_vtk(out / "fields_final.vtk", bench.mesh,
               point_vectors={"displacement": final.u},
               cell_tensors={"stress": final.sigma, "plastic_strain": final.p})
@@ -75,22 +80,14 @@ def _cmd_run(config: RunConfig, out: Path) -> dict:
         "elastic_energy": float(ledger.elastic[-1]),
         "dissipation": float(ledger.dissipation[-1]),
         "external_work": float(ledger.work[-1]),
-        "max_balance_gap": balance.max_gap,
+        "max_balance_gap": float(np.abs(ledger.gap).max()),
         "max_sigma_dev": float(ledger.max_sigma_dev.max()),
         "plastic_cell_fraction_final": float(ledger.plastic_fraction[-1]),
     }
 
 
 def _cmd_sweep(config: RunConfig, out: Path) -> dict:
-    sweep_cfg = SweepConfig(
-        epsilons=config.epsilon_list, benchmark=config.benchmark,
-        mesh_n=config.mesh_n, n_steps=config.time_steps,
-        shear_modulus=config.shear_modulus, bulk_modulus=config.bulk_modulus,
-        yield_radius=config.yield_radius, mode=config.boundary_mode,
-        tol=config.tol, stress_tol=config.stress_tol,
-        load_scale=config.load_scale, horizon=config.horizon,
-    )
-    report = run_sweep(sweep_cfg)
+    report = run_sweep(_sweep_config(config))
     write_csv(out / "metrics.csv", CSV_HEADER, report.csv_rows())
 
     fits = {}

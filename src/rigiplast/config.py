@@ -1,4 +1,4 @@
-"""Key = value run configuration: parsing, validation, round-trip serialization.
+"""Key = value run configuration: parsing and validation.
 
 One ``key = value`` pair per line, ``#`` starts a comment, blank lines are
 ignored. Unknown keys are errors (fail-closed). Documented keys and defaults:
@@ -132,18 +132,3 @@ def parse_config(text: str) -> RunConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Emit the documented key = value format; parse(serialize(c)) == c."""
-    lines = []
-    for f in fields(RunConfig):
-        val = getattr(config, f.name)
-        if val is None:
-            continue
-        if f.name == "epsilon_list":
-            val = ", ".join(repr(v) for v in val)
-        elif isinstance(val, float):
-            val = repr(val)
-        lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"

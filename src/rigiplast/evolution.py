@@ -25,15 +25,24 @@ Boundary condition modes:
   nodes (two face normals) stay pinned. The slips join the Newton system as
   a primal-dual active set.
 
-Every evolution starts from the zero state at the first grid time. The energy
-ledger uses time-trapezoid work increments, which makes the purely elastic
-balance exact to solver precision and keeps the plastic balance gap one-sided
-and first order in the step size; its elastic energy is that of each state's
-elastic strain ``e``, which is ``Eu - p`` bit for bit.
+Every evolution starts from the zero state at the first grid time. ``evolve``
+is the one loop over time steps: a generator that yields each state as soon
+as its step is done and keeps only the previous one, so a caller that reads
+each state once (the CLI ``run``, the sweep monitors) holds O(n_cells) of
+fields, not O(M n_cells). ``run_evolution`` collects its states in a list
+for callers that need them all. Each state carries the strain ``eu`` = Eu its
+step took, so nothing downstream takes it again. The energy ledger, filled
+row by row as the states are yielded, uses time-trapezoid work increments,
+which makes the purely elastic balance exact to solver precision and keeps
+the plastic balance gap one-sided and first order in the step size; its
+elastic energy is that of each state's elastic strain ``e``, which is
+``Eu - p`` bit for bit, and its datum strains E w_k are the ones
+``LoadProgram.validate`` returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,8 +114,13 @@ class LoadProgram:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def validate(self, mesh: Mesh) -> None:
-        """Raise ``ValueError`` unless the grid, the shapes and div w = 0 hold."""
+    def validate(self, mesh: Mesh) -> np.ndarray:
+        """The datum strains E w_k, shape (M+1, n_cells, 3), once the checks pass.
+
+        Raises ``ValueError`` unless the grid, the shapes and div w = 0 hold.
+        The strains come from one product of ``mesh.B`` with every grid time
+        and equal ``strain_of(w[k], mesh)`` bit for bit.
+        """
         n_t = len(self.times)
         if self.times.ndim != 1 or n_t < 2:
             raise ValueError("time grid needs at least two points")
@@ -127,22 +141,10 @@ class LoadProgram:
                 f"boundary field is not divergence-free at t={self.times[bad[0]]:g} "
                 f"(max |div w| = {div_max[bad[0]]:.3e})"
             )
+        return ew.T.reshape(n_t, mesh.n_cells, 3)
 
     def at(self, k: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         return float(self.times[k]), self.w[k], self.f[k], self.g[k]
-
-    def resample(self, times: np.ndarray) -> "LoadProgram":
-        """Affine-in-time reinterpolation onto a new grid."""
-        times = np.asarray(times, dtype=float)
-
-        def interp(arr):
-            flat = arr.reshape(len(self.times), -1)
-            out = np.empty((len(times), flat.shape[1]))
-            for j in range(flat.shape[1]):
-                out[:, j] = np.interp(times, self.times, flat[:, j])
-            return out.reshape((len(times),) + arr.shape[1:])
-
-        return LoadProgram(times, interp(self.w), interp(self.f), interp(self.g))
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,9 @@ class FEState:
     """Discrete solution triple (u, e, p) with sigma = C^eps e at one time.
 
     ``boundary_slip`` holds the tangential slip per slip node in relaxed mode
-    (empty in strong mode).
+    (empty in strong mode). ``eu`` is the strain Eu that the step took of
+    ``u``, which ``check`` and the sweep monitors read; a state built by hand
+    for other uses may leave it None.
     """
 
     t: float
@@ -159,18 +163,18 @@ class FEState:
     p: np.ndarray
     sigma: np.ndarray
     boundary_slip: np.ndarray
+    eu: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, mesh: Mesh, n_slip: int = 0) -> "FEState":
         return cls(0.0, np.zeros((mesh.n_nodes, 2)), np.zeros((mesh.n_cells, 3)),
                    np.zeros((mesh.n_cells, 3)), np.zeros((mesh.n_cells, 3)),
-                   np.zeros(n_slip))
+                   np.zeros(n_slip), np.zeros((mesh.n_cells, 3)))
 
-    def check(self, mesh: Mesh, yield_set: YieldSet) -> None:
-        """Assert Eu = e + p, tr p = 0 and |sigma_D| <= kappa to ``_CHECK_TOL``."""
-        eu = strain_of(self.u, mesh)
-        gap = float(norm(eu - self.e - self.p).max())
-        scale = max(1.0, float(norm(eu).max()))
+    def check(self, yield_set: YieldSet) -> None:
+        """Assert eu = e + p, tr p = 0 and |sigma_D| <= kappa to ``_CHECK_TOL``."""
+        gap = float(norm(self.eu - self.e - self.p).max())
+        scale = max(1.0, float(norm(self.eu).max()))
         if gap > _CHECK_TOL * scale:
             raise AssertionError(f"additive decomposition violated by {gap:.3e}")
         tr_p = float(np.abs(self.p[:, 0] + self.p[:, 2]).max())
@@ -229,6 +233,14 @@ class EnergyLedger:
     iterations: np.ndarray
 
     CSV_HEADER = "step,time,Q,D,W,gap,max_sigma_dev,plastic_cell_fraction"
+
+    @classmethod
+    def zeros(cls, times: np.ndarray) -> "EnergyLedger":
+        """An empty ledger with one row per grid time, for ``evolve`` to fill."""
+        n_t = len(times)
+        return cls(times=times.copy(), elastic=np.zeros(n_t), dissipation=np.zeros(n_t),
+                   work=np.zeros(n_t), gap=np.zeros(n_t), max_sigma_dev=np.zeros(n_t),
+                   plastic_fraction=np.zeros(n_t), iterations=np.zeros(n_t, dtype=int))
 
     def csv_rows(self):
         for k in range(len(self.times)):
@@ -521,7 +533,7 @@ def incremental_step(
         stalled = stalled + 1 if res >= min(residuals[:-1]) else 0
 
     state = FEState(t=t, u=it.u, e=it.eu - it.p, p=it.p, sigma=it.sigma,
-                    boundary_slip=s_prev + it.z)
+                    boundary_slip=s_prev + it.z, eu=it.eu)
     if not converged:
         last = decreases[-1] if decreases else float("nan")
         why = (f"residual stalled after {iterations - 1} inner iterations"
@@ -539,62 +551,54 @@ def incremental_step(
                                     p_prev, p_prev, loads, slip_arg, s_prev, s_prev)
         if value > value_at_lift + slack * (1.0 + abs(value)):
             raise AssertionError("incremental minimum above the lifted previous state")
-    state.check(mesh, yield_set)
+    state.check(yield_set)
     return state, StepInfo(iterations=iterations, functional=value,
                            decreases=tuple(decreases), residual=res,
                            backtracks=backtracks, fallbacks=fallbacks)
 
 
-def run_evolution(
+def evolve(
     program: LoadProgram,
     hooke: HookeTensor,
     yield_set: YieldSet,
     mesh: Mesh,
+    ledger: EnergyLedger,
     mode: str = STRONG,
     tol: float = 1e-10,
     max_iters: int = 10_000,
     stress_tol: float = 1e-10,
-) -> tuple[list[FEState], EnergyLedger]:
-    """Evolve from the zero state through every grid time and fill the energy ledger.
+) -> Iterator[FEState]:
+    """Yield the state at every grid time, from the zero state on, filling ``ledger``.
 
-    Dissipation accumulates the exact increment costs
-    sum_cells area * kappa * |p_k - p_{k-1}| (plus the boundary-slip term in
-    relaxed mode); work accumulates trapezoid increments of the first energy
-    balance. Step failures are re-raised tagged with the step index.
+    ``ledger`` needs one row per grid time (``EnergyLedger.zeros(program.times)``);
+    by the time state k is yielded, row k is filled. Dissipation accumulates
+    the exact increment costs sum_cells area * kappa * |p_k - p_{k-1}| (plus
+    the boundary-slip term in relaxed mode); work accumulates trapezoid
+    increments of the first energy balance, with the datum strains that
+    ``LoadProgram.validate`` returns. Only the previous state is kept. Step
+    failures are re-raised tagged with the step index.
     """
-    program.validate(mesh)
+    ew = program.validate(mesh)
     system = ElasticSystem(mesh, hooke)
     slip = slip_nodes_of(mesh) if mode == RELAXED else None
     n_slip = slip.count if slip is not None else 0
-    init = replace(FEState.zeros(mesh, n_slip), t=float(program.times[0]))
-
-    M = program.n_steps
-    times = program.times
+    prev = replace(FEState.zeros(mesh, n_slip), t=float(program.times[0]))
     kappa = yield_set.radius
-    ledger = EnergyLedger(
-        times=times.copy(),
-        elastic=np.zeros(M + 1), dissipation=np.zeros(M + 1), work=np.zeros(M + 1),
-        gap=np.zeros(M + 1), max_sigma_dev=np.zeros(M + 1),
-        plastic_fraction=np.zeros(M + 1), iterations=np.zeros(M + 1, dtype=int),
-    )
+    q0 = system.energy(prev.e)
+    ledger.elastic[0] = q0  # zero stress: max_sigma_dev[0] stays 0
+    yield prev
 
-    states = [init]  # zero stress: max_sigma_dev[0] stays 0
-    q0 = system.energy(init.e)
-    ledger.elastic[0] = q0
-
-    ew_prev = strain_of(program.w[0], mesh)
-    for k in range(1, M + 1):
+    for k in range(1, program.n_steps + 1):
         t, w_k, f_k, g_k = program.at(k)
         try:
             state, info = incremental_step(
-                states[-1], t, w_k, f_k, g_k, hooke, yield_set, mesh,
+                prev, t, w_k, f_k, g_k, hooke, yield_set, mesh,
                 system=system, mode=mode, slip=slip, tol=tol, max_iters=max_iters,
                 stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
             )
         except ConvergenceError as exc:
             exc.step_index = k
             raise
-        prev = states[-1]
 
         dp = state.p - prev.p
         diss_inc = kappa * float((mesh.areas * norm(dp)).sum())
@@ -603,9 +607,8 @@ def run_evolution(
                 (slip.lengths * np.abs(state.boundary_slip - prev.boundary_slip)).sum()
             )
 
-        ew_k = strain_of(w_k, mesh)
         sig_mid = 0.5 * (state.sigma + prev.sigma)
-        work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew_k - ew_prev)
+        work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew[k] - ew[k - 1])
         du_dw = (state.u - prev.u) - (program.w[k] - program.w[k - 1])
         f_mid = 0.5 * (f_k + program.f[k - 1])
         g_mid = 0.5 * (g_k + program.g[k - 1])
@@ -620,10 +623,20 @@ def run_evolution(
         ledger.plastic_fraction[k] = float((norm(dp) > 0).mean())
         ledger.iterations[k] = info.iterations
 
-        states.append(state)
-        ew_prev = ew_k
+        yield state
+        prev = state
 
-    return states, ledger
+
+def run_evolution(program: LoadProgram, hooke: HookeTensor, yield_set: YieldSet, mesh: Mesh,
+                  **options) -> tuple[list[FEState], EnergyLedger]:
+    """Every state of ``evolve`` in a list, and the filled ledger.
+
+    ``options`` are the solver options of ``evolve``. For callers that need
+    all states at once; a caller that reads each state once should iterate
+    ``evolve`` and keep only what it needs.
+    """
+    ledger = EnergyLedger.zeros(program.times)
+    return list(evolve(program, hooke, yield_set, mesh, ledger, **options)), ledger
 
 
 def duality_pairing(
@@ -668,12 +681,6 @@ class BalanceReport:
     max_gap: float
     budget_constant: float | None
     flagged: np.ndarray
-
-    @property
-    def measured_constant(self) -> float:
-        """max |gap| / dt: the constant the step-halving test calibrates."""
-        dt = float(np.max(np.diff(self.times)))
-        return self.max_gap / dt
 
 
 def energy_report(states, ledger: EnergyLedger, program: LoadProgram,

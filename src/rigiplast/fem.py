@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import EdgeArrays, Mesh
-from .tensors import WEIGHTS, HookeTensor, ddot, require_deviatoric
+from .tensors import WEIGHTS, HookeTensor, ddot
 
 _GAUSS2 = (0.5 * (1 - 1 / np.sqrt(3.0)), 0.5 * (1 + 1 / np.sqrt(3.0)))  # on [0, 1]
 
@@ -230,20 +230,6 @@ def _guarded(K, x, rhs, what: str) -> np.ndarray:
     if not np.isfinite(res) or res > 1e-10 * scale:
         raise SolverError(f"{what} solve residual {res:.3e} exceeds tolerance")
     return x
-
-
-def solve_elastic(
-    mesh: Mesh,
-    hooke: HookeTensor,
-    p: np.ndarray,
-    w_nodes: np.ndarray,
-    f_cells: np.ndarray | None = None,
-    g_edges: np.ndarray | None = None,
-) -> np.ndarray:
-    """One-off elastic solve; builds and discards the factorization."""
-    require_deviatoric(p, "plastic strain")
-    return ElasticSystem(mesh, hooke).solve(p, w_nodes,
-                                            external_load_vector(mesh, f_cells, g_edges))
 
 
 def divergence_check(

@@ -10,6 +10,10 @@ stress distances witness the Cauchy property of the stress trajectory.
 
 Velocities are backward difference quotients (u_k - u_{k-1})/dt, aligned with
 the backward-Euler stepping.
+
+Each evolution is streamed: the monitors, the velocity and the distance to the
+previous eps are taken step by step as ``evolve`` yields the states, and each
+state's strain is the one its step took.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Benchmark, benchmark_catalog
-from .evolution import ConvergenceError, bd_norm_surrogate, run_evolution
+from .evolution import ConvergenceError, EnergyLedger, bd_norm_surrogate, evolve
 from .fem import divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
 
 from .tensors import HookeTensor, ddot, dev_decompose, norm
@@ -78,11 +82,13 @@ class SweepConfig:
 class EpsTrajectory:
     """Per-time monitor values for one eps, plus its stress and velocity strain.
 
-    ``sigma`` and ``ev`` are kept only on the limit proxy (the smallest eps),
-    which the residuals, the limit comparison and the VTK output read.
-    ``run_sweep`` sets them to None on every other trajectory once the
-    Cauchy distance to the next eps is taken, so a sweep holds these
-    (M+1, n_cells, 3) fields for at most two trajectories at a time.
+    The monitor arrays (M+1 values each) and ``u_final`` are kept for the
+    whole sweep. ``sigma`` is kept until the next eps has taken its Cauchy
+    distance against it; ``run_sweep`` then sets it to None, so a sweep holds
+    at most two stress histories at a time. ``ev`` is stored only on the
+    limit proxy (the smallest eps) and is None on every other trajectory.
+    The limit proxy keeps both (M+1, n_cells, 3) fields, which the residuals,
+    the limit comparison and the VTK output read.
     """
 
     epsilon: float
@@ -107,8 +113,9 @@ class SweepReport:
 
     ``benchmark`` is the one the sweep built and ran; the residuals and the
     limit-field output reuse it. ``cauchy_distances[i]`` is the L2-in-time,
-    L2-in-space distance between the stresses at eps i and i+1, taken as
-    soon as eps i+1 is done; only ``limit_proxy`` keeps its fields.
+    L2-in-space distance between the stresses at eps i and i+1, taken time by
+    time while eps i+1 runs; only ``limit_proxy`` keeps its fields past the
+    next eps.
     """
 
     config: SweepConfig
@@ -146,24 +153,23 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig") -> EpsTrajectory:
+def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig",
+                     sigma_prev: np.ndarray | None,
+                     keep_ev: bool) -> tuple[EpsTrajectory, np.ndarray]:
+    """Stream one evolution through the monitors; return its trajectory and stress distances.
+
+    The distances are, per time, the L2 distance between this evolution's
+    stress and ``sigma_prev`` (zero where that is None). Only the current
+    state and the previous displacement are held while the evolution runs;
+    the velocity strains are kept only if ``keep_ev``.
+    """
     mesh = benchmark.mesh
     program = benchmark.program
     yset = benchmark.yield_set
     hooke = benchmark.hooke.with_epsilon(epsilon)
-    try:
-        states, ledger = run_evolution(program, hooke, yset, mesh, mode=config.mode,
-                                       tol=config.tol, stress_tol=config.stress_tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"epsilon={epsilon:g}, step {exc.step_index}: {exc}",
-            state=exc.state, decrease_history=exc.decrease_history,
-            step_index=exc.step_index, residual_history=exc.residual_history,
-        ) from exc
 
     times = program.times
-    M = program.n_steps
-    n_t = M + 1
+    n_t = program.n_steps + 1
     areas = mesh.areas
     kappa = yset.radius
 
@@ -175,28 +181,31 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     flow_gap_rate = np.zeros(n_t)
     diss_rate = np.zeros(n_t)
     normal_gap = np.zeros(n_t)
+    distance = np.zeros(n_t)
     sigma_all = np.zeros((n_t, mesh.n_cells, 3))
-    ev_all = np.zeros((n_t, mesh.n_cells, 3))
+    ev_all = np.zeros((n_t, mesh.n_cells, 3)) if keep_ev else None
 
     dirichlet = mesh.dirichlet_boundary
-    for k, st in enumerate(states):
+    ledger = EnergyLedger.zeros(times)
+    for k, st in enumerate(evolve(program, hooke, yset, mesh, ledger, mode=config.mode,
+                                  tol=config.tol, stress_tol=config.stress_tol)):
         e_l2[k] = tensor_l2(areas, st.e)
         sigma_l2[k] = tensor_l2(areas, st.sigma)
-        eu = strain_of(st.u, mesh)
-        u_bd[k] = bd_norm_surrogate(mesh, st.u, eu)
-        div_u = eu[:, 0] + eu[:, 2]
-        div_u_l2[k] = scalar_l2(areas, div_u)
+        u_bd[k] = bd_norm_surrogate(mesh, st.u, st.eu)
+        div_u_l2[k] = scalar_l2(areas, st.eu[:, 0] + st.eu[:, 2])
         hydro = 0.5 * (st.sigma[:, 0] + st.sigma[:, 2])
         hydro_mean = float((areas * hydro).sum() / areas.sum())
         hydro_dev[k] = scalar_l2(areas, hydro - hydro_mean)
         gv = gauss_traces(program.w[k] - st.u, dirichlet)
         normal_gap[k] = np.abs((gv * dirichlet.normals).sum(axis=-1)).max(initial=0.0)
         sigma_all[k] = st.sigma
+        if sigma_prev is not None:
+            distance[k] = tensor_l2(areas, sigma_prev[k] - st.sigma)
         if k > 0:
             dt = times[k] - times[k - 1]
-            v = (st.u - states[k - 1].u) / dt
-            ev = strain_of(v, mesh)
-            ev_all[k] = ev
+            ev = strain_of((st.u - u_prev) / dt, mesh)
+            if keep_ev:
+                ev_all[k] = ev
             ev_norm = norm(ev)
             gap_cells = kappa * ev_norm - ddot(dev_decompose(st.sigma)[0], ev)
             worst = float(gap_cells.min())
@@ -205,13 +214,15 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
                 raise AssertionError(f"flow-rule gap negative ({worst:.3e}) at step {k}")
             flow_gap_rate[k] = float((areas * gap_cells).sum())
             diss_rate[k] = float((areas * kappa * ev_norm).sum())
+        u_prev = st.u
 
-    return EpsTrajectory(
+    trajectory = EpsTrajectory(
         epsilon=epsilon, e_l2=e_l2, sigma_l2=sigma_l2, sigma_dev_max=ledger.max_sigma_dev,
         dp_mass_cum=ledger.dissipation / kappa, u_bd=u_bd, div_u_l2=div_u_l2,
         hydro_dev=hydro_dev, flow_gap_rate=flow_gap_rate, diss_rate=diss_rate,
-        normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, u_final=states[-1].u,
+        normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, u_final=u_prev,
     )
+    return trajectory, distance
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -220,14 +231,21 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     mesh = benchmark.mesh
     times = benchmark.program.times
     trajectories, cauchy = [], []
-    for eps in config.epsilons:
-        tr = _run_one_epsilon(benchmark, eps, config)
-        if trajectories:
-            # the previous trajectory's fields are not needed past this distance
-            prev = trajectories[-1]
-            per_time = np.array([tensor_l2(mesh.areas, d) for d in prev.sigma - tr.sigma])
-            cauchy.append(np.sqrt(_trapezoid(per_time**2, times)))
-            prev.sigma = prev.ev = None
+    for i, eps in enumerate(config.epsilons):
+        prev = trajectories[-1] if trajectories else None
+        try:
+            tr, distance = _run_one_epsilon(benchmark, eps, config,
+                                            None if prev is None else prev.sigma,
+                                            keep_ev=i == len(config.epsilons) - 1)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"epsilon={eps:g}, step {exc.step_index}: {exc}",
+                state=exc.state, decrease_history=exc.decrease_history,
+                step_index=exc.step_index, residual_history=exc.residual_history,
+            ) from exc
+        if prev is not None:
+            cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
+            prev.sigma = None  # not needed past this distance
         trajectories.append(tr)
 
     metrics = {name: np.zeros(len(trajectories)) for name in METRIC_NAMES}
@@ -355,9 +373,6 @@ class UniquenessReport:
     def overall_on_support(self) -> float:
         return float(self.on_support_max.max())
 
-    @property
-    def overall_off_support(self) -> float:
-        return float(self.off_support_max.max())
 
 
 def compare_limits(report_a: SweepReport, report_b: SweepReport) -> UniquenessReport:

@@ -98,18 +98,6 @@ def sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=-1)
 
 
-def from_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (2, 2):
-        raise ValueError(f"matrix shape {m.shape[-2:]}, expected (2, 2)")
-    return np.stack([0.5 * (m[..., i, j] + m[..., j, i]) for i, j in _PACKED], axis=-1)
-
-
-def to_matrix(a: np.ndarray) -> np.ndarray:
-    dim_of(a)
-    return a[..., [[0, 1], [1, 2]]]
-
-
 @dataclass(frozen=True)
 class HookeTensor:
     """Isotropic elasticity law C^eps xi = (2 mu dev xi + kappa_b tr(xi) I) / eps.

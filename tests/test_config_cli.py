@@ -9,9 +9,7 @@ from rigiplast.cli import main
 from rigiplast.config import (
     DEFAULT_EPSILONS,
     ConfigError,
-    RunConfig,
     parse_config,
-    serialize_config,
 )
 from rigiplast.mesh import build_square_mesh
 from rigiplast.vtkio import write_vtk
@@ -71,15 +69,6 @@ class TestParseConfig:
     def test_bad_benchmark(self):
         with pytest.raises(ConfigError, match="benchmark"):
             parse_config("benchmark = SPIN\n")
-
-    def test_round_trip(self):
-        cfg = parse_config("mesh_n = 16\nepsilon_list = 1.0, 0.5\ntol = 1e-9\n")
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
-
-    def test_default_round_trip(self):
-        cfg = RunConfig().validate()
-        assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestCLI:

@@ -17,7 +17,7 @@ from rigiplast.evolution import (
     run_evolution,
     slip_nodes_of,
 )
-from rigiplast.fem import solve_elastic, strain_of, tensor_l2
+from rigiplast.fem import ElasticSystem, strain_of, tensor_l2
 from rigiplast.mesh import FACES, build_square_mesh
 from rigiplast.tensors import HookeTensor, YieldSet, ddot, deviator, norm
 
@@ -61,14 +61,6 @@ class TestLoadProgram:
         with pytest.raises(ValueError, match="strictly increasing"):
             prog.validate(mesh)
 
-    def test_resample_is_affine(self):
-        mesh = build_square_mesh(2, FACES)
-        prog = shear_program(mesh, 1.0, 4)
-        fine = prog.resample(np.linspace(0, 1, 9))
-        np.testing.assert_allclose(fine.w[2], prog.w[1], atol=1e-15)
-        np.testing.assert_allclose(fine.w[3], 0.5 * (prog.w[1] + prog.w[2]),
-                                   atol=1e-15)
-
 
 class TestIncrementalStep:
     def test_zero_loads_zero_state(self):
@@ -89,7 +81,7 @@ class TestIncrementalStep:
         state, _ = incremental_step(prev, 1.0, w, np.zeros((mesh.n_cells, 2)),
                                     np.zeros((0, 2)), HOOKE, YSET, mesh)
         assert np.abs(state.p).max() == 0.0
-        u_ref = solve_elastic(mesh, HOOKE, np.zeros((mesh.n_cells, 3)), w)
+        u_ref = ElasticSystem(mesh, HOOKE).solve(np.zeros((mesh.n_cells, 3)), w)
         np.testing.assert_allclose(state.u, u_ref, atol=1e-12)
 
     def test_convergence_error_carries_history(self):
@@ -203,7 +195,7 @@ class TestShearEvolution:
 
     def test_rate_independence_under_refinement(self, run):
         mesh, prog, states, _ = run
-        fine = prog.resample(np.linspace(0, 1, 33))
+        fine = shear_program(mesh, self.gamma, 32)
         states2, _ = run_evolution(fine, HOOKE, YSET, mesh)
         diff = tensor_l2(mesh.areas, states[-1].p - states2[-1].p)
         dt = 1.0 / 16
@@ -267,8 +259,8 @@ class TestEnergyReport:
         states, ledger = run_evolution(prog, HOOKE, YSET, mesh)
         rep = energy_report(states, ledger, prog, budget_constant=1e-15)
         assert rep.flagged.any()
-        rep_ok = energy_report(states, ledger, prog,
-                               budget_constant=10 * rep.measured_constant)
+        measured = rep.max_gap / float(np.max(np.diff(prog.times)))
+        rep_ok = energy_report(states, ledger, prog, budget_constant=10 * measured)
         assert not rep_ok.flagged.any()
 
 
@@ -276,7 +268,7 @@ class TestDualityPairing:
     def test_zero_plastic_strain(self):
         mesh = build_square_mesh(3, FACES)
         w = 0.3 * np.column_stack([mesh.nodes[:, 1], np.zeros(mesh.n_nodes)])
-        u = solve_elastic(mesh, HOOKE, np.zeros((mesh.n_cells, 3)), w)
+        u = ElasticSystem(mesh, HOOKE).solve(np.zeros((mesh.n_cells, 3)), w)
         e = strain_of(u, mesh)
         sigma = HOOKE.apply(e)
         state = FEState(1.0, u, e, np.zeros((mesh.n_cells, 3)), sigma, np.zeros(0))

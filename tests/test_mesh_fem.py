@@ -6,7 +6,7 @@ import pytest
 from rigiplast.fem import (
     ElasticSystem,
     divergence_check,
-    solve_elastic,
+    external_load_vector,
     strain_of,
     tensor_l2,
     weak_divergence_form,
@@ -104,8 +104,8 @@ class TestStrain:
 class TestElasticSolve:
     def test_zero_data(self):
         mesh = build_square_mesh(4, ALL)
-        u = solve_elastic(mesh, HookeTensor(1.0, 1.0, 1.0),
-                          np.zeros((mesh.n_cells, 3)), np.zeros((mesh.n_nodes, 2)))
+        u = ElasticSystem(mesh, HookeTensor(1.0, 1.0, 1.0)).solve(
+            np.zeros((mesh.n_cells, 3)), np.zeros((mesh.n_nodes, 2)))
         assert np.abs(u).max() == 0.0
 
     def test_affine_recovery(self):
@@ -113,16 +113,16 @@ class TestElasticSolve:
         rng = np.random.default_rng(9)
         G = rng.standard_normal((2, 2)) * 0.3
         w = mesh.nodes @ G.T
-        u = solve_elastic(mesh, HookeTensor(1.5, 0.8, 1.0),
-                          np.zeros((mesh.n_cells, 3)), w)
+        u = ElasticSystem(mesh, HookeTensor(1.5, 0.8, 1.0)).solve(
+            np.zeros((mesh.n_cells, 3)), w)
         np.testing.assert_allclose(u, w, atol=1e-12)
 
     def test_homogeneous_shear_stress(self):
         gamma = 0.4
         mesh = build_square_mesh(5, ALL)
         hooke = HookeTensor(1.2, 1.0, 0.5)
-        u = solve_elastic(mesh, hooke, np.zeros((mesh.n_cells, 3)),
-                          shear_field(mesh, gamma))
+        u = ElasticSystem(mesh, hooke).solve(np.zeros((mesh.n_cells, 3)),
+                                             shear_field(mesh, gamma))
         E = strain_of(u, mesh)
         np.testing.assert_allclose(E, np.tile([0, gamma / 2, 0], (mesh.n_cells, 1)),
                                    atol=1e-13)
@@ -135,15 +135,15 @@ class TestElasticSolve:
         mesh = build_square_mesh(n, ALL)
         G = np.array([[0.2, -0.1], [0.05, 0.3]])
         w = mesh.nodes @ G.T
-        u = solve_elastic(mesh, HookeTensor(1.0, 2.0, 1.0),
-                          np.zeros((mesh.n_cells, 3)), w)
+        u = ElasticSystem(mesh, HookeTensor(1.0, 2.0, 1.0)).solve(
+            np.zeros((mesh.n_cells, 3)), w)
         np.testing.assert_allclose(u, w, atol=1e-12)
 
     def test_single_cell_full_dirichlet(self):
         mesh = build_square_mesh(1, ALL)
         w = shear_field(mesh, 1.0)
-        u = solve_elastic(mesh, HookeTensor(1.0, 1.0, 1.0),
-                          np.zeros((mesh.n_cells, 3)), w)
+        u = ElasticSystem(mesh, HookeTensor(1.0, 1.0, 1.0)).solve(
+            np.zeros((mesh.n_cells, 3)), w)
         np.testing.assert_array_equal(u, w)
 
     def test_manufactured_first_order_convergence(self):
@@ -171,7 +171,8 @@ class TestElasticSolve:
             cent = mesh.centroids
             f = body(cent[:, 0], cent[:, 1])
             w = exact(mesh.nodes[:, 0], mesh.nodes[:, 1])
-            u = solve_elastic(mesh, hooke, np.zeros((mesh.n_cells, 3)), w, f_cells=f)
+            u = ElasticSystem(mesh, hooke).solve(np.zeros((mesh.n_cells, 3)), w,
+                                                 external_load_vector(mesh, f, None))
             diff = strain_of(u, mesh) - exact_strain(cent[:, 0], cent[:, 1])
             errors.append(np.sqrt((mesh.areas * (hooke.apply(diff) * diff
                                                  * [1, 2, 1]).sum(axis=1)).sum()))

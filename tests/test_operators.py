@@ -2,10 +2,12 @@
 
 The cached load maps and the array-based boundary code are checked against
 the per-edge loops in ``oracles``; the work counts check that operators are
-built once per mesh, per-system invariants once per system, and loads once
-per step, not once per inner iteration.
+built once per mesh, per-system invariants once per system, loads once per
+step, not once per inner iteration, each strain once, and that the CLI holds
+one state at a time, not the whole evolution.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -15,9 +17,9 @@ import scipy.sparse as sp
 from oracles import body_load_vector_loop, flux_residual_loop, traction_load_vector_loop
 
 import rigiplast.fem
-from rigiplast import cli
+from rigiplast import cli, evolution
 from rigiplast.benchmarks import benchmark_catalog
-from rigiplast.evolution import run_evolution
+from rigiplast.evolution import FEState, run_evolution
 from rigiplast.fem import (
     ElasticSystem,
     body_load_vector,
@@ -147,11 +149,12 @@ def test_sweep_builds_per_system_invariants_once(monkeypatch):
 
 
 def test_sweep_takes_each_strain_once(monkeypatch):
-    """One strain per iterate, state check, lifted state, datum and velocity; none to validate."""
+    """One strain per iterate, lifted state and velocity; the state check, the monitors
+    and the ledger reuse the step's strain and the datum strains of validate."""
     counts = {}
     _count_calls(monkeypatch, "strain_of", counts)
     run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
-    assert counts["strain_of"] <= 52
+    assert counts["strain_of"] <= 24
 
 
 def test_traction_run_assembles_loads_per_step(monkeypatch):
@@ -176,3 +179,26 @@ def test_cli_sweep_builds_strain_matrix_once(monkeypatch, tmp_path):
                       "epsilon_list = 1.0, 0.25\n", encoding="utf-8")
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert counts == {"strain_matrix": 1}
+
+
+@pytest.mark.parametrize("command, text, steps", [
+    ("run", "benchmark = TRACTION\nmesh_n = 4\ntime_steps = 16\n", 16),
+    ("sweep", "benchmark = SHEAR\nmesh_n = 4\ntime_steps = 16\n"
+              "epsilon_list = 1.0, 0.25, 0.0625\n", 3 * 16),
+], ids=["run", "sweep"])
+def test_cli_streams_the_states(monkeypatch, tmp_path, command, text, steps):
+    """``run`` and ``sweep`` hold at most two states at any step, not the whole evolution."""
+    monkeypatch.delenv("TOOL_OUT", raising=False)
+    live = []
+    step = evolution.incremental_step
+
+    def counted(*args, **kwargs):
+        live.append(sum(isinstance(obj, FEState) for obj in gc.get_objects()))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "incremental_step", counted)
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(live) == steps
+    assert max(live) <= 2
