@@ -7,8 +7,10 @@ built once per mesh and cached read-only on it (``Mesh.B``, the load maps, the
 boundary-edge arrays), so a strain or a load vector is one sparse matvec and
 boundary sums are array code; callers assemble the external loads once per
 load step and take each strain once. The stiffness matrix depends only on the
-mesh, the Hooke tensor and the Dirichlet node set, so a factorization is kept
-and reused across load/plastic-strain changes.
+mesh, the Hooke tensor and the Dirichlet node set, so its sparse LU
+factorization is kept and reused across load/plastic-strain changes. The
+Newton tangent changes with every iterate and is factorized afresh by banded
+LU: ordered by the grid, it is a narrow band matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv
 
 from .mesh import EdgeArrays, Mesh
 from .tensors import WEIGHTS, HookeTensor, ddot
@@ -120,10 +123,11 @@ class ElasticSystem:
     """Assembled elasticity operator with a cached sparse factorization.
 
     Minimizes  (1/2) int C^eps (Eu - p):(Eu - p) - int f.u - int_Gamma_N g.u
-    subject to prescribed values at Dirichlet nodes. The factorization is of
-    the free-free block; changing p, loads or boundary values reuses it.
-    ``solve_tangent`` factorizes and solves the same assembly with a per-cell
-    tangent in place of C^eps, for the inner solver's Newton steps.
+    subject to prescribed values at Dirichlet nodes. The factorization
+    (SuperLU) is of the free-free block; changing p, loads or boundary values
+    reuses it. ``solve_tangent`` assembles the same operator with a per-cell
+    tangent in place of C^eps, for the inner solver's Newton steps, and solves
+    it by banded LU.
     """
 
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
@@ -198,8 +202,12 @@ class ElasticSystem:
 
         ``tangent`` holds the packed per-cell tangents D_c, shape
         (n_cells, 3, 3); ``B_free`` maps the unknowns to cell strains and
-        defaults to the columns of B at the free dofs. A singular factor or a
-        failed residual guard raises ``SolverError``.
+        defaults to the columns of B at the free dofs. The unknowns are
+        ordered by the first strain row each one touches and K_T is factorized
+        by banded LU with partial pivoting (``dgbsv``). Banded Cholesky is not
+        used: it needs K_T positive definite, and the consistent tangent is
+        only positive semidefinite (a collapse mechanism makes K_T singular).
+        A zero pivot or a failed residual guard raises ``SolverError``.
         """
         B_free = self.B_f if B_free is None else B_free
         nc = self.mesh.n_cells
@@ -210,17 +218,48 @@ class ElasticSystem:
         K = B_free.T @ (D @ B_free)
         if shift is not None and np.any(shift):
             K = K + sp.diags(shift)
-        K = K.tocsc()
-        try:
-            # K_T is symmetric: order on its pattern (less fill than the default)
-            x = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-        except RuntimeError as exc:
-            raise SolverError(f"tangent factorization failed: {exc}") from exc
+        x = _banded_solve(K, _band_order(B_free), rhs)
         return _guarded(K, x, rhs, "tangent")
 
     def energy(self, e: np.ndarray) -> float:
         """(1/2) int C^eps e:e of the elastic strain e = Eu - p."""
         return 0.5 * integrate_tensor_dot(self.mesh.areas, e @ self.cmat.T, e)
+
+
+def _band_order(B: sp.csr_matrix) -> np.ndarray:
+    """The columns of ``B`` sorted (stably) by the first row each one touches.
+
+    Rows of a strain operator run cell by cell along the grid, so in this
+    order every entry of ``B^T D B`` lies within a few grid rows of the
+    diagonal, and slip columns appended last move next to their cells.
+    """
+    C = B.tocsc()  # row indices sorted within each column; no column is empty
+    return np.argsort(C.indices[C.indptr[:-1]], kind="stable")
+
+
+def _banded_solve(K: sp.spmatrix, order: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve K x = rhs by banded LU with partial pivoting (LAPACK ``dgbsv``).
+
+    ``order`` permutes the unknowns into a narrow band; the band is stored
+    densely, (3 bw + 1) x N doubles for half-bandwidth bw. A zero pivot raises
+    ``SolverError``.
+    """
+    n = K.shape[0]
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    K = K.tocsr()
+    K.sum_duplicates()
+    rows = pos[np.repeat(np.arange(n), np.diff(K.indptr))]
+    cols = pos[K.indices]
+    bw = int(np.abs(rows - cols).max(initial=0))
+    ab = np.zeros((3 * bw + 1, n), order="F")
+    ab[2 * bw + rows - cols, cols] = K.data
+    _, _, y, info = dgbsv(bw, bw, ab, rhs[order], overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"tangent factorization failed: dgbsv info {info}")
+    x = np.empty(n)
+    x[order] = y
+    return x
 
 
 def _guarded(K, x, rhs, what: str) -> np.ndarray:

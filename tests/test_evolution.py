@@ -1,9 +1,11 @@
 """Incremental minimization, evolutions, energy bookkeeping, duality pairing."""
 
+import json
+
 import numpy as np
 import pytest
 
-from rigiplast import evolution
+from rigiplast import cli, evolution
 from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import (
     ConvergenceError,
@@ -393,6 +395,28 @@ class TestNewtonSolver:
         assert ledger.dissipation[-1] > 0.0
         assert len(infos) == n_steps
         assert max(i.residual for i in infos) <= 1e-10 * bench.yield_set.radius
+
+    def test_below_collapse_answers_under_refinement(self, monkeypatch, tmp_path):
+        # 0.6 of the TRACTION load is below collapse: dissipation and work
+        # converge under refinement and the Newton counts stay bounded
+        bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=8, load_scale=0.6)
+        _, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(1.0),
+                                  bench.yield_set, bench.mesh)
+        assert ledger.dissipation[-1] == pytest.approx(0.003072479234704704, rel=1e-6)
+        assert ledger.work[-1] == pytest.approx(0.11888123324638518, rel=1e-6)
+        assert ledger.iterations.max() <= 5
+
+        monkeypatch.delenv("TOOL_OUT", raising=False)
+        infos = _step_infos(monkeypatch)
+        config = tmp_path / "run.cfg"
+        config.write_text("benchmark = TRACTION\nmesh_n = 32\ntime_steps = 8\n"
+                          "epsilon = 1.0\nload_scale = 0.6\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["dissipation"] == pytest.approx(0.0036444688489953173, rel=1e-6)
+        assert summary["external_work"] == pytest.approx(0.12080183991151829, rel=1e-6)
+        assert len(infos) == 8
+        assert max(i.iterations for i in infos) <= 6
 
     def test_relaxed_traction_matches_alternating_minimization(self):
         # dissipation and work of the same run by alternating minimization with

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from rigiplast import fem
+from rigiplast.evolution import slip_nodes_of
 from rigiplast.fem import (
     ElasticSystem,
+    SolverError,
     divergence_check,
     external_load_vector,
     strain_of,
@@ -12,7 +17,7 @@ from rigiplast.fem import (
     weak_divergence_form,
 )
 from rigiplast.mesh import FACES, build_square_mesh
-from rigiplast.tensors import HookeTensor, norm
+from rigiplast.tensors import WEIGHTS, HookeTensor, YieldSet, consistent_tangent, norm
 
 ALL = FACES
 
@@ -185,6 +190,76 @@ class TestElasticSolve:
         system = ElasticSystem(mesh, HookeTensor(1.0, 1.0, 1.0))
         u = system.solve(np.zeros((mesh.n_cells, 3)), shear_field(mesh), None)
         assert u.shape == (mesh.n_nodes, 2)
+
+
+def traction_tangent_problem(n, relaxed, seed=0):
+    """(system, tangent, B_free) of a bottom-clamped mesh, some of its cells plastic.
+
+    ``relaxed`` appends one slip column per bottom slip node, as the relaxed
+    Newton system does when every slip slides.
+    """
+    mesh = build_square_mesh(n, ("bottom",))
+    hooke = HookeTensor(1.0, 1.0, 1.0)
+    system = ElasticSystem(mesh, hooke)
+    e_dev = np.random.default_rng(seed).standard_normal((mesh.n_cells, 3)) * 0.4
+    e_dev[:, 2] = -e_dev[:, 0]
+    tangent = consistent_tangent(e_dev, np.zeros_like(e_dev), hooke, YieldSet(1.0))
+    B_free = system.B_f
+    if relaxed:
+        slip = slip_nodes_of(mesh)
+        nodes, t = slip.nodes, slip.tangents
+        slip_B = -(mesh.B[:, 2 * nodes] @ sp.diags(t[:, 0])
+                   + mesh.B[:, 2 * nodes + 1] @ sp.diags(t[:, 1]))
+        B_free = sp.hstack([B_free, slip_B], format="csr")
+    return system, tangent, B_free
+
+
+class TestTangentSolve:
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("with_shift", [False, True])
+    def test_matches_sparse_direct_solve(self, relaxed, with_shift):
+        system, tangent, B_free = traction_tangent_problem(8, relaxed)
+        rng = np.random.default_rng(1)
+        n_free = system.free.size
+        rhs = rng.standard_normal(B_free.shape[1])
+        shift = rng.uniform(0.0, 0.1, n_free) if with_shift else np.zeros(n_free)
+        if relaxed:  # a bottom face sliding as a whole: the slips are always damped
+            shift = np.concatenate([shift, np.full(B_free.shape[1] - n_free, 1e-2)])
+        if not shift.any():
+            shift = None
+        x = system.solve_tangent(tangent, rhs, B_free if relaxed else None, shift)
+
+        mesh = system.mesh
+        D = sp.block_diag(mesh.areas[:, None, None] * WEIGHTS[None, :, None] * tangent)
+        K = B_free.T @ D @ B_free
+        if shift is not None:
+            K = K + sp.diags(shift)
+        x_ref = spla.spsolve(K.tocsc(), rhs)
+        scale = np.linalg.norm(rhs) + np.linalg.norm(x_ref) + 1.0
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * scale
+
+    def test_singular_tangent_raises(self):
+        system, tangent, _ = traction_tangent_problem(4, relaxed=False)
+        rhs = np.ones(system.free.size)
+        with pytest.raises(SolverError, match="tangent factorization failed"):
+            system.solve_tangent(np.zeros_like(tangent), rhs)
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_band_stays_narrow(self, monkeypatch, relaxed):
+        # grid order: half-bandwidth 39 (strong) and 56 (every slip sliding) at
+        # n=16; the slips in append order would give a dense 544-wide band
+        widths = []
+        original = fem.dgbsv
+
+        def recorded(kl, ku, *args, **kwargs):
+            widths.append((kl, ku))
+            return original(kl, ku, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "dgbsv", recorded)
+        system, tangent, B_free = traction_tangent_problem(16, relaxed)
+        system.solve_tangent(tangent, np.ones(B_free.shape[1]), B_free)
+        assert len(widths) == 1
+        assert max(widths[0]) < 64
 
 
 class TestDivergenceCheck:
