@@ -256,6 +256,8 @@ class StepInfo:
     ``residual`` is the final free-dof residual in the lumped dual norm,
     ``backtracks`` counts the line-search step halvings and ``fallbacks`` the
     alternating steps taken where a Newton direction failed.
+    ``max_sigma_dev`` is the largest norm of the deviatoric stress as the
+    return map capped it, before the spherical part is added.
     """
 
     iterations: int
@@ -264,6 +266,7 @@ class StepInfo:
     residual: float
     backtracks: int
     fallbacks: int
+    max_sigma_dev: float
 
 
 def _functional(system, mesh, yset, u, eu, p, p_prev, loads, slip=None, s=None,
@@ -286,6 +289,7 @@ class _Iterate:
     eu: np.ndarray
     e_dev: np.ndarray
     p: np.ndarray        # return-mapped plastic strain
+    sigma_dev: np.ndarray  # deviatoric stress of the return map
     sigma: np.ndarray
     value: float
     grad: np.ndarray     # B^T(area W sigma) - F, every dof
@@ -401,13 +405,14 @@ def incremental_step(
     def evaluate(u, z):
         eu = strain_of(u, mesh)
         e_dev, e_mean = dev_decompose(eu)
-        p, sigma = radial_return(e_dev, p_prev, hooke, yield_set)
-        sigma = sigma.copy()
+        p, sigma_dev = radial_return(e_dev, p_prev, hooke, yield_set)
+        sigma = sigma_dev.copy()
         sigma[:, 0] += bulk * e_mean
         sigma[:, 2] += bulk * e_mean
         value = _functional(system, mesh, yield_set, u, eu, p, p_prev, loads, slip_arg,
                             s_prev + z, s_prev)
-        return _Iterate(u, z, eu, e_dev, p, sigma, value, system.nodal_forces(sigma) - loads)
+        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value,
+                        system.nodal_forces(sigma) - loads)
 
     def slip_forces(it):
         """Force pushing each slip node along its tangent: minus dJ_smooth/ds."""
@@ -554,7 +559,8 @@ def incremental_step(
     state.check(yield_set)
     return state, StepInfo(iterations=iterations, functional=value,
                            decreases=tuple(decreases), residual=res,
-                           backtracks=backtracks, fallbacks=fallbacks)
+                           backtracks=backtracks, fallbacks=fallbacks,
+                           max_sigma_dev=float(norm(it.sigma_dev).max()))
 
 
 def evolve(
@@ -618,8 +624,7 @@ def evolve(
         ledger.dissipation[k] = ledger.dissipation[k - 1] + diss_inc
         ledger.work[k] = ledger.work[k - 1] + work_inc
         ledger.gap[k] = ledger.elastic[k] + ledger.dissipation[k] - ledger.work[k] - q0
-        dev_s, _ = dev_decompose(state.sigma)
-        ledger.max_sigma_dev[k] = float(norm(dev_s).max())
+        ledger.max_sigma_dev[k] = info.max_sigma_dev
         ledger.plastic_fraction[k] = float((norm(dp) > 0).mean())
         ledger.iterations[k] = info.iterations
 

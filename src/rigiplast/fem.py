@@ -6,11 +6,11 @@ the P1 traces that appear here). Operators that depend on the mesh alone are
 built once per mesh and cached read-only on it (``Mesh.B``, the load maps, the
 boundary-edge arrays), so a strain or a load vector is one sparse matvec and
 boundary sums are array code; callers assemble the external loads once per
-load step and take each strain once. The stiffness matrix depends only on the
-mesh, the Hooke tensor and the Dirichlet node set, so its sparse LU
-factorization is kept and reused across load/plastic-strain changes. The
-Newton tangent changes with every iterate and is factorized afresh by banded
-LU: ordered by the grid, it is a narrow band matrix.
+load step and take each strain once. The stiffness matrix and the Newton
+tangent are both B^T blockdiag(area W D_c) B, factorized by banded LU in the
+grid order, where both are narrow bands. The stiffness depends only on the
+mesh, the Hooke tensor and the Dirichlet node set, so its factor is kept and
+reused; the tangent changes with every iterate and is factorized afresh.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .mesh import EdgeArrays, Mesh
 from .tensors import WEIGHTS, HookeTensor, ddot
@@ -120,35 +119,36 @@ def scalar_l2(areas: np.ndarray, a: np.ndarray) -> float:
 
 
 class ElasticSystem:
-    """Assembled elasticity operator with a cached sparse factorization.
+    """Assembled elasticity operator with a cached banded LU factorization.
 
     Minimizes  (1/2) int C^eps (Eu - p):(Eu - p) - int f.u - int_Gamma_N g.u
-    subject to prescribed values at Dirichlet nodes. The factorization
-    (SuperLU) is of the free-free block; changing p, loads or boundary values
-    reuses it. ``solve_tangent`` assembles the same operator with a per-cell
-    tangent in place of C^eps, for the inner solver's Newton steps, and solves
-    it by banded LU.
+    subject to prescribed values at Dirichlet nodes. The factorization is of
+    the free-free block; changing p, loads or boundary values reuses it.
+    ``solve_tangent`` assembles the same operator with a per-cell tangent in
+    place of C^eps, for the inner solver's Newton steps, and factorizes it
+    the same way.
     """
 
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
         self.mesh = mesh
         self.hooke = hooke
         self.cmat = hooke.matrix()
-        # block-diagonal integrand weights: area_c * W @ C
-        wc = WEIGHTS[:, None] * self.cmat
-        D = sp.kron(sp.diags(mesh.areas), sp.csr_matrix(wc), format="csr")
-        self.K = (mesh.B.T @ D @ mesh.B).tocsc()
-
+        self.K = self._assemble(np.broadcast_to(self.cmat, (mesh.n_cells, 3, 3)), mesh.B).tocsc()
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
-        self.K_ff = self.K[np.ix_(self.free, self.free)].tocsc()
-        self.K_fc = self.K[np.ix_(self.free, self.fixed)].tocsc()
-        self._lu = spla.splu(self.K_ff) if self.free.size else None
+        self.K_ff = self.K[np.ix_(self.free, self.free)]
+        self.K_fc = self.K[np.ix_(self.free, self.fixed)]
+        self._lu = _band_factor(self.K_ff, self.band_order, "elastic") if self.free.size else None
 
     @cached_property
     def B_f(self) -> sp.csr_matrix:
         """Columns of B at the free dofs."""
         return self.mesh.B[:, self.free].tocsr()
+
+    @cached_property
+    def band_order(self) -> np.ndarray:
+        """Grid order of the free dofs, which makes K_ff and the tangent narrow bands."""
+        return _band_order(self.B_f)
 
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
@@ -158,6 +158,15 @@ class ElasticSystem:
     def free_inv_mass(self) -> np.ndarray:
         """Reciprocal lumped mass at the free dofs."""
         return (1.0 / np.repeat(self.mesh.lumped_mass, 2))[self.free]
+
+    def _assemble(self, tangent: np.ndarray, B: sp.spmatrix) -> sp.spmatrix:
+        """B^T blockdiag(area W D_c) B for the packed per-cell tangents D_c, (n_cells, 3, 3)."""
+        nc = self.mesh.n_cells
+        blocks = self.mesh.areas[:, None, None] * WEIGHTS[None, :, None] * tangent
+        cols = np.repeat(np.arange(3 * nc).reshape(nc, 1, 3), 3, axis=1)  # row 3c+i: 3c..3c+2
+        D = sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, 9 * nc + 1, 3)),
+                          shape=(3 * nc, 3 * nc))
+        return B.T @ (D @ B)
 
     def nodal_forces(self, sigma: np.ndarray, B_T=None) -> np.ndarray:
         """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` if given."""
@@ -188,11 +197,7 @@ class ElasticSystem:
         u[self.fixed] = w_nodes.ravel()[self.fixed]
         if self.free.size:
             rhs = F[self.free] - self.K_fc @ u[self.fixed]
-            try:
-                x = self._lu.solve(rhs)
-            except RuntimeError as exc:  # pragma: no cover - cannot occur with Gamma_D != 0
-                raise SolverError(f"sparse factorization failed: {exc}") from exc
-            u[self.free] = _guarded(self.K_ff, x, rhs, "elastic")
+            u[self.free] = _guarded(self.K_ff, _band_solve(self._lu, rhs), rhs, "elastic")
         return u.reshape(mesh.n_nodes, 2)
 
     def solve_tangent(self, tangent: np.ndarray, rhs: np.ndarray,
@@ -202,23 +207,18 @@ class ElasticSystem:
 
         ``tangent`` holds the packed per-cell tangents D_c, shape
         (n_cells, 3, 3); ``B_free`` maps the unknowns to cell strains and
-        defaults to the columns of B at the free dofs. The unknowns are
-        ordered by the first strain row each one touches and K_T is factorized
-        by banded LU with partial pivoting (``dgbsv``). Banded Cholesky is not
-        used: it needs K_T positive definite, and the consistent tangent is
-        only positive semidefinite (a collapse mechanism makes K_T singular).
-        A zero pivot or a failed residual guard raises ``SolverError``.
+        defaults to the columns of B at the free dofs. K_T is factorized by
+        banded LU in the grid order of ``B_free``, not banded Cholesky: the
+        consistent tangent is only positive semidefinite (a collapse mechanism
+        makes it singular). A zero pivot or a failed residual guard raises
+        ``SolverError``.
         """
         B_free = self.B_f if B_free is None else B_free
-        nc = self.mesh.n_cells
-        blocks = self.mesh.areas[:, None, None] * WEIGHTS[None, :, None] * tangent
-        cols = (3 * np.arange(nc)[:, None, None] + np.arange(3)) + np.zeros((1, 3, 1), dtype=int)
-        D = sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, 9 * nc + 1, 3)),
-                          shape=(3 * nc, 3 * nc))
-        K = B_free.T @ (D @ B_free)
+        order = self.band_order if B_free is self.B_f else _band_order(B_free)
+        K = self._assemble(tangent, B_free)
         if shift is not None and np.any(shift):
             K = K + sp.diags(shift)
-        x = _banded_solve(K, _band_order(B_free), rhs)
+        x = _band_solve(_band_factor(K, order, "tangent"), rhs)
         return _guarded(K, x, rhs, "tangent")
 
     def energy(self, e: np.ndarray) -> float:
@@ -237,29 +237,29 @@ def _band_order(B: sp.csr_matrix) -> np.ndarray:
     return np.argsort(C.indices[C.indptr[:-1]], kind="stable")
 
 
-def _banded_solve(K: sp.spmatrix, order: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs by banded LU with partial pivoting (LAPACK ``dgbsv``).
+def _band_factor(K: sp.spmatrix, order: np.ndarray, what: str) -> tuple:
+    """Banded LU with partial pivoting (LAPACK ``dgbtrf``) of K, unknowns permuted by ``order``.
 
-    ``order`` permutes the unknowns into a narrow band; the band is stored
-    densely, (3 bw + 1) x N doubles for half-bandwidth bw. A zero pivot raises
-    ``SolverError``.
+    The band is stored densely, (3 bw + 1) x N doubles for half-bandwidth bw.
+    A zero pivot raises ``SolverError``; the factor is what ``_band_solve`` takes.
     """
-    n = K.shape[0]
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
+    pos = np.argsort(order)
     K = K.tocsr()
     K.sum_duplicates()
-    rows = pos[np.repeat(np.arange(n), np.diff(K.indptr))]
-    cols = pos[K.indices]
+    rows, cols = pos[np.repeat(np.arange(len(order)), np.diff(K.indptr))], pos[K.indices]
     bw = int(np.abs(rows - cols).max(initial=0))
-    ab = np.zeros((3 * bw + 1, n), order="F")
+    ab = np.zeros((3 * bw + 1, len(order)), order="F")
     ab[2 * bw + rows - cols, cols] = K.data
-    _, _, y, info = dgbsv(bw, bw, ab, rhs[order], overwrite_ab=True, overwrite_b=True)
+    lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=True)
     if info != 0:
-        raise SolverError(f"tangent factorization failed: dgbsv info {info}")
-    x = np.empty(n)
-    x[order] = y
-    return x
+        raise SolverError(f"{what} factorization failed: dgbtrf info {info}")
+    return lu, piv, bw, order, pos
+
+
+def _band_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve K x = rhs with a factor of ``_band_factor`` (LAPACK ``dgbtrs``)."""
+    lu, piv, bw, order, pos = factor
+    return dgbtrs(lu, bw, bw, rhs[order], piv, overwrite_b=True)[0][pos]
 
 
 def _guarded(K, x, rhs, what: str) -> np.ndarray:

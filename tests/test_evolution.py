@@ -437,7 +437,8 @@ class TestNewtonSolver:
                                        bench.yield_set, bench.mesh)
         assert ledger.plastic_fraction.max() > 0.95
         assert ledger.iterations.max() <= 30
-        assert ledger.max_sigma_dev.max() <= bench.yield_set.radius * (1 + 1e-10)
+        # the deviator the return map capped, not the composed stress's
+        assert ledger.max_sigma_dev.max() <= bench.yield_set.radius
 
     def test_beyond_the_limit_load_fails_fast(self):
         # 0.675 kappa exceeds the limit load of the n=8 mesh: the functional of

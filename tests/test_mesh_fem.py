@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rigiplast import fem
+from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import slip_nodes_of
 from rigiplast.fem import (
     ElasticSystem,
@@ -185,11 +186,39 @@ class TestElasticSolve:
         slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
         assert slope >= 0.9
 
-    def test_residual_guard(self):
+    def test_residual_guard(self, monkeypatch):
         mesh = build_square_mesh(3, ALL)
         system = ElasticSystem(mesh, HookeTensor(1.0, 1.0, 1.0))
-        u = system.solve(np.zeros((mesh.n_cells, 3)), shear_field(mesh), None)
-        assert u.shape == (mesh.n_nodes, 2)
+        p, w = np.zeros((mesh.n_cells, 3)), shear_field(mesh)
+        np.testing.assert_allclose(system.solve(p, w, None), w, atol=1e-12)
+
+        band_solve = fem._band_solve
+        monkeypatch.setattr(fem, "_band_solve",
+                            lambda factor, rhs: band_solve(factor, rhs) + 1e-6)
+        with pytest.raises(SolverError, match="elastic solve residual"):
+            system.solve(p, w, None)
+
+    @pytest.mark.parametrize("name", ["SHEAR", "TRACTION"])
+    def test_band_stays_narrow(self, monkeypatch, name):
+        # the grid order gives K_ff a half-bandwidth of about 2n
+        widths = record_band_widths(monkeypatch)
+        ElasticSystem(benchmark_catalog(name, mesh_n=16, n_steps=1).mesh,
+                      HookeTensor(1.0, 1.0, 1.0))
+        assert len(widths) == 1
+        assert max(widths[0]) < 64
+
+
+def record_band_widths(monkeypatch):
+    """The (kl, ku) of every banded LU factorization ``fem`` makes from now on."""
+    widths = []
+    original = fem.dgbtrf
+
+    def recorded(ab, kl, ku, *args, **kwargs):
+        widths.append((kl, ku))
+        return original(ab, kl, ku, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "dgbtrf", recorded)
+    return widths
 
 
 def traction_tangent_problem(n, relaxed, seed=0):
@@ -248,15 +277,8 @@ class TestTangentSolve:
     def test_band_stays_narrow(self, monkeypatch, relaxed):
         # grid order: half-bandwidth 39 (strong) and 56 (every slip sliding) at
         # n=16; the slips in append order would give a dense 544-wide band
-        widths = []
-        original = fem.dgbsv
-
-        def recorded(kl, ku, *args, **kwargs):
-            widths.append((kl, ku))
-            return original(kl, ku, *args, **kwargs)
-
-        monkeypatch.setattr(fem, "dgbsv", recorded)
         system, tangent, B_free = traction_tangent_problem(16, relaxed)
+        widths = record_band_widths(monkeypatch)
         system.solve_tangent(tangent, np.ones(B_free.shape[1]), B_free)
         assert len(widths) == 1
         assert max(widths[0]) < 64

@@ -170,6 +170,29 @@ def test_traction_run_assembles_loads_per_step(monkeypatch):
     assert sum(counts.values()) == 4 * steps
 
 
+def test_traction_run_orders_the_band_once_per_system(monkeypatch):
+    """Strong mode: the grid order of the free dofs serves K_ff and every Newton tangent."""
+    counts = {"systems": 0, "tangents": 0}
+    _count_calls(monkeypatch, "_band_order", counts)
+    system_init, solve_tangent = ElasticSystem.__init__, ElasticSystem.solve_tangent
+
+    def counted_system_init(self, *args, **kwargs):
+        counts["systems"] += 1
+        system_init(self, *args, **kwargs)
+
+    def counted_solve_tangent(self, *args, **kwargs):
+        counts["tangents"] += 1
+        return solve_tangent(self, *args, **kwargs)
+
+    monkeypatch.setattr(ElasticSystem, "__init__", counted_system_init)
+    monkeypatch.setattr(ElasticSystem, "solve_tangent", counted_solve_tangent)
+    bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
+    run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set, bench.mesh)
+    assert counts["systems"] == 1
+    assert counts["tangents"] > 1
+    assert counts["_band_order"] == counts["systems"]
+
+
 def test_cli_sweep_builds_strain_matrix_once(monkeypatch, tmp_path):
     monkeypatch.delenv("TOOL_OUT", raising=False)
     counts = {}
@@ -197,6 +220,7 @@ def test_cli_streams_the_states(monkeypatch, tmp_path, command, text, steps):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(evolution, "incremental_step", counted)
+    gc.collect()  # states that earlier tests left in reference cycles are not this run's
     config = tmp_path / "run.cfg"
     config.write_text(text, encoding="utf-8")
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
