@@ -8,8 +8,10 @@ Commands:
                summary.json (fits, residual maxima), fields_limit.vtk
     example41  the non-uniqueness witness; emits summary.json and the two
                stress fields as VTK
-    safeload   safety-margin optimization for the clamped-sides shear case;
-               emits summary.json and the admissible field as VTK
+    safeload   the largest certified safety margin for the clamped-sides
+               shear case, by one convex solve; emits summary.json (c_star,
+               its certificate, the iteration count) and the admissible field
+               as VTK
     report     pretty-print a previously written summary.json
 
 The environment variable TOOL_OUT overrides --out. Exit codes: 0 success,
@@ -143,7 +145,7 @@ def _cmd_safeload(config: RunConfig, out: Path) -> dict:
         "traction": s,
         "c_star": c_star,
         "certificate": cert.to_dict(),
-        "bisection_trials": [[c, bool(ok)] for c, ok in diag["bisection_trials"]],
+        "iterations": diag["iterations"],
     }
 
 

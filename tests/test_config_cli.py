@@ -1,10 +1,15 @@
 """Configuration parsing, CLI commands, artifact formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigiplast
 from rigiplast.cli import main
 from rigiplast.config import (
     DEFAULT_EPSILONS,
@@ -114,6 +119,29 @@ class TestCLI:
         payload = json.loads((out / "summary.json").read_text())
         assert payload["c_star"] > 0
         assert payload["certificate"]["valid"] is True
+
+    def test_safeload_at_the_default_mesh(self, tmp_path):
+        out = tmp_path / "sl16"
+        assert main(["safeload", "--out", str(out)]) == 0
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["config"]["mesh_n"] == 16
+        assert payload["c_star"] >= 0.5 - 1e-6  # the constant field certifies 0.5
+        assert payload["certificate"]["valid"] is True
+        assert payload["iterations"] >= 1
+
+    def test_no_command_loads_sparse_linalg(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("mesh_n = 4\n")
+        script = (
+            "import sys\n"
+            "from rigiplast.cli import main\n"
+            "assert main(['safeload', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        )
+        src = str(Path(rigiplast.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "sl")],
+                       check=True, env=env, timeout=120)
 
     def test_zero_steps_fails_before_compute(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -75,12 +75,42 @@ class TestMaxSafetyMargin:
         assert cert.valid
         assert cert.margin == pytest.approx(c, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_half_limit_certifies_at_cli_sizes(self, n):
+        s_limit = 1.0 / np.sqrt(2)
+        mesh, f, g = clamped_shear_case(n, 0.5 * s_limit)
+        c, pi, _ = max_safety_margin(f, g, mesh, YSET)
+        assert c >= 0.5 - 1e-6  # the constant field certifies 0.5
+        cert = verify_safe_load([pi], [f], [g], mesh, YSET)
+        assert cert.valid
+        assert cert.margin == pytest.approx(c, abs=1e-10)
+
     def test_beyond_limit_negative(self):
         s_limit = 1.0 / np.sqrt(2)
         mesh, f, g = clamped_shear_case(4, 1.5 * s_limit)
-        c, _, diag = max_safety_margin(f, g, mesh, YSET)
+        c, pi, _ = max_safety_margin(f, g, mesh, YSET)
         assert c <= 0.0
-        assert "feasibility_residual" in diag
+        cert = verify_safe_load([pi], [f], [g], mesh, YSET)
+        assert cert.margin == pytest.approx(c, abs=1e-10)
+        assert cert.interior_residual <= 1e-8
+        assert cert.flux_residual <= 1e-8
+
+    def test_iterations_do_not_grow_with_the_mesh(self):
+        s_limit = 1.0 / np.sqrt(2)
+        iterations = []
+        for n in (8, 32):
+            mesh, f, g = clamped_shear_case(n, 0.5 * s_limit)
+            _, _, diag = max_safety_margin(f, g, mesh, YSET)
+            iterations.append(diag["iterations"])
+        assert iterations[1] <= 1.5 * iterations[0]
+
+    def test_scaled_loads_scale_the_solve(self):
+        mesh, f, g = clamped_shear_case(4, 0.2)
+        c, pi, diag = max_safety_margin(f, g, mesh, YSET)
+        c3, pi3, diag3 = max_safety_margin(f, 3.0 * g, mesh, YSET)
+        assert diag3["iterations"] == diag["iterations"]
+        assert 1.0 - c3 == pytest.approx(3.0 * (1.0 - c), rel=1e-9)
+        assert np.allclose(pi3, 3.0 * pi, rtol=0, atol=1e-9)
 
     def test_margin_monotone_in_load(self):
         s_limit = 1.0 / np.sqrt(2)
