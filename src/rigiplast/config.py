@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .evolution import MODES
+
 DEFAULT_EPSILONS = tuple(2.0 ** (-2 * k) for k in range(7))
 
 _BENCHMARKS = ("SHEAR", "TRACTION", "RIGID41")
-_MODES = ("strong", "relaxed")
 
 
 class ConfigError(ValueError):
@@ -81,8 +82,8 @@ class RunConfig:
                      "stress_tol", "load_scale", "horizon"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.boundary_mode not in _MODES:
-            raise ConfigError(f"boundary_mode must be one of {_MODES}")
+        if self.boundary_mode not in MODES:
+            raise ConfigError(f"boundary_mode must be one of {MODES}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         return self

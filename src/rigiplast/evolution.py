@@ -16,14 +16,15 @@ the round-off floor of its operands) and the last decrease is below
 map of the final iterate, so the deviatoric stress satisfies the yield
 constraint exactly.
 
-Boundary condition modes:
+Boundary condition modes differ only in the slip set, the Dirichlet nodes
+that may slip tangentially; every step runs the same solver:
 
-* ``strong``  - displacements pinned to the datum at every Dirichlet node;
-* ``relaxed`` - Dirichlet nodes may slip tangentially; the slip is a plastic
+* ``strong``  - no slip nodes: every Dirichlet node is pinned to the datum;
+* ``relaxed`` - the face-interior Dirichlet nodes slip; the slip is a plastic
   boundary gap p = (w - u) (.) nu dissipating kappa * |tangential gap|/sqrt(2)
   per unit edge length, with the normal gap held at zero exactly. Corner
   nodes (two face normals) stay pinned. The slips join the Newton system as
-  a primal-dual active set.
+  a primal-dual active set (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13).
 
 Every evolution starts from the zero state at the first grid time. ``evolve``
 is the one loop over time steps: a generator that yields each state as soon
@@ -71,6 +72,7 @@ from .tensors import (
 
 STRONG = "strong"
 RELAXED = "relaxed"
+MODES = (STRONG, RELAXED)
 
 _DIV_TOL = 1e-12    # max |div w| a boundary datum may have, relative to max(1, max |w|)
 _CHECK_TOL = 1e-10  # defect a state may have in FEState.check, relative to its scale
@@ -186,24 +188,32 @@ class FEState:
             raise AssertionError(f"deviatoric stress exceeds the yield radius by {over:.3e}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlipNodes:
-    """Dirichlet nodes allowed to slip tangentially in relaxed mode."""
+    """Dirichlet nodes that may slip tangentially: ``slip_nodes_of``, or none in strong mode."""
 
     nodes: np.ndarray      # node index per slip dof
     tangents: np.ndarray   # unit tangent per slip dof
     lengths: np.ndarray    # lumped Dirichlet edge length per slip dof
+    B: sp.csr_matrix       # strain per unit slip: increasing s moves the node by -tangent
+    stiffness: np.ndarray  # elastic stiffness of each node along its tangent
+
+    @classmethod
+    def none(cls, mesh: Mesh) -> "SlipNodes":
+        return cls(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0),
+                   sp.csr_matrix((3 * mesh.n_cells, 0)), np.zeros(0))
 
     @property
     def count(self) -> int:
         return len(self.nodes)
 
 
-def slip_nodes_of(mesh: Mesh) -> SlipNodes:
-    """Face-interior Dirichlet nodes with their tangent and lumped edge length.
+def slip_nodes_of(system: ElasticSystem) -> SlipNodes:
+    """The face-interior Dirichlet nodes of ``system.mesh``, the slip set of relaxed mode.
 
     Nodes shared by two faces keep both normals and stay pinned.
     """
+    mesh = system.mesh
     d = mesh.dirichlet_boundary
     ends = d.nodes.ravel()
     normals = np.repeat(d.normals, 2, axis=0)
@@ -214,9 +224,15 @@ def slip_nodes_of(mesh: Mesh) -> SlipNodes:
     nodes = np.unique(ends)
     nodes = nodes[(lo[nodes] == hi[nodes]).all(axis=1)]  # corners: two normals, pinned
     nu = lo[nodes]
+    t = np.column_stack([-nu[:, 1], nu[:, 0]])
     lengths = 0.5 * np.bincount(ends, weights=np.repeat(d.lengths, 2),
                                 minlength=mesh.n_nodes)[nodes]
-    return SlipNodes(nodes, np.column_stack([-nu[:, 1], nu[:, 0]]), lengths)
+    B = -(mesh.B[:, 2 * nodes] @ sp.diags(t[:, 0]) + mesh.B[:, 2 * nodes + 1] @ sp.diags(t[:, 1]))
+    diag = system.stiffness_diagonal
+    cross = system.K[[2 * nodes], [2 * nodes + 1]].toarray()[0]  # a (1, k) row, also for k = 0
+    stiffness = (t[:, 0] ** 2 * diag[2 * nodes] + t[:, 1] ** 2 * diag[2 * nodes + 1]
+                 + 2.0 * t.prod(axis=1) * cross)
+    return SlipNodes(nodes, t, lengths, B.tocsr(), stiffness)
 
 
 @dataclass
@@ -269,13 +285,11 @@ class StepInfo:
     max_sigma_dev: float
 
 
-def _functional(system, mesh, yset, u, eu, p, p_prev, loads, slip=None, s=None,
-                s_prev=None) -> float:
-    """The incremental functional at displacement ``u`` with strain ``eu`` = Eu."""
+def _functional(system, yset, slip, loads, u, eu, p, p_prev, s, s_prev) -> float:
+    """The incremental functional at displacement ``u`` with strain ``eu`` = Eu and slips ``s``."""
     val = system.energy(eu - p)
-    val += yset.radius * float((mesh.areas * norm(p - p_prev)).sum())
-    if slip is not None and slip.count:
-        val += yset.radius / np.sqrt(2.0) * float((slip.lengths * np.abs(s - s_prev)).sum())
+    val += yset.radius * float((system.mesh.areas * norm(p - p_prev)).sum())
+    val += yset.radius / np.sqrt(2.0) * float((slip.lengths * np.abs(s - s_prev)).sum())
     val -= float(loads @ u.ravel())
     return val
 
@@ -293,6 +307,7 @@ class _Iterate:
     sigma: np.ndarray
     value: float
     grad: np.ndarray     # B^T(area W sigma) - F, every dof
+    q: np.ndarray        # force pushing each slip node along its tangent: minus dJ_smooth/ds
 
 
 # Armijo sufficient-decrease constant and the most step halvings before the
@@ -311,6 +326,8 @@ _DAMPING_GROWTH = 10.0
 # given up: a load beyond the limit load drives the displacement so far that
 # round-off swamps the residual, which then only wanders.
 _MAX_STALLED = 10
+# Most Newton steps in one time step.
+_MAX_ITERS = 10_000
 
 
 def incremental_step(
@@ -323,10 +340,8 @@ def incremental_step(
     yield_set: YieldSet,
     mesh: Mesh,
     system: ElasticSystem | None = None,
-    mode: str = STRONG,
     slip: SlipNodes | None = None,
     tol: float = 1e-10,
-    max_iters: int = 10_000,
     stress_tol: float = 1e-10,
     w_prev_nodes: np.ndarray | None = None,
 ) -> tuple[FEState, StepInfo]:
@@ -345,17 +360,19 @@ def incremental_step(
     the elastic stiffness diagonal until a step succeeds again
     (Levenberg-Marquardt); this carries the solver through the nearly
     singular tangents of loads close to the limit load and of a face that
-    slides as a whole. In relaxed mode the slip dofs join the Newton system
-    as a primal-dual active set: a stuck node keeps its previous slip, a
-    sliding node carries the constant friction force kappa * length / sqrt(2).
+    slides as a whole. ``slip`` is the slip set (by default none: strong
+    mode), with one previous slip per node in ``state_prev.boundary_slip``.
+    The slips join the Newton system as a primal-dual active set: a stuck
+    node keeps its previous slip, a sliding node carries the constant
+    friction force kappa * length / sqrt(2).
 
     The iteration stops when the free-dof residual, in the lumped dual norm,
     is at most ``stress_tol * kappa`` or the round-off floor of the
     predictor's operands, whichever is larger, and the last decrease of the
     functional is below ``tol * (1 + |value|)`` at the predictor; a predictor
-    whose residual passes needs no Newton step. ``max_iters`` bounds the
-    Newton steps, and ten steps in a row without a new smallest residual end
-    the step too.
+    whose residual passes needs no Newton step. At most ``_MAX_ITERS``
+    Newton steps are taken, and ten steps in a row without a new smallest
+    residual end the step too.
 
     The functional is asserted non-increasing at every inner iteration and the
     converged value is checked against the admissible lift of the previous
@@ -367,37 +384,22 @@ def incremental_step(
         raise ValueError("tol must be positive")
     if system is None:
         system = ElasticSystem(mesh, hooke)
-    if mode not in (STRONG, RELAXED):
-        raise ValueError(f"unknown boundary mode {mode!r}")
-    if mode == RELAXED and slip is None:
-        slip = slip_nodes_of(mesh)
-    slip_arg = slip if mode == RELAXED else None
-    relaxed = slip_arg is not None and slip.count > 0
-
-    p_prev = state_prev.p
-    s_prev = state_prev.boundary_slip if mode == RELAXED else np.zeros(0)
+    if slip is None:
+        slip = SlipNodes.none(mesh)
+    p_prev, s_prev = state_prev.p, state_prev.boundary_slip
+    if len(s_prev) != slip.count:
+        raise ValueError(f"{len(s_prev)} previous slips for {slip.count} slip nodes")
     kappa = yield_set.radius
     loads = external_load_vector(mesh, f_cells, g_edges)  # f and g are fixed within the step
     free = system.free
     bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon
     free_stiffness = system.stiffness_diagonal[free]
     slack = 1e-12
-
-    if relaxed:
-        nodes, tangents = slip.nodes, slip.tangents
-        friction = kappa / np.sqrt(2.0) * slip.lengths
-        slip_inv_mass = 1.0 / mesh.lumped_mass[nodes]
-        # strain per unit slip: increasing s moves the node by -tangent
-        slip_B = -(mesh.B[:, 2 * nodes] @ sp.diags(tangents[:, 0])
-                   + mesh.B[:, 2 * nodes + 1] @ sp.diags(tangents[:, 1])).tocsr()
-        diag = system.stiffness_diagonal
-        cross = np.asarray(system.K[2 * nodes, 2 * nodes + 1]).ravel()
-        nodal_stiffness = (tangents[:, 0] ** 2 * diag[2 * nodes] + tangents[:, 1] ** 2
-                           * diag[2 * nodes + 1] + 2.0 * tangents.prod(axis=1) * cross)
+    nodes, tangents = slip.nodes, slip.tangents
+    friction = kappa / np.sqrt(2.0) * slip.lengths
+    slip_inv_mass = 1.0 / mesh.lumped_mass[nodes]
 
     def boundary_values(z):
-        if not relaxed:
-            return w_nodes
         w_eff = w_nodes.copy()
         w_eff[nodes] -= (s_prev + z)[:, None] * tangents
         return w_eff
@@ -409,68 +411,53 @@ def incremental_step(
         sigma = sigma_dev.copy()
         sigma[:, 0] += bulk * e_mean
         sigma[:, 2] += bulk * e_mean
-        value = _functional(system, mesh, yield_set, u, eu, p, p_prev, loads, slip_arg,
-                            s_prev + z, s_prev)
-        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value,
-                        system.nodal_forces(sigma) - loads)
-
-    def slip_forces(it):
-        """Force pushing each slip node along its tangent: minus dJ_smooth/ds."""
-        return (tangents * it.grad.reshape(-1, 2)[nodes]).sum(axis=1)
+        value = _functional(system, yield_set, slip, loads, u, eu, p, p_prev, s_prev + z, s_prev)
+        grad = system.nodal_forces(sigma) - loads
+        q = (tangents * grad.reshape(-1, 2)[nodes]).sum(axis=1)
+        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value, grad, q)
 
     def dual_norm(forces, slip_part):
         """Lumped dual norm of nodal forces on the free dofs plus the slip-node part."""
         sq = float((forces[free] ** 2 * system.free_inv_mass).sum())
-        if relaxed:
-            sq += float((slip_part ** 2 * slip_inv_mass).sum())
+        sq += float((slip_part ** 2 * slip_inv_mass).sum())
         return np.sqrt(sq)
 
     def residual(it):
         """Free-dof residual; at a slip node, the distance of its force from the friction set."""
-        rho = None
-        if relaxed:
-            q = slip_forces(it)
-            rho = np.where(it.z != 0.0, np.abs(q - friction * np.sign(it.z)),
-                           np.maximum(np.abs(q) - friction, 0.0))
+        rho = np.where(it.z != 0.0, np.abs(it.q - friction * np.sign(it.z)),
+                       np.maximum(np.abs(it.q) - friction, 0.0))
         return dual_norm(it.grad, rho)
 
     def newton_direction(it, damping):
         """(du, dz, stuck, slope) of the damped Newton step, or None where it fails."""
         tangent = consistent_tangent(it.e_dev, p_prev, hooke, yield_set)
+        q = it.q
+        y = it.z + q / slip.stiffness
+        stuck = np.abs(y) <= friction / slip.stiffness
+        slide = ~stuck
         du = np.zeros(2 * mesh.n_nodes)
-        dz = np.zeros(len(it.z))
-        stuck = np.zeros(len(it.z), dtype=bool)
+        dz = np.where(stuck, -it.z, 0.0)
+        # with no slip sliding, the cached columns keep the system's band order
+        B_free = (sp.hstack([system.B_f, slip.B[:, slide]], format="csr") if slide.any()
+                  else system.B_f)
+        rhs = -np.concatenate([it.grad[free], friction[slide] * np.sign(y[slide]) - q[slide]])
+        if dz.any():
+            de = (slip.B[:, stuck] @ dz[stuck]).reshape(-1, 3)
+            ds = np.einsum("cij,cj->ci", tangent, de)
+            rhs -= system.nodal_forces(ds, B_free.T)
+        # a face that slides as a whole leaves the smooth part flat along
+        # its rigid translation: the slips are always damped a little
+        shift = np.concatenate([damping * free_stiffness,
+                                max(damping, _DAMPING_MIN) * slip.stiffness[slide]])
         try:
-            if not relaxed:
-                du[free] = system.solve_tangent(tangent, -it.grad[free],
-                                                shift=damping * free_stiffness)
-            else:
-                q = slip_forces(it)
-                y = it.z + q / nodal_stiffness
-                stuck = np.abs(y) <= friction / nodal_stiffness
-                slide = ~stuck
-                dz[stuck] = -it.z[stuck]
-                B_free = sp.hstack([system.B_f, slip_B[:, slide]], format="csr")
-                rhs = -np.concatenate([it.grad[free], friction[slide] * np.sign(y[slide])
-                                       - q[slide]])
-                if np.any(dz[stuck]):
-                    de = (slip_B[:, stuck] @ dz[stuck]).reshape(-1, 3)
-                    ds = np.einsum("cij,cj->ci", tangent, de)
-                    rhs -= system.nodal_forces(ds, B_free.T)
-                # a face that slides as a whole leaves the smooth part flat along
-                # its rigid translation: the slips are always damped a little
-                shift = np.concatenate([damping * free_stiffness,
-                                        max(damping, _DAMPING_MIN) * nodal_stiffness[slide]])
-                sol = system.solve_tangent(tangent, rhs, B_free, shift)
-                du[free] = sol[:len(free)]
-                dz[slide] = sol[len(free):]
-                du.reshape(-1, 2)[nodes] -= dz[:, None] * tangents
+            sol = system.solve_tangent(tangent, rhs, B_free, shift)
         except SolverError:
             return None
+        du[free] = sol[:len(free)]
+        dz[slide] = sol[len(free):]
+        du.reshape(-1, 2)[nodes] -= dz[:, None] * tangents
         slope = float(it.grad @ du)
-        if relaxed:
-            slope += float((friction * np.where(it.z != 0.0, np.sign(it.z) * dz,
-                                                np.abs(dz))).sum())
+        slope += float((friction * np.where(it.z != 0.0, np.sign(it.z) * dz, np.abs(dz))).sum())
         if not slope < 0.0:
             return None
         return du, dz, stuck, slope
@@ -483,8 +470,7 @@ def incremental_step(
             u = it.u + step * du.reshape(-1, 2)
             z = it.z + step * dz
             z[stuck] = (1.0 - step) * it.z[stuck]  # exactly the previous slip at a full step
-            if relaxed:
-                u[nodes] = w_nodes[nodes] - (s_prev + z)[:, None] * tangents
+            u[nodes] = w_nodes[nodes] - (s_prev + z)[:, None] * tangents
             trial = evaluate(u, z)
             change = trial.value - it.value
             if change <= _ARMIJO * step * slope or (
@@ -493,14 +479,11 @@ def incremental_step(
             step *= 0.5
         return None, _MAX_BACKTRACKS
 
-    it = evaluate(system.solve(p_prev, boundary_values(np.zeros(len(s_prev))), loads),
-                  np.zeros(len(s_prev)))
+    z0 = np.zeros(slip.count)
+    it = evaluate(system.solve(p_prev, boundary_values(z0), loads), z0)
     res = residual(it)
     magnitudes = system.force_magnitudes(it.eu, p_prev, loads)
-    slip_magnitudes = None
-    if relaxed:
-        slip_magnitudes = (np.abs(tangents) * magnitudes.reshape(-1, 2)[nodes]).sum(axis=1)
-        slip_magnitudes += friction
+    slip_magnitudes = (np.abs(tangents) * magnitudes.reshape(-1, 2)[nodes]).sum(axis=1) + friction
     threshold = max(stress_tol * kappa, _ROUNDOFF * dual_norm(magnitudes, slip_magnitudes))
     small_decrease = tol * (1.0 + abs(it.value))
     decreases, residuals = [], [res]
@@ -509,7 +492,7 @@ def incremental_step(
     converged = res <= threshold
     iterations = 1
     stalled = 0  # consecutive iterations without a new smallest residual
-    while not converged and iterations <= max_iters and stalled < _MAX_STALLED:
+    while not converged and iterations <= _MAX_ITERS and stalled < _MAX_STALLED:
         direction = newton_direction(it, damping)
         new = None
         if direction is not None:
@@ -542,7 +525,7 @@ def incremental_step(
     if not converged:
         last = decreases[-1] if decreases else float("nan")
         why = (f"residual stalled after {iterations - 1} inner iterations"
-               if stalled >= _MAX_STALLED else f"no convergence in {max_iters} inner iterations")
+               if stalled >= _MAX_STALLED else f"no convergence in {_MAX_ITERS} inner iterations")
         raise ConvergenceError(
             f"{why} (last decrease {last:.3e}, residual {res:.3e})",
             state=state, decrease_history=decreases, residual_history=residuals,
@@ -552,8 +535,8 @@ def incremental_step(
     if w_prev_nodes is not None:
         # minimality against the admissible lift u_prev + (w_k - w_{k-1})
         u_lift = state_prev.u + (w_nodes - w_prev_nodes)
-        value_at_lift = _functional(system, mesh, yield_set, u_lift, strain_of(u_lift, mesh),
-                                    p_prev, p_prev, loads, slip_arg, s_prev, s_prev)
+        value_at_lift = _functional(system, yield_set, slip, loads, u_lift,
+                                    strain_of(u_lift, mesh), p_prev, p_prev, s_prev, s_prev)
         if value > value_at_lift + slack * (1.0 + abs(value)):
             raise AssertionError("incremental minimum above the lifted previous state")
     state.check(yield_set)
@@ -571,24 +554,26 @@ def evolve(
     ledger: EnergyLedger,
     mode: str = STRONG,
     tol: float = 1e-10,
-    max_iters: int = 10_000,
     stress_tol: float = 1e-10,
 ) -> Iterator[FEState]:
     """Yield the state at every grid time, from the zero state on, filling ``ledger``.
 
-    ``ledger`` needs one row per grid time (``EnergyLedger.zeros(program.times)``);
-    by the time state k is yielded, row k is filled. Dissipation accumulates
-    the exact increment costs sum_cells area * kappa * |p_k - p_{k-1}| (plus
-    the boundary-slip term in relaxed mode); work accumulates trapezoid
-    increments of the first energy balance, with the datum strains that
-    ``LoadProgram.validate`` returns. Only the previous state is kept. Step
-    failures are re-raised tagged with the step index.
+    ``mode`` only chooses the slip set; an unknown one raises ``ValueError``
+    before anything is built. ``ledger`` needs one row per grid time
+    (``EnergyLedger.zeros(program.times)``); by the time state k is yielded,
+    row k is filled. Dissipation accumulates the exact increment costs
+    sum_cells area * kappa * |p_k - p_{k-1}| plus the boundary-slip term;
+    work accumulates trapezoid increments of the first energy balance, with
+    the datum strains that ``LoadProgram.validate`` returns. Only the
+    previous state is kept. Step failures are re-raised tagged with the step
+    index.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown boundary mode {mode!r}")
     ew = program.validate(mesh)
     system = ElasticSystem(mesh, hooke)
-    slip = slip_nodes_of(mesh) if mode == RELAXED else None
-    n_slip = slip.count if slip is not None else 0
-    prev = replace(FEState.zeros(mesh, n_slip), t=float(program.times[0]))
+    slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(mesh)
+    prev = replace(FEState.zeros(mesh, slip.count), t=float(program.times[0]))
     kappa = yield_set.radius
     q0 = system.energy(prev.e)
     ledger.elastic[0] = q0  # zero stress: max_sigma_dev[0] stays 0
@@ -598,9 +583,8 @@ def evolve(
         t, w_k, f_k, g_k = program.at(k)
         try:
             state, info = incremental_step(
-                prev, t, w_k, f_k, g_k, hooke, yield_set, mesh,
-                system=system, mode=mode, slip=slip, tol=tol, max_iters=max_iters,
-                stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
+                prev, t, w_k, f_k, g_k, hooke, yield_set, mesh, system=system, slip=slip,
+                tol=tol, stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
             )
         except ConvergenceError as exc:
             exc.step_index = k
@@ -608,10 +592,8 @@ def evolve(
 
         dp = state.p - prev.p
         diss_inc = kappa * float((mesh.areas * norm(dp)).sum())
-        if n_slip:
-            diss_inc += kappa / np.sqrt(2.0) * float(
-                (slip.lengths * np.abs(state.boundary_slip - prev.boundary_slip)).sum()
-            )
+        diss_inc += kappa / np.sqrt(2.0) * float(
+            (slip.lengths * np.abs(state.boundary_slip - prev.boundary_slip)).sum())
 
         sig_mid = 0.5 * (state.sigma + prev.sigma)
         work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew[k] - ew[k - 1])

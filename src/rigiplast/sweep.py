@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Benchmark, benchmark_catalog
-from .evolution import ConvergenceError, EnergyLedger, bd_norm_surrogate, evolve
+from .evolution import MODES, ConvergenceError, EnergyLedger, bd_norm_surrogate, evolve
 from .fem import divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
 
 from .tensors import HookeTensor, ddot, dev_decompose, norm
@@ -67,6 +67,8 @@ class SweepConfig:
             raise ValueError("epsilon list must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon list must be strictly decreasing")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "epsilons", eps)
 
     def build_benchmark(self) -> Benchmark:

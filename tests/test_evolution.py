@@ -9,11 +9,13 @@ from rigiplast import cli, evolution
 from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import (
     ConvergenceError,
+    EnergyLedger,
     FEState,
     LoadProgram,
     bd_norm_surrogate,
     duality_pairing,
     energy_report,
+    evolve,
     incremental_step,
     pairing_mass_bound,
     run_evolution,
@@ -86,24 +88,25 @@ class TestIncrementalStep:
         u_ref = ElasticSystem(mesh, HOOKE).solve(np.zeros((mesh.n_cells, 3)), w)
         np.testing.assert_allclose(state.u, u_ref, atol=1e-12)
 
-    def test_convergence_error_carries_history(self):
+    def test_convergence_error_carries_history(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_MAX_ITERS", 2)
         mesh = build_square_mesh(3, ("bottom",))
         w = 3.0 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
         prev = FEState.zeros(mesh)
         with pytest.raises(ConvergenceError) as err:
             incremental_step(prev, 1.0, w, np.zeros((mesh.n_cells, 2)),
                              np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET,
-                             mesh, tol=1e-300, max_iters=2, stress_tol=1e-300)
+                             mesh, tol=1e-300, stress_tol=1e-300)
         assert err.value.state is not None
         assert len(err.value.decrease_history) == 2
 
-    def test_convergence_error_carries_residual_history(self):
+    def test_convergence_error_carries_residual_history(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_MAX_ITERS", 1)
         mesh = build_square_mesh(3, ("bottom",))
         w = 3.0 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
         with pytest.raises(ConvergenceError) as err:
             incremental_step(FEState.zeros(mesh), 1.0, w, np.zeros((mesh.n_cells, 2)),
-                             np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET,
-                             mesh, max_iters=1)
+                             np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET, mesh)
         # the predictor's residual, then one per Newton iteration
         assert len(err.value.residual_history) == 2
         assert err.value.residual_history[0] > 1e-10
@@ -113,17 +116,24 @@ class TestIncrementalStep:
         # Newton system is flat along the face's translation and needs damping
         mesh = build_square_mesh(3, ("bottom",))
         w = 0.75 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
-        slip = slip_nodes_of(mesh)
+        stiff = HookeTensor(1.0, 1.0, 0.01)
+        slip = slip_nodes_of(ElasticSystem(mesh, stiff))
         state, info = incremental_step(FEState.zeros(mesh, slip.count), 0.25, w,
                                        np.zeros((mesh.n_cells, 2)),
                                        np.zeros((len(mesh.neumann_edges), 2)),
-                                       HookeTensor(1.0, 1.0, 0.01), YSET, mesh,
-                                       mode="relaxed", slip=slip)
+                                       stiff, YSET, mesh, slip=slip)
         assert info.iterations == 1 + len(info.decreases) > 1
         assert 0.0 <= info.residual <= 1e-10 * YSET.radius
         assert info.backtracks > 0
         assert info.fallbacks >= 0
         assert np.abs(state.boundary_slip).max() > 0.0
+
+    def test_slips_must_match_the_slip_set(self):
+        mesh = build_square_mesh(3, ("bottom",))
+        with pytest.raises(ValueError, match="2 previous slips for 0 slip nodes"):
+            incremental_step(FEState.zeros(mesh, 2), 1.0, np.zeros((mesh.n_nodes, 2)),
+                             np.zeros((mesh.n_cells, 2)),
+                             np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET, mesh)
 
     def test_invalid_tol(self):
         mesh = build_square_mesh(2, FACES)
@@ -223,7 +233,8 @@ class TestRunEvolutionEdges:
         scale = max(1.0, abs(ledger.work[-1]))
         assert np.abs(ledger.gap).max() <= 1e-10 * scale
 
-    def test_step_error_tagged_with_index(self):
+    def test_step_error_tagged_with_index(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_MAX_ITERS", 2)
         mesh = build_square_mesh(3, ("bottom",))
         times = np.linspace(0, 1, 5)
         w = np.array([t * 3.0 * np.column_stack([mesh.nodes[:, 0],
@@ -232,9 +243,23 @@ class TestRunEvolutionEdges:
         prog = LoadProgram(times, w, np.zeros((5, mesh.n_cells, 2)),
                            np.zeros((5, len(mesh.neumann_edges), 2)))
         with pytest.raises(ConvergenceError) as err:
-            run_evolution(prog, HOOKE, YSET, mesh, tol=1e-300,
-                          stress_tol=1e-300, max_iters=2)
+            run_evolution(prog, HOOKE, YSET, mesh, tol=1e-300, stress_tol=1e-300)
         assert err.value.step_index is not None
+
+    def test_unknown_mode_fails_before_building(self, monkeypatch):
+        built = []
+        system = evolution.ElasticSystem
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return system(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "ElasticSystem", counted)
+        mesh = build_square_mesh(2, FACES)
+        prog = zero_program(mesh)
+        with pytest.raises(ValueError, match="unknown boundary mode 'slippery'"):
+            next(evolve(prog, HOOKE, YSET, mesh, EnergyLedger.zeros(prog.times), mode="slippery"))
+        assert built == []
 
 
 class TestEnergyReport:
@@ -341,9 +366,25 @@ class TestRelaxedMode:
         assert (ledger.elastic[-1] + ledger.dissipation[-1]
                 <= strong_ledger.elastic[-1] + strong_ledger.dissipation[-1] + 1e-8)
 
+    def test_no_slip_nodes_is_strong_mode(self):
+        # at n=1 every Dirichlet node of SHEAR is a corner: the relaxed slip set is empty
+        bench = benchmark_catalog("SHEAR", mesh_n=1, n_steps=8)
+        hooke = bench.hooke.with_epsilon(0.25)
+        assert slip_nodes_of(ElasticSystem(bench.mesh, hooke)).count == 0
+        runs = [run_evolution(bench.program, hooke, bench.yield_set, bench.mesh, mode=mode)
+                for mode in ("strong", "relaxed")]
+        (strong_states, strong_ledger), (rel_states, rel_ledger) = runs
+        assert strong_ledger.dissipation[-1] > 0.0
+        assert len(rel_states) == len(strong_states)
+        for rel, strong in zip(rel_states, strong_states):
+            for name in ("t", "u", "e", "p", "sigma", "boundary_slip", "eu"):
+                assert np.array_equal(getattr(rel, name), getattr(strong, name)), name
+        for name, value in vars(strong_ledger).items():
+            assert np.array_equal(getattr(rel_ledger, name), value), name
+
     def test_slip_nodes_exclude_corners(self):
         mesh = build_square_mesh(4, FACES)
-        slip = slip_nodes_of(mesh)
+        slip = slip_nodes_of(ElasticSystem(mesh, HOOKE))
         corners = {0, 4, 20, 24}
         assert corners.isdisjoint(set(slip.nodes.tolist()))
         assert slip.count == 4 * (4 - 1)

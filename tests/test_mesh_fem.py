@@ -235,11 +235,7 @@ def traction_tangent_problem(n, relaxed, seed=0):
     tangent = consistent_tangent(e_dev, np.zeros_like(e_dev), hooke, YieldSet(1.0))
     B_free = system.B_f
     if relaxed:
-        slip = slip_nodes_of(mesh)
-        nodes, t = slip.nodes, slip.tangents
-        slip_B = -(mesh.B[:, 2 * nodes] @ sp.diags(t[:, 0])
-                   + mesh.B[:, 2 * nodes + 1] @ sp.diags(t[:, 1]))
-        B_free = sp.hstack([B_free, slip_B], format="csr")
+        B_free = sp.hstack([B_free, slip_nodes_of(system).B], format="csr")
     return system, tangent, B_free
 
 

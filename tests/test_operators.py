@@ -193,6 +193,26 @@ def test_traction_run_orders_the_band_once_per_system(monkeypatch):
     assert counts["_band_order"] == counts["systems"]
 
 
+def test_relaxed_run_builds_the_slip_operator_once(monkeypatch):
+    """Relaxed mode: the slip strain operator is sliced from B once per evolution, not per step."""
+    bench = benchmark_catalog("TRACTION", mesh_n=8, n_steps=8)
+    B = bench.mesh.B
+    slices = []
+    getitem = type(B).__getitem__
+
+    def counted_getitem(self, key):
+        if self is B:
+            slices.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(type(B), "__getitem__", counted_getitem)
+    states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
+                              bench.mesh, mode="relaxed")
+    assert np.abs(states[-1].boundary_slip).max() > 0.0
+    # the free columns for the system, the two tangent components for the slip set
+    assert len(slices) == 3
+
+
 def test_cli_sweep_builds_strain_matrix_once(monkeypatch, tmp_path):
     monkeypatch.delenv("TOOL_OUT", raising=False)
     counts = {}

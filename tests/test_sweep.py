@@ -58,6 +58,10 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="positive"):
             SweepConfig(epsilons=(1.0, 0.0))
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            SweepConfig(mode="slippery")
+
 
 class TestRunSweep:
     def test_trivial_loads_all_zero(self):
