@@ -67,10 +67,11 @@ def _benchmark(config: RunConfig):
 
 def _cmd_run(config: RunConfig, out: Path) -> dict:
     bench = _benchmark(config)
+    hooke = bench.hooke.with_epsilon(config.run_epsilon)
     ledger = EnergyLedger.zeros(bench.program.times)
-    for final in evolve(bench.program, bench.hooke.with_epsilon(config.run_epsilon),
-                        bench.yield_set, bench.mesh, ledger, mode=config.boundary_mode,
-                        tol=config.tol, stress_tol=config.stress_tol):
+    steps = evolve(bench.program, hooke, bench.yield_set, bench.mesh, mode=config.boundary_mode,
+                   tol=config.tol, stress_tol=config.stress_tol)
+    for final, _ in ledger.record(steps, bench.program, hooke, bench.mesh):
         pass  # only the last state is written
     write_csv(out / "metrics.csv", EnergyLedger.CSV_HEADER, ledger.csv_rows())
     write_vtk(out / "fields_final.vtk", bench.mesh,

@@ -19,7 +19,7 @@ ignored. Unknown keys are errors (fail-closed). Documented keys and defaults:
     stress_tol     = 1e-10          inner solver: and the equilibrium residual
                                     is below stress_tol * yield_radius (or its
                                     round-off floor, if larger)
-    load_scale     = 1.0            multiplies the benchmark load amplitude
+    load_scale     = 1.0            multiplies the benchmark load amplitude (>= 0)
     horizon        = 1.0            final time T
     out_dir        = out            artifact directory
     seed           = 0              used only by randomized property tooling
@@ -44,6 +44,21 @@ class ConfigError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+def check_settings(settings, epsilons: tuple, mode: str) -> None:
+    """Raise ``ConfigError`` unless the settings that a run and a sweep share are valid."""
+    if not epsilons or any(e <= 0 for e in epsilons):
+        raise ConfigError("epsilon list entries must be positive")
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise ConfigError("epsilon list must be strictly decreasing")
+    if mode not in MODES:
+        raise ConfigError(f"boundary mode must be one of {MODES}, got {mode!r}")
+    for name in ("shear_modulus", "bulk_modulus", "yield_radius", "tol", "stress_tol", "horizon"):
+        if getattr(settings, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
+    if settings.load_scale < 0:
+        raise ConfigError("load_scale must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -71,19 +86,9 @@ class RunConfig:
             raise ConfigError("mesh_n must be >= 1")
         if self.time_steps < 1:
             raise ConfigError("time_steps must be >= 1")
-        eps = self.epsilon_list
-        if not eps or any(e <= 0 for e in eps):
-            raise ConfigError("epsilon_list entries must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("epsilon_list must be strictly decreasing")
+        check_settings(self, self.epsilon_list, self.boundary_mode)
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        for name in ("shear_modulus", "bulk_modulus", "yield_radius", "tol",
-                     "stress_tol", "load_scale", "horizon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.boundary_mode not in MODES:
-            raise ConfigError(f"boundary_mode must be one of {MODES}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         return self

@@ -27,16 +27,16 @@ that may slip tangentially; every step runs the same solver:
   a primal-dual active set (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13).
 
 Every evolution starts from the zero state at the first grid time. ``evolve``
-is the one loop over time steps: a generator that yields each state as soon
-as its step is done and keeps only the previous one, so a caller that reads
-each state once (the CLI ``run``, the sweep monitors) holds O(n_cells) of
-fields, not O(M n_cells). ``run_evolution`` collects its states in a list
-for callers that need them all. Each state carries the strain ``eu`` = Eu its
-step took, so nothing downstream takes it again. The energy ledger, filled
-row by row as the states are yielded, uses time-trapezoid work increments,
-which makes the purely elastic balance exact to solver precision and keeps
-the plastic balance gap one-sided and first order in the step size; its
-elastic energy is that of each state's elastic strain ``e``, which is
+is the one loop over time steps: a generator that yields each state with the
+``StepInfo`` of its step as soon as the step is done and keeps only the
+previous state, so a caller that reads each state once (the CLI ``run``, the
+sweep monitors) holds O(n_cells) of fields, not O(M n_cells). Each state
+carries the strain ``eu`` = Eu its step took, so nothing downstream takes it
+again. The energy ledger is a reader of that stream, which only ``run`` and
+``run_evolution`` (the states in a list) attach. It uses time-trapezoid work
+increments, which makes the purely elastic balance exact to solver precision
+and keeps the plastic balance gap one-sided and first order in the step size;
+its elastic energy is that of each state's elastic strain ``e``, which is
 ``Eu - p`` bit for bit, and its datum strains E w_k are the ones
 ``LoadProgram.validate`` returns.
 """
@@ -237,7 +237,7 @@ def slip_nodes_of(system: ElasticSystem) -> SlipNodes:
 
 @dataclass
 class EnergyLedger:
-    """Per-step energy bookkeeping for one evolution."""
+    """Per-step energy bookkeeping for one evolution, read off its step stream."""
 
     times: np.ndarray
     elastic: np.ndarray        # Q(e(t_k))
@@ -252,11 +252,34 @@ class EnergyLedger:
 
     @classmethod
     def zeros(cls, times: np.ndarray) -> "EnergyLedger":
-        """An empty ledger with one row per grid time, for ``evolve`` to fill."""
+        """An empty ledger with one row per grid time, for ``record`` to fill."""
         n_t = len(times)
         return cls(times=times.copy(), elastic=np.zeros(n_t), dissipation=np.zeros(n_t),
                    work=np.zeros(n_t), gap=np.zeros(n_t), max_sigma_dev=np.zeros(n_t),
                    plastic_fraction=np.zeros(n_t), iterations=np.zeros(n_t, dtype=int))
+
+    def record(self, steps: Iterator[tuple[FEState, StepInfo]], program: LoadProgram,
+               hooke: HookeTensor, mesh: Mesh) -> Iterator[tuple[FEState, StepInfo]]:
+        """Pass on the pairs ``steps`` of ``evolve(program, hooke, ...)``, filling row k first."""
+        ew = program.validate(mesh)
+        cmat = hooke.matrix()  # the elastic energy of ElasticSystem.energy, bit for bit
+        for k, (state, info) in enumerate(steps):
+            self.elastic[k] = 0.5 * integrate_tensor_dot(mesh.areas, state.e @ cmat.T, state.e)
+            self.max_sigma_dev[k] = info.max_sigma_dev
+            self.plastic_fraction[k] = info.plastic_fraction
+            self.iterations[k] = info.iterations
+            if k:
+                sig_mid = 0.5 * (state.sigma + prev.sigma)
+                work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew[k] - ew[k - 1])
+                du_dw = (state.u - prev.u) - (program.w[k] - program.w[k - 1])
+                f_mid = 0.5 * (program.f[k] + program.f[k - 1])
+                g_mid = 0.5 * (program.g[k] + program.g[k - 1])
+                work_inc += float(external_load_vector(mesh, f_mid, g_mid) @ du_dw.ravel())
+                self.dissipation[k] = self.dissipation[k - 1] + info.dissipation
+                self.work[k] = self.work[k - 1] + work_inc
+                self.gap[k] = self.elastic[k] + self.dissipation[k] - self.work[k] - self.elastic[0]
+            yield state, info
+            prev = state
 
     def csv_rows(self):
         for k in range(len(self.times)):
@@ -274,6 +297,8 @@ class StepInfo:
     alternating steps taken where a Newton direction failed.
     ``max_sigma_dev`` is the largest norm of the deviatoric stress as the
     return map capped it, before the spherical part is added.
+    ``dissipation`` is the step's dissipation increment, volume plus boundary
+    slip, and ``plastic_fraction`` the share of cells whose plastic strain moved.
     """
 
     iterations: int
@@ -283,6 +308,8 @@ class StepInfo:
     backtracks: int
     fallbacks: int
     max_sigma_dev: float
+    dissipation: float
+    plastic_fraction: float
 
 
 def _functional(system, yset, slip, loads, u, eu, p, p_prev, s, s_prev) -> float:
@@ -380,8 +407,8 @@ def incremental_step(
     ``ConvergenceError`` carries the last iterate and the decrease and
     residual histories.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol <= 0 or stress_tol <= 0:
+        raise ValueError(f"tol and stress_tol must be positive, got {tol!r} and {stress_tol!r}")
     if system is None:
         system = ElasticSystem(mesh, hooke)
     if slip is None:
@@ -540,10 +567,15 @@ def incremental_step(
         if value > value_at_lift + slack * (1.0 + abs(value)):
             raise AssertionError("incremental minimum above the lifted previous state")
     state.check(yield_set)
+    dp_norm = norm(it.p - p_prev)
+    dissipation = kappa * float((mesh.areas * dp_norm).sum())
+    dissipation += kappa / np.sqrt(2.0) * float(
+        (slip.lengths * np.abs(state.boundary_slip - s_prev)).sum())
     return state, StepInfo(iterations=iterations, functional=value,
                            decreases=tuple(decreases), residual=res,
                            backtracks=backtracks, fallbacks=fallbacks,
-                           max_sigma_dev=float(norm(it.sigma_dev).max()))
+                           max_sigma_dev=float(norm(it.sigma_dev).max()),
+                           dissipation=dissipation, plastic_fraction=float((dp_norm > 0).mean()))
 
 
 def evolve(
@@ -551,79 +583,49 @@ def evolve(
     hooke: HookeTensor,
     yield_set: YieldSet,
     mesh: Mesh,
-    ledger: EnergyLedger,
     mode: str = STRONG,
     tol: float = 1e-10,
     stress_tol: float = 1e-10,
-) -> Iterator[FEState]:
-    """Yield the state at every grid time, from the zero state on, filling ``ledger``.
+) -> Iterator[tuple[FEState, StepInfo]]:
+    """Yield ``(state, info)`` at every grid time, from the zero state on.
 
-    ``mode`` only chooses the slip set; an unknown one raises ``ValueError``
-    before anything is built. ``ledger`` needs one row per grid time
-    (``EnergyLedger.zeros(program.times)``); by the time state k is yielded,
-    row k is filled. Dissipation accumulates the exact increment costs
-    sum_cells area * kappa * |p_k - p_{k-1}| plus the boundary-slip term;
-    work accumulates trapezoid increments of the first energy balance, with
-    the datum strains that ``LoadProgram.validate`` returns. Only the
-    previous state is kept. Step failures are re-raised tagged with the step
-    index.
+    ``info`` is the ``StepInfo`` of the step that produced ``state``, all zero
+    for the zero state. ``mode`` only chooses the slip set; an unknown one
+    raises ``ValueError`` before anything is built. Only the previous state is
+    kept. Step failures are re-raised tagged with the step index.
     """
     if mode not in MODES:
         raise ValueError(f"unknown boundary mode {mode!r}")
-    ew = program.validate(mesh)
+    program.validate(mesh)
     system = ElasticSystem(mesh, hooke)
     slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(mesh)
     prev = replace(FEState.zeros(mesh, slip.count), t=float(program.times[0]))
-    kappa = yield_set.radius
-    q0 = system.energy(prev.e)
-    ledger.elastic[0] = q0  # zero stress: max_sigma_dev[0] stays 0
-    yield prev
+    yield prev, StepInfo(0, 0.0, (), 0.0, 0, 0, 0.0, 0.0, 0.0)
 
     for k in range(1, program.n_steps + 1):
         t, w_k, f_k, g_k = program.at(k)
         try:
-            state, info = incremental_step(
+            prev, info = incremental_step(
                 prev, t, w_k, f_k, g_k, hooke, yield_set, mesh, system=system, slip=slip,
                 tol=tol, stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
             )
         except ConvergenceError as exc:
             exc.step_index = k
             raise
-
-        dp = state.p - prev.p
-        diss_inc = kappa * float((mesh.areas * norm(dp)).sum())
-        diss_inc += kappa / np.sqrt(2.0) * float(
-            (slip.lengths * np.abs(state.boundary_slip - prev.boundary_slip)).sum())
-
-        sig_mid = 0.5 * (state.sigma + prev.sigma)
-        work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew[k] - ew[k - 1])
-        du_dw = (state.u - prev.u) - (program.w[k] - program.w[k - 1])
-        f_mid = 0.5 * (f_k + program.f[k - 1])
-        g_mid = 0.5 * (g_k + program.g[k - 1])
-        work_inc += float(external_load_vector(mesh, f_mid, g_mid) @ du_dw.ravel())
-
-        ledger.elastic[k] = system.energy(state.e)
-        ledger.dissipation[k] = ledger.dissipation[k - 1] + diss_inc
-        ledger.work[k] = ledger.work[k - 1] + work_inc
-        ledger.gap[k] = ledger.elastic[k] + ledger.dissipation[k] - ledger.work[k] - q0
-        ledger.max_sigma_dev[k] = info.max_sigma_dev
-        ledger.plastic_fraction[k] = float((norm(dp) > 0).mean())
-        ledger.iterations[k] = info.iterations
-
-        yield state
-        prev = state
+        yield prev, info
 
 
 def run_evolution(program: LoadProgram, hooke: HookeTensor, yield_set: YieldSet, mesh: Mesh,
                   **options) -> tuple[list[FEState], EnergyLedger]:
-    """Every state of ``evolve`` in a list, and the filled ledger.
+    """Every state of ``evolve`` in a list, and the ledger recorded from its steps.
 
     ``options`` are the solver options of ``evolve``. For callers that need
     all states at once; a caller that reads each state once should iterate
     ``evolve`` and keep only what it needs.
     """
     ledger = EnergyLedger.zeros(program.times)
-    return list(evolve(program, hooke, yield_set, mesh, ledger, **options)), ledger
+    steps = ledger.record(evolve(program, hooke, yield_set, mesh, **options), program, hooke, mesh)
+    return [state for state, _ in steps], ledger
 
 
 def duality_pairing(

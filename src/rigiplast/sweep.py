@@ -12,8 +12,9 @@ Velocities are backward difference quotients (u_k - u_{k-1})/dt, aligned with
 the backward-Euler stepping.
 
 Each evolution is streamed: the monitors, the velocity and the distance to the
-previous eps are taken step by step as ``evolve`` yields the states, and each
-state's strain is the one its step took.
+previous eps are taken step by step as ``evolve`` yields the states, each
+state's strain is the one its step took, and the deviatoric stress bound and
+the plastic increment mass are read off each step's ``StepInfo`` (no ledger).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import Benchmark, benchmark_catalog
-from .evolution import MODES, ConvergenceError, EnergyLedger, bd_norm_surrogate, evolve
+from .config import check_settings
+from .evolution import ConvergenceError, bd_norm_surrogate, evolve
 from .fem import divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
 
 from .tensors import HookeTensor, ddot, dev_decompose, norm
@@ -62,14 +64,8 @@ class SweepConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if len(eps) == 0 or any(e <= 0 for e in eps):
-            raise ValueError("epsilon list must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon list must be strictly decreasing")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        check_settings(self, self.epsilons, self.mode)
 
     def build_benchmark(self) -> Benchmark:
         return benchmark_catalog(
@@ -188,9 +184,10 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     ev_all = np.zeros((n_t, mesh.n_cells, 3)) if keep_ev else None
 
     dirichlet = mesh.dirichlet_boundary
-    ledger = EnergyLedger.zeros(times)
-    for k, st in enumerate(evolve(program, hooke, yset, mesh, ledger, mode=config.mode,
-                                  tol=config.tol, stress_tol=config.stress_tol)):
+    infos = []
+    for k, (st, info) in enumerate(evolve(program, hooke, yset, mesh, mode=config.mode,
+                                          tol=config.tol, stress_tol=config.stress_tol)):
+        infos.append(info)
         e_l2[k] = tensor_l2(areas, st.e)
         sigma_l2[k] = tensor_l2(areas, st.sigma)
         u_bd[k] = bd_norm_surrogate(mesh, st.u, st.eu)
@@ -219,8 +216,9 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
         u_prev = st.u
 
     trajectory = EpsTrajectory(
-        epsilon=epsilon, e_l2=e_l2, sigma_l2=sigma_l2, sigma_dev_max=ledger.max_sigma_dev,
-        dp_mass_cum=ledger.dissipation / kappa, u_bd=u_bd, div_u_l2=div_u_l2,
+        epsilon=epsilon, e_l2=e_l2, sigma_l2=sigma_l2, u_bd=u_bd, div_u_l2=div_u_l2,
+        sigma_dev_max=np.array([info.max_sigma_dev for info in infos]),
+        dp_mass_cum=np.cumsum([info.dissipation for info in infos]) / kappa,  # as the ledger sums
         hydro_dev=hydro_dev, flow_gap_rate=flow_gap_rate, diss_rate=diss_rate,
         normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, u_final=u_prev,
     )

@@ -9,7 +9,6 @@ from rigiplast import cli, evolution
 from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import (
     ConvergenceError,
-    EnergyLedger,
     FEState,
     LoadProgram,
     bd_norm_surrogate,
@@ -137,11 +136,12 @@ class TestIncrementalStep:
 
     def test_invalid_tol(self):
         mesh = build_square_mesh(2, FACES)
-        with pytest.raises(ValueError):
-            incremental_step(FEState.zeros(mesh), 0.0,
-                             np.zeros((mesh.n_nodes, 2)),
-                             np.zeros((mesh.n_cells, 2)), np.zeros((0, 2)),
-                             HOOKE, YSET, mesh, tol=0.0)
+        for name in ("tol", "stress_tol"):
+            with pytest.raises(ValueError, match="tol and stress_tol must be positive"):
+                incremental_step(FEState.zeros(mesh), 0.0,
+                                 np.zeros((mesh.n_nodes, 2)),
+                                 np.zeros((mesh.n_cells, 2)), np.zeros((0, 2)),
+                                 HOOKE, YSET, mesh, **{name: 0.0})
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +258,7 @@ class TestRunEvolutionEdges:
         mesh = build_square_mesh(2, FACES)
         prog = zero_program(mesh)
         with pytest.raises(ValueError, match="unknown boundary mode 'slippery'"):
-            next(evolve(prog, HOOKE, YSET, mesh, EnergyLedger.zeros(prog.times), mode="slippery"))
+            next(evolve(prog, HOOKE, YSET, mesh, mode="slippery"))
         assert built == []
 
 

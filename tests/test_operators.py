@@ -149,12 +149,21 @@ def test_sweep_builds_per_system_invariants_once(monkeypatch):
 
 
 def test_sweep_takes_each_strain_once(monkeypatch):
-    """One strain per iterate, lifted state and velocity; the state check, the monitors
-    and the ledger reuse the step's strain and the datum strains of validate."""
+    """One strain per iterate, lifted state and velocity; the state check and the
+    monitors reuse the step's strain."""
     counts = {}
     _count_calls(monkeypatch, "strain_of", counts)
     run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
     assert counts["strain_of"] <= 24
+
+
+def test_sweep_assembles_loads_per_step(monkeypatch):
+    """One body and one traction load per step in incremental_step; the sweep keeps no ledger."""
+    counts = {}
+    for name in ("body_load_vector", "traction_load_vector"):
+        _count_calls(monkeypatch, name, counts)
+    run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
+    assert sum(counts.values()) == 2 * 4 * 2
 
 
 def test_traction_run_assembles_loads_per_step(monkeypatch):

@@ -62,6 +62,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="mode"):
             SweepConfig(mode="slippery")
 
+    @pytest.mark.parametrize("name, value", [("tol", 0.0), ("stress_tol", -1.0)])
+    def test_rejects_non_positive_solver_tolerances(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            SweepConfig(**{name: value})
+
 
 class TestRunSweep:
     def test_trivial_loads_all_zero(self):
@@ -118,11 +123,14 @@ class TestRunSweep:
         rep = shear_report
         cfg, bench = rep.config, rep.benchmark
         sigmas = []
-        for eps in cfg.epsilons:
-            states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(eps),
-                                      bench.yield_set, bench.mesh, mode=cfg.mode, tol=cfg.tol,
-                                      stress_tol=cfg.stress_tol)
+        for eps, tr in zip(cfg.epsilons, rep.trajectories):
+            states, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(eps),
+                                           bench.yield_set, bench.mesh, mode=cfg.mode,
+                                           tol=cfg.tol, stress_tol=cfg.stress_tol)
             sigmas.append(np.stack([st.sigma for st in states]))
+            # the sweep's columns come from the steps, bit for bit the ledger's
+            assert np.array_equal(tr.sigma_dev_max, ledger.max_sigma_dev)
+            assert np.array_equal(tr.dp_mass_cum, ledger.dissipation / bench.yield_set.radius)
         want = cauchy_distances_all_pairs(sigmas, bench.mesh.areas, rep.times)
         assert want.shape == (len(EPS4) - 1,) and np.all(want > 0)
         np.testing.assert_allclose(rep.cauchy_distances, want, rtol=1e-12, atol=0)
