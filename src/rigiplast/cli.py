@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-# benchmark_catalog is called through SweepConfig.build_benchmark; it stays
+# benchmark_catalog is called through RunConfig.build_benchmark; it stays
 # bound here because perfbench/test_perfbench.py checks that the tracer wraps
 # cli.benchmark_catalog.
 from .benchmarks import benchmark_catalog, default_example41_params, example41_verify
@@ -38,31 +38,19 @@ from .fem import SolverError
 from .mesh import build_square_mesh
 from .reporting import summary_payload, write_csv, write_json
 from .safeload import max_safety_margin, verify_safe_load
-from .sweep import CSV_HEADER, SweepConfig, fit_rate, rigid_residuals, run_sweep
+from .sweep import CSV_HEADER, fit_rate, rigid_residuals, run_sweep
 from .tensors import YieldSet
 from .vtkio import write_vtk
 
 
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
-        return RunConfig().validate()
+        return RunConfig()
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _sweep_config(config: RunConfig) -> SweepConfig:
-    """The benchmark, grid, law and solver settings of ``config``, as the sweep takes them."""
-    return SweepConfig(
-        epsilons=config.epsilon_list, benchmark=config.benchmark,
-        mesh_n=config.mesh_n, n_steps=config.time_steps,
-        shear_modulus=config.shear_modulus, bulk_modulus=config.bulk_modulus,
-        yield_radius=config.yield_radius, mode=config.boundary_mode,
-        tol=config.tol, stress_tol=config.stress_tol,
-        load_scale=config.load_scale, horizon=config.horizon,
-    )
-
-
 def _benchmark(config: RunConfig):
-    return _sweep_config(config).build_benchmark()
+    return config.build_benchmark()
 
 
 def _cmd_run(config: RunConfig, out: Path) -> dict:
@@ -90,7 +78,7 @@ def _cmd_run(config: RunConfig, out: Path) -> dict:
 
 
 def _cmd_sweep(config: RunConfig, out: Path) -> dict:
-    report = run_sweep(_sweep_config(config))
+    report = run_sweep(config)
     write_csv(out / "metrics.csv", CSV_HEADER, report.csv_rows())
 
     fits = {}

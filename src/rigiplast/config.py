@@ -1,5 +1,10 @@
 """Key = value run configuration: parsing and validation.
 
+``RunConfig`` is the one settings type of every command; it checks each
+value when it is made, and numbers must be finite. ``SweepConfig`` makes one
+under the sweep's names ``epsilons``, ``n_steps`` and ``mode`` for
+``epsilon_list``, ``time_steps`` and ``boundary_mode``.
+
 One ``key = value`` pair per line, ``#`` starts a comment, blank lines are
 ignored. Unknown keys are errors (fail-closed). Documented keys and defaults:
 
@@ -27,9 +32,12 @@ ignored. Unknown keys are errors (fail-closed). Documented keys and defaults:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
+from .benchmarks import Benchmark, benchmark_catalog
 from .evolution import MODES
+from .tensors import HookeTensor
 
 DEFAULT_EPSILONS = tuple(2.0 ** (-2 * k) for k in range(7))
 
@@ -46,23 +54,10 @@ class ConfigError(ValueError):
         self.line_no = line_no
 
 
-def check_settings(settings, epsilons: tuple, mode: str) -> None:
-    """Raise ``ConfigError`` unless the settings that a run and a sweep share are valid."""
-    if not epsilons or any(e <= 0 for e in epsilons):
-        raise ConfigError("epsilon list entries must be positive")
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ConfigError("epsilon list must be strictly decreasing")
-    if mode not in MODES:
-        raise ConfigError(f"boundary mode must be one of {MODES}, got {mode!r}")
-    for name in ("shear_modulus", "bulk_modulus", "yield_radius", "tol", "stress_tol", "horizon"):
-        if getattr(settings, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    if settings.load_scale < 0:
-        raise ConfigError("load_scale must be non-negative")
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run or a sweep, under its config-file key; checked when made."""
+
     benchmark: str = "SHEAR"
     mesh_n: int = 16
     time_steps: int = 32
@@ -79,23 +74,48 @@ class RunConfig:
     out_dir: str = "out"
     seed: int = 0
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
+        # `0 < x < inf` rejects nan (every comparison with nan is false) and inf
+        epsilons = tuple(float(e) for e in self.epsilon_list)
+        object.__setattr__(self, "epsilon_list", epsilons)
         if self.benchmark not in _BENCHMARKS:
             raise ConfigError(f"benchmark must be one of {_BENCHMARKS}, got {self.benchmark!r}")
-        if self.mesh_n < 1:
-            raise ConfigError("mesh_n must be >= 1")
-        if self.time_steps < 1:
-            raise ConfigError("time_steps must be >= 1")
-        check_settings(self, self.epsilon_list, self.boundary_mode)
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if self.boundary_mode not in MODES:
+            raise ConfigError(f"boundary mode must be one of {MODES}, got {self.boundary_mode!r}")
+        for name in ("mesh_n", "time_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        return self
+        if not epsilons or not all(0 < e < math.inf for e in epsilons):
+            raise ConfigError(f"epsilon list entries must be positive and finite, got {epsilons}")
+        if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+            raise ConfigError("epsilon list must be strictly decreasing")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        for name in ("shear_modulus", "bulk_modulus", "yield_radius", "tol", "stress_tol", "horizon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.load_scale < math.inf:
+            raise ConfigError(f"load_scale must be non-negative and finite, got {self.load_scale}")
 
     @property
     def run_epsilon(self) -> float:
         return self.epsilon if self.epsilon is not None else self.epsilon_list[0]
+
+    def build_benchmark(self) -> Benchmark:
+        return benchmark_catalog(
+            self.benchmark, mesh_n=self.mesh_n, n_steps=self.time_steps,
+            hooke=HookeTensor(self.shear_modulus, self.bulk_modulus, 1.0),
+            yield_radius=self.yield_radius, load_scale=self.load_scale,
+            horizon=self.horizon,
+        )
+
+
+def SweepConfig(*, epsilons=DEFAULT_EPSILONS, n_steps=RunConfig.time_steps,
+                mode=RunConfig.boundary_mode, **settings) -> RunConfig:
+    """The ``RunConfig`` of a sweep, with its list, step count and mode under the sweep's names."""
+    return RunConfig(epsilon_list=epsilons, time_steps=n_steps, boundary_mode=mode, **settings)
 
 
 _INT_KEYS = {"mesh_n", "time_steps", "seed"}
@@ -132,9 +152,4 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = val
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", line_no) from exc
-    try:
-        return RunConfig(**values).validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)

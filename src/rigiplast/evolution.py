@@ -302,7 +302,6 @@ class StepInfo:
     """
 
     iterations: int
-    functional: float
     decreases: tuple
     residual: float
     backtracks: int
@@ -571,8 +570,7 @@ def incremental_step(
     dissipation = kappa * float((mesh.areas * dp_norm).sum())
     dissipation += kappa / np.sqrt(2.0) * float(
         (slip.lengths * np.abs(state.boundary_slip - s_prev)).sum())
-    return state, StepInfo(iterations=iterations, functional=value,
-                           decreases=tuple(decreases), residual=res,
+    return state, StepInfo(iterations=iterations, decreases=tuple(decreases), residual=res,
                            backtracks=backtracks, fallbacks=fallbacks,
                            max_sigma_dev=float(norm(it.sigma_dev).max()),
                            dissipation=dissipation, plastic_fraction=float((dp_norm > 0).mean()))
@@ -600,7 +598,7 @@ def evolve(
     system = ElasticSystem(mesh, hooke)
     slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(mesh)
     prev = replace(FEState.zeros(mesh, slip.count), t=float(program.times[0]))
-    yield prev, StepInfo(0, 0.0, (), 0.0, 0, 0, 0.0, 0.0, 0.0)
+    yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0)
 
     for k in range(1, program.n_steps + 1):
         t, w_k, f_k, g_k = program.at(k)

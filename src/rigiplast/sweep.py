@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import Benchmark, benchmark_catalog
-from .config import check_settings
+from .benchmarks import Benchmark
+# SweepConfig is re-exported: a sweep's RunConfig under the sweep's keyword names.
+from .config import RunConfig, SweepConfig
 from .evolution import ConvergenceError, bd_norm_surrogate, evolve
 from .fem import divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
 
-from .tensors import HookeTensor, ddot, dev_decompose, norm
+from .tensors import ddot, dev_decompose, norm
 
 METRIC_NAMES = (
     "e_sup",             # sup_t ||e(t)||_2
@@ -44,36 +45,6 @@ METRIC_NAMES = (
 
 CSV_HEADER = ("epsilon,time,e_l2,sigma_l2,sigma_dev_max,dp_mass_cum,u_bd,"
               "div_u_l2,hydro_dev,flow_gap_rate,diss_rate")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """What to sweep: a catalog benchmark, an eps list, grid and tolerances."""
-
-    epsilons: tuple[float, ...] = tuple(2.0 ** (-2 * k) for k in range(7))
-    benchmark: str = "SHEAR"
-    mesh_n: int = 16
-    n_steps: int = 32
-    shear_modulus: float = 1.0
-    bulk_modulus: float = 1.0
-    yield_radius: float = 1.0
-    mode: str = "strong"
-    tol: float = 1e-10
-    stress_tol: float = 1e-10
-    load_scale: float = 1.0
-    horizon: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        check_settings(self, self.epsilons, self.mode)
-
-    def build_benchmark(self) -> Benchmark:
-        return benchmark_catalog(
-            self.benchmark, mesh_n=self.mesh_n, n_steps=self.n_steps,
-            hooke=HookeTensor(self.shear_modulus, self.bulk_modulus, 1.0),
-            yield_radius=self.yield_radius, load_scale=self.load_scale,
-            horizon=self.horizon,
-        )
 
 
 @dataclass
@@ -116,7 +87,7 @@ class SweepReport:
     next eps.
     """
 
-    config: SweepConfig
+    config: RunConfig
     benchmark: Benchmark
     times: np.ndarray
     trajectories: list[EpsTrajectory]
@@ -151,7 +122,7 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig",
+def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
                      sigma_prev: np.ndarray | None,
                      keep_ev: bool) -> tuple[EpsTrajectory, np.ndarray]:
     """Stream one evolution through the monitors; return its trajectory and stress distances.
@@ -185,7 +156,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
 
     dirichlet = mesh.dirichlet_boundary
     infos = []
-    for k, (st, info) in enumerate(evolve(program, hooke, yset, mesh, mode=config.mode,
+    for k, (st, info) in enumerate(evolve(program, hooke, yset, mesh, mode=config.boundary_mode,
                                           tol=config.tol, stress_tol=config.stress_tol)):
         infos.append(info)
         e_l2[k] = tensor_l2(areas, st.e)
@@ -225,18 +196,18 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: "SweepConfig"
     return trajectory, distance
 
 
-def run_sweep(config: SweepConfig) -> SweepReport:
+def run_sweep(config: RunConfig) -> SweepReport:
     """One evolution per eps; metrics assembled in decreasing-eps order."""
     benchmark = config.build_benchmark()
     mesh = benchmark.mesh
     times = benchmark.program.times
     trajectories, cauchy = [], []
-    for i, eps in enumerate(config.epsilons):
+    for i, eps in enumerate(config.epsilon_list):
         prev = trajectories[-1] if trajectories else None
         try:
             tr, distance = _run_one_epsilon(benchmark, eps, config,
                                             None if prev is None else prev.sigma,
-                                            keep_ev=i == len(config.epsilons) - 1)
+                                            keep_ev=i == len(config.epsilon_list) - 1)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"epsilon={eps:g}, step {exc.step_index}: {exc}",

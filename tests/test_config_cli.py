@@ -75,6 +75,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="benchmark"):
             parse_config("benchmark = SPIN\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["epsilon", "shear_modulus", "bulk_modulus", "yield_radius",
+                                     "tol", "stress_tol", "load_scale", "horizon"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be .*finite"):
+            parse_config(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("entries", ["1, nan", "inf, 1", "nan", "inf"])
+    def test_non_finite_epsilon_list_rejected(self, entries):
+        with pytest.raises(ConfigError, match="epsilon list entries must be positive and finite"):
+            parse_config(f"epsilon_list = {entries}\n")
+
 
 class TestCLI:
     def test_example41_command(self, tmp_path):
@@ -147,6 +159,13 @@ class TestCLI:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("time_steps = 0\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_non_finite_tol_is_a_configuration_error(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\ntol = nan\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "error.json").exists()
 
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import cauchy_distances_all_pairs
 
+from rigiplast.config import RunConfig, parse_config
 from rigiplast.evolution import run_evolution
 from rigiplast.sweep import (
     SweepConfig,
@@ -67,6 +68,19 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             SweepConfig(**{name: value})
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"mesh_n": 0}, "mesh_n"), ({"n_steps": 0}, "time_steps"), ({"benchmark": "TWIST"}, "benchmark"),
+    ])
+    def test_rejects_invalid_settings_when_made(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**settings)
+
+    def test_is_the_run_config_of_the_same_file_keys(self):
+        cfg = SweepConfig(epsilons=(1.0, 0.25), n_steps=8, mode="relaxed", benchmark="TRACTION")
+        assert isinstance(cfg, RunConfig)
+        assert cfg == parse_config("epsilon_list = 1.0, 0.25\ntime_steps = 8\n"
+                                   "boundary_mode = relaxed\nbenchmark = TRACTION\n")
+
 
 class TestRunSweep:
     def test_trivial_loads_all_zero(self):
@@ -123,9 +137,9 @@ class TestRunSweep:
         rep = shear_report
         cfg, bench = rep.config, rep.benchmark
         sigmas = []
-        for eps, tr in zip(cfg.epsilons, rep.trajectories):
+        for eps, tr in zip(cfg.epsilon_list, rep.trajectories):
             states, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(eps),
-                                           bench.yield_set, bench.mesh, mode=cfg.mode,
+                                           bench.yield_set, bench.mesh, mode=cfg.boundary_mode,
                                            tol=cfg.tol, stress_tol=cfg.stress_tol)
             sigmas.append(np.stack([st.sigma for st in states]))
             # the sweep's columns come from the steps, bit for bit the ledger's
