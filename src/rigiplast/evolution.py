@@ -47,10 +47,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (
     ElasticSystem,
+    ElementMap,
     SolverError,
     boundary_integral_p1,
     external_load_vector,
@@ -195,13 +195,13 @@ class SlipNodes:
     nodes: np.ndarray      # node index per slip dof
     tangents: np.ndarray   # unit tangent per slip dof
     lengths: np.ndarray    # lumped Dirichlet edge length per slip dof
-    B: sp.csr_matrix       # strain per unit slip: increasing s moves the node by -tangent
     stiffness: np.ndarray  # elastic stiffness of each node along its tangent
+    elements: ElementMap   # Newton unknowns: the free dofs, then the slips (s moves a node by -t)
 
     @classmethod
-    def none(cls, mesh: Mesh) -> "SlipNodes":
-        return cls(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0),
-                   sp.csr_matrix((3 * mesh.n_cells, 0)), np.zeros(0))
+    def none(cls, system: ElasticSystem) -> "SlipNodes":
+        return cls(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0),
+                   system.elements)
 
     @property
     def count(self) -> int:
@@ -227,12 +227,11 @@ def slip_nodes_of(system: ElasticSystem) -> SlipNodes:
     t = np.column_stack([-nu[:, 1], nu[:, 0]])
     lengths = 0.5 * np.bincount(ends, weights=np.repeat(d.lengths, 2),
                                 minlength=mesh.n_nodes)[nodes]
-    B = -(mesh.B[:, 2 * nodes] @ sp.diags(t[:, 0]) + mesh.B[:, 2 * nodes + 1] @ sp.diags(t[:, 1]))
     diag = system.stiffness_diagonal
     cross = system.K[[2 * nodes], [2 * nodes + 1]].toarray()[0]  # a (1, k) row, also for k = 0
     stiffness = (t[:, 0] ** 2 * diag[2 * nodes] + t[:, 1] ** 2 * diag[2 * nodes + 1]
                  + 2.0 * t.prod(axis=1) * cross)
-    return SlipNodes(nodes, t, lengths, B.tocsr(), stiffness)
+    return SlipNodes(nodes, t, lengths, stiffness, system.element_map(nodes, t))
 
 
 @dataclass
@@ -332,7 +331,7 @@ class _Iterate:
     sigma_dev: np.ndarray  # deviatoric stress of the return map
     sigma: np.ndarray
     value: float
-    grad: np.ndarray     # B^T(area W sigma) - F, every dof
+    grad: np.ndarray     # B^T(area W sigma) - F on the Newton unknowns: free dofs, then slips
     q: np.ndarray        # force pushing each slip node along its tangent: minus dJ_smooth/ds
 
 
@@ -406,24 +405,27 @@ def incremental_step(
     ``ConvergenceError`` carries the last iterate and the decrease and
     residual histories.
     """
-    if tol <= 0 or stress_tol <= 0:
-        raise ValueError(f"tol and stress_tol must be positive, got {tol!r} and {stress_tol!r}")
+    if not (0.0 < tol < np.inf and 0.0 < stress_tol < np.inf):
+        raise ValueError(f"tol and stress_tol must be positive and finite, "
+                         f"got {tol!r} and {stress_tol!r}")
     if system is None:
         system = ElasticSystem(mesh, hooke)
     if slip is None:
-        slip = SlipNodes.none(mesh)
+        slip = SlipNodes.none(system)
     p_prev, s_prev = state_prev.p, state_prev.boundary_slip
     if len(s_prev) != slip.count:
         raise ValueError(f"{len(s_prev)} previous slips for {slip.count} slip nodes")
     kappa = yield_set.radius
     loads = external_load_vector(mesh, f_cells, g_edges)  # f and g are fixed within the step
     free = system.free
+    n_free = free.size
     bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon
     free_stiffness = system.stiffness_diagonal[free]
     slack = 1e-12
     nodes, tangents = slip.nodes, slip.tangents
     friction = kappa / np.sqrt(2.0) * slip.lengths
     slip_inv_mass = 1.0 / mesh.lumped_mass[nodes]
+    unknowns = slip.elements  # the Newton unknowns: the free dofs, then the slips
 
     def boundary_values(z):
         w_eff = w_nodes.copy()
@@ -438,13 +440,12 @@ def incremental_step(
         sigma[:, 0] += bulk * e_mean
         sigma[:, 2] += bulk * e_mean
         value = _functional(system, yield_set, slip, loads, u, eu, p, p_prev, s_prev + z, s_prev)
-        grad = system.nodal_forces(sigma) - loads
-        q = (tangents * grad.reshape(-1, 2)[nodes]).sum(axis=1)
-        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value, grad, q)
+        grad = unknowns.from_dofs(system.nodal_forces(sigma) - loads)
+        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value, grad, -grad[n_free:])
 
     def dual_norm(forces, slip_part):
-        """Lumped dual norm of nodal forces on the free dofs plus the slip-node part."""
-        sq = float((forces[free] ** 2 * system.free_inv_mass).sum())
+        """Lumped dual norm of the free-dof forces (first in ``forces``) plus the slip-node part."""
+        sq = float((forces[:n_free] ** 2 * system.free_inv_mass).sum())
         sq += float((slip_part ** 2 * slip_inv_mass).sum())
         return np.sqrt(sq)
 
@@ -457,36 +458,27 @@ def incremental_step(
     def newton_direction(it, damping):
         """(du, dz, stuck, slope) of the damped Newton step, or None where it fails."""
         tangent = consistent_tangent(it.e_dev, p_prev, hooke, yield_set)
-        q = it.q
-        y = it.z + q / slip.stiffness
+        y = it.z + it.q / slip.stiffness
         stuck = np.abs(y) <= friction / slip.stiffness
-        slide = ~stuck
-        du = np.zeros(2 * mesh.n_nodes)
-        dz = np.where(stuck, -it.z, 0.0)
-        # with no slip sliding, the cached columns keep the system's band order
-        B_free = (sp.hstack([system.B_f, slip.B[:, slide]], format="csr") if slide.any()
-                  else system.B_f)
-        rhs = -np.concatenate([it.grad[free], friction[slide] * np.sign(y[slide]) - q[slide]])
-        if dz.any():
-            de = (slip.B[:, stuck] @ dz[stuck]).reshape(-1, 3)
-            ds = np.einsum("cij,cj->ci", tangent, de)
-            rhs -= system.nodal_forces(ds, B_free.T)
+        # unknowns: the free dofs, then the slips; a stuck slip's row is the
+        # unit row dz = -z, back to its previous value, and its column stays
+        rhs = -np.concatenate([it.grad[:n_free],
+                               np.where(stuck, it.z, friction * np.sign(y) - it.q)])
         # a face that slides as a whole leaves the smooth part flat along
         # its rigid translation: the slips are always damped a little
         shift = np.concatenate([damping * free_stiffness,
-                                max(damping, _DAMPING_MIN) * slip.stiffness[slide]])
+                                max(damping, _DAMPING_MIN) * slip.stiffness])
         try:
-            sol = system.solve_tangent(tangent, rhs, B_free, shift)
+            sol = system.solve_tangent(tangent, rhs, unknowns, shift,
+                                       n_free + np.flatnonzero(stuck))
         except SolverError:
             return None
-        du[free] = sol[:len(free)]
-        dz[slide] = sol[len(free):]
-        du.reshape(-1, 2)[nodes] -= dz[:, None] * tangents
-        slope = float(it.grad @ du)
-        slope += float((friction * np.where(it.z != 0.0, np.sign(it.z) * dz, np.abs(dz))).sum())
+        dz = sol[n_free:]
+        slope = float(it.grad @ sol)
+        slope += float(friction @ np.where(it.z != 0.0, np.sign(it.z) * dz, np.abs(dz)))
         if not slope < 0.0:
             return None
-        return du, dz, stuck, slope
+        return unknowns.to_dofs(sol), dz, stuck, slope
 
     def line_search(it, direction):
         """(accepted iterate, halvings), or (None, halvings) when it gives out."""
@@ -510,7 +502,7 @@ def incremental_step(
     res = residual(it)
     magnitudes = system.force_magnitudes(it.eu, p_prev, loads)
     slip_magnitudes = (np.abs(tangents) * magnitudes.reshape(-1, 2)[nodes]).sum(axis=1) + friction
-    threshold = max(stress_tol * kappa, _ROUNDOFF * dual_norm(magnitudes, slip_magnitudes))
+    threshold = max(stress_tol * kappa, _ROUNDOFF * dual_norm(magnitudes[free], slip_magnitudes))
     small_decrease = tol * (1.0 + abs(it.value))
     decreases, residuals = [], [res]
     backtracks = fallbacks = 0
@@ -596,7 +588,7 @@ def evolve(
         raise ValueError(f"unknown boundary mode {mode!r}")
     program.validate(mesh)
     system = ElasticSystem(mesh, hooke)
-    slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(mesh)
+    slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(system)
     prev = replace(FEState.zeros(mesh, slip.count), t=float(program.times[0]))
     yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0)
 

@@ -7,14 +7,20 @@ built once per mesh and cached read-only on it (``Mesh.B``, the load maps, the
 boundary-edge arrays), so a strain or a load vector is one sparse matvec and
 boundary sums are array code; callers assemble the external loads once per
 load step and take each strain once. The stiffness matrix and the Newton
-tangent are both B^T blockdiag(area W D_c) B, factorized by banded LU in the
-grid order, where both are narrow bands. The stiffness depends only on the
+tangent are both B^T blockdiag(area W D_c) B, a sum of 6x6 cell blocks
+S_c^T (area W D_c) S_c with S_c the cell's rows of B. An ``ElementMap``,
+built once per system (and once per slip set), holds the S_c of the
+unknowns and the position of every block entry in the LAPACK band of the
+row-major dof order, in which both matrices are narrow bands. Each matrix
+is then one batched product of the blocks and one ``bincount`` into the
+band, factorized by banded LU; no sparse matrix is built per Newton step. The stiffness depends only on the
 mesh, the Hooke tensor and the Dirichlet node set, so its factor is kept and
 reused; the tangent changes with every iterate and is factorized afresh.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,11 +30,22 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .mesh import EdgeArrays, Mesh
 from .tensors import WEIGHTS, HookeTensor, ddot
 
+_NO_ROWS = np.zeros(0, dtype=int)
 _GAUSS2 = (0.5 * (1 - 1 / np.sqrt(3.0)), 0.5 * (1 + 1 / np.sqrt(3.0)))  # on [0, 1]
 
 
 class SolverError(RuntimeError):
     """Internal error: the elastic system could not be solved accurately."""
+
+
+def _gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """x and y gradients of the three barycentric functions of every cell, each (n_cells, 3)."""
+    v = mesh.nodes[mesh.triangles]
+    x, y = v[..., 0], v[..., 1]
+    a2 = 2.0 * mesh.areas
+    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / a2[:, None]
+    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / a2[:, None]
+    return gx, gy
 
 
 def strain_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -39,12 +56,7 @@ def strain_matrix(mesh: Mesh) -> sp.csr_matrix:
     fields: affine displacements produce their exact constant strain.
     """
     tri = mesh.triangles
-    v = mesh.nodes[tri]
-    x, y = v[..., 0], v[..., 1]
-    a2 = 2.0 * mesh.areas
-    # gradients of the three barycentric functions
-    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / a2[:, None]
-    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / a2[:, None]
+    gx, gy = _gradients(mesh)
 
     ncells = mesh.n_cells
     rows, cols, vals = [], [], []
@@ -63,6 +75,21 @@ def strain_matrix(mesh: Mesh) -> sp.csr_matrix:
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     return sp.coo_matrix((vals, (rows, cols)), shape=(3 * ncells, 2 * mesh.n_nodes)).tocsr()
+
+
+def local_strains(mesh: Mesh) -> np.ndarray:
+    """The cells' rows of B as dense (3, 6) blocks, shape (n_cells, 3, 6).
+
+    Block c maps the six dofs of cell c (x, y of each vertex, in the order of
+    ``mesh.triangles[c]``) to its packed strain, with the values of ``B``.
+    """
+    gx, gy = _gradients(mesh)
+    strains = np.zeros((mesh.n_cells, 3, 6))
+    strains[:, 0, 0::2] = gx
+    strains[:, 1, 0::2] = 0.5 * gy
+    strains[:, 1, 1::2] = 0.5 * gx
+    strains[:, 2, 1::2] = gy
+    return strains
 
 
 def strain_of(u: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -118,37 +145,158 @@ def scalar_l2(areas: np.ndarray, a: np.ndarray) -> float:
     return float(np.sqrt((areas * a * a).sum()))
 
 
+@dataclass(frozen=True)
+class ElementMap:
+    """A system's unknowns cell by cell, and where each 6x6 cell block lands in its band.
+
+    Displacement dof d moves by ``dof_weights[d]`` times unknown
+    ``dof_unknowns[d]`` (``size`` where no unknown moves it). ``strains[c]``
+    maps cell c's unknowns to its packed strain, (3, 6), and ``slots[c]``
+    names the unknown behind each of its six local columns (x, y of each
+    vertex), ``size`` where the column is none. Unknown k is row and column
+    ``pos[k]`` of the band; ``order``, the inverse permutation, sorts the
+    unknowns by dof number, a row-major grid order that keeps the
+    half-bandwidth ``bw`` small.
+    ``index`` holds the flat position, in the Fortran-ordered (3 bw + 1, size)
+    LAPACK band, of the entry of each of the 36 local pairs (i, j) of every
+    cell in C order, and the extra bin (3 bw + 1) size where a slot is none;
+    ``diagonal`` holds the flat position of every unknown's diagonal entry.
+    """
+
+    dof_unknowns: np.ndarray
+    dof_weights: np.ndarray
+    strains: np.ndarray
+    slots: np.ndarray
+    index: np.ndarray
+    diagonal: np.ndarray
+    order: np.ndarray
+    pos: np.ndarray
+    bw: int
+
+    @property
+    def size(self) -> int:
+        return len(self.order)
+
+    def to_dofs(self, x: np.ndarray) -> np.ndarray:
+        """The dof vector that the unknowns ``x`` move."""
+        return np.append(x, 0.0)[self.dof_unknowns] * self.dof_weights
+
+    def from_dofs(self, forces: np.ndarray) -> np.ndarray:
+        """Dof ``forces`` as forces on the unknowns: the transpose of ``to_dofs``."""
+        return np.bincount(self.dof_unknowns, forces * self.dof_weights,
+                           minlength=self.size + 1)[:-1]
+
+    def band(self, blocks: np.ndarray, diagonal: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
+        """sum_c (cell c's 6x6 ``blocks``) + diag(``diagonal``) in LAPACK band storage.
+
+        The rows ``unit_rows`` are rows of the identity instead.
+        """
+        ld, bw, size = 3 * self.bw + 1, self.bw, self.size
+        ab = np.bincount(self.index, blocks.ravel(), minlength=ld * size + 1)
+        ab[self.diagonal] += diagonal
+        cols = self.pos[unit_rows][:, None] + np.arange(-bw, bw + 1)
+        ab[np.where((cols >= 0) & (cols < size), 2 * bw + ld * cols - np.arange(-bw, bw + 1),
+                    ld * size)] = 0.0
+        ab[self.diagonal[unit_rows]] = 1.0
+        return ab[:-1].reshape(size, ld).T
+
+    def factor(self, blocks: np.ndarray, diagonal, unit_rows: np.ndarray, what: str) -> tuple:
+        """The banded LU of ``band(blocks, diagonal, unit_rows)``, for ``_band_solve``."""
+        return _band_factor(self.band(blocks, diagonal, unit_rows), self.bw, self.order, self.pos,
+                            what)
+
+    def matvec(self, blocks: np.ndarray, diagonal: np.ndarray, unit_rows: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+        """The operator of ``band(blocks, diagonal, unit_rows)`` times ``x``, cell by cell."""
+        y = np.einsum("cij,cj->ci", blocks, np.append(x, 0.0)[self.slots])
+        y = np.bincount(self.slots.ravel(), y.ravel(), minlength=self.size + 1)[:-1] + diagonal * x
+        y[unit_rows] = x[unit_rows]
+        return y
+
+
 class ElasticSystem:
     """Assembled elasticity operator with a cached banded LU factorization.
 
     Minimizes  (1/2) int C^eps (Eu - p):(Eu - p) - int f.u - int_Gamma_N g.u
     subject to prescribed values at Dirichlet nodes. The factorization is of
     the free-free block; changing p, loads or boundary values reuses it.
-    ``solve_tangent`` assembles the same operator with a per-cell tangent in
-    place of C^eps, for the inner solver's Newton steps, and factorizes it
-    the same way.
+    Every operator is summed from 6x6 cell blocks S_c^T (area W D_c) S_c,
+    S_c the cell's rows of B (``local_strains``): ``elements``, the
+    ``ElementMap`` of the free dofs, places them in the band of K_ff, and the
+    CSR ``K`` of every dof is built once from the same blocks for the
+    products the elastic solve needs. ``solve_tangent`` sums the blocks of a
+    per-cell tangent in place of C^eps into the band of the same or another
+    map (``element_map``: the free dofs plus slip unknowns), for the inner
+    solver's Newton steps, and factorizes it the same way.
     """
 
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
         self.mesh = mesh
         self.hooke = hooke
         self.cmat = hooke.matrix()
-        self.K = self._assemble(np.broadcast_to(self.cmat, (mesh.n_cells, 3, 3)), mesh.B).tocsc()
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
+        self.local_strains = local_strains(mesh)
+        self._cell_weights = mesh.areas[:, None, None] * WEIGHTS[None, :, None]
+        self._cell_dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)
+        self.elements = self.element_map()
+        blocks = self._blocks(np.broadcast_to(self.cmat, (mesh.n_cells, 3, 3)), self.local_strains)
+        dofs = self._cell_dofs
+        self.K = sp.csr_matrix(
+            (blocks.ravel(), (np.repeat(dofs, 6, axis=1).ravel(), np.tile(dofs, 6).ravel())),
+            shape=(2 * mesh.n_nodes, 2 * mesh.n_nodes))
         self.K_ff = self.K[np.ix_(self.free, self.free)]
         self.K_fc = self.K[np.ix_(self.free, self.fixed)]
-        self._lu = _band_factor(self.K_ff, self.band_order, "elastic") if self.free.size else None
+        self._lu = (self.elements.factor(blocks, 0.0, _NO_ROWS, "elastic")
+                    if self.free.size else None)
 
-    @cached_property
-    def B_f(self) -> sp.csr_matrix:
-        """Columns of B at the free dofs."""
-        return self.mesh.B[:, self.free].tocsr()
+    def element_map(self, slip_nodes: np.ndarray | None = None,
+                    slip_tangents: np.ndarray | None = None) -> ElementMap:
+        """The ``ElementMap`` of the free dofs, then one slip unknown per node of ``slip_nodes``.
 
-    @cached_property
-    def band_order(self) -> np.ndarray:
-        """Grid order of the free dofs, which makes K_ff and the tangent narrow bands."""
-        return _band_order(self.B_f)
+        A slip s of node a with unit tangent t moves a by -s t, so in every
+        cell around a the x column of the cell's strain matrix becomes
+        -(t_x Bx + t_y By) and the y column drops out. The unknowns keep the
+        mesh's row-major dof numbering, a slip that of its node's x dof: a
+        cell couples dofs at most about two grid rows apart, so the band's
+        half-width is about 2n on an n x n grid, slips or not.
+        """
+        mesh = self.mesh
+        nodes = np.zeros(0, dtype=int) if slip_nodes is None else slip_nodes
+        tangent = np.zeros((mesh.n_nodes, 2))
+        if slip_tangents is not None:
+            tangent[nodes] = slip_tangents
+        unknowns = np.concatenate([self.free, 2 * nodes])
+        size = len(unknowns)
+        dof_unknowns = np.full((mesh.n_nodes, 2), size)
+        dof_unknowns[nodes] = np.arange(self.free.size, size)[:, None]
+        dof_unknowns = dof_unknowns.ravel()
+        dof_unknowns[self.free] = np.arange(self.free.size)
+        dof_weights = (0.0 - tangent).ravel()
+        dof_weights[self.free] = 1.0
+
+        slipping = np.zeros(mesh.n_nodes, dtype=bool)
+        slipping[nodes] = True
+        t = tangent[mesh.triangles][:, None]  # (n_cells, 1, 3, 2)
+        x_cols, y_cols = self.local_strains[:, :, 0::2], self.local_strains[:, :, 1::2]
+        strains = self.local_strains.copy()
+        strains[:, :, 0::2] = np.where(slipping[mesh.triangles][:, None],
+                                       -(t[..., 0] * x_cols + t[..., 1] * y_cols), x_cols)
+        slots = dof_unknowns[self._cell_dofs]
+        slots[:, 1::2][slipping[mesh.triangles]] = size  # a slip node's y column drops out
+
+        order = np.argsort(unknowns)
+        pos = np.empty(size + 1, dtype=int)
+        pos[order] = np.arange(size)
+        pos[size] = 0
+        p, real = pos[slots], slots < size
+        bw = int((np.where(real, p, -1).max(axis=1)
+                  - np.where(real, p, size).min(axis=1)).max(initial=0))
+        ld = 3 * bw + 1
+        index = 2 * bw + p[:, :, None] + (ld - 1) * p[:, None, :]  # entry (p_i, p_j) of the band
+        index[~(real[:, :, None] & real[:, None, :])] = ld * size
+        return ElementMap(dof_unknowns, dof_weights, strains, slots, index.ravel(),
+                          2 * bw + ld * pos[:size], order, pos[:size], bw)
 
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
@@ -159,14 +307,10 @@ class ElasticSystem:
         """Reciprocal lumped mass at the free dofs."""
         return (1.0 / np.repeat(self.mesh.lumped_mass, 2))[self.free]
 
-    def _assemble(self, tangent: np.ndarray, B: sp.spmatrix) -> sp.spmatrix:
-        """B^T blockdiag(area W D_c) B for the packed per-cell tangents D_c, (n_cells, 3, 3)."""
-        nc = self.mesh.n_cells
-        blocks = self.mesh.areas[:, None, None] * WEIGHTS[None, :, None] * tangent
-        cols = np.repeat(np.arange(3 * nc).reshape(nc, 1, 3), 3, axis=1)  # row 3c+i: 3c..3c+2
-        D = sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, 9 * nc + 1, 3)),
-                          shape=(3 * nc, 3 * nc))
-        return B.T @ (D @ B)
+    def _blocks(self, tangent: np.ndarray, strains: np.ndarray) -> np.ndarray:
+        """S_c^T (area W D_c) S_c per cell, (n_cells, 6, 6), for cell strain matrices S_c."""
+        weighted = np.matmul(self._cell_weights * tangent, strains)
+        return np.matmul(strains.transpose(0, 2, 1), weighted)
 
     def nodal_forces(self, sigma: np.ndarray, B_T=None) -> np.ndarray:
         """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` if given."""
@@ -197,29 +341,33 @@ class ElasticSystem:
         u[self.fixed] = w_nodes.ravel()[self.fixed]
         if self.free.size:
             rhs = F[self.free] - self.K_fc @ u[self.fixed]
-            u[self.free] = _guarded(self.K_ff, _band_solve(self._lu, rhs), rhs, "elastic")
+            x = _band_solve(self._lu, rhs)
+            u[self.free] = _guarded(self.K_ff @ x, x, rhs, "elastic")
         return u.reshape(mesh.n_nodes, 2)
 
     def solve_tangent(self, tangent: np.ndarray, rhs: np.ndarray,
-                      B_free: sp.csr_matrix | None = None,
-                      shift: np.ndarray | None = None) -> np.ndarray:
-        """Solve K_T x = rhs, K_T = B_free^T blockdiag(area W D_c) B_free + diag(shift).
+                      elements: ElementMap | None = None,
+                      shift: np.ndarray | None = None,
+                      unit_rows: np.ndarray | None = None) -> np.ndarray:
+        """Solve K_T x = rhs, K_T = S^T blockdiag(area W D_c) S + diag(shift).
 
         ``tangent`` holds the packed per-cell tangents D_c, shape
-        (n_cells, 3, 3); ``B_free`` maps the unknowns to cell strains and
-        defaults to the columns of B at the free dofs. K_T is factorized by
-        banded LU in the grid order of ``B_free``, not banded Cholesky: the
-        consistent tangent is only positive semidefinite (a collapse mechanism
-        makes it singular). A zero pivot or a failed residual guard raises
-        ``SolverError``.
+        (n_cells, 3, 3), and S maps the unknowns of ``elements`` (by default
+        ``self.elements``, the free dofs) to cell strains. The rows of the
+        unknowns ``unit_rows`` are rows of the identity instead, which sets
+        those unknowns to their ``rhs`` entries; their columns stay. K_T is
+        summed from its cell blocks straight into the band and factorized by
+        banded LU, not banded Cholesky: the consistent tangent is only
+        positive semidefinite (a collapse mechanism makes it singular), and
+        unit rows make it unsymmetric. A zero pivot or a failed residual guard
+        (K_T x from the same blocks) raises ``SolverError``.
         """
-        B_free = self.B_f if B_free is None else B_free
-        order = self.band_order if B_free is self.B_f else _band_order(B_free)
-        K = self._assemble(tangent, B_free)
-        if shift is not None and np.any(shift):
-            K = K + sp.diags(shift)
-        x = _band_solve(_band_factor(K, order, "tangent"), rhs)
-        return _guarded(K, x, rhs, "tangent")
+        elements = self.elements if elements is None else elements
+        diagonal = np.zeros(elements.size) if shift is None else shift
+        unit_rows = _NO_ROWS if unit_rows is None else unit_rows
+        blocks = self._blocks(tangent, elements.strains)
+        x = _band_solve(elements.factor(blocks, diagonal, unit_rows, "tangent"), rhs)
+        return _guarded(elements.matvec(blocks, diagonal, unit_rows, x), x, rhs, "tangent")
 
     def energy(self, e: np.ndarray) -> float:
         """(1/2) int C^eps e:e of the elastic strain e = Eu - p."""
@@ -231,17 +379,18 @@ def _band_order(B: sp.csr_matrix) -> np.ndarray:
 
     Rows of a strain operator run cell by cell along the grid, so in this
     order every entry of ``B^T D B`` lies within a few grid rows of the
-    diagonal, and slip columns appended last move next to their cells.
+    diagonal.
     """
     C = B.tocsc()  # row indices sorted within each column; no column is empty
     return np.argsort(C.indices[C.indptr[:-1]], kind="stable")
 
 
-def _band_factor(K: sp.spmatrix, order: np.ndarray, what: str) -> tuple:
-    """Banded LU with partial pivoting (LAPACK ``dgbtrf``) of K, unknowns permuted by ``order``.
+def _band_matrix(K: sp.spmatrix, order: np.ndarray) -> tuple:
+    """(ab, bw, order, pos): K, unknowns permuted by ``order``, in LAPACK band storage.
 
-    The band is stored densely, (3 bw + 1) x N doubles for half-bandwidth bw.
-    A zero pivot raises ``SolverError``; the factor is what ``_band_solve`` takes.
+    The band is stored densely, (3 bw + 1) x N doubles for half-bandwidth bw;
+    ``pos`` is the inverse permutation. Only the safe-load Gram matrix, which
+    has no element map, takes this path.
     """
     pos = np.argsort(order)
     K = K.tocsr()
@@ -250,6 +399,16 @@ def _band_factor(K: sp.spmatrix, order: np.ndarray, what: str) -> tuple:
     bw = int(np.abs(rows - cols).max(initial=0))
     ab = np.zeros((3 * bw + 1, len(order)), order="F")
     ab[2 * bw + rows - cols, cols] = K.data
+    return ab, bw, order, pos
+
+
+def _band_factor(ab: np.ndarray, bw: int, order: np.ndarray, pos: np.ndarray, what: str) -> tuple:
+    """Banded LU with partial pivoting (LAPACK ``dgbtrf``) of the band ``ab``, overwritten.
+
+    ``ab`` holds, in a Fortran-ordered (3 bw + 1, N) array, the matrix whose
+    unknowns ``order`` permutes (``pos`` the inverse). A zero pivot raises
+    ``SolverError``; the factor is what ``_band_solve`` takes.
+    """
     lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=True)
     if info != 0:
         raise SolverError(f"{what} factorization failed: dgbtrf info {info}")
@@ -262,9 +421,9 @@ def _band_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     return dgbtrs(lu, bw, bw, rhs[order], piv, overwrite_b=True)[0][pos]
 
 
-def _guarded(K, x, rhs, what: str) -> np.ndarray:
-    """``x`` if it solves K x = rhs to the solver guard, else ``SolverError``."""
-    res = np.linalg.norm(K @ x - rhs)
+def _guarded(Kx: np.ndarray, x: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """``x`` if ``Kx``, the product K x, matches rhs to the solver guard, else ``SolverError``."""
+    res = np.linalg.norm(Kx - rhs)
     scale = np.linalg.norm(rhs) + np.linalg.norm(x) + 1.0
     if not np.isfinite(res) or res > 1e-10 * scale:
         raise SolverError(f"{what} solve residual {res:.3e} exceeds tolerance")

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import _band_factor, _band_order, _band_solve, divergence_check, external_load_vector
+from .fem import (
+    _band_factor,
+    _band_matrix,
+    _band_order,
+    _band_solve,
+    divergence_check,
+    external_load_vector,
+)
 from .mesh import Mesh
 from .tensors import WEIGHTS, YieldSet, _cap_to_ball, dev_decompose, norm
 
@@ -156,7 +163,8 @@ def max_safety_margin(
     w = np.tile(WEIGHTS, n_cells)
     gram = A @ sp.diags(1.0 / w) @ A.T
     ridge = 1e-12 * gram.diagonal().max()
-    lu = _band_factor(gram + ridge * sp.identity(gram.shape[0]), _band_order(A.T), "gram")
+    band = _band_matrix(gram + ridge * sp.identity(gram.shape[0]), _band_order(A.T))
+    lu = _band_factor(*band, "gram")
 
     def equilibrate(v):  # the nearest pi to v, in the metric of ddot, with A pi = b
         return v - (A.T @ _band_solve(lu, A @ v - b)) / w

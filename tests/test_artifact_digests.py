@@ -24,13 +24,13 @@ DIGESTS = {
         "a1beb79f95cf107ed1f87baf0ac21580e3215b85e43a91a15a26f1c46dd3ad8c",
         "62fb69eaab700a869cda102585fc961586d5210ccc5b3d04ce84170854fed721"),
     ("run", "TRACTION", "strong"): (
-        "3e680e429f6fc4f7e1b91060bee206ed205d5192e86fa54f76a4c835b8b1faa1",
-        "18c5e7db239af722daa3a0402e51445dd5e40ce8f9b883dcad15fccd56b85e4c",
-        "42afebc84f100aaa4feb8826e637aeefc4258258b78fb3b501fa4a958da78363"),
+        "343b9ae62dcfaf6da7b1a58a95ff3e5cdc2443548ee4a45f746dcde8162648fc",
+        "30eb643d5f647ea2ee09ae464ae370b45cfc222f0a75d996c53a17e68f9fe4ae",
+        "57e280b87829197a05caa2ab9763872d44f60dab34e1dde11ba09c95725fa466"),
     ("run", "TRACTION", "relaxed"): (
-        "409e426f8762acebf6c807365d7f12f402f7b731cc63ec6df63b99d3a472aab1",
-        "b4802d6cdf73c6ae332df16951ff063852dd59da907b1c2a5f896fde592196a6",
-        "3e09bef844761d7deaf6d22e0c43e2f4e99167cb043200546dc9387c2485f996"),
+        "5f18793ecd898bfb872ceb0eb2effd0892c59947e5e9188413afb3f2dfb3861a",
+        "c02023ffc25c63c38ceb2bb6eeced6887bed53cce9c82e74d789dcd49274d84d",
+        "1d6413d2661b48023a07f533978539012982f82626074065d2226c2078f6e555"),
     ("sweep", "SHEAR", "strong"): (
         "6679a3555002e13b7ae05ac022f082ef16da8b24edc0b0c7b170fc979f60027c",
         "2598b5042f4638f118ff3aff79459a57ce9049d11f8c1632b7b1f33c342646d7",
@@ -40,13 +40,13 @@ DIGESTS = {
         "887030e629ed360291fc70525e21cd70693c4fefa09617314502b8667f1bfab4",
         "f32eb8aa081d034254a3af960a5dcc86f902b69e95dba91ff61db53df8a645cb"),
     ("sweep", "TRACTION", "strong"): (
-        "42093994d87a6c52f0dbc5c8e888b2ca11a0d77dcc44e5b0aa70c1f2b0f09845",
-        "0b880a8f7226ff6da06f30fa9ed0d836af30acab04d56fddaed2c554156d2780",
-        "78a4818483fc19d7b510bc3d557aa69c460e0118b1f91885d296e10f4b12b7f1"),
+        "a4b85d58522e653ec01ff69eb52044e0b204ff4e3686a0539d0f5c2c648b2980",
+        "710e9bdd1ac1267f4f61dba86bb66d087ce679448863e4e94ce578eaecc8ff8c",
+        "5c258d95614981815a490742be7aebf8de28ab95ec6dee6f97dbeb48db1dfc22"),
     ("sweep", "TRACTION", "relaxed"): (
-        "c5e48dd046c43f7842d790798956d7d44e4cb7683e0ee0a646ada082cb69e987",
-        "083a46fe38bff2d98d2310d7dc77cf871f6a168cca46487e78ea4ef3a1cda8b5",
-        "3b87976814e4fc89474dc4e94fa9b1a24fa09df310c32216d1b8c30c67228e24"),
+        "9a8e854a35ad30268a5c043f05d3f83732b4467fc8f9e5262ce9db06cb3ac08f",
+        "470d343eb18d39f69adec1d8c634c5604a3e40b7bc310748361a7a1e7d174dd7",
+        "7085daa74074c4919e5139ceff8d244a23a531665e24251735c54a9f5483505a"),
 }
 
 

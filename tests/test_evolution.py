@@ -137,11 +137,12 @@ class TestIncrementalStep:
     def test_invalid_tol(self):
         mesh = build_square_mesh(2, FACES)
         for name in ("tol", "stress_tol"):
-            with pytest.raises(ValueError, match="tol and stress_tol must be positive"):
-                incremental_step(FEState.zeros(mesh), 0.0,
-                                 np.zeros((mesh.n_nodes, 2)),
-                                 np.zeros((mesh.n_cells, 2)), np.zeros((0, 2)),
-                                 HOOKE, YSET, mesh, **{name: 0.0})
+            for value in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="tol and stress_tol must be positive"):
+                    incremental_step(FEState.zeros(mesh), 0.0,
+                                     np.zeros((mesh.n_nodes, 2)),
+                                     np.zeros((mesh.n_cells, 2)), np.zeros((0, 2)),
+                                     HOOKE, YSET, mesh, **{name: value})
 
 
 @pytest.fixture(scope="module")
@@ -490,3 +491,19 @@ class TestNewtonSolver:
                           bench.mesh)
         assert err.value.step_index == 8
         assert len(err.value.decrease_history) < 100
+
+    @pytest.mark.parametrize("mode, total, most, dissipation, work", [
+        # the strong answers are perfbench's TRACTION_RUN_REFERENCE
+        ("strong", 109, 7, 2.429336605668743, 2.894086063382783),
+        ("relaxed", 117, 9, 5.19289339764229, 5.78377671877184),
+    ])
+    def test_benchmark_newton_path_is_pinned(self, mode, total, most, dissipation, work):
+        # the traction_run config (TRACTION n=16, M=32, eps 1): a round-off
+        # change that moves the Newton path shows here, not only in the benchmark
+        bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
+        _, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(1.0),
+                                  bench.yield_set, bench.mesh, mode=mode)
+        assert ledger.iterations.sum() == total
+        assert ledger.iterations.max() == most
+        assert ledger.dissipation[-1] == pytest.approx(dissipation, rel=1e-6)
+        assert ledger.work[-1] == pytest.approx(work, rel=1e-6)

@@ -222,10 +222,12 @@ def record_band_widths(monkeypatch):
 
 
 def traction_tangent_problem(n, relaxed, seed=0):
-    """(system, tangent, B_free) of a bottom-clamped mesh, some of its cells plastic.
+    """(system, tangent, elements, B_free) of a bottom-clamped mesh, some of its cells plastic.
 
-    ``relaxed`` appends one slip column per bottom slip node, as the relaxed
-    Newton system does when every slip slides.
+    ``elements`` is the system's element map of the free dofs or, if
+    ``relaxed``, the slip set's, with one slip unknown per bottom slip node.
+    ``B_free`` is the strain operator of the same unknowns, sliced from
+    ``mesh.B``: a slip s moves its node by -s t.
     """
     mesh = build_square_mesh(n, ("bottom",))
     hooke = HookeTensor(1.0, 1.0, 1.0)
@@ -233,51 +235,62 @@ def traction_tangent_problem(n, relaxed, seed=0):
     e_dev = np.random.default_rng(seed).standard_normal((mesh.n_cells, 3)) * 0.4
     e_dev[:, 2] = -e_dev[:, 0]
     tangent = consistent_tangent(e_dev, np.zeros_like(e_dev), hooke, YieldSet(1.0))
-    B_free = system.B_f
+    elements, B_free = system.elements, mesh.B[:, system.free]
     if relaxed:
-        B_free = sp.hstack([B_free, slip_nodes_of(system).B], format="csr")
-    return system, tangent, B_free
+        slip = slip_nodes_of(system)
+        nodes, t = slip.nodes, slip.tangents
+        B_slip = -(mesh.B[:, 2 * nodes] @ sp.diags(t[:, 0])
+                   + mesh.B[:, 2 * nodes + 1] @ sp.diags(t[:, 1]))
+        elements, B_free = slip.elements, sp.hstack([B_free, B_slip])
+    return system, tangent, elements, B_free.tocsr()
 
 
 class TestTangentSolve:
     @pytest.mark.parametrize("relaxed", [False, True])
     @pytest.mark.parametrize("with_shift", [False, True])
     def test_matches_sparse_direct_solve(self, relaxed, with_shift):
-        system, tangent, B_free = traction_tangent_problem(8, relaxed)
+        system, tangent, elements, B_free = traction_tangent_problem(8, relaxed)
         rng = np.random.default_rng(1)
-        n_free = system.free.size
-        rhs = rng.standard_normal(B_free.shape[1])
+        n_free, size = system.free.size, B_free.shape[1]
+        rhs = rng.standard_normal(size)
         shift = rng.uniform(0.0, 0.1, n_free) if with_shift else np.zeros(n_free)
-        if relaxed:  # a bottom face sliding as a whole: the slips are always damped
-            shift = np.concatenate([shift, np.full(B_free.shape[1] - n_free, 1e-2)])
-        if not shift.any():
-            shift = None
-        x = system.solve_tangent(tangent, rhs, B_free if relaxed else None, shift)
+        stuck = np.zeros(0, dtype=int)
+        if relaxed:
+            # a bottom face sliding as a whole: the slips are always damped;
+            # every third slip is stuck, its row a unit row
+            shift = np.concatenate([shift, np.full(size - n_free, 1e-2)])
+            stuck = np.arange(n_free, size, 3)
+        x = system.solve_tangent(tangent, rhs, elements, shift if shift.any() else None,
+                                 stuck if relaxed else None)
 
+        # oracle: the stuck slips take their rhs entries, the others solve the
+        # reduced system B_free^T D B_free + diag(shift) with those moved to the rhs
         mesh = system.mesh
         D = sp.block_diag(mesh.areas[:, None, None] * WEIGHTS[None, :, None] * tangent)
-        K = B_free.T @ D @ B_free
-        if shift is not None:
-            K = K + sp.diags(shift)
-        x_ref = spla.spsolve(K.tocsc(), rhs)
+        K = (B_free.T @ D @ B_free + sp.diags(shift)).tocsr()
+        rest = np.setdiff1d(np.arange(size), stuck)
+        x_ref = np.zeros(size)
+        x_ref[stuck] = rhs[stuck]
+        x_ref[rest] = spla.spsolve(K[rest][:, rest].tocsc(),
+                                   rhs[rest] - K[rest][:, stuck] @ rhs[stuck])
         scale = np.linalg.norm(rhs) + np.linalg.norm(x_ref) + 1.0
         assert np.linalg.norm(x - x_ref) <= 1e-10 * scale
 
     def test_singular_tangent_raises(self):
-        system, tangent, _ = traction_tangent_problem(4, relaxed=False)
+        system, tangent, _, _ = traction_tangent_problem(4, relaxed=False)
         rhs = np.ones(system.free.size)
         with pytest.raises(SolverError, match="tangent factorization failed"):
             system.solve_tangent(np.zeros_like(tangent), rhs)
 
     @pytest.mark.parametrize("relaxed", [False, True])
     def test_band_stays_narrow(self, monkeypatch, relaxed):
-        # grid order: half-bandwidth 39 (strong) and 56 (every slip sliding) at
-        # n=16; the slips in append order would give a dense 544-wide band
-        system, tangent, B_free = traction_tangent_problem(16, relaxed)
+        # row-major dof order: half-bandwidth 37 at n=16, with the slips or
+        # without; the slips appended last would give a dense 544-wide band
+        system, tangent, elements, B_free = traction_tangent_problem(16, relaxed)
         widths = record_band_widths(monkeypatch)
-        system.solve_tangent(tangent, np.ones(B_free.shape[1]), B_free)
+        system.solve_tangent(tangent, np.ones(B_free.shape[1]), elements)
         assert len(widths) == 1
-        assert max(widths[0]) < 64
+        assert max(widths[0]) < 40
 
 
 class TestDivergenceCheck:

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 
 from oracles import body_load_vector_loop, flux_residual_loop, traction_load_vector_loop
 
@@ -180,7 +181,9 @@ def test_traction_run_assembles_loads_per_step(monkeypatch):
 
 
 def test_traction_run_orders_the_band_once_per_system(monkeypatch):
-    """Strong mode: the grid order of the free dofs serves K_ff and every Newton tangent."""
+    """The band order is fixed when a system and its slip set are built: it is the mesh's
+    row-major dof numbering, so no Newton tangent sorts its unknowns or the columns of B,
+    in either mode."""
     counts = {"systems": 0, "tangents": 0}
     _count_calls(monkeypatch, "_band_order", counts)
     system_init, solve_tangent = ElasticSystem.__init__, ElasticSystem.solve_tangent
@@ -196,14 +199,17 @@ def test_traction_run_orders_the_band_once_per_system(monkeypatch):
     monkeypatch.setattr(ElasticSystem, "__init__", counted_system_init)
     monkeypatch.setattr(ElasticSystem, "solve_tangent", counted_solve_tangent)
     bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
-    run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set, bench.mesh)
-    assert counts["systems"] == 1
-    assert counts["tangents"] > 1
-    assert counts["_band_order"] == counts["systems"]
+    for mode in ("strong", "relaxed"):
+        run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
+                      bench.mesh, mode=mode)
+    assert counts["systems"] == 2
+    assert counts["tangents"] > 2 * 32
+    assert counts.get("_band_order", 0) == 0
 
 
 def test_relaxed_run_builds_the_slip_operator_once(monkeypatch):
-    """Relaxed mode: the slip strain operator is sliced from B once per evolution, not per step."""
+    """Relaxed mode: the element map of the slip unknowns is built once per evolution, not per
+    step, and no column of B is sliced for it."""
     bench = benchmark_catalog("TRACTION", mesh_n=8, n_steps=8)
     B = bench.mesh.B
     slices = []
@@ -214,12 +220,53 @@ def test_relaxed_run_builds_the_slip_operator_once(monkeypatch):
             slices.append(key)
         return getitem(self, key)
 
+    maps = []
+    element_map = ElasticSystem.element_map
+
+    def counted_element_map(self, *args, **kwargs):
+        maps.append(args)
+        return element_map(self, *args, **kwargs)
+
     monkeypatch.setattr(type(B), "__getitem__", counted_getitem)
+    monkeypatch.setattr(ElasticSystem, "element_map", counted_element_map)
     states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
                               bench.mesh, mode="relaxed")
     assert np.abs(states[-1].boundary_slip).max() > 0.0
-    # the free columns for the system, the two tangent components for the slip set
-    assert len(slices) == 3
+    # the free dofs' map of the system, then the slip set's
+    assert len(maps) == 2
+    assert slices == []
+
+
+@pytest.mark.parametrize("mode", ["strong", "relaxed"])
+def test_newton_steps_build_no_sparse_matrix(monkeypatch, mode):
+    """Once the system and the slip set exist, the steps build no scipy.sparse matrix: every
+    tangent is summed straight into its band."""
+    tangents = []
+    solve_tangent = ElasticSystem.solve_tangent
+
+    def counted_solve_tangent(self, *args, **kwargs):
+        tangents.append(len(args[1]))
+        return solve_tangent(self, *args, **kwargs)
+
+    monkeypatch.setattr(ElasticSystem, "solve_tangent", counted_solve_tangent)
+    bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
+    steps = evolution.evolve(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
+                             bench.mesh, mode=mode)
+    next(steps)  # the zero state: the system and the slip set exist
+    for name in ("B_T", "abs_B_T", "body_load_map", "traction_load_map"):
+        getattr(bench.mesh, name)  # the mesh's own operators, built on first use
+    built = []
+    init = _spbase.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", counted_init)
+    states = [state for state, _ in steps]
+    assert len(states) == 32
+    assert len(tangents) > 32
+    assert built == []
 
 
 def test_cli_sweep_builds_strain_matrix_once(monkeypatch, tmp_path):
