@@ -53,9 +53,11 @@ from .fem import (
     ElementMap,
     SolverError,
     boundary_integral_p1,
+    element_map,
     external_load_vector,
     gauss_traces,
     integrate_tensor_dot,
+    nodal_forces,
     strain_of,
     weak_divergence_form,
 )
@@ -123,9 +125,9 @@ class LoadProgram:
         The strains come from one product of ``mesh.B`` with every grid time
         and equal ``strain_of(w[k], mesh)`` bit for bit.
         """
-        n_t = len(self.times)
-        if self.times.ndim != 1 or n_t < 2:
+        if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("time grid needs at least two points")
+        n_t = len(self.times)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must be strictly increasing")
         if self.w.shape != (n_t, mesh.n_nodes, 2):
@@ -199,9 +201,9 @@ class SlipNodes:
     elements: ElementMap   # Newton unknowns: the free dofs, then the slips (s moves a node by -t)
 
     @classmethod
-    def none(cls, system: ElasticSystem) -> "SlipNodes":
+    def none(cls, mesh: Mesh) -> "SlipNodes":
         return cls(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0),
-                   system.elements)
+                   mesh.elements)
 
     @property
     def count(self) -> int:
@@ -231,7 +233,7 @@ def slip_nodes_of(system: ElasticSystem) -> SlipNodes:
     cross = system.K[[2 * nodes], [2 * nodes + 1]].toarray()[0]  # a (1, k) row, also for k = 0
     stiffness = (t[:, 0] ** 2 * diag[2 * nodes] + t[:, 1] ** 2 * diag[2 * nodes + 1]
                  + 2.0 * t.prod(axis=1) * cross)
-    return SlipNodes(nodes, t, lengths, stiffness, system.element_map(nodes, t))
+    return SlipNodes(nodes, t, lengths, stiffness, element_map(mesh, nodes, t))
 
 
 @dataclass
@@ -361,16 +363,14 @@ def incremental_step(
     w_nodes: np.ndarray,
     f_cells: np.ndarray,
     g_edges: np.ndarray,
-    hooke: HookeTensor,
+    system: ElasticSystem,
     yield_set: YieldSet,
-    mesh: Mesh,
-    system: ElasticSystem | None = None,
     slip: SlipNodes | None = None,
     tol: float = 1e-10,
     stress_tol: float = 1e-10,
     w_prev_nodes: np.ndarray | None = None,
 ) -> tuple[FEState, StepInfo]:
-    """One backward-Euler incremental minimization from ``state_prev``.
+    """One backward-Euler incremental minimization from ``state_prev`` on ``system``'s mesh.
 
     With p eliminated by the radial return the step minimizes the reduced
     functional J(u) = sum_cells area psi(Eu) - F.u, which is convex and C^1.
@@ -386,7 +386,8 @@ def incremental_step(
     (Levenberg-Marquardt); this carries the solver through the nearly
     singular tangents of loads close to the limit load and of a face that
     slides as a whole. ``slip`` is the slip set (by default none: strong
-    mode), with one previous slip per node in ``state_prev.boundary_slip``.
+    mode), with one previous slip per node in ``state_prev.boundary_slip``;
+    the Hooke tensor is ``system.hooke``.
     The slips join the Newton system as a primal-dual active set: a stuck
     node keeps its previous slip, a sliding node carries the constant
     friction force kappa * length / sqrt(2).
@@ -408,10 +409,9 @@ def incremental_step(
     if not (0.0 < tol < np.inf and 0.0 < stress_tol < np.inf):
         raise ValueError(f"tol and stress_tol must be positive and finite, "
                          f"got {tol!r} and {stress_tol!r}")
-    if system is None:
-        system = ElasticSystem(mesh, hooke)
+    mesh, hooke = system.mesh, system.hooke
     if slip is None:
-        slip = SlipNodes.none(system)
+        slip = SlipNodes.none(mesh)
     p_prev, s_prev = state_prev.p, state_prev.boundary_slip
     if len(s_prev) != slip.count:
         raise ValueError(f"{len(s_prev)} previous slips for {slip.count} slip nodes")
@@ -440,7 +440,7 @@ def incremental_step(
         sigma[:, 0] += bulk * e_mean
         sigma[:, 2] += bulk * e_mean
         value = _functional(system, yield_set, slip, loads, u, eu, p, p_prev, s_prev + z, s_prev)
-        grad = unknowns.from_dofs(system.nodal_forces(sigma) - loads)
+        grad = unknowns.from_dofs(nodal_forces(mesh, sigma) - loads)
         return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value, grad, -grad[n_free:])
 
     def dual_norm(forces, slip_part):
@@ -588,7 +588,7 @@ def evolve(
         raise ValueError(f"unknown boundary mode {mode!r}")
     program.validate(mesh)
     system = ElasticSystem(mesh, hooke)
-    slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(system)
+    slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(mesh)
     prev = replace(FEState.zeros(mesh, slip.count), t=float(program.times[0]))
     yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0)
 
@@ -596,7 +596,7 @@ def evolve(
         t, w_k, f_k, g_k = program.at(k)
         try:
             prev, info = incremental_step(
-                prev, t, w_k, f_k, g_k, hooke, yield_set, mesh, system=system, slip=slip,
+                prev, t, w_k, f_k, g_k, system, yield_set, slip=slip,
                 tol=tol, stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
             )
         except ConvergenceError as exc:

@@ -3,19 +3,21 @@
 Quadrature is one-point per triangle (exact for P0 integrands and for P1
 integrands via the centroid) and two-point Gauss per boundary edge (exact for
 the P1 traces that appear here). Operators that depend on the mesh alone are
-built once per mesh and cached read-only on it (``Mesh.B``, the load maps, the
-boundary-edge arrays), so a strain or a load vector is one sparse matvec and
-boundary sums are array code; callers assemble the external loads once per
-load step and take each strain once. The stiffness matrix and the Newton
-tangent are both B^T blockdiag(area W D_c) B, a sum of 6x6 cell blocks
-S_c^T (area W D_c) S_c with S_c the cell's rows of B. An ``ElementMap``,
-built once per system (and once per slip set), holds the S_c of the
+built once per mesh and cached on it (the cells' dofs and (3, 6) strain
+blocks S_c, ``Mesh.B`` scattered from them, the free dofs' ``ElementMap``,
+the load maps, the boundary-edge arrays), so a strain, a load
+vector or ``nodal_forces`` is one sparse matvec and boundary sums are array
+code; callers assemble the external loads once per load step and take each
+strain once. The stiffness matrix and the Newton tangent are both
+B^T blockdiag(area W D_c) B, a sum of 6x6 cell blocks S_c^T (area W D_c) S_c.
+An ``ElementMap`` (of the free dofs, or of a slip set) holds the S_c of its
 unknowns and the position of every block entry in the LAPACK band of the
 row-major dof order, in which both matrices are narrow bands. Each matrix
 is then one batched product of the blocks and one ``bincount`` into the
-band, factorized by banded LU; no sparse matrix is built per Newton step. The stiffness depends only on the
-mesh, the Hooke tensor and the Dirichlet node set, so its factor is kept and
-reused; the tangent changes with every iterate and is factorized afresh.
+band, factorized by banded LU; no sparse matrix is built per Newton step. An
+``ElasticSystem`` holds what the Hooke tensor C^eps sets: the stiffness and
+its factor, which every elastic solve reuses; the tangent changes with every
+iterate and is factorized afresh.
 """
 
 from __future__ import annotations
@@ -38,58 +40,24 @@ class SolverError(RuntimeError):
     """Internal error: the elastic system could not be solved accurately."""
 
 
-def _gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """x and y gradients of the three barycentric functions of every cell, each (n_cells, 3)."""
-    v = mesh.nodes[mesh.triangles]
-    x, y = v[..., 0], v[..., 1]
-    a2 = 2.0 * mesh.areas
-    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / a2[:, None]
-    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / a2[:, None]
-    return gx, gy
-
-
 def strain_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Sparse operator B mapping nodal displacements to packed cell strains.
 
     Rows are (cell, component) in packed order (e11, e12, e22); columns are
-    nodal dofs interleaved (node0_x, node0_y, node1_x, ...). Exact for P1
-    fields: affine displacements produce their exact constant strain.
+    nodal dofs interleaved (node0_x, node0_y, node1_x, ...). Row block c is
+    the structural part of ``mesh.cell_strains[c]``: e11 and e22 read the x
+    and the y dofs of the cell, e12 all six, 12 entries per cell with the
+    columns sorted in each row. Exact for P1 fields: affine displacements
+    produce their exact constant strain.
     """
-    tri = mesh.triangles
-    gx, gy = _gradients(mesh)
-
-    ncells = mesh.n_cells
-    rows, cols, vals = [], [], []
-    cell_rows = 3 * np.arange(ncells)
-    for a in range(3):
-        dofx = 2 * tri[:, a]
-        dofy = dofx + 1
-        # e11 = du1/dx
-        rows.append(cell_rows + 0); cols.append(dofx); vals.append(gx[:, a])
-        # e12 = (du1/dy + du2/dx) / 2
-        rows.append(cell_rows + 1); cols.append(dofx); vals.append(0.5 * gy[:, a])
-        rows.append(cell_rows + 1); cols.append(dofy); vals.append(0.5 * gx[:, a])
-        # e22 = du2/dy
-        rows.append(cell_rows + 2); cols.append(dofy); vals.append(gy[:, a])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(3 * ncells, 2 * mesh.n_nodes)).tocsr()
-
-
-def local_strains(mesh: Mesh) -> np.ndarray:
-    """The cells' rows of B as dense (3, 6) blocks, shape (n_cells, 3, 6).
-
-    Block c maps the six dofs of cell c (x, y of each vertex, in the order of
-    ``mesh.triangles[c]``) to its packed strain, with the values of ``B``.
-    """
-    gx, gy = _gradients(mesh)
-    strains = np.zeros((mesh.n_cells, 3, 6))
-    strains[:, 0, 0::2] = gx
-    strains[:, 1, 0::2] = 0.5 * gy
-    strains[:, 1, 1::2] = 0.5 * gx
-    strains[:, 2, 1::2] = gy
-    return strains
+    S, dofs, n = mesh.cell_strains, mesh.cell_dofs, mesh.n_cells
+    data = np.concatenate([S[:, 0, 0::2], S[:, 1], S[:, 2, 1::2]], axis=1)
+    indices = np.concatenate([dofs[:, 0::2], dofs, dofs[:, 1::2]], axis=1)
+    indptr = np.append((12 * np.arange(n)[:, None] + [0, 3, 9]).ravel(), 12 * n)
+    B = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                      shape=(3 * n, 2 * mesh.n_nodes))
+    B.sort_indices()
+    return B
 
 
 def strain_of(u: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -97,6 +65,12 @@ def strain_of(u: np.ndarray, mesh: Mesh) -> np.ndarray:
     if u.shape != (mesh.n_nodes, 2):
         raise ValueError(f"displacement shape {u.shape} does not match mesh ({mesh.n_nodes}, 2)")
     return (mesh.B @ u.ravel()).reshape(mesh.n_cells, 3)
+
+
+def nodal_forces(mesh: Mesh, sigma: np.ndarray, B_T=None) -> np.ndarray:
+    """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` (default ``mesh.B_T``)."""
+    B_T = mesh.B_T if B_T is None else B_T
+    return B_T @ (np.repeat(mesh.areas, 3) * (sigma * WEIGHTS).ravel())
 
 
 def body_load_vector(mesh: Mesh, f_cells: np.ndarray) -> np.ndarray:
@@ -214,6 +188,55 @@ class ElementMap:
         return y
 
 
+def element_map(mesh: Mesh, slip_nodes: np.ndarray | None = None,
+                slip_tangents: np.ndarray | None = None) -> ElementMap:
+    """The ``ElementMap`` of the free dofs, then one slip unknown per node of ``slip_nodes``.
+
+    A slip s of node a with unit tangent t moves a by -s t, so in every
+    cell around a the x column of the cell's strain matrix becomes
+    -(t_x Bx + t_y By) and the y column drops out. The unknowns keep the
+    mesh's row-major dof numbering, a slip that of its node's x dof: a
+    cell couples dofs at most about two grid rows apart, so the band's
+    half-width is about 2n on an n x n grid, slips or not.
+    """
+    nodes = np.zeros(0, dtype=int) if slip_nodes is None else slip_nodes
+    tangent = np.zeros((mesh.n_nodes, 2))
+    if slip_tangents is not None:
+        tangent[nodes] = slip_tangents
+    free = np.flatnonzero(mesh.free_dofs)
+    unknowns = np.concatenate([free, 2 * nodes])
+    size = len(unknowns)
+    dof_unknowns = np.full((mesh.n_nodes, 2), size)
+    dof_unknowns[nodes] = np.arange(free.size, size)[:, None]
+    dof_unknowns = dof_unknowns.ravel()
+    dof_unknowns[free] = np.arange(free.size)
+    dof_weights = (0.0 - tangent).ravel()
+    dof_weights[free] = 1.0
+
+    slipping = np.zeros(mesh.n_nodes, dtype=bool)
+    slipping[nodes] = True
+    t = tangent[mesh.triangles][:, None]  # (n_cells, 1, 3, 2)
+    x_cols, y_cols = mesh.cell_strains[:, :, 0::2], mesh.cell_strains[:, :, 1::2]
+    strains = mesh.cell_strains.copy()
+    strains[:, :, 0::2] = np.where(slipping[mesh.triangles][:, None],
+                                   -(t[..., 0] * x_cols + t[..., 1] * y_cols), x_cols)
+    slots = dof_unknowns[mesh.cell_dofs]
+    slots[:, 1::2][slipping[mesh.triangles]] = size  # a slip node's y column drops out
+
+    order = np.argsort(unknowns)
+    pos = np.empty(size + 1, dtype=int)
+    pos[order] = np.arange(size)
+    pos[size] = 0
+    p, real = pos[slots], slots < size
+    bw = int((np.where(real, p, -1).max(axis=1)
+              - np.where(real, p, size).min(axis=1)).max(initial=0))
+    ld = 3 * bw + 1
+    index = 2 * bw + p[:, :, None] + (ld - 1) * p[:, None, :]  # entry (p_i, p_j) of the band
+    index[~(real[:, :, None] & real[:, None, :])] = ld * size
+    return ElementMap(dof_unknowns, dof_weights, strains, slots, index.ravel(),
+                      2 * bw + ld * pos[:size], order, pos[:size], bw)
+
+
 class ElasticSystem:
     """Assembled elasticity operator with a cached banded LU factorization.
 
@@ -221,12 +244,12 @@ class ElasticSystem:
     subject to prescribed values at Dirichlet nodes. The factorization is of
     the free-free block; changing p, loads or boundary values reuses it.
     Every operator is summed from 6x6 cell blocks S_c^T (area W D_c) S_c,
-    S_c the cell's rows of B (``local_strains``): ``elements``, the
-    ``ElementMap`` of the free dofs, places them in the band of K_ff, and the
-    CSR ``K`` of every dof is built once from the same blocks for the
-    products the elastic solve needs. ``solve_tangent`` sums the blocks of a
-    per-cell tangent in place of C^eps into the band of the same or another
-    map (``element_map``: the free dofs plus slip unknowns), for the inner
+    S_c the mesh's ``cell_strains``: ``mesh.elements``, the ``ElementMap`` of
+    the free dofs shared by every system on the mesh, places them in the band
+    of K_ff, and the CSR ``K`` of every dof is built once from the same blocks
+    for the products the elastic solve needs. ``solve_tangent`` sums the
+    blocks of a per-cell tangent in place of C^eps into the band of the same
+    or another map (``element_map`` with slip unknowns), for the inner
     solver's Newton steps, and factorizes it the same way.
     """
 
@@ -236,67 +259,15 @@ class ElasticSystem:
         self.cmat = hooke.matrix()
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
-        self.local_strains = local_strains(mesh)
-        self._cell_weights = mesh.areas[:, None, None] * WEIGHTS[None, :, None]
-        self._cell_dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)
-        self.elements = self.element_map()
-        blocks = self._blocks(np.broadcast_to(self.cmat, (mesh.n_cells, 3, 3)), self.local_strains)
-        dofs = self._cell_dofs
+        blocks = self._blocks(np.broadcast_to(self.cmat, (mesh.n_cells, 3, 3)), mesh.cell_strains)
+        dofs = mesh.cell_dofs
         self.K = sp.csr_matrix(
             (blocks.ravel(), (np.repeat(dofs, 6, axis=1).ravel(), np.tile(dofs, 6).ravel())),
             shape=(2 * mesh.n_nodes, 2 * mesh.n_nodes))
         self.K_ff = self.K[np.ix_(self.free, self.free)]
         self.K_fc = self.K[np.ix_(self.free, self.fixed)]
-        self._lu = (self.elements.factor(blocks, 0.0, _NO_ROWS, "elastic")
+        self._lu = (mesh.elements.factor(blocks, 0.0, _NO_ROWS, "elastic")
                     if self.free.size else None)
-
-    def element_map(self, slip_nodes: np.ndarray | None = None,
-                    slip_tangents: np.ndarray | None = None) -> ElementMap:
-        """The ``ElementMap`` of the free dofs, then one slip unknown per node of ``slip_nodes``.
-
-        A slip s of node a with unit tangent t moves a by -s t, so in every
-        cell around a the x column of the cell's strain matrix becomes
-        -(t_x Bx + t_y By) and the y column drops out. The unknowns keep the
-        mesh's row-major dof numbering, a slip that of its node's x dof: a
-        cell couples dofs at most about two grid rows apart, so the band's
-        half-width is about 2n on an n x n grid, slips or not.
-        """
-        mesh = self.mesh
-        nodes = np.zeros(0, dtype=int) if slip_nodes is None else slip_nodes
-        tangent = np.zeros((mesh.n_nodes, 2))
-        if slip_tangents is not None:
-            tangent[nodes] = slip_tangents
-        unknowns = np.concatenate([self.free, 2 * nodes])
-        size = len(unknowns)
-        dof_unknowns = np.full((mesh.n_nodes, 2), size)
-        dof_unknowns[nodes] = np.arange(self.free.size, size)[:, None]
-        dof_unknowns = dof_unknowns.ravel()
-        dof_unknowns[self.free] = np.arange(self.free.size)
-        dof_weights = (0.0 - tangent).ravel()
-        dof_weights[self.free] = 1.0
-
-        slipping = np.zeros(mesh.n_nodes, dtype=bool)
-        slipping[nodes] = True
-        t = tangent[mesh.triangles][:, None]  # (n_cells, 1, 3, 2)
-        x_cols, y_cols = self.local_strains[:, :, 0::2], self.local_strains[:, :, 1::2]
-        strains = self.local_strains.copy()
-        strains[:, :, 0::2] = np.where(slipping[mesh.triangles][:, None],
-                                       -(t[..., 0] * x_cols + t[..., 1] * y_cols), x_cols)
-        slots = dof_unknowns[self._cell_dofs]
-        slots[:, 1::2][slipping[mesh.triangles]] = size  # a slip node's y column drops out
-
-        order = np.argsort(unknowns)
-        pos = np.empty(size + 1, dtype=int)
-        pos[order] = np.arange(size)
-        pos[size] = 0
-        p, real = pos[slots], slots < size
-        bw = int((np.where(real, p, -1).max(axis=1)
-                  - np.where(real, p, size).min(axis=1)).max(initial=0))
-        ld = 3 * bw + 1
-        index = 2 * bw + p[:, :, None] + (ld - 1) * p[:, None, :]  # entry (p_i, p_j) of the band
-        index[~(real[:, :, None] & real[:, None, :])] = ld * size
-        return ElementMap(dof_unknowns, dof_weights, strains, slots, index.ravel(),
-                          2 * bw + ld * pos[:size], order, pos[:size], bw)
 
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
@@ -309,13 +280,8 @@ class ElasticSystem:
 
     def _blocks(self, tangent: np.ndarray, strains: np.ndarray) -> np.ndarray:
         """S_c^T (area W D_c) S_c per cell, (n_cells, 6, 6), for cell strain matrices S_c."""
-        weighted = np.matmul(self._cell_weights * tangent, strains)
+        weighted = np.matmul(self.mesh.areas[:, None, None] * WEIGHTS[:, None] * tangent, strains)
         return np.matmul(strains.transpose(0, 2, 1), weighted)
-
-    def nodal_forces(self, sigma: np.ndarray, B_T=None) -> np.ndarray:
-        """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` if given."""
-        B_T = self.mesh.B_T if B_T is None else B_T
-        return B_T @ (np.repeat(self.mesh.areas, 3) * (sigma * WEIGHTS).ravel())
 
     def force_magnitudes(self, eu: np.ndarray, p: np.ndarray, loads: np.ndarray) -> np.ndarray:
         """``nodal_forces(C^eps (eu - p)) - loads`` with every term in absolute value.
@@ -323,11 +289,11 @@ class ElasticSystem:
         Scaled by eps_mach, it bounds the round-off in that residual.
         """
         cells = (np.abs(eu) + np.abs(p)) @ np.abs(self.cmat).T
-        return self.nodal_forces(cells, self.mesh.abs_B_T) + np.abs(loads)
+        return nodal_forces(self.mesh, cells, self.mesh.abs_B_T) + np.abs(loads)
 
     def plastic_load_vector(self, p: np.ndarray) -> np.ndarray:
         """Assemble int C^eps p : E(phi) as a dof vector."""
-        return self.nodal_forces(p @ self.cmat.T)
+        return nodal_forces(self.mesh, p @ self.cmat.T)
 
     def solve(self, p: np.ndarray, w_nodes: np.ndarray,
               loads: np.ndarray | None = None) -> np.ndarray:
@@ -353,7 +319,7 @@ class ElasticSystem:
 
         ``tangent`` holds the packed per-cell tangents D_c, shape
         (n_cells, 3, 3), and S maps the unknowns of ``elements`` (by default
-        ``self.elements``, the free dofs) to cell strains. The rows of the
+        ``mesh.elements``, the free dofs) to cell strains. The rows of the
         unknowns ``unit_rows`` are rows of the identity instead, which sets
         those unknowns to their ``rhs`` entries; their columns stay. K_T is
         summed from its cell blocks straight into the band and factorized by
@@ -362,7 +328,7 @@ class ElasticSystem:
         unit rows make it unsymmetric. A zero pivot or a failed residual guard
         (K_T x from the same blocks) raises ``SolverError``.
         """
-        elements = self.elements if elements is None else elements
+        elements = self.mesh.elements if elements is None else elements
         diagonal = np.zeros(elements.size) if shift is None else shift
         unit_rows = _NO_ROWS if unit_rows is None else unit_rows
         blocks = self._blocks(tangent, elements.strains)
@@ -444,8 +410,7 @@ def divergence_check(
     the cell tractions sigma.nu and the prescribed g.
     """
     # dof vector of R(phi) = int sigma:E(phi) - int f.phi - int_Gamma_N g.phi
-    r = mesh.B_T @ (np.repeat(mesh.areas, 3) * (sigma * WEIGHTS).ravel())
-    r -= external_load_vector(mesh, f_cells, g_edges)
+    r = nodal_forces(mesh, sigma) - external_load_vector(mesh, f_cells, g_edges)
     m = np.repeat(mesh.lumped_mass, 2)
     mask = mesh.free_dofs
     interior = float(np.sqrt(np.sum(r[mask] ** 2 / m[mask])))

@@ -11,9 +11,10 @@ fields are nodal (P1, shape ``(n_nodes, 2)``); strain/stress fields are
 cellwise packed symmetric tensors (P0, shape ``(n_cells, 3)``).
 
 Everything derived from the mesh alone (boundary-edge arrays, Dirichlet
-nodes, lumped mass, the strain operator, its transpose and that in absolute
-value, and the load maps) is built on first use, kept on the mesh instance
-and marked read-only.
+nodes, lumped mass, the cell dofs and strain blocks, the strain operator
+built from them, its transpose and that in absolute value, the free dofs'
+element map, and the load maps) is built on first use and kept on the mesh
+instance; all but the element map are marked read-only.
 """
 
 from __future__ import annotations
@@ -139,11 +140,43 @@ class Mesh:
         return _read_only(m)
 
     @cached_property
+    def cell_dofs(self) -> np.ndarray:
+        """The six interleaved dofs of every cell (x, y of each vertex), shape (n_cells, 6)."""
+        return _read_only((2 * self.triangles[:, :, None] + np.arange(2)).reshape(-1, 6))
+
+    @cached_property
+    def cell_strains(self) -> np.ndarray:
+        """Per cell, the (3, 6) map of its ``cell_dofs`` to its packed strain, from the
+        gradients of the barycentric functions: exact for affine displacements."""
+        v = self.nodes[self.triangles]
+        x, y = v[..., 0], v[..., 1]
+        a2 = 2.0 * self.areas[:, None]
+        gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / a2
+        gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / a2
+        strains = np.zeros((self.n_cells, 3, 6))
+        strains[:, 0, 0::2] = gx          # e11 = du1/dx
+        strains[:, 1, 0::2] = 0.5 * gy    # e12 = (du1/dy + du2/dx) / 2
+        strains[:, 1, 1::2] = 0.5 * gx
+        strains[:, 2, 1::2] = gy          # e22 = du2/dy
+        return _read_only(strains)
+
+    @cached_property
     def B(self) -> sp.csr_matrix:
         """Strain operator of ``rigiplast.fem.strain_matrix``."""
         from .fem import strain_matrix  # fem imports this module
 
         return _read_only(strain_matrix(self))
+
+    @cached_property
+    def elements(self):
+        """``rigiplast.fem.element_map`` of the free dofs: the unknowns of every elastic system.
+
+        Its arrays stay writeable: ``np.bincount`` copies a read-only index
+        array on every call, which cost a traction run about 30 ms.
+        """
+        from .fem import element_map
+
+        return element_map(self)
 
     @cached_property
     def B_T(self) -> sp.csr_matrix:

@@ -1,6 +1,7 @@
 """Independent numerical oracles shared by the unit and acceptance tests."""
 
 import numpy as np
+import scipy.sparse as sp
 
 _WEIGHTS = np.array([1.0, 2.0, 1.0])
 
@@ -92,3 +93,28 @@ def flux_residual_loop(mesh, sigma, g_edges):
         ])
         flux_sq += edge.length * float(((t - g) ** 2).sum())
     return float(np.sqrt(flux_sq))
+
+
+def strain_matrix_loop(mesh):
+    """The strain operator B assembled in COO form vertex by vertex, from the gradients of the
+    barycentric functions; rows (cell, e11/e12/e22), columns the interleaved nodal dofs."""
+    v = mesh.nodes[mesh.triangles]
+    x, y = v[..., 0], v[..., 1]
+    a2 = 2.0 * mesh.areas
+    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / a2[:, None]
+    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / a2[:, None]
+    rows, cols, vals = [], [], []
+    cell_rows = 3 * np.arange(mesh.n_cells)
+    for a in range(3):
+        dofx = 2 * mesh.triangles[:, a]
+        dofy = dofx + 1
+        # e11 = du1/dx
+        rows.append(cell_rows + 0); cols.append(dofx); vals.append(gx[:, a])
+        # e12 = (du1/dy + du2/dx) / 2
+        rows.append(cell_rows + 1); cols.append(dofx); vals.append(0.5 * gy[:, a])
+        rows.append(cell_rows + 1); cols.append(dofy); vals.append(0.5 * gx[:, a])
+        # e22 = du2/dy
+        rows.append(cell_rows + 2); cols.append(dofy); vals.append(gy[:, a])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(3 * mesh.n_cells, 2 * mesh.n_nodes)).tocsr()

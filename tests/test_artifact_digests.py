@@ -3,9 +3,11 @@
 ``run`` and ``sweep`` on SHEAR and TRACTION in both boundary modes, at
 ``mesh_n = 4`` and ``time_steps = 4``, must write these exact ``metrics.csv``,
 ``summary.json`` and VTK fields (``fields_final.vtk`` of ``run``,
-``fields_limit.vtk`` of ``sweep``): every file the two commands write. A
-change that moves artifacts on purpose updates the digests here and records
-the move in CHANGES.md.
+``fields_limit.vtk`` of ``sweep``): every file the two commands write. So
+must ``safeload`` and ``example41`` at ``mesh_n = 4`` (``summary.json`` and
+``fields_pi.vtk``, ``summary.json`` and ``fields_sigma.vtk``). A change that
+moves artifacts on purpose updates the digests here and records the move in
+CHANGES.md.
 """
 
 import hashlib
@@ -67,4 +69,29 @@ def test_artifacts_match_pinned_digests(monkeypatch, tmp_path, command, name, mo
     assert _sha256(out / "metrics.csv") == metrics
     assert _sha256(out / "summary.json") == summary
     vtk = "fields_final.vtk" if command == "run" else "fields_limit.vtk"
+    assert _sha256(out / vtk) == fields
+
+
+# (summary.json, VTK file name, its digest) of the commands that take no benchmark
+STANDALONE_DIGESTS = {
+    "safeload": (
+        "e3a420e4c42d83b09a61ba978c781468413143db850a9cea6aef911dde33c676",
+        "fields_pi.vtk",
+        "65ce9835072d5b9618f43deb87ada865359c7a9585a94be4183e0dc0e9b32549"),
+    "example41": (
+        "0724e0c5db6f4bdf0fa06d2bf1a9fdb814fc0d16ece32ffbe728106bb5b34553",
+        "fields_sigma.vtk",
+        "98687125dac1c4546bc7bdd0fb4af64ecef4e49d0b66f6f7d042929660ebd23a"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STANDALONE_DIGESTS))
+def test_standalone_artifacts_match_pinned_digests(monkeypatch, tmp_path, command):
+    monkeypatch.delenv("TOOL_OUT", raising=False)
+    config = tmp_path / "cfg"
+    config.write_text("mesh_n = 4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    summary, vtk, fields = STANDALONE_DIGESTS[command]
+    assert _sha256(out / "summary.json") == summary
     assert _sha256(out / vtk) == fields

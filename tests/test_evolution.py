@@ -64,6 +64,13 @@ class TestLoadProgram:
         with pytest.raises(ValueError, match="strictly increasing"):
             prog.validate(mesh)
 
+    def test_rejects_a_scalar_time_grid(self):
+        mesh = build_square_mesh(2, FACES)
+        prog = LoadProgram(np.array(0.0), np.zeros((1, mesh.n_nodes, 2)),
+                           np.zeros((1, mesh.n_cells, 2)), np.zeros((1, 0, 2)))
+        with pytest.raises(ValueError, match="at least two points"):
+            prog.validate(mesh)
+
 
 class TestIncrementalStep:
     def test_zero_loads_zero_state(self):
@@ -71,7 +78,7 @@ class TestIncrementalStep:
         prev = FEState.zeros(mesh)
         state, info = incremental_step(
             prev, 0.5, np.zeros((mesh.n_nodes, 2)), np.zeros((mesh.n_cells, 2)),
-            np.zeros((0, 2)), HOOKE, YSET, mesh)
+            np.zeros((0, 2)), ElasticSystem(mesh, HOOKE), YSET)
         assert np.abs(state.u).max() == 0.0
         assert np.abs(state.p).max() == 0.0
         assert np.abs(state.sigma).max() == 0.0
@@ -81,10 +88,11 @@ class TestIncrementalStep:
         gamma = 0.3  # trial stress 2*0.3/sqrt(2)/2 well inside K
         w = gamma * np.column_stack([mesh.nodes[:, 1], np.zeros(mesh.n_nodes)])
         prev = FEState.zeros(mesh)
+        system = ElasticSystem(mesh, HOOKE)
         state, _ = incremental_step(prev, 1.0, w, np.zeros((mesh.n_cells, 2)),
-                                    np.zeros((0, 2)), HOOKE, YSET, mesh)
+                                    np.zeros((0, 2)), system, YSET)
         assert np.abs(state.p).max() == 0.0
-        u_ref = ElasticSystem(mesh, HOOKE).solve(np.zeros((mesh.n_cells, 3)), w)
+        u_ref = system.solve(np.zeros((mesh.n_cells, 3)), w)
         np.testing.assert_allclose(state.u, u_ref, atol=1e-12)
 
     def test_convergence_error_carries_history(self, monkeypatch):
@@ -94,8 +102,8 @@ class TestIncrementalStep:
         prev = FEState.zeros(mesh)
         with pytest.raises(ConvergenceError) as err:
             incremental_step(prev, 1.0, w, np.zeros((mesh.n_cells, 2)),
-                             np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET,
-                             mesh, tol=1e-300, stress_tol=1e-300)
+                             np.zeros((len(mesh.neumann_edges), 2)),
+                             ElasticSystem(mesh, HOOKE), YSET, tol=1e-300, stress_tol=1e-300)
         assert err.value.state is not None
         assert len(err.value.decrease_history) == 2
 
@@ -105,7 +113,8 @@ class TestIncrementalStep:
         w = 3.0 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
         with pytest.raises(ConvergenceError) as err:
             incremental_step(FEState.zeros(mesh), 1.0, w, np.zeros((mesh.n_cells, 2)),
-                             np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET, mesh)
+                             np.zeros((len(mesh.neumann_edges), 2)),
+                             ElasticSystem(mesh, HOOKE), YSET)
         # the predictor's residual, then one per Newton iteration
         assert len(err.value.residual_history) == 2
         assert err.value.residual_history[0] > 1e-10
@@ -116,11 +125,12 @@ class TestIncrementalStep:
         mesh = build_square_mesh(3, ("bottom",))
         w = 0.75 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
         stiff = HookeTensor(1.0, 1.0, 0.01)
-        slip = slip_nodes_of(ElasticSystem(mesh, stiff))
+        system = ElasticSystem(mesh, stiff)
+        slip = slip_nodes_of(system)
         state, info = incremental_step(FEState.zeros(mesh, slip.count), 0.25, w,
                                        np.zeros((mesh.n_cells, 2)),
                                        np.zeros((len(mesh.neumann_edges), 2)),
-                                       stiff, YSET, mesh, slip=slip)
+                                       system, YSET, slip=slip)
         assert info.iterations == 1 + len(info.decreases) > 1
         assert 0.0 <= info.residual <= 1e-10 * YSET.radius
         assert info.backtracks > 0
@@ -132,17 +142,19 @@ class TestIncrementalStep:
         with pytest.raises(ValueError, match="2 previous slips for 0 slip nodes"):
             incremental_step(FEState.zeros(mesh, 2), 1.0, np.zeros((mesh.n_nodes, 2)),
                              np.zeros((mesh.n_cells, 2)),
-                             np.zeros((len(mesh.neumann_edges), 2)), HOOKE, YSET, mesh)
+                             np.zeros((len(mesh.neumann_edges), 2)),
+                             ElasticSystem(mesh, HOOKE), YSET)
 
     def test_invalid_tol(self):
         mesh = build_square_mesh(2, FACES)
+        system = ElasticSystem(mesh, HOOKE)
         for name in ("tol", "stress_tol"):
             for value in (0.0, -1.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="tol and stress_tol must be positive"):
                     incremental_step(FEState.zeros(mesh), 0.0,
                                      np.zeros((mesh.n_nodes, 2)),
                                      np.zeros((mesh.n_cells, 2)), np.zeros((0, 2)),
-                                     HOOKE, YSET, mesh, **{name: value})
+                                     system, YSET, **{name: value})
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from oracles import strain_matrix_loop
+
 from rigiplast import fem
 from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import slip_nodes_of
@@ -105,6 +107,17 @@ class TestStrain:
         E = strain_of(u, mesh)
         sym = np.array([G[0, 0], 0.5 * (G[0, 1] + G[1, 0]), G[1, 1]])
         np.testing.assert_allclose(E, np.tile(sym, (mesh.n_cells, 1)), atol=1e-13)
+
+    @pytest.mark.parametrize("faces", [ALL, ("bottom",)], ids=["all", "bottom"])
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_B_from_cell_blocks_equals_vertex_loop(self, n, faces):
+        """``mesh.B``, scattered from the cell blocks, is the per-vertex COO assembly, bit for bit."""
+        mesh = build_square_mesh(n, faces)
+        want = strain_matrix_loop(mesh)
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(mesh.B, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
 
 
 class TestElasticSolve:
@@ -224,7 +237,7 @@ def record_band_widths(monkeypatch):
 def traction_tangent_problem(n, relaxed, seed=0):
     """(system, tangent, elements, B_free) of a bottom-clamped mesh, some of its cells plastic.
 
-    ``elements`` is the system's element map of the free dofs or, if
+    ``elements`` is the mesh's element map of the free dofs or, if
     ``relaxed``, the slip set's, with one slip unknown per bottom slip node.
     ``B_free`` is the strain operator of the same unknowns, sliced from
     ``mesh.B``: a slip s moves its node by -s t.
@@ -235,7 +248,7 @@ def traction_tangent_problem(n, relaxed, seed=0):
     e_dev = np.random.default_rng(seed).standard_normal((mesh.n_cells, 3)) * 0.4
     e_dev[:, 2] = -e_dev[:, 0]
     tangent = consistent_tangent(e_dev, np.zeros_like(e_dev), hooke, YieldSet(1.0))
-    elements, B_free = system.elements, mesh.B[:, system.free]
+    elements, B_free = mesh.elements, mesh.B[:, system.free]
     if relaxed:
         slip = slip_nodes_of(system)
         nodes, t = slip.nodes, slip.tangents

@@ -91,7 +91,8 @@ def test_cached_arrays_are_read_only():
     mesh = _mixed_mesh()
     arrays = [mesh.dirichlet_nodes, mesh.free_dofs, mesh.lumped_mass, mesh.boundary.nodes,
               mesh.boundary.normals, mesh.boundary.lengths, mesh.boundary.cells,
-              mesh.boundary.dirichlet, mesh.neumann_boundary.normals]
+              mesh.boundary.dirichlet, mesh.neumann_boundary.normals, mesh.cell_dofs,
+              mesh.cell_strains]
     for op in (mesh.B, mesh.B_T, mesh.body_load_map, mesh.traction_load_map):
         arrays += [op.data, op.indices, op.indptr]
     for a in arrays:
@@ -117,6 +118,26 @@ def test_sweep_builds_strain_matrix_once_per_mesh(monkeypatch):
     _count_calls(monkeypatch, "strain_matrix", counts)
     run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
     assert counts == {"strain_matrix": 1}
+
+
+def test_sweep_builds_the_free_dof_element_map_once_per_mesh(monkeypatch):
+    """Three epsilons, three systems, one mesh: the free dofs' element map and the cell strain
+    blocks are the mesh's, built once, not once per system."""
+    counts = {}
+    for name in ("element_map", "strain_matrix"):
+        _count_calls(monkeypatch, name, counts)
+    systems = []
+    system_init = ElasticSystem.__init__
+
+    def recorded_system_init(self, *args, **kwargs):
+        system_init(self, *args, **kwargs)
+        systems.append(self)
+
+    monkeypatch.setattr(ElasticSystem, "__init__", recorded_system_init)
+    run_sweep(SweepConfig(epsilons=(1.0, 0.5, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
+    assert len(systems) == 3
+    assert counts == {"element_map": 1, "strain_matrix": 1}
+    assert all(system.mesh is systems[0].mesh for system in systems)
 
 
 def test_sweep_builds_per_system_invariants_once(monkeypatch):
@@ -212,6 +233,7 @@ def test_relaxed_run_builds_the_slip_operator_once(monkeypatch):
     step, and no column of B is sliced for it."""
     bench = benchmark_catalog("TRACTION", mesh_n=8, n_steps=8)
     B = bench.mesh.B
+    bench.mesh.elements  # the free dofs' map, the mesh's own
     slices = []
     getitem = type(B).__getitem__
 
@@ -220,20 +242,15 @@ def test_relaxed_run_builds_the_slip_operator_once(monkeypatch):
             slices.append(key)
         return getitem(self, key)
 
-    maps = []
-    element_map = ElasticSystem.element_map
-
-    def counted_element_map(self, *args, **kwargs):
-        maps.append(args)
-        return element_map(self, *args, **kwargs)
-
+    counts = {}
+    _count_calls(monkeypatch, "element_map", counts)
     monkeypatch.setattr(type(B), "__getitem__", counted_getitem)
-    monkeypatch.setattr(ElasticSystem, "element_map", counted_element_map)
-    states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
-                              bench.mesh, mode="relaxed")
+    for _ in range(2):
+        states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
+                                  bench.mesh, mode="relaxed")
     assert np.abs(states[-1].boundary_slip).max() > 0.0
-    # the free dofs' map of the system, then the slip set's
-    assert len(maps) == 2
+    # the slip set's map, once per evolution
+    assert counts == {"element_map": 2}
     assert slices == []
 
 
