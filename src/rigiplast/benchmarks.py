@@ -253,14 +253,17 @@ def example41_verify(
 
 @dataclass(frozen=True)
 class Benchmark:
-    """A mesh, a compatible load program, and the constitutive data."""
+    """A load program on its mesh, and the constitutive data."""
 
     id: str
-    mesh: Mesh
     program: LoadProgram
     hooke: HookeTensor
     yield_set: YieldSet
     meta: dict
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.program.mesh
 
 
 def benchmark_catalog(
@@ -278,37 +281,27 @@ def benchmark_catalog(
     yset = YieldSet(yield_radius)
     times = np.linspace(0.0, horizon, n_steps + 1)
 
+    if benchmark_id not in BENCHMARK_IDS:
+        raise ValueError(f"unknown benchmark id {benchmark_id!r}; known: {BENCHMARK_IDS}")
+    mesh = build_square_mesh(mesh_n, ("bottom",) if benchmark_id == "TRACTION" else FACES)
+    w = np.zeros((len(times), mesh.n_nodes, 2))
+    f = np.zeros((len(times), mesh.n_cells, 2))
+    g = np.zeros((len(times), len(mesh.neumann_boundary.lengths), 2))
     if benchmark_id == "SHEAR":
-        mesh = build_square_mesh(mesh_n, FACES)
         gamma = SHEAR_RATE * load_scale
         w = np.array([
             t * gamma * np.column_stack([mesh.nodes[:, 1], np.zeros(mesh.n_nodes)])
             for t in times
         ])
-        f = np.zeros((len(times), mesh.n_cells, 2))
-        g = np.zeros((len(times), 0, 2))
         meta = {"gamma": gamma}
     elif benchmark_id == "TRACTION":
-        mesh = build_square_mesh(mesh_n, ("bottom",))
         s_final = TRACTION_FINAL * yield_radius * load_scale
-        top = mesh.neumann_boundary.faces == "top"
-        g = np.zeros((len(times), len(top), 2))
-        g[:, top, 0] = (times / horizon * s_final)[:, None]
-        w = np.zeros((len(times), mesh.n_nodes, 2))
-        f = np.zeros((len(times), mesh.n_cells, 2))
+        g[:, mesh.neumann_boundary.faces == "top", 0] = (times / horizon * s_final)[:, None]
         meta = {"traction_final": s_final}
-    elif benchmark_id == "RIGID41":
-        mesh = build_square_mesh(mesh_n, FACES)
+    else:  # RIGID41
         params = default_example41_params(yield_radius)
         vel = params.velocity(mesh.nodes) * load_scale
         w = np.array([t * vel for t in times])
-        f = np.zeros((len(times), mesh.n_cells, 2))
-        g = np.zeros((len(times), 0, 2))
         meta = {"example41": params}
-    else:
-        raise ValueError(f"unknown benchmark id {benchmark_id!r}; known: {BENCHMARK_IDS}")
-
-    program = LoadProgram(times, w, f, g)
-    program.validate(mesh)
-    return Benchmark(id=benchmark_id, mesh=mesh, program=program, hooke=hooke,
+    return Benchmark(id=benchmark_id, program=LoadProgram(mesh, times, w, f, g), hooke=hooke,
                      yield_set=yset, meta=meta)

@@ -57,9 +57,9 @@ def _cmd_run(config: RunConfig, out: Path) -> dict:
     bench = _benchmark(config)
     hooke = bench.hooke.with_epsilon(config.run_epsilon)
     ledger = EnergyLedger.zeros(bench.program.times)
-    steps = evolve(bench.program, hooke, bench.yield_set, bench.mesh, mode=config.boundary_mode,
+    steps = evolve(bench.program, hooke, bench.yield_set, mode=config.boundary_mode,
                    tol=config.tol, stress_tol=config.stress_tol)
-    for final, _ in ledger.record(steps, bench.program, hooke, bench.mesh):
+    for final, _ in ledger.record(steps, bench.program, hooke):
         pass  # only the last state is written
     write_csv(out / "metrics.csv", EnergyLedger.CSV_HEADER, ledger.csv_rows())
     write_vtk(out / "fields_final.vtk", bench.mesh,

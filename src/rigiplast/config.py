@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
-from .benchmarks import Benchmark, benchmark_catalog
+from .benchmarks import BENCHMARK_IDS, Benchmark, benchmark_catalog
 from .evolution import MODES
 from .tensors import HookeTensor
 
 DEFAULT_EPSILONS = tuple(2.0 ** (-2 * k) for k in range(7))
-
-_BENCHMARKS = ("SHEAR", "TRACTION", "RIGID41")
 
 
 class ConfigError(ValueError):
@@ -78,15 +77,16 @@ class RunConfig:
         # `0 < x < inf` rejects nan (every comparison with nan is false) and inf
         epsilons = tuple(float(e) for e in self.epsilon_list)
         object.__setattr__(self, "epsilon_list", epsilons)
-        if self.benchmark not in _BENCHMARKS:
-            raise ConfigError(f"benchmark must be one of {_BENCHMARKS}, got {self.benchmark!r}")
+        if self.benchmark not in BENCHMARK_IDS:
+            raise ConfigError(f"benchmark must be one of {BENCHMARK_IDS}, got {self.benchmark!r}")
         if self.boundary_mode not in MODES:
             raise ConfigError(f"boundary mode must be one of {MODES}, got {self.boundary_mode!r}")
-        for name in ("mesh_n", "time_steps"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        for name, least in (("mesh_n", 1), ("time_steps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if not epsilons or not all(0 < e < math.inf for e in epsilons):
             raise ConfigError(f"epsilon list entries must be positive and finite, got {epsilons}")
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):

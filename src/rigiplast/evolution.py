@@ -26,25 +26,27 @@ that may slip tangentially; every step runs the same solver:
   nodes (two face normals) stay pinned. The slips join the Newton system as
   a primal-dual active set (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13).
 
-Every evolution starts from the zero state at the first grid time. ``evolve``
-is the one loop over time steps: a generator that yields each state with the
-``StepInfo`` of its step as soon as the step is done and keeps only the
-previous state, so a caller that reads each state once (the CLI ``run``, the
-sweep monitors) holds O(n_cells) of fields, not O(M n_cells). Each state
-carries the strain ``eu`` = Eu its step took, so nothing downstream takes it
-again. The energy ledger is a reader of that stream, which only ``run`` and
-``run_evolution`` (the states in a list) attach. It uses time-trapezoid work
-increments, which makes the purely elastic balance exact to solver precision
-and keeps the plastic balance gap one-sided and first order in the step size;
-its elastic energy is that of each state's elastic strain ``e``, which is
-``Eu - p`` bit for bit, and its datum strains E w_k are the ones
-``LoadProgram.validate`` returns.
+A ``LoadProgram`` is checked once, when it is made on its mesh; its evolutions
+run on that mesh and share its load vectors. Every evolution starts from the
+zero state at the first grid time. ``evolve`` is the one loop over time steps:
+a generator that yields each state with the ``StepInfo`` of its step as soon
+as the step is done and keeps only the previous state, so a caller that reads
+each state once (the CLI ``run``, the sweep monitors) holds O(n_cells) of
+fields, not O(M n_cells). Each state carries the strain ``eu`` = Eu its step
+took, so nothing downstream takes it again. The energy ledger is a reader of
+that stream, which only ``run`` and ``run_evolution`` (the states in a list)
+attach. It uses time-trapezoid work increments, which makes the purely elastic
+balance exact to solver precision and keeps the plastic balance gap one-sided
+and first order in the step size; its elastic energy is that of each state's
+elastic strain ``e``, which is ``Eu - p`` bit for bit, and it takes the datum
+strains E w_k in one product (``LoadProgram.datum_strains``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from .fem import (
     ElementMap,
     SolverError,
     boundary_integral_p1,
-    element_map,
     external_load_vector,
     gauss_traces,
     integrate_tensor_dot,
@@ -61,7 +62,7 @@ from .fem import (
     strain_of,
     weak_divergence_form,
 )
-from .mesh import Mesh
+from .mesh import Mesh, _read_only
 from .tensors import (
     HookeTensor,
     YieldSet,
@@ -98,57 +99,61 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LoadProgram:
-    """Time-parameterized loading data sampled on the time grid.
+    """Time-parameterized loading data on ``mesh``, sampled on the time grid.
 
     ``w`` is the global hard-device field (divergence-free, shape
     (M+1, n_nodes, 2)), ``f`` the body load per cell, ``g`` the traction per
-    Neumann edge. All are affine in time between grid points.
+    Neumann edge. All are affine in time between grid points. Making one
+    raises ``ValueError`` unless the grid, the shapes and div w = 0 hold.
     """
 
+    mesh: Mesh
     times: np.ndarray
     w: np.ndarray
     f: np.ndarray
     g: np.ndarray
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def validate(self, mesh: Mesh) -> np.ndarray:
-        """The datum strains E w_k, shape (M+1, n_cells, 3), once the checks pass.
-
-        Raises ``ValueError`` unless the grid, the shapes and div w = 0 hold.
-        The strains come from one product of ``mesh.B`` with every grid time
-        and equal ``strain_of(w[k], mesh)`` bit for bit.
-        """
+    def __post_init__(self):
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("time grid needs at least two points")
         n_t = len(self.times)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if self.w.shape != (n_t, mesh.n_nodes, 2):
+        if self.w.shape != (n_t, self.mesh.n_nodes, 2):
             raise ValueError(f"boundary field shape {self.w.shape} does not match grid/mesh")
-        if self.f.shape != (n_t, mesh.n_cells, 2):
+        if self.f.shape != (n_t, self.mesh.n_cells, 2):
             raise ValueError(f"body load shape {self.f.shape} does not match grid/mesh")
-        if self.g.shape != (n_t, len(mesh.neumann_boundary.lengths), 2):
+        if self.g.shape != (n_t, len(self.mesh.neumann_boundary.lengths), 2):
             raise ValueError(f"traction shape {self.g.shape} does not match grid/mesh")
         scale = max(1.0, float(np.abs(self.w).max()))
-        ew = mesh.B @ self.w.reshape(n_t, -1).T  # (3 n_cells, n_t): every grid time at once
-        div_max = np.abs(ew[0::3] + ew[2::3]).max(axis=0)
+        ew = self.datum_strains()
+        div_max = np.abs(ew[:, :, 0] + ew[:, :, 2]).max(axis=1)
         bad = np.flatnonzero(div_max > _DIV_TOL * scale)
         if bad.size:
             raise ValueError(
                 f"boundary field is not divergence-free at t={self.times[bad[0]]:g} "
                 f"(max |div w| = {div_max[bad[0]]:.3e})"
             )
-        return ew.T.reshape(n_t, mesh.n_cells, 3)
 
-    def at(self, k: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        return float(self.times[k]), self.w[k], self.f[k], self.g[k]
+    @property
+    def n_steps(self) -> int:
+        return len(self.times) - 1
+
+    def datum_strains(self) -> np.ndarray:
+        """E w_k, (M+1, n_cells, 3), by one product of ``mesh.B``; not kept. Row k equals
+        ``strain_of(w[k], mesh)`` bit for bit."""
+        n_t = len(self.times)
+        ew = self.mesh.B @ self.w.reshape(n_t, -1).T  # (3 n_cells, n_t): every grid time at once
+        return ew.T.reshape(n_t, self.mesh.n_cells, 3)
+
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """The load vector of every grid time, (M+1, 2 n_nodes), one product per load map on
+        first use; row k equals ``external_load_vector(mesh, f[k], g[k])`` bit for bit."""
+        n_t, mesh = len(self.times), self.mesh
+        loads = mesh.body_load_map @ self.f.reshape(n_t, -1).T
+        loads += mesh.traction_load_map @ self.g.reshape(n_t, -1).T
+        return _read_only(np.ascontiguousarray(loads.T))  # every evolution shares it
 
 
 @dataclass(frozen=True)
@@ -194,10 +199,10 @@ class FEState:
 class SlipNodes:
     """Dirichlet nodes that may slip tangentially: ``slip_nodes_of``, or none in strong mode."""
 
-    nodes: np.ndarray      # node index per slip dof
+    nodes: np.ndarray      # node index per slip dof (this and the rest but stiffness: the mesh's)
     tangents: np.ndarray   # unit tangent per slip dof
     lengths: np.ndarray    # lumped Dirichlet edge length per slip dof
-    stiffness: np.ndarray  # elastic stiffness of each node along its tangent
+    stiffness: np.ndarray  # elastic stiffness of each node along its tangent, set by C^eps
     elements: ElementMap   # Newton unknowns: the free dofs, then the slips (s moves a node by -t)
 
     @classmethod
@@ -211,29 +216,13 @@ class SlipNodes:
 
 
 def slip_nodes_of(system: ElasticSystem) -> SlipNodes:
-    """The face-interior Dirichlet nodes of ``system.mesh``, the slip set of relaxed mode.
-
-    Nodes shared by two faces keep both normals and stay pinned.
-    """
-    mesh = system.mesh
-    d = mesh.dirichlet_boundary
-    ends = d.nodes.ravel()
-    normals = np.repeat(d.normals, 2, axis=0)
-    lo = np.full((mesh.n_nodes, 2), np.inf)
-    hi = np.full((mesh.n_nodes, 2), -np.inf)
-    np.minimum.at(lo, ends, normals)
-    np.maximum.at(hi, ends, normals)
-    nodes = np.unique(ends)
-    nodes = nodes[(lo[nodes] == hi[nodes]).all(axis=1)]  # corners: two normals, pinned
-    nu = lo[nodes]
-    t = np.column_stack([-nu[:, 1], nu[:, 0]])
-    lengths = 0.5 * np.bincount(ends, weights=np.repeat(d.lengths, 2),
-                                minlength=mesh.n_nodes)[nodes]
+    """The relaxed mode's slip set, ``system.mesh.slip_set``, and its stiffness under ``system``."""
+    nodes, t, lengths, elements = system.mesh.slip_set
     diag = system.stiffness_diagonal
     cross = system.K[[2 * nodes], [2 * nodes + 1]].toarray()[0]  # a (1, k) row, also for k = 0
     stiffness = (t[:, 0] ** 2 * diag[2 * nodes] + t[:, 1] ** 2 * diag[2 * nodes + 1]
                  + 2.0 * t.prod(axis=1) * cross)
-    return SlipNodes(nodes, t, lengths, stiffness, element_map(mesh, nodes, t))
+    return SlipNodes(nodes, t, lengths, stiffness, elements)
 
 
 @dataclass
@@ -260,9 +249,9 @@ class EnergyLedger:
                    plastic_fraction=np.zeros(n_t), iterations=np.zeros(n_t, dtype=int))
 
     def record(self, steps: Iterator[tuple[FEState, StepInfo]], program: LoadProgram,
-               hooke: HookeTensor, mesh: Mesh) -> Iterator[tuple[FEState, StepInfo]]:
+               hooke: HookeTensor) -> Iterator[tuple[FEState, StepInfo]]:
         """Pass on the pairs ``steps`` of ``evolve(program, hooke, ...)``, filling row k first."""
-        ew = program.validate(mesh)
+        mesh, ew = program.mesh, program.datum_strains()
         cmat = hooke.matrix()  # the elastic energy of ElasticSystem.energy, bit for bit
         for k, (state, info) in enumerate(steps):
             self.elastic[k] = 0.5 * integrate_tensor_dot(mesh.areas, state.e @ cmat.T, state.e)
@@ -361,8 +350,7 @@ def incremental_step(
     state_prev: FEState,
     t: float,
     w_nodes: np.ndarray,
-    f_cells: np.ndarray,
-    g_edges: np.ndarray,
+    loads: np.ndarray,
     system: ElasticSystem,
     yield_set: YieldSet,
     slip: SlipNodes | None = None,
@@ -385,9 +373,9 @@ def incremental_step(
     the elastic stiffness diagonal until a step succeeds again
     (Levenberg-Marquardt); this carries the solver through the nearly
     singular tangents of loads close to the limit load and of a face that
-    slides as a whole. ``slip`` is the slip set (by default none: strong
-    mode), with one previous slip per node in ``state_prev.boundary_slip``;
-    the Hooke tensor is ``system.hooke``.
+    slides as a whole. ``loads`` is the step's load dof vector. ``slip`` is
+    the slip set (by default none: strong mode), with one previous slip per
+    node in ``state_prev.boundary_slip``; the Hooke tensor is ``system.hooke``.
     The slips join the Newton system as a primal-dual active set: a stuck
     node keeps its previous slip, a sliding node carries the constant
     friction force kappa * length / sqrt(2).
@@ -416,7 +404,6 @@ def incremental_step(
     if len(s_prev) != slip.count:
         raise ValueError(f"{len(s_prev)} previous slips for {slip.count} slip nodes")
     kappa = yield_set.radius
-    loads = external_load_vector(mesh, f_cells, g_edges)  # f and g are fixed within the step
     free = system.free
     n_free = free.size
     bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon
@@ -445,7 +432,7 @@ def incremental_step(
 
     def dual_norm(forces, slip_part):
         """Lumped dual norm of the free-dof forces (first in ``forces``) plus the slip-node part."""
-        sq = float((forces[:n_free] ** 2 * system.free_inv_mass).sum())
+        sq = float((forces[:n_free] ** 2 * mesh.free_inv_mass).sum())
         sq += float((slip_part ** 2 * slip_inv_mass).sum())
         return np.sqrt(sq)
 
@@ -572,12 +559,11 @@ def evolve(
     program: LoadProgram,
     hooke: HookeTensor,
     yield_set: YieldSet,
-    mesh: Mesh,
     mode: str = STRONG,
     tol: float = 1e-10,
     stress_tol: float = 1e-10,
 ) -> Iterator[tuple[FEState, StepInfo]]:
-    """Yield ``(state, info)`` at every grid time, from the zero state on.
+    """Yield ``(state, info)`` at every grid time of ``program``, on its mesh, from zero on.
 
     ``info`` is the ``StepInfo`` of the step that produced ``state``, all zero
     for the zero state. ``mode`` only chooses the slip set; an unknown one
@@ -586,18 +572,16 @@ def evolve(
     """
     if mode not in MODES:
         raise ValueError(f"unknown boundary mode {mode!r}")
-    program.validate(mesh)
-    system = ElasticSystem(mesh, hooke)
-    slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(mesh)
-    prev = replace(FEState.zeros(mesh, slip.count), t=float(program.times[0]))
+    system = ElasticSystem(program.mesh, hooke)
+    slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(program.mesh)
+    prev = replace(FEState.zeros(program.mesh, slip.count), t=float(program.times[0]))
     yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0)
 
     for k in range(1, program.n_steps + 1):
-        t, w_k, f_k, g_k = program.at(k)
         try:
             prev, info = incremental_step(
-                prev, t, w_k, f_k, g_k, system, yield_set, slip=slip,
-                tol=tol, stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
+                prev, float(program.times[k]), program.w[k], program.loads[k], system, yield_set,
+                slip=slip, tol=tol, stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
             )
         except ConvergenceError as exc:
             exc.step_index = k
@@ -609,12 +593,14 @@ def run_evolution(program: LoadProgram, hooke: HookeTensor, yield_set: YieldSet,
                   **options) -> tuple[list[FEState], EnergyLedger]:
     """Every state of ``evolve`` in a list, and the ledger recorded from its steps.
 
-    ``options`` are the solver options of ``evolve``. For callers that need
-    all states at once; a caller that reads each state once should iterate
-    ``evolve`` and keep only what it needs.
+    ``options`` are the solver options of ``evolve``; ``mesh`` must be ``program.mesh``.
+    For callers that need all states at once; a caller that reads each state
+    once should iterate ``evolve`` and keep only what it needs.
     """
+    if mesh is not program.mesh:
+        raise ValueError("mesh is not the mesh the program was made on")
     ledger = EnergyLedger.zeros(program.times)
-    steps = ledger.record(evolve(program, hooke, yield_set, mesh, **options), program, hooke, mesh)
+    steps = ledger.record(evolve(program, hooke, yield_set, **options), program, hooke)
     return [state for state, _ in steps], ledger
 
 

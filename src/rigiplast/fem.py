@@ -7,9 +7,10 @@ built once per mesh and cached on it (the cells' dofs and (3, 6) strain
 blocks S_c, ``Mesh.B`` scattered from them, the free dofs' ``ElementMap``,
 the load maps, the boundary-edge arrays), so a strain, a load
 vector or ``nodal_forces`` is one sparse matvec and boundary sums are array
-code; callers assemble the external loads once per load step and take each
-strain once. The stiffness matrix and the Newton tangent are both
-B^T blockdiag(area W D_c) B, a sum of 6x6 cell blocks S_c^T (area W D_c) S_c.
+code; a load program assembles the loads of all its grid times at once
+(``LoadProgram.loads``), and callers take each strain once. The stiffness
+matrix and the Newton tangent are both B^T blockdiag(area W D_c) B, a sum of
+6x6 cell blocks S_c^T (area W D_c) S_c.
 An ``ElementMap`` (of the free dofs, or of a slip set) holds the S_c of its
 unknowns and the position of every block entry in the LAPACK band of the
 row-major dof order, in which both matrices are narrow bands. Each matrix
@@ -272,11 +273,6 @@ class ElasticSystem:
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
         return self.K.diagonal()
-
-    @cached_property
-    def free_inv_mass(self) -> np.ndarray:
-        """Reciprocal lumped mass at the free dofs."""
-        return (1.0 / np.repeat(self.mesh.lumped_mass, 2))[self.free]
 
     def _blocks(self, tangent: np.ndarray, strains: np.ndarray) -> np.ndarray:
         """S_c^T (area W D_c) S_c per cell, (n_cells, 6, 6), for cell strain matrices S_c."""

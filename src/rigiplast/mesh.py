@@ -11,10 +11,11 @@ fields are nodal (P1, shape ``(n_nodes, 2)``); strain/stress fields are
 cellwise packed symmetric tensors (P0, shape ``(n_cells, 3)``).
 
 Everything derived from the mesh alone (boundary-edge arrays, Dirichlet
-nodes, lumped mass, the cell dofs and strain blocks, the strain operator
-built from them, its transpose and that in absolute value, the free dofs'
-element map, and the load maps) is built on first use and kept on the mesh
-instance; all but the element map are marked read-only.
+nodes, lumped mass and its reciprocal at the free dofs, the cell dofs and
+strain blocks, the strain operator built from them, its transpose and that
+in absolute value, the element map of the free dofs, the slip set of relaxed
+mode with its element map, and the load maps) is built on first use and
+kept on the mesh instance; all but the element maps are marked read-only.
 """
 
 from __future__ import annotations
@@ -179,6 +180,25 @@ class Mesh:
         return element_map(self)
 
     @cached_property
+    def slip_set(self) -> tuple:
+        """The slip set of relaxed mode, the face-interior Dirichlet nodes (a corner keeps two
+        normals and stays pinned): (nodes, unit tangents, lumped Dirichlet edge lengths, and the
+        writeable ``rigiplast.fem.element_map`` of the free dofs, then one slip per node)."""
+        from .fem import element_map
+
+        d = self.dirichlet_boundary
+        ends, normals = d.nodes.ravel(), np.repeat(d.normals, 2, axis=0)
+        lo = np.full((self.n_nodes, 2), np.inf)
+        hi = -lo
+        np.minimum.at(lo, ends, normals)
+        np.maximum.at(hi, ends, normals)
+        nodes = np.unique(ends)
+        nodes = _read_only(nodes[(lo[nodes] == hi[nodes]).all(axis=1)])  # corners: two normals
+        tangents = _read_only(np.column_stack([-lo[nodes, 1], lo[nodes, 0]]))
+        lengths = 0.5 * np.bincount(ends, weights=np.repeat(d.lengths, 2), minlength=self.n_nodes)
+        return nodes, tangents, _read_only(lengths[nodes]), element_map(self, nodes, tangents)
+
+    @cached_property
     def B_T(self) -> sp.csr_matrix:
         """Transpose of ``B`` in CSR form: cell stresses to nodal forces."""
         return _read_only(self.B.T.tocsr())
@@ -194,6 +214,11 @@ class Mesh:
         mask = np.ones((self.n_nodes, 2), dtype=bool)
         mask[self.dirichlet_nodes] = False
         return _read_only(mask.ravel())
+
+    @cached_property
+    def free_inv_mass(self) -> np.ndarray:
+        """Reciprocal lumped mass at the free dofs, in dof order."""
+        return _read_only((1.0 / np.repeat(self.lumped_mass, 2))[self.free_dofs])
 
     @cached_property
     def body_load_map(self) -> sp.csr_matrix:

@@ -156,7 +156,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
 
     dirichlet = mesh.dirichlet_boundary
     infos = []
-    for k, (st, info) in enumerate(evolve(program, hooke, yset, mesh, mode=config.boundary_mode,
+    for k, (st, info) in enumerate(evolve(program, hooke, yset, mode=config.boundary_mode,
                                           tol=config.tol, stress_tol=config.stress_tol)):
         infos.append(info)
         e_l2[k] = tensor_l2(areas, st.e)

@@ -35,41 +35,53 @@ def shear_program(mesh, gamma, n_steps, horizon=1.0):
                   for t in times])
     f = np.zeros((n_steps + 1, mesh.n_cells, 2))
     g = np.zeros((n_steps + 1, len(mesh.neumann_edges), 2))
-    return LoadProgram(times, w, f, g)
+    return LoadProgram(mesh, times, w, f, g)
 
 
 def zero_program(mesh, n_steps=1):
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    return LoadProgram(times,
+    return LoadProgram(mesh, times,
                        np.zeros((n_steps + 1, mesh.n_nodes, 2)),
                        np.zeros((n_steps + 1, mesh.n_cells, 2)),
                        np.zeros((n_steps + 1, len(mesh.neumann_edges), 2)))
 
 
 class TestLoadProgram:
+    """A program is checked when it is made on its mesh."""
+
     def test_rejects_divergent_boundary_field(self):
         mesh = build_square_mesh(3, FACES)
         times = np.linspace(0, 1, 3)
         w = np.array([t * mesh.nodes for t in times])  # div = 2t
-        prog = LoadProgram(times, w, np.zeros((3, mesh.n_cells, 2)),
-                           np.zeros((3, 0, 2)))
-        with pytest.raises(ValueError, match="divergence-free"):
-            prog.validate(mesh)
+        with pytest.raises(ValueError, match="divergence-free at t=0.5"):
+            LoadProgram(mesh, times, w, np.zeros((3, mesh.n_cells, 2)), np.zeros((3, 0, 2)))
 
     def test_rejects_non_increasing_grid(self):
         mesh = build_square_mesh(2, FACES)
         times = np.array([0.0, 0.5, 0.5])
-        prog = LoadProgram(times, np.zeros((3, mesh.n_nodes, 2)),
-                           np.zeros((3, mesh.n_cells, 2)), np.zeros((3, 0, 2)))
         with pytest.raises(ValueError, match="strictly increasing"):
-            prog.validate(mesh)
+            LoadProgram(mesh, times, np.zeros((3, mesh.n_nodes, 2)),
+                        np.zeros((3, mesh.n_cells, 2)), np.zeros((3, 0, 2)))
 
     def test_rejects_a_scalar_time_grid(self):
         mesh = build_square_mesh(2, FACES)
-        prog = LoadProgram(np.array(0.0), np.zeros((1, mesh.n_nodes, 2)),
-                           np.zeros((1, mesh.n_cells, 2)), np.zeros((1, 0, 2)))
         with pytest.raises(ValueError, match="at least two points"):
-            prog.validate(mesh)
+            LoadProgram(mesh, np.array(0.0), np.zeros((1, mesh.n_nodes, 2)),
+                        np.zeros((1, mesh.n_cells, 2)), np.zeros((1, 0, 2)))
+
+    def test_rejects_shapes_of_another_mesh(self):
+        mesh, other = build_square_mesh(2, FACES), build_square_mesh(3, FACES)
+        times = np.linspace(0, 1, 3)
+        with pytest.raises(ValueError, match=r"boundary field shape \(3, 16, 2\)"):
+            LoadProgram(mesh, times, np.zeros((3, other.n_nodes, 2)),
+                        np.zeros((3, mesh.n_cells, 2)), np.zeros((3, 0, 2)))
+        with pytest.raises(ValueError, match=r"body load shape \(3, 18, 2\)"):
+            LoadProgram(mesh, times, np.zeros((3, mesh.n_nodes, 2)),
+                        np.zeros((3, other.n_cells, 2)), np.zeros((3, 0, 2)))
+        bottom = build_square_mesh(2, ("bottom",))
+        with pytest.raises(ValueError, match=r"traction shape \(3, 0, 2\)"):
+            LoadProgram(bottom, times, np.zeros((3, bottom.n_nodes, 2)),
+                        np.zeros((3, bottom.n_cells, 2)), np.zeros((3, 0, 2)))
 
 
 class TestIncrementalStep:
@@ -77,8 +89,8 @@ class TestIncrementalStep:
         mesh = build_square_mesh(3, FACES)
         prev = FEState.zeros(mesh)
         state, info = incremental_step(
-            prev, 0.5, np.zeros((mesh.n_nodes, 2)), np.zeros((mesh.n_cells, 2)),
-            np.zeros((0, 2)), ElasticSystem(mesh, HOOKE), YSET)
+            prev, 0.5, np.zeros((mesh.n_nodes, 2)), np.zeros(2 * mesh.n_nodes),
+            ElasticSystem(mesh, HOOKE), YSET)
         assert np.abs(state.u).max() == 0.0
         assert np.abs(state.p).max() == 0.0
         assert np.abs(state.sigma).max() == 0.0
@@ -89,8 +101,7 @@ class TestIncrementalStep:
         w = gamma * np.column_stack([mesh.nodes[:, 1], np.zeros(mesh.n_nodes)])
         prev = FEState.zeros(mesh)
         system = ElasticSystem(mesh, HOOKE)
-        state, _ = incremental_step(prev, 1.0, w, np.zeros((mesh.n_cells, 2)),
-                                    np.zeros((0, 2)), system, YSET)
+        state, _ = incremental_step(prev, 1.0, w, np.zeros(2 * mesh.n_nodes), system, YSET)
         assert np.abs(state.p).max() == 0.0
         u_ref = system.solve(np.zeros((mesh.n_cells, 3)), w)
         np.testing.assert_allclose(state.u, u_ref, atol=1e-12)
@@ -101,8 +112,7 @@ class TestIncrementalStep:
         w = 3.0 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
         prev = FEState.zeros(mesh)
         with pytest.raises(ConvergenceError) as err:
-            incremental_step(prev, 1.0, w, np.zeros((mesh.n_cells, 2)),
-                             np.zeros((len(mesh.neumann_edges), 2)),
+            incremental_step(prev, 1.0, w, np.zeros(2 * mesh.n_nodes),
                              ElasticSystem(mesh, HOOKE), YSET, tol=1e-300, stress_tol=1e-300)
         assert err.value.state is not None
         assert len(err.value.decrease_history) == 2
@@ -112,8 +122,7 @@ class TestIncrementalStep:
         mesh = build_square_mesh(3, ("bottom",))
         w = 3.0 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
         with pytest.raises(ConvergenceError) as err:
-            incremental_step(FEState.zeros(mesh), 1.0, w, np.zeros((mesh.n_cells, 2)),
-                             np.zeros((len(mesh.neumann_edges), 2)),
+            incremental_step(FEState.zeros(mesh), 1.0, w, np.zeros(2 * mesh.n_nodes),
                              ElasticSystem(mesh, HOOKE), YSET)
         # the predictor's residual, then one per Newton iteration
         assert len(err.value.residual_history) == 2
@@ -128,9 +137,7 @@ class TestIncrementalStep:
         system = ElasticSystem(mesh, stiff)
         slip = slip_nodes_of(system)
         state, info = incremental_step(FEState.zeros(mesh, slip.count), 0.25, w,
-                                       np.zeros((mesh.n_cells, 2)),
-                                       np.zeros((len(mesh.neumann_edges), 2)),
-                                       system, YSET, slip=slip)
+                                       np.zeros(2 * mesh.n_nodes), system, YSET, slip=slip)
         assert info.iterations == 1 + len(info.decreases) > 1
         assert 0.0 <= info.residual <= 1e-10 * YSET.radius
         assert info.backtracks > 0
@@ -141,9 +148,7 @@ class TestIncrementalStep:
         mesh = build_square_mesh(3, ("bottom",))
         with pytest.raises(ValueError, match="2 previous slips for 0 slip nodes"):
             incremental_step(FEState.zeros(mesh, 2), 1.0, np.zeros((mesh.n_nodes, 2)),
-                             np.zeros((mesh.n_cells, 2)),
-                             np.zeros((len(mesh.neumann_edges), 2)),
-                             ElasticSystem(mesh, HOOKE), YSET)
+                             np.zeros(2 * mesh.n_nodes), ElasticSystem(mesh, HOOKE), YSET)
 
     def test_invalid_tol(self):
         mesh = build_square_mesh(2, FACES)
@@ -152,8 +157,7 @@ class TestIncrementalStep:
             for value in (0.0, -1.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="tol and stress_tol must be positive"):
                     incremental_step(FEState.zeros(mesh), 0.0,
-                                     np.zeros((mesh.n_nodes, 2)),
-                                     np.zeros((mesh.n_cells, 2)), np.zeros((0, 2)),
+                                     np.zeros((mesh.n_nodes, 2)), np.zeros(2 * mesh.n_nodes),
                                      system, YSET, **{name: value})
 
 
@@ -253,7 +257,7 @@ class TestRunEvolutionEdges:
         w = np.array([t * 3.0 * np.column_stack([mesh.nodes[:, 0],
                                                  -mesh.nodes[:, 1]])
                       for t in times])
-        prog = LoadProgram(times, w, np.zeros((5, mesh.n_cells, 2)),
+        prog = LoadProgram(mesh, times, w, np.zeros((5, mesh.n_cells, 2)),
                            np.zeros((5, len(mesh.neumann_edges), 2)))
         with pytest.raises(ConvergenceError) as err:
             run_evolution(prog, HOOKE, YSET, mesh, tol=1e-300, stress_tol=1e-300)
@@ -271,8 +275,13 @@ class TestRunEvolutionEdges:
         mesh = build_square_mesh(2, FACES)
         prog = zero_program(mesh)
         with pytest.raises(ValueError, match="unknown boundary mode 'slippery'"):
-            next(evolve(prog, HOOKE, YSET, mesh, mode="slippery"))
+            next(evolve(prog, HOOKE, YSET, mode="slippery"))
         assert built == []
+
+    def test_mesh_must_be_the_programs(self):
+        prog = zero_program(build_square_mesh(2, FACES))
+        with pytest.raises(ValueError, match="not the mesh the program was made on"):
+            run_evolution(prog, HOOKE, YSET, build_square_mesh(2, FACES))
 
 
 class TestEnergyReport:
@@ -369,7 +378,7 @@ class TestRelaxedMode:
         w = np.array([t * 3.0 * np.column_stack([mesh.nodes[:, 0],
                                                  -mesh.nodes[:, 1]])
                       for t in times])
-        prog = LoadProgram(times, w, np.zeros((n_t, mesh.n_cells, 2)),
+        prog = LoadProgram(mesh, times, w, np.zeros((n_t, mesh.n_cells, 2)),
                            np.zeros((n_t, len(mesh.neumann_edges), 2)))
         stiff = HookeTensor(1.0, 1.0, 0.01)
         states, ledger = run_evolution(prog, stiff, YSET, mesh, mode="relaxed")

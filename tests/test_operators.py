@@ -1,10 +1,11 @@
-"""Per-mesh cached operators and per-step load assembly.
+"""Per-mesh cached operators and the load program's load assembly.
 
 The cached load maps and the array-based boundary code are checked against
-the per-edge loops in ``oracles``; the work counts check that operators are
-built once per mesh, per-system invariants once per system, loads once per
-step, not once per inner iteration, each strain once, and that the CLI holds
-one state at a time, not the whole evolution.
+the per-edge loops in ``oracles``, and a program's loads against the per-step
+assembly; the work counts check that operators are built once per mesh,
+per-system invariants once per system, a program's loads and datum strains
+once per program, not once per evolution or step, each strain once, and that
+the CLI holds one state at a time, not the whole evolution.
 """
 
 import gc
@@ -20,11 +21,12 @@ from oracles import body_load_vector_loop, flux_residual_loop, traction_load_vec
 import rigiplast.fem
 from rigiplast import cli, evolution
 from rigiplast.benchmarks import benchmark_catalog
-from rigiplast.evolution import FEState, run_evolution
+from rigiplast.evolution import FEState, LoadProgram, run_evolution
 from rigiplast.fem import (
     ElasticSystem,
     body_load_vector,
     divergence_check,
+    external_load_vector,
     traction_load_vector,
 )
 from rigiplast.mesh import DIRICHLET, build_square_mesh
@@ -87,12 +89,29 @@ class TestAgainstLoops:
         assert mesh.dirichlet_nodes.tolist() == want
 
 
+@pytest.mark.parametrize("n", [4, 16, 32])
+@pytest.mark.parametrize("faces", [("bottom",), ("left", "top")], ids=["one_face", "two_faces"])
+def test_program_loads_equal_the_per_step_assembly(n, faces):
+    mesh = build_square_mesh(n, faces)
+    rng = np.random.default_rng(n)
+    n_t = 6
+    f = rng.standard_normal((n_t, mesh.n_cells, 2))
+    g = rng.standard_normal((n_t, len(mesh.neumann_edges), 2))
+    program = LoadProgram(mesh, np.linspace(0.0, 1.0, n_t), np.zeros((n_t, mesh.n_nodes, 2)), f, g)
+    assert program.loads.shape == (n_t, 2 * mesh.n_nodes)
+    for k in range(n_t):
+        assert np.array_equal(program.loads[k], external_load_vector(mesh, f[k], g[k]))
+    assert program.loads is program.loads
+    with pytest.raises(ValueError):
+        program.loads[0, 0] = 0.0
+
+
 def test_cached_arrays_are_read_only():
     mesh = _mixed_mesh()
     arrays = [mesh.dirichlet_nodes, mesh.free_dofs, mesh.lumped_mass, mesh.boundary.nodes,
               mesh.boundary.normals, mesh.boundary.lengths, mesh.boundary.cells,
               mesh.boundary.dirichlet, mesh.neumann_boundary.normals, mesh.cell_dofs,
-              mesh.cell_strains]
+              mesh.cell_strains, mesh.free_inv_mass, *mesh.slip_set[:3]]
     for op in (mesh.B, mesh.B_T, mesh.body_load_map, mesh.traction_load_map):
         arrays += [op.data, op.indices, op.indptr]
     for a in arrays:
@@ -179,26 +198,46 @@ def test_sweep_takes_each_strain_once(monkeypatch):
     assert counts["strain_of"] <= 24
 
 
-def test_sweep_assembles_loads_per_step(monkeypatch):
-    """One body and one traction load per step in incremental_step; the sweep keeps no ledger."""
-    counts = {}
+def _count_program_work(monkeypatch, counts):
+    """Count the load assemblies (``LoadProgram.loads``) and datum-strain products of programs."""
+    loads, datum_strains = LoadProgram.loads.func, LoadProgram.datum_strains
+
+    def counted_loads(self):
+        counts["loads"] = counts.get("loads", 0) + 1
+        return loads(self)
+
+    def counted_datum_strains(self):
+        counts["datum_strains"] = counts.get("datum_strains", 0) + 1
+        return datum_strains(self)
+
+    monkeypatch.setattr(LoadProgram.loads, "func", counted_loads)
+    monkeypatch.setattr(LoadProgram, "datum_strains", counted_datum_strains)
     for name in ("body_load_vector", "traction_load_vector"):
         _count_calls(monkeypatch, name, counts)
+
+
+def test_sweep_assembles_loads_and_datum_strains_once(monkeypatch):
+    """Two epsilons, one program: its loads are assembled once and shared by both evolutions,
+    its datum strains are taken once, when it is made and checked, and no step assembles a
+    load vector; the sweep keeps no ledger."""
+    counts = {}
+    _count_program_work(monkeypatch, counts)
     run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
-    assert sum(counts.values()) == 2 * 4 * 2
+    assert counts == {"loads": 1, "datum_strains": 1}
 
 
-def test_traction_run_assembles_loads_per_step(monkeypatch):
+def test_traction_run_takes_datum_strains_twice(monkeypatch):
+    """Once when the program is made, once in the ledger; the steps read the program's loads,
+    and the ledger assembles each step's mid-step body and traction loads."""
     counts = {}
-    for name in ("body_load_vector", "traction_load_vector"):
-        _count_calls(monkeypatch, name, counts)
+    _count_program_work(monkeypatch, counts)
     bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
     hooke = bench.hooke.with_epsilon(1.0)
     _, ledger = run_evolution(bench.program, hooke, bench.yield_set, bench.mesh)
     steps = bench.program.n_steps
     assert ledger.iterations.sum() > steps  # some steps take inner iterations
-    # one body and one traction load per step in incremental_step, and the same in the ledger
-    assert sum(counts.values()) == 4 * steps
+    assert counts == {"loads": 1, "datum_strains": 2, "body_load_vector": steps,
+                      "traction_load_vector": steps}
 
 
 def test_traction_run_orders_the_band_once_per_system(monkeypatch):
@@ -229,8 +268,8 @@ def test_traction_run_orders_the_band_once_per_system(monkeypatch):
 
 
 def test_relaxed_run_builds_the_slip_operator_once(monkeypatch):
-    """Relaxed mode: the element map of the slip unknowns is built once per evolution, not per
-    step, and no column of B is sliced for it."""
+    """Relaxed mode: the element map of the slip unknowns is the mesh's, built once for two
+    evolutions, not once per evolution or step, and no column of B is sliced for it."""
     bench = benchmark_catalog("TRACTION", mesh_n=8, n_steps=8)
     B = bench.mesh.B
     bench.mesh.elements  # the free dofs' map, the mesh's own
@@ -249,8 +288,8 @@ def test_relaxed_run_builds_the_slip_operator_once(monkeypatch):
         states, _ = run_evolution(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
                                   bench.mesh, mode="relaxed")
     assert np.abs(states[-1].boundary_slip).max() > 0.0
-    # the slip set's map, once per evolution
-    assert counts == {"element_map": 2}
+    # the slip set's map, once per mesh
+    assert counts == {"element_map": 1}
     assert slices == []
 
 
@@ -268,7 +307,7 @@ def test_newton_steps_build_no_sparse_matrix(monkeypatch, mode):
     monkeypatch.setattr(ElasticSystem, "solve_tangent", counted_solve_tangent)
     bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
     steps = evolution.evolve(bench.program, bench.hooke.with_epsilon(1.0), bench.yield_set,
-                             bench.mesh, mode=mode)
+                             mode=mode)
     next(steps)  # the zero state: the system and the slip set exist
     for name in ("B_T", "abs_B_T", "body_load_map", "traction_load_map"):
         getattr(bench.mesh, name)  # the mesh's own operators, built on first use

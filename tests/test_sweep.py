@@ -5,7 +5,7 @@ import pytest
 
 from oracles import cauchy_distances_all_pairs
 
-from rigiplast.config import RunConfig, parse_config
+from rigiplast.config import ConfigError, RunConfig, parse_config
 from rigiplast.evolution import run_evolution
 from rigiplast.sweep import (
     SweepConfig,
@@ -70,9 +70,12 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("settings, message", [
         ({"mesh_n": 0}, "mesh_n"), ({"n_steps": 0}, "time_steps"), ({"benchmark": "TWIST"}, "benchmark"),
+        # counts are integers: 2.5 built an n=2 mesh, True an n=1 mesh, and seed 0.5 passed
+        ({"mesh_n": 2.5}, "mesh_n must be an integer"), ({"mesh_n": True}, "mesh_n must be an integer"),
+        ({"n_steps": 2.5}, "time_steps must be an integer"), ({"seed": 0.5}, "seed must be an integer"),
     ])
     def test_rejects_invalid_settings_when_made(self, settings, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ConfigError, match=message):
             SweepConfig(**settings)
 
     def test_is_the_run_config_of_the_same_file_keys(self):
