@@ -1,5 +1,11 @@
 """Plane-strain perfect plasticity and its stiff-elasticity rigid-plastic limit."""
 
+import os
+
+# One OpenBLAS thread unless the user sets a count, before numpy loads it: the
+# narrow band factorizations here run slower, and can stall, on more threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .benchmarks import (
     Benchmark,
     Example41Params,

@@ -55,7 +55,6 @@ from .fem import (
     ElementMap,
     SolverError,
     boundary_integral_p1,
-    external_load_vector,
     gauss_traces,
     integrate_tensor_dot,
     nodal_forces,
@@ -148,12 +147,15 @@ class LoadProgram:
 
     @cached_property
     def loads(self) -> np.ndarray:
-        """The load vector of every grid time, (M+1, 2 n_nodes), one product per load map on
-        first use; row k equals ``external_load_vector(mesh, f[k], g[k])`` bit for bit."""
-        n_t, mesh = len(self.times), self.mesh
-        loads = mesh.body_load_map @ self.f.reshape(n_t, -1).T
-        loads += mesh.traction_load_map @ self.g.reshape(n_t, -1).T
-        return _read_only(np.ascontiguousarray(loads.T))  # every evolution shares it
+        """The load vector of every grid time, (M+1, 2 n_nodes), on first use."""
+        return _read_only(self.load_vectors(self.f, self.g))  # every evolution shares it
+
+    def load_vectors(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The load vectors of stacked loads on the mesh, one product per load map; row k
+        equals ``external_load_vector(mesh, f[k], g[k])`` bit for bit."""
+        loads = self.mesh.body_load_map @ f.reshape(len(f), -1).T
+        loads += self.mesh.traction_load_map @ g.reshape(len(g), -1).T
+        return np.ascontiguousarray(loads.T)
 
 
 @dataclass(frozen=True)
@@ -218,11 +220,9 @@ class SlipNodes:
 def slip_nodes_of(system: ElasticSystem) -> SlipNodes:
     """The relaxed mode's slip set, ``system.mesh.slip_set``, and its stiffness under ``system``."""
     nodes, t, lengths, elements = system.mesh.slip_set
-    diag = system.stiffness_diagonal
-    cross = system.K[[2 * nodes], [2 * nodes + 1]].toarray()[0]  # a (1, k) row, also for k = 0
-    stiffness = (t[:, 0] ** 2 * diag[2 * nodes] + t[:, 1] ** 2 * diag[2 * nodes + 1]
-                 + 2.0 * t.prod(axis=1) * cross)
-    return SlipNodes(nodes, t, lengths, stiffness, elements)
+    # a slip's diagonal entry in the stiffness on the slip set's unknowns: t^T K_aa t
+    stiffness = elements.diagonal_of(system.cell_blocks(system.cmat, elements.strains))
+    return SlipNodes(nodes, t, lengths, stiffness[system.free.size:], elements)
 
 
 @dataclass
@@ -251,7 +251,8 @@ class EnergyLedger:
     def record(self, steps: Iterator[tuple[FEState, StepInfo]], program: LoadProgram,
                hooke: HookeTensor) -> Iterator[tuple[FEState, StepInfo]]:
         """Pass on the pairs ``steps`` of ``evolve(program, hooke, ...)``, filling row k first."""
-        mesh, ew = program.mesh, program.datum_strains()
+        mesh, ew, f, g = program.mesh, program.datum_strains(), program.f, program.g
+        mid_loads = program.load_vectors(0.5 * (f[1:] + f[:-1]), 0.5 * (g[1:] + g[:-1]))
         cmat = hooke.matrix()  # the elastic energy of ElasticSystem.energy, bit for bit
         for k, (state, info) in enumerate(steps):
             self.elastic[k] = 0.5 * integrate_tensor_dot(mesh.areas, state.e @ cmat.T, state.e)
@@ -262,9 +263,7 @@ class EnergyLedger:
                 sig_mid = 0.5 * (state.sigma + prev.sigma)
                 work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew[k] - ew[k - 1])
                 du_dw = (state.u - prev.u) - (program.w[k] - program.w[k - 1])
-                f_mid = 0.5 * (program.f[k] + program.f[k - 1])
-                g_mid = 0.5 * (program.g[k] + program.g[k - 1])
-                work_inc += float(external_load_vector(mesh, f_mid, g_mid) @ du_dw.ravel())
+                work_inc += float(mid_loads[k - 1] @ du_dw.ravel())
                 self.dissipation[k] = self.dissipation[k - 1] + info.dissipation
                 self.work[k] = self.work[k - 1] + work_inc
                 self.gap[k] = self.elastic[k] + self.dissipation[k] - self.work[k] - self.elastic[0]
@@ -407,7 +406,6 @@ def incremental_step(
     free = system.free
     n_free = free.size
     bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon
-    free_stiffness = system.stiffness_diagonal[free]
     slack = 1e-12
     nodes, tangents = slip.nodes, slip.tangents
     friction = kappa / np.sqrt(2.0) * slip.lengths
@@ -447,13 +445,13 @@ def incremental_step(
         tangent = consistent_tangent(it.e_dev, p_prev, hooke, yield_set)
         y = it.z + it.q / slip.stiffness
         stuck = np.abs(y) <= friction / slip.stiffness
-        # unknowns: the free dofs, then the slips; a stuck slip's row is the
-        # unit row dz = -z, back to its previous value, and its column stays
+        # unknowns: the free dofs, then the slips; a stuck slip is held at
+        # dz = -z, back to its previous value, and eliminated from the system
         rhs = -np.concatenate([it.grad[:n_free],
                                np.where(stuck, it.z, friction * np.sign(y) - it.q)])
         # a face that slides as a whole leaves the smooth part flat along
         # its rigid translation: the slips are always damped a little
-        shift = np.concatenate([damping * free_stiffness,
+        shift = np.concatenate([damping * system.stiffness_diagonal,
                                 max(damping, _DAMPING_MIN) * slip.stiffness])
         try:
             sol = system.solve_tangent(tangent, rhs, unknowns, shift,

@@ -5,35 +5,33 @@ integrands via the centroid) and two-point Gauss per boundary edge (exact for
 the P1 traces that appear here). Operators that depend on the mesh alone are
 built once per mesh and cached on it (the cells' dofs and (3, 6) strain
 blocks S_c, ``Mesh.B`` scattered from them, the free dofs' ``ElementMap``,
-the load maps, the boundary-edge arrays), so a strain, a load
-vector or ``nodal_forces`` is one sparse matvec and boundary sums are array
-code; a load program assembles the loads of all its grid times at once
+the load maps, the boundary-edge arrays), so a strain, a load vector or
+``nodal_forces`` is one sparse matvec and boundary sums are array code; a
+load program assembles the loads of all its grid times at once
 (``LoadProgram.loads``), and callers take each strain once. The stiffness
 matrix and the Newton tangent are both B^T blockdiag(area W D_c) B, a sum of
-6x6 cell blocks S_c^T (area W D_c) S_c.
-An ``ElementMap`` (of the free dofs, or of a slip set) holds the S_c of its
-unknowns and the position of every block entry in the LAPACK band of the
-row-major dof order, in which both matrices are narrow bands. Each matrix
-is then one batched product of the blocks and one ``bincount`` into the
-band, factorized by banded LU; no sparse matrix is built per Newton step. An
-``ElasticSystem`` holds what the Hooke tensor C^eps sets: the stiffness and
-its factor, which every elastic solve reuses; the tangent changes with every
-iterate and is factorized afresh.
+6x6 cell blocks S_c^T (area W D_c) S_c. An ``ElementMap`` (of the free dofs,
+or of a slip set) holds the S_c of its unknowns and the position of every
+block entry in the upper LAPACK band of the row-major dof order, in which
+both matrices are narrow bands. Each matrix is then one batched product of
+the blocks and one ``bincount`` into the band, factorized by banded
+Cholesky, as is safeload's Gram matrix; no sparse matrix is built per Newton
+step. An ``ElasticSystem`` holds what the Hooke tensor C^eps sets: the
+stiffness and its factor, which every elastic solve reuses; the tangent
+changes with every iterate and is factorized afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .mesh import EdgeArrays, Mesh
 from .tensors import WEIGHTS, HookeTensor, ddot
 
-_NO_ROWS = np.zeros(0, dtype=int)
 _GAUSS2 = (0.5 * (1 - 1 / np.sqrt(3.0)), 0.5 * (1 + 1 / np.sqrt(3.0)))  # on [0, 1]
 
 
@@ -132,10 +130,11 @@ class ElementMap:
     ``pos[k]`` of the band; ``order``, the inverse permutation, sorts the
     unknowns by dof number, a row-major grid order that keeps the
     half-bandwidth ``bw`` small.
-    ``index`` holds the flat position, in the Fortran-ordered (3 bw + 1, size)
-    LAPACK band, of the entry of each of the 36 local pairs (i, j) of every
-    cell in C order, and the extra bin (3 bw + 1) size where a slot is none;
-    ``diagonal`` holds the flat position of every unknown's diagonal entry.
+    ``index`` holds the flat position, in the Fortran-ordered (bw + 1, size)
+    upper LAPACK band, of the entry of each of the 36 local pairs (i, j) of
+    every cell in C order, and the extra bin (bw + 1) size where a slot is
+    none or the entry lies below the diagonal; ``diagonal`` holds the flat
+    position of every unknown's diagonal entry.
     """
 
     dof_unknowns: np.ndarray
@@ -161,32 +160,27 @@ class ElementMap:
         return np.bincount(self.dof_unknowns, forces * self.dof_weights,
                            minlength=self.size + 1)[:-1]
 
-    def band(self, blocks: np.ndarray, diagonal: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
-        """sum_c (cell c's 6x6 ``blocks``) + diag(``diagonal``) in LAPACK band storage.
-
-        The rows ``unit_rows`` are rows of the identity instead.
-        """
-        ld, bw, size = 3 * self.bw + 1, self.bw, self.size
+    def band(self, blocks: np.ndarray, diagonal) -> np.ndarray:
+        """The upper half of sum_c (cell c's 6x6 ``blocks``) + diag(``diagonal``), LAPACK band."""
+        ld, size = self.bw + 1, self.size
         ab = np.bincount(self.index, blocks.ravel(), minlength=ld * size + 1)
         ab[self.diagonal] += diagonal
-        cols = self.pos[unit_rows][:, None] + np.arange(-bw, bw + 1)
-        ab[np.where((cols >= 0) & (cols < size), 2 * bw + ld * cols - np.arange(-bw, bw + 1),
-                    ld * size)] = 0.0
-        ab[self.diagonal[unit_rows]] = 1.0
         return ab[:-1].reshape(size, ld).T
 
-    def factor(self, blocks: np.ndarray, diagonal, unit_rows: np.ndarray, what: str) -> tuple:
-        """The banded LU of ``band(blocks, diagonal, unit_rows)``, for ``_band_solve``."""
-        return _band_factor(self.band(blocks, diagonal, unit_rows), self.bw, self.order, self.pos,
-                            what)
+    def factor(self, blocks: np.ndarray, diagonal, what: str) -> tuple:
+        """The banded Cholesky factor of ``band(blocks, diagonal)``, for ``_band_solve``."""
+        return _band_factor(self.band(blocks, diagonal), self.order, self.pos, what)
 
-    def matvec(self, blocks: np.ndarray, diagonal: np.ndarray, unit_rows: np.ndarray,
-               x: np.ndarray) -> np.ndarray:
-        """The operator of ``band(blocks, diagonal, unit_rows)`` times ``x``, cell by cell."""
+    def diagonal_of(self, blocks: np.ndarray) -> np.ndarray:
+        """The diagonal of ``band(blocks, 0.0)`` per unknown."""
+        return np.bincount(self.slots.ravel(), np.diagonal(blocks, 0, 1, 2).ravel(),
+                           minlength=self.size + 1)[:-1]
+
+    def matvec(self, blocks: np.ndarray, diagonal, x: np.ndarray) -> np.ndarray:
+        """The operator of ``band(blocks, diagonal)`` times ``x``, cell by cell."""
         y = np.einsum("cij,cj->ci", blocks, np.append(x, 0.0)[self.slots])
-        y = np.bincount(self.slots.ravel(), y.ravel(), minlength=self.size + 1)[:-1] + diagonal * x
-        y[unit_rows] = x[unit_rows]
-        return y
+        y = np.bincount(self.slots.ravel(), y.ravel(), minlength=self.size + 1)[:-1]
+        return y + diagonal * x
 
 
 def element_map(mesh: Mesh, slip_nodes: np.ndarray | None = None,
@@ -231,15 +225,15 @@ def element_map(mesh: Mesh, slip_nodes: np.ndarray | None = None,
     p, real = pos[slots], slots < size
     bw = int((np.where(real, p, -1).max(axis=1)
               - np.where(real, p, size).min(axis=1)).max(initial=0))
-    ld = 3 * bw + 1
-    index = 2 * bw + p[:, :, None] + (ld - 1) * p[:, None, :]  # entry (p_i, p_j) of the band
-    index[~(real[:, :, None] & real[:, None, :])] = ld * size
+    ld = bw + 1
+    index = bw + p[:, :, None] + bw * p[:, None, :]  # entry (p_i, p_j) of the band
+    index[~(real[:, :, None] & real[:, None, :]) | (p[:, :, None] > p[:, None, :])] = ld * size
     return ElementMap(dof_unknowns, dof_weights, strains, slots, index.ravel(),
-                      2 * bw + ld * pos[:size], order, pos[:size], bw)
+                      bw + ld * pos[:size], order, pos[:size], bw)
 
 
 class ElasticSystem:
-    """Assembled elasticity operator with a cached banded LU factorization.
+    """Assembled elasticity operator with a cached banded Cholesky factorization.
 
     Minimizes  (1/2) int C^eps (Eu - p):(Eu - p) - int f.u - int_Gamma_N g.u
     subject to prescribed values at Dirichlet nodes. The factorization is of
@@ -247,11 +241,11 @@ class ElasticSystem:
     Every operator is summed from 6x6 cell blocks S_c^T (area W D_c) S_c,
     S_c the mesh's ``cell_strains``: ``mesh.elements``, the ``ElementMap`` of
     the free dofs shared by every system on the mesh, places them in the band
-    of K_ff, and the CSR ``K`` of every dof is built once from the same blocks
-    for the products the elastic solve needs. ``solve_tangent`` sums the
-    blocks of a per-cell tangent in place of C^eps into the band of the same
-    or another map (``element_map`` with slip unknowns), for the inner
-    solver's Newton steps, and factorizes it the same way.
+    of K_ff; the elastic solve's other products with K are ``nodal_forces`` of
+    C^eps strains. ``solve_tangent`` sums the blocks of a per-cell tangent in
+    place of C^eps into the band of the same or another map (``element_map``
+    with slip unknowns), for the inner solver's Newton steps, and factorizes
+    it the same way.
     """
 
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
@@ -260,22 +254,13 @@ class ElasticSystem:
         self.cmat = hooke.matrix()
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
-        blocks = self._blocks(np.broadcast_to(self.cmat, (mesh.n_cells, 3, 3)), mesh.cell_strains)
-        dofs = mesh.cell_dofs
-        self.K = sp.csr_matrix(
-            (blocks.ravel(), (np.repeat(dofs, 6, axis=1).ravel(), np.tile(dofs, 6).ravel())),
-            shape=(2 * mesh.n_nodes, 2 * mesh.n_nodes))
-        self.K_ff = self.K[np.ix_(self.free, self.free)]
-        self.K_fc = self.K[np.ix_(self.free, self.fixed)]
-        self._lu = (mesh.elements.factor(blocks, 0.0, _NO_ROWS, "elastic")
-                    if self.free.size else None)
+        blocks = self.cell_blocks(self.cmat, mesh.cell_strains)
+        self.stiffness_diagonal = mesh.elements.diagonal_of(blocks)  # on the free dofs
+        self._factor = mesh.elements.factor(blocks, 0.0, "elastic")
 
-    @cached_property
-    def stiffness_diagonal(self) -> np.ndarray:
-        return self.K.diagonal()
-
-    def _blocks(self, tangent: np.ndarray, strains: np.ndarray) -> np.ndarray:
-        """S_c^T (area W D_c) S_c per cell, (n_cells, 6, 6), for cell strain matrices S_c."""
+    def cell_blocks(self, tangent: np.ndarray, strains: np.ndarray) -> np.ndarray:
+        """S_c^T (area W D_c) S_c per cell, (n_cells, 6, 6), for cell strain matrices S_c and
+        tangents D_c (one (3, 3) matrix, or one per cell)."""
         weighted = np.matmul(self.mesh.areas[:, None, None] * WEIGHTS[:, None] * tangent, strains)
         return np.matmul(strains.transpose(0, 2, 1), weighted)
 
@@ -295,41 +280,44 @@ class ElasticSystem:
               loads: np.ndarray | None = None) -> np.ndarray:
         """Displacement minimizing the incremental energy under load vector ``loads``, p frozen."""
         mesh = self.mesh
-        F = self.plastic_load_vector(p)
-        if loads is not None:
-            F += loads
-
         u = np.zeros(2 * mesh.n_nodes)
         u[self.fixed] = w_nodes.ravel()[self.fixed]
-        if self.free.size:
-            rhs = F[self.free] - self.K_fc @ u[self.fixed]
-            x = _band_solve(self._lu, rhs)
-            u[self.free] = _guarded(self.K_ff @ x, x, rhs, "elastic")
+        # int C^eps (p - E u_fixed) : E(phi), the boundary values' forces moved over
+        F = self.plastic_load_vector(p - (mesh.B @ u).reshape(-1, 3))
+        rhs = F[self.free] if loads is None else F[self.free] + loads[self.free]
+        x = _band_solve(self._factor, rhs)
+        Kx = self.plastic_load_vector((mesh.B @ mesh.elements.to_dofs(x)).reshape(-1, 3))
+        u[self.free] = _guarded(Kx[self.free], x, rhs, "elastic")
         return u.reshape(mesh.n_nodes, 2)
 
     def solve_tangent(self, tangent: np.ndarray, rhs: np.ndarray,
                       elements: ElementMap | None = None,
                       shift: np.ndarray | None = None,
-                      unit_rows: np.ndarray | None = None) -> np.ndarray:
+                      stuck: np.ndarray | None = None) -> np.ndarray:
         """Solve K_T x = rhs, K_T = S^T blockdiag(area W D_c) S + diag(shift).
 
         ``tangent`` holds the packed per-cell tangents D_c, shape
         (n_cells, 3, 3), and S maps the unknowns of ``elements`` (by default
-        ``mesh.elements``, the free dofs) to cell strains. The rows of the
-        unknowns ``unit_rows`` are rows of the identity instead, which sets
-        those unknowns to their ``rhs`` entries; their columns stay. K_T is
-        summed from its cell blocks straight into the band and factorized by
-        banded LU, not banded Cholesky: the consistent tangent is only
-        positive semidefinite (a collapse mechanism makes it singular), and
-        unit rows make it unsymmetric. A zero pivot or a failed residual guard
-        (K_T x from the same blocks) raises ``SolverError``.
+        ``mesh.elements``, the free dofs) to cell strains. The unknowns
+        ``stuck`` are held at their ``rhs`` entries and eliminated
+        symmetrically. K_T is summed from its cell blocks straight into the
+        band and factorized by banded Cholesky. A tangent that is not
+        positive definite (a collapse mechanism makes it singular) or a failed
+        residual guard (K_T x from the same blocks) raises ``SolverError``.
         """
         elements = self.mesh.elements if elements is None else elements
         diagonal = np.zeros(elements.size) if shift is None else shift
-        unit_rows = _NO_ROWS if unit_rows is None else unit_rows
-        blocks = self._blocks(tangent, elements.strains)
-        x = _band_solve(elements.factor(blocks, diagonal, unit_rows, "tangent"), rhs)
-        return _guarded(elements.matvec(blocks, diagonal, unit_rows, x), x, rhs, "tangent")
+        blocks = self.cell_blocks(tangent, elements.strains)
+        if stuck is not None and stuck.size:
+            known = np.zeros(elements.size)
+            known[stuck] = rhs[stuck]
+            rhs = rhs - elements.matvec(blocks, 0.0, known)
+            rhs[stuck] = known[stuck]
+            free = np.isin(elements.slots, stuck, invert=True)
+            blocks = blocks * (free[:, :, None] & free[:, None, :])
+            diagonal = np.where(np.isin(np.arange(elements.size), stuck), 1.0, diagonal)
+        x = _band_solve(elements.factor(blocks, diagonal, "tangent"), rhs)
+        return _guarded(elements.matvec(blocks, diagonal, x), x, rhs, "tangent")
 
     def energy(self, e: np.ndarray) -> float:
         """(1/2) int C^eps e:e of the elastic strain e = Eu - p."""
@@ -348,39 +336,37 @@ def _band_order(B: sp.csr_matrix) -> np.ndarray:
 
 
 def _band_matrix(K: sp.spmatrix, order: np.ndarray) -> tuple:
-    """(ab, bw, order, pos): K, unknowns permuted by ``order``, in LAPACK band storage.
+    """(ab, order, pos): the upper half of K, unknowns permuted by ``order``, as a LAPACK band.
 
-    The band is stored densely, (3 bw + 1) x N doubles for half-bandwidth bw;
     ``pos`` is the inverse permutation. Only the safe-load Gram matrix, which
     has no element map, takes this path.
     """
-    pos = np.argsort(order)
-    K = K.tocsr()
+    K = sp.triu(sp.csr_matrix(K)[order][:, order]).tocoo()
     K.sum_duplicates()
-    rows, cols = pos[np.repeat(np.arange(len(order)), np.diff(K.indptr))], pos[K.indices]
-    bw = int(np.abs(rows - cols).max(initial=0))
-    ab = np.zeros((3 * bw + 1, len(order)), order="F")
-    ab[2 * bw + rows - cols, cols] = K.data
-    return ab, bw, order, pos
+    bw = int((K.col - K.row).max(initial=0))
+    ab = np.zeros((bw + 1, len(order)), order="F")
+    ab[bw + K.row - K.col, K.col] = K.data
+    return ab, order, np.argsort(order)
 
 
-def _band_factor(ab: np.ndarray, bw: int, order: np.ndarray, pos: np.ndarray, what: str) -> tuple:
-    """Banded LU with partial pivoting (LAPACK ``dgbtrf``) of the band ``ab``, overwritten.
+def _band_factor(ab: np.ndarray, order: np.ndarray, pos: np.ndarray, what: str) -> tuple:
+    """Banded Cholesky (LAPACK ``dpbtrf``) of the upper band ``ab``, overwritten.
 
-    ``ab`` holds, in a Fortran-ordered (3 bw + 1, N) array, the matrix whose
-    unknowns ``order`` permutes (``pos`` the inverse). A zero pivot raises
-    ``SolverError``; the factor is what ``_band_solve`` takes.
+    ``ab`` holds, in a Fortran-ordered (bw + 1, N) array, the upper half of the
+    symmetric matrix whose unknowns ``order`` permutes (``pos`` the inverse).
+    A matrix that is not positive definite raises ``SolverError``; the factor
+    is what ``_band_solve`` takes.
     """
-    lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=True)
+    factor, info = dpbtrf(ab, overwrite_ab=True)
     if info != 0:
-        raise SolverError(f"{what} factorization failed: dgbtrf info {info}")
-    return lu, piv, bw, order, pos
+        raise SolverError(f"{what} factorization failed: dpbtrf info {info}")
+    return factor, order, pos
 
 
 def _band_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs with a factor of ``_band_factor`` (LAPACK ``dgbtrs``)."""
-    lu, piv, bw, order, pos = factor
-    return dgbtrs(lu, bw, bw, rhs[order], piv, overwrite_b=True)[0][pos]
+    """Solve K x = rhs with a factor of ``_band_factor`` (LAPACK ``dpbtrs``)."""
+    ab, order, pos = factor
+    return dpbtrs(ab, rhs[order], overwrite_b=True)[0][pos]
 
 
 def _guarded(Kx: np.ndarray, x: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -397,16 +383,20 @@ def divergence_check(
     mesh: Mesh,
     f_cells: np.ndarray | None = None,
     g_edges: np.ndarray | None = None,
+    loads: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Discrete equilibrium residuals of a P0 stress field.
 
     Returns (interior_residual, flux_residual): the weak-form residual against
     P1 test functions vanishing on the Dirichlet nodes, measured in the dual
     norm of the lumped-L2 inner product, and the L2(Gamma_N) mismatch between
-    the cell tractions sigma.nu and the prescribed g.
+    the cell tractions sigma.nu and the prescribed g. ``loads``, if given, is
+    the assembled load dof vector (a row of ``LoadProgram.loads``) in place of f.
     """
+    if loads is None:
+        loads = external_load_vector(mesh, f_cells, g_edges)
     # dof vector of R(phi) = int sigma:E(phi) - int f.phi - int_Gamma_N g.phi
-    r = nodal_forces(mesh, sigma) - external_load_vector(mesh, f_cells, g_edges)
+    r = nodal_forces(mesh, sigma) - loads
     m = np.repeat(mesh.lumped_mass, 2)
     mask = mesh.free_dofs
     interior = float(np.sqrt(np.sum(r[mask] ** 2 / m[mask])))

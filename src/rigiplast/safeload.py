@@ -6,8 +6,8 @@ from the yield surface. ``verify_safe_load`` checks a candidate and reports
 the margin and equilibrium residuals; ``max_safety_margin`` finds the largest
 margin by one convex solve, min max_cells |pi_D| over the equilibrated
 fields, by ADMM: an exact projection onto the equilibrium constraints through
-a banded LU of their Gram matrix (``fem``'s banded-LU routine), alternating
-with a cap of every cell's deviator norm at one common level.
+a banded Cholesky factor of their Gram matrix (``fem``'s one band routine),
+alternating with a cap of every cell's deviator norm at one common level.
 
 The optimizer certifies lower bounds only: any returned pair re-verifies
 through ``verify_safe_load``.
@@ -148,9 +148,10 @@ def max_safety_margin(
 
     Solves  min max_cells |pi_D|  subject to equilibrium  A pi = b  by ADMM
     (Douglas-Rachford) in the metric of ``ddot``. One step projects exactly
-    onto {A pi = b} through a banded LU of the Gram matrix A W^-1 A^T (W the
-    contraction weights); the other is the prox of the max-norm, which caps
-    every cell's deviator norm at one common level. Every projected iterate
+    onto {A pi = b} through a banded Cholesky factor of the Gram matrix
+    A W^-1 A^T (W the contraction weights), positive definite with its small
+    ridge; the other is the prox of the max-norm, which caps every cell's
+    deviator norm at one common level. Every projected iterate
     is equilibrated to solver precision, so the best one certifies its own
     margin c_star = kappa - max|pi_D|: positive below the limit load, <= 0
     beyond it. Returns (c_star, pi_star, diagnostics); the diagnostics hold
@@ -164,10 +165,10 @@ def max_safety_margin(
     gram = A @ sp.diags(1.0 / w) @ A.T
     ridge = 1e-12 * gram.diagonal().max()
     band = _band_matrix(gram + ridge * sp.identity(gram.shape[0]), _band_order(A.T))
-    lu = _band_factor(*band, "gram")
+    factor = _band_factor(*band, "gram")
 
     def equilibrate(v):  # the nearest pi to v, in the metric of ddot, with A pi = b
-        return v - (A.T @ _band_solve(lu, A @ v - b)) / w
+        return v - (A.T @ _band_solve(factor, A @ v - b)) / w
 
     def wnorm(v):
         return float(np.sqrt(v @ (w * v)))

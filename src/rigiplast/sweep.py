@@ -308,7 +308,8 @@ def rigid_residuals(report: SweepReport) -> ResidualReport:
     div_v = np.zeros(n_t)
 
     for k in range(n_t):
-        eq_int[k], eq_flux[k] = divergence_check(tr.sigma[k], mesh, program.f[k], program.g[k])
+        eq_int[k], eq_flux[k] = divergence_check(tr.sigma[k], mesh, None, program.g[k],
+                                                 program.loads[k])
         ev = tr.ev[k]
         div_v[k] = scalar_l2(mesh.areas, ev[:, 0] + ev[:, 2])
 

@@ -31,8 +31,11 @@ import numpy as np
 from .mesh import Mesh
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _columns(field) -> list:
+    """The columns of a 2-D field as lists of the shortest round-trip reprs of its floats."""
+    field = np.asarray(field, dtype=float)
+    strs = list(map(repr, field.ravel().tolist()))
+    return [strs[j::field.shape[1]] for j in range(field.shape[1])]
 
 
 def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
@@ -45,8 +48,7 @@ def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_nodes} double",
     ]
-    for x, y in mesh.nodes:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0.0")
+    lines.extend(f"{x} {y} 0.0" for x, y in zip(*_columns(mesh.nodes)))
     lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
     for tri in mesh.triangles:
         lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
@@ -60,8 +62,7 @@ def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
             if field.shape != (mesh.n_nodes, 2):
                 raise ValueError(f"point field {name!r} has shape {field.shape}")
             lines.append(f"VECTORS {name} double")
-            for vx, vy in field:
-                lines.append(f"{_fmt(vx)} {_fmt(vy)} 0.0")
+            lines.extend(f"{vx} {vy} 0.0" for vx, vy in zip(*_columns(field)))
 
     if cell_tensors:
         lines.append(f"CELL_DATA {mesh.n_cells}")
@@ -70,10 +71,8 @@ def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
             if field.shape != (mesh.n_cells, 3):
                 raise ValueError(f"cell field {name!r} has shape {field.shape}")
             lines.append(f"TENSORS {name} double")
-            for a11, a12, a22 in field:
-                lines.append(f"{_fmt(a11)} {_fmt(a12)} 0.0")
-                lines.append(f"{_fmt(a12)} {_fmt(a22)} 0.0")
-                lines.append("0.0 0.0 0.0")
+            for a11, a12, a22 in zip(*_columns(field)):
+                lines += (f"{a11} {a12} 0.0", f"{a12} {a22} 0.0", "0.0 0.0 0.0")
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

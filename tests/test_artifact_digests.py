@@ -18,37 +18,37 @@ from rigiplast import cli
 
 DIGESTS = {
     ("run", "SHEAR", "strong"): (
-        "6f41736bfbc9ce85d52f8025b647e06843f420b857085269a7302b54a836eb4c",
-        "bef616634dd670da16a6de3cf70adc170dd6c00e224b29e4552d726dc118c33c",
-        "62fb69eaab700a869cda102585fc961586d5210ccc5b3d04ce84170854fed721"),
+        "f5eedafbf3eca3e40d3dcd9257f21a48724fbacc38db645e3ad55e99a09d613f",
+        "92f3c45af70a41b07235cb57a3cb596c3aa59ce943c2cfe56ba66f664182f766",
+        "b31964680ddf53e16e2ed3377c85af71f334c33e2ffc56d406dc3001c613c75d"),
     ("run", "SHEAR", "relaxed"): (
-        "6f41736bfbc9ce85d52f8025b647e06843f420b857085269a7302b54a836eb4c",
-        "a1beb79f95cf107ed1f87baf0ac21580e3215b85e43a91a15a26f1c46dd3ad8c",
-        "62fb69eaab700a869cda102585fc961586d5210ccc5b3d04ce84170854fed721"),
+        "f5eedafbf3eca3e40d3dcd9257f21a48724fbacc38db645e3ad55e99a09d613f",
+        "17e0a0a161b8bff19ef5b4f4059244e31bdffb80e3e2068da45dfd80c0ea5eb2",
+        "b31964680ddf53e16e2ed3377c85af71f334c33e2ffc56d406dc3001c613c75d"),
     ("run", "TRACTION", "strong"): (
-        "343b9ae62dcfaf6da7b1a58a95ff3e5cdc2443548ee4a45f746dcde8162648fc",
-        "30eb643d5f647ea2ee09ae464ae370b45cfc222f0a75d996c53a17e68f9fe4ae",
-        "57e280b87829197a05caa2ab9763872d44f60dab34e1dde11ba09c95725fa466"),
+        "8430451f7bc68ef786289293ab4b43ae0e2549ef8347ba97a5c95d02bf69e110",
+        "8d895fc95152172f32a89ec3a249a77fc279847fd1fdc00c84b29dd274f516d6",
+        "4ecd457cf9f9aa6a0a3c1277c4474829459ae19fdc2376a5c0519f6472986f37"),
     ("run", "TRACTION", "relaxed"): (
-        "5f18793ecd898bfb872ceb0eb2effd0892c59947e5e9188413afb3f2dfb3861a",
-        "c02023ffc25c63c38ceb2bb6eeced6887bed53cce9c82e74d789dcd49274d84d",
-        "1d6413d2661b48023a07f533978539012982f82626074065d2226c2078f6e555"),
+        "b01c160f166724483f5e55696d7791d514663719ea3fa307137d9eec8896105b",
+        "61960c590b91b62af666db2331db9c7281c2dd2d769e15b28006195e0a836e7e",
+        "ba08298e32590403e109defeea9a22b5a1a0332788bc270037ea607ee1e9c500"),
     ("sweep", "SHEAR", "strong"): (
-        "6679a3555002e13b7ae05ac022f082ef16da8b24edc0b0c7b170fc979f60027c",
-        "2598b5042f4638f118ff3aff79459a57ce9049d11f8c1632b7b1f33c342646d7",
-        "f32eb8aa081d034254a3af960a5dcc86f902b69e95dba91ff61db53df8a645cb"),
+        "7e7f11dd77089b3acc74a652f289df510fb5b1d72830ba7b76b7bfb43aac6dea",
+        "29659ba52640d3ea19dd39aaf1ee0ca52fd2b91207f9a78156f8890059881679",
+        "a210a4974c3bcc30fda492df2f40857a8e7f652214a5a8f0e0b5b6f43976b7c7"),
     ("sweep", "SHEAR", "relaxed"): (
-        "6679a3555002e13b7ae05ac022f082ef16da8b24edc0b0c7b170fc979f60027c",
-        "887030e629ed360291fc70525e21cd70693c4fefa09617314502b8667f1bfab4",
-        "f32eb8aa081d034254a3af960a5dcc86f902b69e95dba91ff61db53df8a645cb"),
+        "7e7f11dd77089b3acc74a652f289df510fb5b1d72830ba7b76b7bfb43aac6dea",
+        "8536b225ae08bb3e56e90fa7cfa0df797a4b011ad86055d18549bb86d7784c53",
+        "a210a4974c3bcc30fda492df2f40857a8e7f652214a5a8f0e0b5b6f43976b7c7"),
     ("sweep", "TRACTION", "strong"): (
-        "a4b85d58522e653ec01ff69eb52044e0b204ff4e3686a0539d0f5c2c648b2980",
-        "710e9bdd1ac1267f4f61dba86bb66d087ce679448863e4e94ce578eaecc8ff8c",
-        "5c258d95614981815a490742be7aebf8de28ab95ec6dee6f97dbeb48db1dfc22"),
+        "bf05dcf7cefe681d872eb1f82f4475ef521762f4ebb98963f33678e12eba4a56",
+        "19d315a33832421b62e54ef793b6e060bf58a6f1385a302f102332bf3c5d4f0b",
+        "134464f7bf9535b57f4a147121c65287daa70af9fd8ef686a59d1dceed6563d2"),
     ("sweep", "TRACTION", "relaxed"): (
-        "9a8e854a35ad30268a5c043f05d3f83732b4467fc8f9e5262ce9db06cb3ac08f",
-        "470d343eb18d39f69adec1d8c634c5604a3e40b7bc310748361a7a1e7d174dd7",
-        "7085daa74074c4919e5139ceff8d244a23a531665e24251735c54a9f5483505a"),
+        "28e649193d97c9cc9c1ce1f684a43576d9e57e4fef4578f2667a978ee50b079b",
+        "a69dc45303c5a943785fb5c21c7a07a1bbf10a46ebd4005c090a1f5822f0fef7",
+        "8b6a6de9cf25ddba6b389c203373df82c6350f0af1ab27001d33ba06ccaeabe3"),
 }
 
 
@@ -75,9 +75,9 @@ def test_artifacts_match_pinned_digests(monkeypatch, tmp_path, command, name, mo
 # (summary.json, VTK file name, its digest) of the commands that take no benchmark
 STANDALONE_DIGESTS = {
     "safeload": (
-        "e3a420e4c42d83b09a61ba978c781468413143db850a9cea6aef911dde33c676",
+        "23e7c0b8e92276052083f8683d7cd9ebec1dc80a64f4b887c1886e4ac8f73ea7",
         "fields_pi.vtk",
-        "65ce9835072d5b9618f43deb87ada865359c7a9585a94be4183e0dc0e9b32549"),
+        "0b4eafd9feae2f0c0bf8e4e47af0eebb734203063762f60db83d54422cfd1a78"),
     "example41": (
         "0724e0c5db6f4bdf0fa06d2bf1a9fdb814fc0d16ece32ffbe728106bb5b34553",
         "fields_sigma.vtk",

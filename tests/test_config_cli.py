@@ -255,3 +255,17 @@ class TestVTK:
         with pytest.raises(ValueError, match="point field"):
             write_vtk(tmp_path / "x.vtk", mesh,
                       point_vectors={"bad": np.zeros((3, 2))})
+
+
+@pytest.mark.parametrize("setting, want", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_import_defaults_openblas_to_one_thread(setting, want):
+    """``import rigiplast`` sets one OpenBLAS thread before numpy loads; a user's count wins."""
+    src = str(Path(rigiplast.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    script = "import os, rigiplast; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == want

@@ -218,19 +218,19 @@ class TestElasticSolve:
         ElasticSystem(benchmark_catalog(name, mesh_n=16, n_steps=1).mesh,
                       HookeTensor(1.0, 1.0, 1.0))
         assert len(widths) == 1
-        assert max(widths[0]) < 64
+        assert widths[0] < 64
 
 
 def record_band_widths(monkeypatch):
-    """The (kl, ku) of every banded LU factorization ``fem`` makes from now on."""
+    """The half-width of every banded Cholesky factorization ``fem`` makes from now on."""
     widths = []
-    original = fem.dgbtrf
+    original = fem.dpbtrf
 
-    def recorded(ab, kl, ku, *args, **kwargs):
-        widths.append((kl, ku))
-        return original(ab, kl, ku, *args, **kwargs)
+    def recorded(ab, *args, **kwargs):
+        widths.append(ab.shape[0] - 1)
+        return original(ab, *args, **kwargs)
 
-    monkeypatch.setattr(fem, "dgbtrf", recorded)
+    monkeypatch.setattr(fem, "dpbtrf", recorded)
     return widths
 
 
@@ -270,7 +270,7 @@ class TestTangentSolve:
         stuck = np.zeros(0, dtype=int)
         if relaxed:
             # a bottom face sliding as a whole: the slips are always damped;
-            # every third slip is stuck, its row a unit row
+            # every third slip is stuck, held at its rhs entry
             shift = np.concatenate([shift, np.full(size - n_free, 1e-2)])
             stuck = np.arange(n_free, size, 3)
         x = system.solve_tangent(tangent, rhs, elements, shift if shift.any() else None,
@@ -303,7 +303,18 @@ class TestTangentSolve:
         widths = record_band_widths(monkeypatch)
         system.solve_tangent(tangent, np.ones(B_free.shape[1]), elements)
         assert len(widths) == 1
-        assert max(widths[0]) < 40
+        assert widths[0] < 40
+
+
+def test_stiffness_diagonals_match_the_sparse_stiffness():
+    """The free dofs' and the slips' stiffness, summed from the cell blocks, are the diagonal
+    of B^T blockdiag(area W C) B on the slip set's unknowns."""
+    system, _, _, B_free = traction_tangent_problem(8, relaxed=True)
+    mesh, n_free = system.mesh, system.free.size
+    D = sp.block_diag(mesh.areas[:, None, None] * WEIGHTS[None, :, None] * system.cmat)
+    want = (B_free.T @ D @ B_free).diagonal()
+    np.testing.assert_allclose(system.stiffness_diagonal, want[:n_free], rtol=1e-13)
+    np.testing.assert_allclose(slip_nodes_of(system).stiffness, want[n_free:], rtol=1e-13)
 
 
 class TestDivergenceCheck:

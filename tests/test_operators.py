@@ -30,7 +30,7 @@ from rigiplast.fem import (
     traction_load_vector,
 )
 from rigiplast.mesh import DIRICHLET, build_square_mesh
-from rigiplast.sweep import SweepConfig, run_sweep
+from rigiplast.sweep import SweepConfig, rigid_residuals, run_sweep
 
 RTOL = 1e-14
 
@@ -104,6 +104,11 @@ def test_program_loads_equal_the_per_step_assembly(n, faces):
     assert program.loads is program.loads
     with pytest.raises(ValueError):
         program.loads[0, 0] = 0.0
+    # the ledger's mid-step loads, one stacked product, are the per-step vectors bit for bit
+    mid_loads = program.load_vectors(0.5 * (f[1:] + f[:-1]), 0.5 * (g[1:] + g[:-1]))
+    for k in range(1, n_t):
+        f_mid, g_mid = 0.5 * (f[k] + f[k - 1]), 0.5 * (g[k] + g[k - 1])
+        assert np.array_equal(mid_loads[k - 1], external_load_vector(mesh, f_mid, g_mid))
 
 
 def test_cached_arrays_are_read_only():
@@ -226,18 +231,30 @@ def test_sweep_assembles_loads_and_datum_strains_once(monkeypatch):
     assert counts == {"loads": 1, "datum_strains": 1}
 
 
+def test_rigid_residuals_read_the_program_loads(monkeypatch):
+    """The limit-system residuals assemble no load vector: they read the program's loads,
+    with the same values as a check that assembles each time's loads from f and g."""
+    report = run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=8, n_steps=4))
+    counts = {}
+    _count_program_work(monkeypatch, counts)
+    residuals = rigid_residuals(report)
+    assert counts == {}
+    program, sigma = report.benchmark.program, report.limit_proxy.sigma
+    for k in range(len(report.times)):
+        want = divergence_check(sigma[k], program.mesh, program.f[k], program.g[k])
+        assert (residuals.equilibrium_interior[k], residuals.equilibrium_flux[k]) == want
+
+
 def test_traction_run_takes_datum_strains_twice(monkeypatch):
     """Once when the program is made, once in the ledger; the steps read the program's loads,
-    and the ledger assembles each step's mid-step body and traction loads."""
+    and the ledger assembles no load vector per step: it stacks the mid-step loads."""
     counts = {}
     _count_program_work(monkeypatch, counts)
     bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
     hooke = bench.hooke.with_epsilon(1.0)
     _, ledger = run_evolution(bench.program, hooke, bench.yield_set, bench.mesh)
-    steps = bench.program.n_steps
-    assert ledger.iterations.sum() > steps  # some steps take inner iterations
-    assert counts == {"loads": 1, "datum_strains": 2, "body_load_vector": steps,
-                      "traction_load_vector": steps}
+    assert ledger.iterations.sum() > bench.program.n_steps  # some steps take inner iterations
+    assert counts == {"loads": 1, "datum_strains": 2}
 
 
 def test_traction_run_orders_the_band_once_per_system(monkeypatch):
