@@ -55,6 +55,7 @@ from .fem import (
     ElementMap,
     SolverError,
     boundary_integral_p1,
+    cell_blocks,
     gauss_traces,
     integrate_tensor_dot,
     nodal_forces,
@@ -221,7 +222,7 @@ def slip_nodes_of(system: ElasticSystem) -> SlipNodes:
     """The relaxed mode's slip set, ``system.mesh.slip_set``, and its stiffness under ``system``."""
     nodes, t, lengths, elements = system.mesh.slip_set
     # a slip's diagonal entry in the stiffness on the slip set's unknowns: t^T K_aa t
-    stiffness = elements.diagonal_of(system.cell_blocks(system.cmat, elements.strains))
+    stiffness = elements.diagonal_of(cell_blocks(system.mesh, system.cmat, elements.strains))
     return SlipNodes(nodes, t, lengths, stiffness[system.free.size:], elements)
 
 

@@ -10,15 +10,17 @@ the load maps, the boundary-edge arrays), so a strain, a load vector or
 load program assembles the loads of all its grid times at once
 (``LoadProgram.loads``), and callers take each strain once. The stiffness
 matrix and the Newton tangent are both B^T blockdiag(area W D_c) B, a sum of
-6x6 cell blocks S_c^T (area W D_c) S_c. An ``ElementMap`` (of the free dofs,
+6x6 cell blocks S_c^T (area W D_c) S_c (``cell_blocks``), and so is
+safeload's Gram matrix, with D_c = area_c times the 0/1 mask of the stress
+components the tractions leave free. An ``ElementMap`` (of the free dofs,
 or of a slip set) holds the S_c of its unknowns and the position of every
 block entry in the upper LAPACK band of the row-major dof order, in which
-both matrices are narrow bands. Each matrix is then one batched product of
+these matrices are narrow bands. Each matrix is then one batched product of
 the blocks and one ``bincount`` into the band, factorized by banded
-Cholesky, as is safeload's Gram matrix; no sparse matrix is built per Newton
-step. An ``ElasticSystem`` holds what the Hooke tensor C^eps sets: the
-stiffness and its factor, which every elastic solve reuses; the tangent
-changes with every iterate and is factorized afresh.
+Cholesky (``ElementMap.factor``), the package's one factorization; no
+sparse matrix is built for it. An ``ElasticSystem`` holds what the Hooke
+tensor C^eps sets: the stiffness and its factor, which every elastic solve
+reuses; the tangent changes with every iterate and is factorized afresh.
 """
 
 from __future__ import annotations
@@ -118,6 +120,13 @@ def scalar_l2(areas: np.ndarray, a: np.ndarray) -> float:
     return float(np.sqrt((areas * a * a).sum()))
 
 
+def cell_blocks(mesh: Mesh, tangent: np.ndarray, strains: np.ndarray) -> np.ndarray:
+    """S_c^T (area W D_c) S_c per cell, (n_cells, 6, 6), for cell strain matrices S_c and
+    tangents D_c (one (3, 3) matrix, or one per cell)."""
+    weighted = np.matmul(mesh.areas[:, None, None] * WEIGHTS[:, None] * tangent, strains)
+    return np.matmul(strains.transpose(0, 2, 1), weighted)
+
+
 @dataclass(frozen=True)
 class ElementMap:
     """A system's unknowns cell by cell, and where each 6x6 cell block lands in its band.
@@ -168,8 +177,12 @@ class ElementMap:
         return ab[:-1].reshape(size, ld).T
 
     def factor(self, blocks: np.ndarray, diagonal, what: str) -> tuple:
-        """The banded Cholesky factor of ``band(blocks, diagonal)``, for ``_band_solve``."""
-        return _band_factor(self.band(blocks, diagonal), self.order, self.pos, what)
+        """The banded Cholesky factor (LAPACK ``dpbtrf``) of ``band(blocks, diagonal)``,
+        for ``_band_solve``; a matrix that is not positive definite raises ``SolverError``."""
+        ab, info = dpbtrf(self.band(blocks, diagonal), overwrite_ab=True)
+        if info != 0:
+            raise SolverError(f"{what} factorization failed: dpbtrf info {info}")
+        return ab, self.order, self.pos
 
     def diagonal_of(self, blocks: np.ndarray) -> np.ndarray:
         """The diagonal of ``band(blocks, 0.0)`` per unknown."""
@@ -254,15 +267,9 @@ class ElasticSystem:
         self.cmat = hooke.matrix()
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
-        blocks = self.cell_blocks(self.cmat, mesh.cell_strains)
+        blocks = cell_blocks(mesh, self.cmat, mesh.cell_strains)
         self.stiffness_diagonal = mesh.elements.diagonal_of(blocks)  # on the free dofs
         self._factor = mesh.elements.factor(blocks, 0.0, "elastic")
-
-    def cell_blocks(self, tangent: np.ndarray, strains: np.ndarray) -> np.ndarray:
-        """S_c^T (area W D_c) S_c per cell, (n_cells, 6, 6), for cell strain matrices S_c and
-        tangents D_c (one (3, 3) matrix, or one per cell)."""
-        weighted = np.matmul(self.mesh.areas[:, None, None] * WEIGHTS[:, None] * tangent, strains)
-        return np.matmul(strains.transpose(0, 2, 1), weighted)
 
     def force_magnitudes(self, eu: np.ndarray, p: np.ndarray, loads: np.ndarray) -> np.ndarray:
         """``nodal_forces(C^eps (eu - p)) - loads`` with every term in absolute value.
@@ -307,7 +314,7 @@ class ElasticSystem:
         """
         elements = self.mesh.elements if elements is None else elements
         diagonal = np.zeros(elements.size) if shift is None else shift
-        blocks = self.cell_blocks(tangent, elements.strains)
+        blocks = cell_blocks(self.mesh, tangent, elements.strains)
         if stuck is not None and stuck.size:
             known = np.zeros(elements.size)
             known[stuck] = rhs[stuck]
@@ -324,47 +331,8 @@ class ElasticSystem:
         return 0.5 * integrate_tensor_dot(self.mesh.areas, e @ self.cmat.T, e)
 
 
-def _band_order(B: sp.csr_matrix) -> np.ndarray:
-    """The columns of ``B`` sorted (stably) by the first row each one touches.
-
-    Rows of a strain operator run cell by cell along the grid, so in this
-    order every entry of ``B^T D B`` lies within a few grid rows of the
-    diagonal.
-    """
-    C = B.tocsc()  # row indices sorted within each column; no column is empty
-    return np.argsort(C.indices[C.indptr[:-1]], kind="stable")
-
-
-def _band_matrix(K: sp.spmatrix, order: np.ndarray) -> tuple:
-    """(ab, order, pos): the upper half of K, unknowns permuted by ``order``, as a LAPACK band.
-
-    ``pos`` is the inverse permutation. Only the safe-load Gram matrix, which
-    has no element map, takes this path.
-    """
-    K = sp.triu(sp.csr_matrix(K)[order][:, order]).tocoo()
-    K.sum_duplicates()
-    bw = int((K.col - K.row).max(initial=0))
-    ab = np.zeros((bw + 1, len(order)), order="F")
-    ab[bw + K.row - K.col, K.col] = K.data
-    return ab, order, np.argsort(order)
-
-
-def _band_factor(ab: np.ndarray, order: np.ndarray, pos: np.ndarray, what: str) -> tuple:
-    """Banded Cholesky (LAPACK ``dpbtrf``) of the upper band ``ab``, overwritten.
-
-    ``ab`` holds, in a Fortran-ordered (bw + 1, N) array, the upper half of the
-    symmetric matrix whose unknowns ``order`` permutes (``pos`` the inverse).
-    A matrix that is not positive definite raises ``SolverError``; the factor
-    is what ``_band_solve`` takes.
-    """
-    factor, info = dpbtrf(ab, overwrite_ab=True)
-    if info != 0:
-        raise SolverError(f"{what} factorization failed: dpbtrf info {info}")
-    return factor, order, pos
-
-
 def _band_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs with a factor of ``_band_factor`` (LAPACK ``dpbtrs``)."""
+    """Solve K x = rhs with a factor of ``ElementMap.factor`` (LAPACK ``dpbtrs``)."""
     ab, order, pos = factor
     return dpbtrs(ab, rhs[order], overwrite_b=True)[0][pos]
 

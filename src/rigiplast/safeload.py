@@ -5,9 +5,13 @@ on the Neumann edges) while its deviatoric part keeps a uniform distance c
 from the yield surface. ``verify_safe_load`` checks a candidate and reports
 the margin and equilibrium residuals; ``max_safety_margin`` finds the largest
 margin by one convex solve, min max_cells |pi_D| over the equilibrated
-fields, by ADMM: an exact projection onto the equilibrium constraints through
-a banded Cholesky factor of their Gram matrix (``fem``'s one band routine),
+fields, by ADMM: an exact projection onto the equilibrium constraints,
 alternating with a cap of every cell's deviator norm at one common level.
+Every Neumann edge of the square is axis-parallel, so its flux condition
+fixes two stress components of its cell outright; the rest is projected
+onto weak equilibrium through a banded Cholesky factor of its Gram matrix,
+summed from cell blocks on the mesh's element map like the stiffness
+(``fem``'s one band routine).
 
 The optimizer certifies lower bounds only: any returned pair re-verifies
 through ``verify_safe_load``.
@@ -18,16 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fem import (
-    _band_factor,
-    _band_matrix,
-    _band_order,
-    _band_solve,
-    divergence_check,
-    external_load_vector,
-)
+from .fem import _band_solve, cell_blocks, divergence_check, external_load_vector, nodal_forces
 from .mesh import Mesh
 from .tensors import WEIGHTS, YieldSet, _cap_to_ball, dev_decompose, norm
 
@@ -72,13 +68,14 @@ def verify_safe_load(
     """Margin kappa - max|pi_D| and equilibrium residuals of the candidates.
 
     Accepts one field per grid time (a single field may be passed as a
-    one-element list). The certificate is invalid when the margin is
+    one-element list), with one load each; lists of different lengths raise
+    ``ValueError``. The certificate is invalid when the margin is
     non-positive or any residual exceeds ``_CERT_TOL``; invalidity is a
     reported state, not an error.
     """
     margins = []
     worst_int, worst_flux = 0.0, 0.0
-    for pi, f, g in zip(pi_per_time, f_per_time, g_per_time):
+    for pi, f, g in zip(pi_per_time, f_per_time, g_per_time, strict=True):
         dev_p, _ = dev_decompose(np.asarray(pi, dtype=float))
         margins.append(yield_set.radius - float(norm(dev_p).max()))
         interior, flux = divergence_check(pi, mesh, f, g)
@@ -92,30 +89,36 @@ def verify_safe_load(
                                valid=valid, tolerance=_CERT_TOL)
 
 
-def _equilibrium_operator(mesh: Mesh, f_cells, g_edges):
-    """Row-normalized linear system A pi_flat = b encoding static admissibility.
+def _checked(name: str, loads, shape: tuple) -> np.ndarray:
+    """``loads`` as a float array, or ``ValueError`` unless it is finite with ``shape``."""
+    loads = np.asarray(loads, dtype=float)
+    if loads.shape != shape or not np.isfinite(loads).all():
+        raise ValueError(f"{name} must be finite with shape {shape}, not {loads.shape}")
+    return loads
 
-    Rows: weak equilibrium against every P1 test dof vanishing on the
-    Dirichlet nodes (scaled to the lumped-L2 dual norm), then the per-edge
-    Neumann flux conditions.
+
+def _flux_components(mesh: Mesh, g_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fixed, values): the packed stress components that pi.nu = g fixes, and their values.
+
+    Every Neumann edge is axis-parallel, so its flux condition fixes
+    (s11, s12) = g / nx of its cell on a vertical face and (s12, s22) = g / ny
+    on a horizontal one. A corner cell with two Neumann edges that fix one
+    component to different values admits no P0 field: ``ValueError``.
     """
-    M = (mesh.B.T @ sp.diags(np.repeat(mesh.areas, 3) * np.tile(WEIGHTS, mesh.n_cells))).tocsr()
-
-    mask = mesh.free_dofs
-    rhs_full = external_load_vector(mesh, f_cells, g_edges)
-    scale = 1.0 / np.sqrt(np.repeat(mesh.lumped_mass, 2)[mask])
-    A1 = sp.diags(scale) @ M[mask]
-    b1 = scale * rhs_full[mask]
-
     neumann = mesh.neumann_boundary
-    m = len(neumann.lengths)
-    c, (nx, ny), rt = neumann.cells, neumann.normals.T, np.sqrt(neumann.lengths)
-    rows = np.repeat(np.arange(2 * m), 2)
-    cols = np.column_stack([3 * c, 3 * c + 1, 3 * c + 1, 3 * c + 2]).ravel()
-    vals = np.column_stack([rt * nx, rt * ny, rt * nx, rt * ny]).ravel()
-    A2 = sp.coo_matrix((vals, (rows, cols)), shape=(2 * m, 3 * mesh.n_cells))
-    b2 = (rt[:, None] * np.reshape(g_edges, (m, 2))).ravel()
-    return sp.vstack([A1, A2]).tocsr(), np.concatenate([b1, b2])
+    nx, ny = neumann.normals.T
+    vertical = ny == 0.0
+    index = 3 * neumann.cells[:, None] + np.where(vertical[:, None], [0, 1], [1, 2])
+    wanted = g_edges / np.where(vertical, nx, ny)[:, None]
+    fixed = np.zeros(3 * mesh.n_cells, dtype=bool)
+    values = np.zeros(3 * mesh.n_cells)
+    fixed[index] = True
+    values[index] = wanted
+    clash = (values[index] != wanted).any(axis=1)
+    if clash.any():
+        raise ValueError(f"the Neumann edges of cell {neumann.cells[clash][0]} fix one stress "
+                         "component to two values: no P0 stress is statically admissible")
+    return fixed, values
 
 
 def _dev_norms(pi_flat: np.ndarray) -> np.ndarray:
@@ -146,29 +149,39 @@ def max_safety_margin(
 ) -> tuple[float, np.ndarray, dict]:
     """Largest certified safety margin for the loads at one fixed time.
 
-    Solves  min max_cells |pi_D|  subject to equilibrium  A pi = b  by ADMM
+    Solves  min max_cells |pi_D|  over the statically admissible pi by ADMM
     (Douglas-Rachford) in the metric of ``ddot``. One step projects exactly
-    onto {A pi = b} through a banded Cholesky factor of the Gram matrix
-    A W^-1 A^T (W the contraction weights), positive definite with its small
-    ridge; the other is the prox of the max-norm, which caps every cell's
-    deviator norm at one common level. Every projected iterate
-    is equilibrated to solver precision, so the best one certifies its own
-    margin c_star = kappa - max|pi_D|: positive below the limit load, <= 0
-    beyond it. Returns (c_star, pi_star, diagnostics); the diagnostics hold
-    the iteration count and the history of the fixed-point residual
-    sqrt(|dy|^2 + |dz|^2), which does not increase.
+    onto the admissible fields: it sets the components that the Neumann
+    fluxes fix, and projects the free ones (mask M) onto weak equilibrium
+    against the free dofs through the Gram matrix
+    sum_c S_c^T (area_c^2 W M_c) S_c on ``mesh.elements``, positive definite
+    with its small ridge and factorized once. The other is the prox of the
+    max-norm, which caps every cell's deviator norm at one common level. The
+    best projected iterate gives c_star = kappa - max|pi_D|: positive below
+    the limit load, <= 0 beyond it. Returns (c_star, pi_star, diagnostics);
+    the diagnostics hold the iteration count and the history of the
+    fixed-point residual sqrt(|dy|^2 + |dz|^2), which does not increase.
+
+    Loads that are not finite, not shaped (n_cells, 2) and (Neumann edges, 2),
+    or that fix one stress component of a corner cell to two values (no
+    admissible field exists) raise ``ValueError``.
     """
     kappa = yield_set.radius
     n_cells = mesh.n_cells
-    A, b = _equilibrium_operator(mesh, f_cells, g_edges)
+    f_cells = _checked("f_cells", f_cells, (n_cells, 2))
+    g_edges = _checked("g_edges", g_edges, (len(mesh.neumann_boundary.lengths), 2))
+    fixed, values = _flux_components(mesh, g_edges)
+    loads = external_load_vector(mesh, f_cells, g_edges)[mesh.free_dofs]
+    elements = mesh.elements
+    masked = np.repeat(mesh.areas, 3) * ~fixed  # D_c = area_c M_c
+    blocks = cell_blocks(mesh, masked.reshape(-1, 3, 1) * np.eye(3), elements.strains)
+    factor = elements.factor(blocks, 1e-12 * elements.diagonal_of(blocks).max(), "gram")
     w = np.tile(WEIGHTS, n_cells)
-    gram = A @ sp.diags(1.0 / w) @ A.T
-    ridge = 1e-12 * gram.diagonal().max()
-    band = _band_matrix(gram + ridge * sp.identity(gram.shape[0]), _band_order(A.T))
-    factor = _band_factor(*band, "gram")
 
-    def equilibrate(v):  # the nearest pi to v, in the metric of ddot, with A pi = b
-        return v - (A.T @ _band_solve(factor, A @ v - b)) / w
+    def equilibrate(v):  # the nearest admissible pi to v, in the metric of ddot
+        v = np.where(fixed, values, v)
+        r = nodal_forces(mesh, v.reshape(-1, 3))[mesh.free_dofs] - loads
+        return v - masked * (mesh.B @ elements.to_dofs(_band_solve(factor, r)))
 
     def wnorm(v):
         return float(np.sqrt(v @ (w * v)))

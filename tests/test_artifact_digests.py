@@ -75,9 +75,9 @@ def test_artifacts_match_pinned_digests(monkeypatch, tmp_path, command, name, mo
 # (summary.json, VTK file name, its digest) of the commands that take no benchmark
 STANDALONE_DIGESTS = {
     "safeload": (
-        "23e7c0b8e92276052083f8683d7cd9ebec1dc80a64f4b887c1886e4ac8f73ea7",
+        "d48fb796d7574c27fd983dac34d5d4623d2e63dbfc36d915fb29bcf56be615a8",
         "fields_pi.vtk",
-        "0b4eafd9feae2f0c0bf8e4e47af0eebb734203063762f60db83d54422cfd1a78"),
+        "a7c9944e41c222928dbd82cdb3dce922c6c4ee0ef81f02c694c3828b1d64bb74"),
     "example41": (
         "0724e0c5db6f4bdf0fa06d2bf1a9fdb814fc0d16ece32ffbe728106bb5b34553",
         "fields_sigma.vtk",

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from test_mesh_fem import record_band_widths
 
+from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.mesh import build_square_mesh
 from rigiplast.safeload import max_safety_margin, verify_safe_load
 from rigiplast.tensors import YieldSet, dev_decompose, norm
@@ -55,6 +57,13 @@ class TestVerifySafeLoad:
                                 [0.5 * g, 2.5 * g], mesh, YSET)
         assert cert.margin == pytest.approx(1.0 - 0.5 * np.sqrt(2), rel=1e-12)
 
+    def test_lists_of_different_lengths_raise(self):
+        # two fields with one load would check the first field only
+        mesh, f, g = clamped_shear_case(3, 0.2)
+        pi = np.tile([0.0, 0.2, 0.0], (mesh.n_cells, 1))
+        with pytest.raises(ValueError):
+            verify_safe_load([pi, 10.0 * pi], [f], [g], mesh, YSET)
+
 
 class TestMaxSafetyMargin:
     def test_zero_loads_full_margin(self):
@@ -65,6 +74,34 @@ class TestMaxSafetyMargin:
         assert c == pytest.approx(YSET.radius)
         dev_p, _ = dev_decompose(pi)
         assert norm(dev_p).max() < 1e-12
+
+    def test_contradictory_corner_tractions_raise(self):
+        # TRACTION clamps the bottom only: its top traction (s, 0) fixes s12 = s in the
+        # top-left cell, whose free left face fixes s12 = 0, so no P0 field is admissible
+        n = 8
+        program = benchmark_catalog("TRACTION", mesh_n=n, n_steps=4, load_scale=0.6).program
+        with pytest.raises(ValueError, match=f"cell {2 * n * (n - 1) + 1} "):
+            max_safety_margin(program.f[-1], program.g[-1], program.mesh, YSET)
+
+    @pytest.mark.parametrize("name, bad", [("g_edges", "nan"), ("f_cells", "nan"),
+                                           ("g_edges", "shape"), ("f_cells", "shape")])
+    def test_loads_are_checked(self, name, bad):
+        mesh, f, g = clamped_shear_case(4, 0.2)
+        loads = {"f_cells": f, "g_edges": g}
+        loads[name] = loads[name][1:] if bad == "shape" else np.full_like(loads[name], np.nan)
+        with pytest.raises(ValueError, match=name):
+            max_safety_margin(loads["f_cells"], loads["g_edges"], mesh, YSET)
+
+    def test_one_factorization_on_the_element_map(self, monkeypatch):
+        # the Gram matrix is summed from cell blocks into the free dofs' band, as the
+        # stiffness is; the fixed flux components leave no flux residual
+        mesh, f, g = clamped_shear_case(16, 0.25 * np.sqrt(2))
+        widths = record_band_widths(monkeypatch)
+        _, pi, _ = max_safety_margin(f, g, mesh, YSET)
+        assert widths == [mesh.elements.bw]
+        cert = verify_safe_load([pi], [f], [g], mesh, YSET)
+        assert cert.valid
+        assert cert.flux_residual == 0.0
 
     def test_half_limit_certifies(self):
         s_limit = 1.0 / np.sqrt(2)
