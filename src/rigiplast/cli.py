@@ -31,7 +31,8 @@ import numpy as np
 # benchmark_catalog is called through RunConfig.build_benchmark; it stays
 # bound here because perfbench/test_perfbench.py checks that the tracer wraps
 # cli.benchmark_catalog.
-from .benchmarks import benchmark_catalog, default_example41_params, example41_verify
+from .benchmarks import (benchmark_catalog, default_example41_params, example41_stress,
+                         example41_verify)
 from .config import ConfigError, RunConfig, parse_config
 from .evolution import ConvergenceError, EnergyLedger, evolve
 from .fem import SolverError
@@ -107,8 +108,6 @@ def _cmd_example41(config: RunConfig, out: Path) -> dict:
     yset = YieldSet(config.yield_radius)
     params = default_example41_params(config.yield_radius)
     witness = example41_verify(params, (1.0, 2.0), mesh, yset)
-    from .benchmarks import example41_stress
-
     sig_a = example41_stress(params.with_lam(1.0), mesh)
     sig_b = example41_stress(params.with_lam(2.0), mesh)
     write_vtk(out / "fields_sigma.vtk", mesh,

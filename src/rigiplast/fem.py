@@ -71,7 +71,7 @@ def strain_of(u: np.ndarray, mesh: Mesh) -> np.ndarray:
 def nodal_forces(mesh: Mesh, sigma: np.ndarray, B_T=None) -> np.ndarray:
     """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` (default ``mesh.B_T``)."""
     B_T = mesh.B_T if B_T is None else B_T
-    return B_T @ (np.repeat(mesh.areas, 3) * (sigma * WEIGHTS).ravel())
+    return B_T @ (mesh.packed_areas * (sigma * WEIGHTS).ravel())
 
 
 def body_load_vector(mesh: Mesh, f_cells: np.ndarray) -> np.ndarray:

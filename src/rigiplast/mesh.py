@@ -141,6 +141,11 @@ class Mesh:
         return _read_only(m)
 
     @cached_property
+    def packed_areas(self) -> np.ndarray:
+        """Each cell's area once per packed stress component, (3 n_cells,) in packed order."""
+        return _read_only(np.repeat(self.areas, 3))
+
+    @cached_property
     def cell_dofs(self) -> np.ndarray:
         """The six interleaved dofs of every cell (x, y of each vertex), shape (n_cells, 6)."""
         return _read_only((2 * self.triangles[:, :, None] + np.arange(2)).reshape(-1, 6))

@@ -15,10 +15,20 @@ Each evolution is streamed: the monitors, the velocity and the distance to the
 previous eps are taken step by step as ``evolve`` yields the states, each
 state's strain is the one its step took, and the deviatoric stress bound and
 the plastic increment mass are read off each step's ``StepInfo`` (no ledger).
+
+The evolutions are independent, so the eps list runs in lanes (``_lanes``):
+contiguous runs of it, one per usable CPU and at most one per consecutive
+pair. Neighbouring lanes share their boundary eps, which runs in both, so
+every Cauchy distance is taken inside one lane and no stress history crosses
+a process. Several lanes run each in a child forked once the mesh and program
+caches are built, and the children read those caches copy-on-write; one lane
+runs in the calling process. Each evolution is the same computation in any
+lane, so the results do not depend on the number of lanes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +36,7 @@ import numpy as np
 from .benchmarks import Benchmark
 # SweepConfig is re-exported: a sweep's RunConfig under the sweep's keyword names.
 from .config import RunConfig, SweepConfig
-from .evolution import ConvergenceError, bd_norm_surrogate, evolve
+from .evolution import RELAXED, ConvergenceError, bd_norm_surrogate, evolve
 from .fem import divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
 
 from .tensors import ddot, dev_decompose, norm
@@ -53,9 +63,10 @@ class EpsTrajectory:
 
     The monitor arrays (M+1 values each) and ``u_final`` are kept for the
     whole sweep. ``sigma`` is kept until the next eps has taken its Cauchy
-    distance against it; ``run_sweep`` then sets it to None, so a sweep holds
-    at most two stress histories at a time. ``ev`` is stored only on the
-    limit proxy (the smallest eps) and is None on every other trajectory.
+    distance against it; the lane then sets it to None, so a lane holds at
+    most two stress histories at a time, and only the limit proxy's leaves
+    its lane. ``ev`` is stored only on the limit proxy (the smallest eps) and
+    is None on every other trajectory.
     The limit proxy keeps both (M+1, n_cells, 3) fields, which the residuals,
     the limit comparison and the VTK output read.
     """
@@ -83,8 +94,8 @@ class SweepReport:
     ``benchmark`` is the one the sweep built and ran; the residuals and the
     limit-field output reuse it. ``cauchy_distances[i]`` is the L2-in-time,
     L2-in-space distance between the stresses at eps i and i+1, taken time by
-    time while eps i+1 runs; only ``limit_proxy`` keeps its fields past the
-    next eps.
+    time while eps i+1 runs, in the lane that runs both; only ``limit_proxy``
+    keeps its fields past the next eps.
     """
 
     config: RunConfig
@@ -196,18 +207,49 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
     return trajectory, distance
 
 
-def run_sweep(config: RunConfig) -> SweepReport:
-    """One evolution per eps; metrics assembled in decreasing-eps order."""
-    benchmark = config.build_benchmark()
+def _lanes(n_eps: int) -> list[range]:
+    """The epsilon indices of each lane: one lane per usable CPU, at most ``n_eps - 1``.
+
+    Lanes are contiguous, and neighbours share their boundary epsilon, so every
+    consecutive pair whose Cauchy distance the sweep takes lies in one lane.
+    Without ``fork`` or CPU affinity (not Linux) there is one lane.
+    """
+    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n_lanes = max(1, min(len(os.sched_getaffinity(0)) if usable else 1, n_eps - 1))
+    edges = [k * (n_eps - 1) // n_lanes for k in range(n_lanes + 1)]
+    return [range(edges[k], edges[k + 1] + 1) for k in range(n_lanes)]
+
+
+def _build_shared(benchmark: Benchmark, mode: str) -> None:
+    """Build the mesh and program caches that every evolution and its monitors read, so
+    that lanes forked afterwards share them copy-on-write instead of each building them."""
     mesh = benchmark.mesh
+    _ = (mesh.B_T, mesh.abs_B_T, mesh.packed_areas, mesh.elements, mesh.lumped_mass,
+         mesh.free_inv_mass, mesh.dirichlet_boundary, benchmark.program.loads)
+    if mode == RELAXED:
+        _ = mesh.slip_set
+
+
+def _run_lane(benchmark: Benchmark, config: RunConfig,
+              lane: range) -> tuple[list[EpsTrajectory], list[float]]:
+    """Run the epsilons ``lane`` indexes in order; return their trajectories and the Cauchy
+    distance of each consecutive pair.
+
+    A lane that starts on the previous lane's last epsilon runs it again only
+    for its stresses and leaves its trajectory out. Only the sweep's last
+    epsilon keeps its stresses past the lane.
+    """
+    epsilons = config.epsilon_list
+    last = len(epsilons) - 1
     times = benchmark.program.times
     trajectories, cauchy = [], []
-    for i, eps in enumerate(config.epsilon_list):
+    for i in lane:
+        eps = epsilons[i]
         prev = trajectories[-1] if trajectories else None
         try:
             tr, distance = _run_one_epsilon(benchmark, eps, config,
                                             None if prev is None else prev.sigma,
-                                            keep_ev=i == len(config.epsilon_list) - 1)
+                                            keep_ev=i == last)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"epsilon={eps:g}, step {exc.step_index}: {exc}",
@@ -218,6 +260,79 @@ def run_sweep(config: RunConfig) -> SweepReport:
             cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
             prev.sigma = None  # not needed past this distance
         trajectories.append(tr)
+    if lane[-1] != last:
+        trajectories[-1].sigma = None  # the next lane runs this epsilon again
+    return trajectories[1:] if lane[0] else trajectories, cauchy
+
+
+def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range) -> None:
+    """A forked lane: send ``_run_lane``'s result, or the exception it raised, to the parent."""
+    try:
+        result = _run_lane(benchmark, config, lane)
+    except Exception as exc:  # the parent raises it, in epsilon order
+        result = exc
+    sender.send(result)
+    sender.close()
+
+
+def _run_lanes(benchmark: Benchmark, config: RunConfig,
+               lanes: list[range]) -> list[tuple[list[EpsTrajectory], list[float]]]:
+    """``_run_lane`` of every lane, in lane order.
+
+    One lane runs in this process. Several run each in a child forked here,
+    which reads the caches built so far copy-on-write. The first failure in
+    epsilon order is raised; the lanes after it are terminated, and no child
+    outlives the call.
+    """
+    if len(lanes) == 1:
+        return [_run_lane(benchmark, config, lanes[0])]
+    import multiprocessing  # here, not at module level: `run` would pay for the import
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        # fork every lane first; no thread runs here, so no child inherits a held lock
+        for lane in lanes:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_lane_child, args=(sender, benchmark, config, lane))
+            child.start()
+            sender.close()  # so that a lane that dies shows as EOF
+            children.append((child, receiver))
+        results = []
+        for (child, receiver), lane in zip(children, lanes):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                child.join()
+                first, last = config.epsilon_list[lane[0]], config.epsilon_list[lane[-1]]
+                raise RuntimeError(f"the sweep lane of epsilon={first:g} to {last:g} exited "
+                                   f"with code {child.exitcode} before its result") from None
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for child, receiver in children:
+            child.terminate()  # only a lane after a failure is still at work
+            child.join()
+            receiver.close()
+
+
+def run_sweep(config: RunConfig) -> SweepReport:
+    """One evolution per eps, in lanes (``_lanes``); metrics assembled in decreasing-eps order.
+
+    The mesh and program caches are built first, once, for every lane. A
+    failure is the first in eps order, tagged with its eps and step.
+    """
+    benchmark = config.build_benchmark()
+    mesh = benchmark.mesh
+    times = benchmark.program.times
+    _build_shared(benchmark, config.boundary_mode)
+    trajectories, cauchy = [], []
+    for lane_trajectories, lane_cauchy in _run_lanes(benchmark, config,
+                                                     _lanes(len(config.epsilon_list))):
+        trajectories += lane_trajectories
+        cauchy += lane_cauchy
 
     metrics = {name: np.zeros(len(trajectories)) for name in METRIC_NAMES}
     for i, tr in enumerate(trajectories):

@@ -9,6 +9,7 @@ the CLI holds one state at a time, not the whole evolution.
 """
 
 import gc
+import os
 import sys
 
 import numpy as np
@@ -147,6 +148,7 @@ def test_sweep_builds_strain_matrix_once_per_mesh(monkeypatch):
 def test_sweep_builds_the_free_dof_element_map_once_per_mesh(monkeypatch):
     """Three epsilons, three systems, one mesh: the free dofs' element map and the cell strain
     blocks are the mesh's, built once, not once per system."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one lane, in this process
     counts = {}
     for name in ("element_map", "strain_matrix"):
         _count_calls(monkeypatch, name, counts)
@@ -358,6 +360,7 @@ def test_cli_sweep_builds_strain_matrix_once(monkeypatch, tmp_path):
 def test_cli_streams_the_states(monkeypatch, tmp_path, command, text, steps):
     """``run`` and ``sweep`` hold at most two states at any step, not the whole evolution."""
     monkeypatch.delenv("TOOL_OUT", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one lane, in this process
     live = []
     step = evolution.incremental_step
 

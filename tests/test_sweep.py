@@ -1,13 +1,20 @@
-"""Sweep harness: rate fits, monitors, limit residuals, limit comparison."""
+"""Sweep harness: rate fits, monitors, limit residuals, limit comparison, lanes."""
+
+import dataclasses
+import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from oracles import cauchy_distances_all_pairs
 
+from rigiplast import cli, sweep
 from rigiplast.config import ConfigError, RunConfig, parse_config
-from rigiplast.evolution import run_evolution
+from rigiplast.evolution import ConvergenceError, run_evolution
 from rigiplast.sweep import (
+    EpsTrajectory,
     SweepConfig,
     compare_limits,
     fit_rate,
@@ -215,3 +222,135 @@ class TestCompareLimits:
                                   mesh_n=4, n_steps=4))
         with pytest.raises(ValueError, match="different meshes"):
             compare_limits(a, b)
+
+
+EPS5 = tuple(2.0 ** (-2 * k) for k in range(5))
+LANE_CASES = {
+    "SHEAR-strong": dict(benchmark="SHEAR", mesh_n=4, n_steps=8),
+    "SHEAR-relaxed": dict(benchmark="SHEAR", mesh_n=4, n_steps=8, mode="relaxed"),
+    "TRACTION-strong": dict(benchmark="TRACTION", mesh_n=4, n_steps=8),
+}
+
+
+def _pin_cpus(monkeypatch, n: int) -> None:
+    """Let the sweep see ``n`` usable CPUs: it runs min(n, epsilons - 1) lanes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_same_sweep(a, b):
+    assert len(a.trajectories) == len(b.trajectories)
+    for tr_a, tr_b in zip(a.trajectories, b.trajectories):
+        for field in dataclasses.fields(EpsTrajectory):
+            va, vb = getattr(tr_a, field.name), getattr(tr_b, field.name)
+            assert (va is None) == (vb is None), field.name
+            assert va is None or np.array_equal(va, vb), field.name
+    assert a.metrics.keys() == b.metrics.keys()
+    for name in a.metrics:
+        assert np.array_equal(a.metrics[name], b.metrics[name]), name
+    assert np.array_equal(a.cauchy_distances, b.cauchy_distances)
+    assert a.limit_proxy.sigma is not None and a.limit_proxy.ev is not None
+    ra, rb = rigid_residuals(a), rigid_residuals(b)
+    for field in dataclasses.fields(ra):
+        assert np.array_equal(getattr(ra, field.name), getattr(rb, field.name)), field.name
+
+
+class TestLanes:
+    @pytest.mark.parametrize("cpus, n_eps, want", [
+        (2, 7, [[0, 1, 2, 3], [3, 4, 5, 6]]),
+        (1, 7, [list(range(7))]),
+        (3, 5, [[0, 1], [1, 2], [2, 3, 4]]),
+        (2, 2, [[0, 1]]),
+        (2, 1, [[0]]),
+        (8, 3, [[0, 1], [1, 2]]),
+    ])
+    def test_split(self, monkeypatch, cpus, n_eps, want):
+        """One lane per usable CPU, at most one per consecutive pair; neighbours share an eps."""
+        _pin_cpus(monkeypatch, cpus)
+        assert [list(lane) for lane in sweep._lanes(n_eps)] == want
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", sorted(LANE_CASES))
+    def test_lanes_do_not_change_the_answer(self, monkeypatch, case, cpus):
+        config = SweepConfig(epsilons=EPS5, **LANE_CASES[case])
+        _pin_cpus(monkeypatch, 1)
+        serial = run_sweep(config)
+        runs = []
+        one_epsilon = sweep._run_one_epsilon
+
+        def counted(*args, **kwargs):
+            runs.append(args[1])
+            return one_epsilon(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "_run_one_epsilon", counted)
+        _pin_cpus(monkeypatch, cpus)
+        _assert_same_sweep(run_sweep(config), serial)
+        assert runs == []  # every lane ran in a forked child
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_cli_artifacts_byte_equal(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.delenv("TOOL_OUT", raising=False)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("benchmark = SHEAR\nmesh_n = 4\ntime_steps = 8\n"
+                       "epsilon_list = 1.0, 0.25, 0.0625, 0.015625\n", encoding="utf-8")
+        for n in (1, cpus):
+            _pin_cpus(monkeypatch, n)
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / str(n))]) == 0
+        for name in ("metrics.csv", "summary.json", "fields_limit.vtk"):
+            want = (tmp_path / "1" / name).read_bytes()
+            assert (tmp_path / str(cpus) / name).read_bytes() == want, name
+
+    @pytest.mark.parametrize("mode", ["strong", "relaxed"])
+    def test_caches_are_built_before_the_lanes(self, mode):
+        """A lane builds no mesh or program cache of its own: forked lanes share the parent's."""
+        config = SweepConfig(epsilons=EPS5[:2], benchmark="TRACTION", mesh_n=4, n_steps=4,
+                             mode=mode)
+        bench = config.build_benchmark()
+        sweep._build_shared(bench, mode)
+        built = set(vars(bench.mesh)), set(vars(bench.program))
+        sweep._run_lane(bench, config, range(2))
+        assert (set(vars(bench.mesh)), set(vars(bench.program))) == built
+
+    def test_first_failing_epsilon_is_reported(self, monkeypatch, tmp_path):
+        """Beyond the limit load every eps fails; several lanes report the first, as one does."""
+        config = SweepConfig(epsilons=EPS5[:4], benchmark="TRACTION", mesh_n=4, n_steps=4,
+                             load_scale=1.5)
+        errors = []
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            with pytest.raises(ConvergenceError, match="^epsilon=1, step 4: ") as err:
+                run_sweep(config)
+            errors.append(err.value)
+            assert multiprocessing.active_children() == []
+        for exc in errors[1:]:
+            assert str(exc) == str(errors[0])
+            assert exc.step_index == errors[0].step_index == 4
+            assert exc.residual_history == errors[0].residual_history
+            assert exc.decrease_history == errors[0].decrease_history
+            assert np.array_equal(exc.state.u, errors[0].state.u)
+
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\nload_scale = 1.5\n"
+                       "epsilon_list = 1.0, 0.25, 0.0625, 0.015625\n", encoding="utf-8")
+        monkeypatch.delenv("TOOL_OUT", raising=False)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        record = json.loads((tmp_path / "out" / "error.json").read_text(encoding="utf-8"))
+        assert record["error"]["step"] == 4
+        assert record["error"]["message"].startswith("epsilon=1, step 4: ")
+        assert multiprocessing.active_children() == []
+
+    def test_a_lane_that_dies_is_an_error(self, monkeypatch):
+        """A lane that ends without a result (killed, say) fails the sweep; none outlives it."""
+        parent = os.getpid()
+        one_epsilon = sweep._run_one_epsilon
+
+        def dying(benchmark, epsilon, *args, **kwargs):
+            if epsilon == EPS5[3] and os.getpid() != parent:
+                os._exit(7)
+            return one_epsilon(benchmark, epsilon, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "_run_one_epsilon", dying)
+        _pin_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="epsilon=0.0625 to 0.00390625 exited with code 7"):
+            run_sweep(SweepConfig(epsilons=EPS5, benchmark="SHEAR", mesh_n=3, n_steps=4))
+        assert multiprocessing.active_children() == []
