@@ -15,15 +15,21 @@ Each evolution is streamed: the monitors, the velocity and the distance to the
 previous eps are taken step by step as ``evolve`` yields the states, each
 state's strain is the one its step took, and the deviatoric stress bound and
 the plastic increment mass are read off each step's ``StepInfo`` (no ledger).
+The limit proxy (the smallest eps) also takes the limit-system residuals step
+by step, and writes its stress and velocity-strain histories into
+``_limit_fields``, views of one anonymous shared mapping made before any lane
+starts.
 
 The evolutions are independent, so the eps list runs in lanes (``_lanes``):
 contiguous runs of it, one per usable CPU and at most one per consecutive
 pair. Neighbouring lanes share their boundary eps, which runs in both, so
-every Cauchy distance is taken inside one lane and no stress history crosses
-a process. Several lanes run each in a child forked once the mesh and program
-caches are built, and the children read those caches copy-on-write; one lane
-runs in the calling process. Each evolution is the same computation in any
-lane, so the results do not depend on the number of lanes.
+every Cauchy distance is taken inside one lane. Several lanes run each in a
+child forked once the mesh and program caches and the shared mapping are
+made, and the children read those caches copy-on-write; one lane runs in the
+calling process. A lane sends back monitor arrays and distances only: no
+field crosses a pipe, and the limit's fields are read from the mapping. Each
+evolution is the same computation in any lane, so the results do not depend
+on the number of lanes.
 """
 
 from __future__ import annotations
@@ -64,11 +70,12 @@ class EpsTrajectory:
     The monitor arrays (M+1 values each) and ``u_final`` are kept for the
     whole sweep. ``sigma`` is kept until the next eps has taken its Cauchy
     distance against it; the lane then sets it to None, so a lane holds at
-    most two stress histories at a time, and only the limit proxy's leaves
-    its lane. ``ev`` is stored only on the limit proxy (the smallest eps) and
-    is None on every other trajectory.
-    The limit proxy keeps both (M+1, n_cells, 3) fields, which the residuals,
-    the limit comparison and the VTK output read.
+    most two stress histories at a time, and no stress history leaves its
+    lane. ``ev`` and the three limit-system residuals are computed only on the
+    limit proxy (the smallest eps) and are None on every other trajectory.
+    The limit proxy's two (M+1, n_cells, 3) fields are views of the sweep's
+    shared mapping (``_limit_fields``), which the limit comparison and the
+    VTK output read.
     """
 
     epsilon: float
@@ -84,6 +91,9 @@ class EpsTrajectory:
     normal_gap: np.ndarray        # sup over Gamma_D of |(w - u) . nu|
     sigma: np.ndarray | None      # (M+1, n_cells, 3)
     ev: np.ndarray | None         # (M+1, n_cells, 3), entry 0 is 0
+    equilibrium_interior: np.ndarray | None   # the residuals of ``divergence_check``
+    equilibrium_flux: np.ndarray | None
+    div_v_l2: np.ndarray | None   # ||div v||_2 of the velocity strain, entry 0 is 0
     u_final: np.ndarray
 
 
@@ -95,7 +105,8 @@ class SweepReport:
     limit-field output reuse it. ``cauchy_distances[i]`` is the L2-in-time,
     L2-in-space distance between the stresses at eps i and i+1, taken time by
     time while eps i+1 runs, in the lane that runs both; only ``limit_proxy``
-    keeps its fields past the next eps.
+    keeps its fields past the next eps, as views of one shared mapping that
+    its lane wrote.
     """
 
     config: RunConfig
@@ -133,15 +144,32 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
+def _limit_fields(n_t: int, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed (n_t, n_cells, 3) stress and velocity-strain histories for the limit eps.
+
+    Both are views of one anonymous shared mapping, so a lane forked after it
+    is made writes them in place, and the parent reads them without their
+    crossing a pipe.
+    """
+    import mmap  # here, not at module level: `run` would pay for the import
+
+    shape = (2, n_t, n_cells, 3)
+    fields = np.ndarray(shape, dtype=float, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
+    return fields[0], fields[1]
+
+
 def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
                      sigma_prev: np.ndarray | None,
-                     keep_ev: bool) -> tuple[EpsTrajectory, np.ndarray]:
+                     limit: tuple[np.ndarray, np.ndarray] | None
+                     ) -> tuple[EpsTrajectory, np.ndarray]:
     """Stream one evolution through the monitors; return its trajectory and stress distances.
 
     The distances are, per time, the L2 distance between this evolution's
     stress and ``sigma_prev`` (zero where that is None). Only the current
-    state and the previous displacement are held while the evolution runs;
-    the velocity strains are kept only if ``keep_ev``.
+    state and the previous displacement are held while the evolution runs.
+    ``limit``, for the limit eps only, is the (sigma, ev) pair of histories to
+    write (``_limit_fields``); that evolution also takes the limit-system
+    residuals step by step. Every other eps keeps a private stress history.
     """
     mesh = benchmark.mesh
     program = benchmark.program
@@ -162,8 +190,12 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
     diss_rate = np.zeros(n_t)
     normal_gap = np.zeros(n_t)
     distance = np.zeros(n_t)
-    sigma_all = np.zeros((n_t, mesh.n_cells, 3))
-    ev_all = np.zeros((n_t, mesh.n_cells, 3)) if keep_ev else None
+    if limit is None:
+        sigma_all, ev_all = np.zeros((n_t, mesh.n_cells, 3)), None
+        eq_interior = eq_flux = div_v_l2 = None
+    else:
+        sigma_all, ev_all = limit
+        eq_interior, eq_flux, div_v_l2 = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
 
     dirichlet = mesh.dirichlet_boundary
     infos = []
@@ -185,7 +217,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         if k > 0:
             dt = times[k] - times[k - 1]
             ev = strain_of((st.u - u_prev) / dt, mesh)
-            if keep_ev:
+            if ev_all is not None:
                 ev_all[k] = ev
             ev_norm = norm(ev)
             gap_cells = kappa * ev_norm - ddot(dev_decompose(st.sigma)[0], ev)
@@ -195,6 +227,10 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
                 raise AssertionError(f"flow-rule gap negative ({worst:.3e}) at step {k}")
             flow_gap_rate[k] = float((areas * gap_cells).sum())
             diss_rate[k] = float((areas * kappa * ev_norm).sum())
+        if ev_all is not None:  # the limit-system residuals, on the histories' rows
+            eq_interior[k], eq_flux[k] = divergence_check(sigma_all[k], mesh, None, program.g[k],
+                                                          program.loads[k])
+            div_v_l2[k] = scalar_l2(areas, ev_all[k, :, 0] + ev_all[k, :, 2])
         u_prev = st.u
 
     trajectory = EpsTrajectory(
@@ -202,7 +238,8 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         sigma_dev_max=np.array([info.max_sigma_dev for info in infos]),
         dp_mass_cum=np.cumsum([info.dissipation for info in infos]) / kappa,  # as the ledger sums
         hydro_dev=hydro_dev, flow_gap_rate=flow_gap_rate, diss_rate=diss_rate,
-        normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, u_final=u_prev,
+        normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, equilibrium_interior=eq_interior,
+        equilibrium_flux=eq_flux, div_v_l2=div_v_l2, u_final=u_prev,
     )
     return trajectory, distance
 
@@ -225,19 +262,21 @@ def _build_shared(benchmark: Benchmark, mode: str) -> None:
     that lanes forked afterwards share them copy-on-write instead of each building them."""
     mesh = benchmark.mesh
     _ = (mesh.B_T, mesh.abs_B_T, mesh.packed_areas, mesh.elements, mesh.lumped_mass,
-         mesh.free_inv_mass, mesh.dirichlet_boundary, benchmark.program.loads)
+         mesh.free_inv_mass, mesh.dirichlet_boundary, mesh.free_dofs, mesh.neumann_boundary,
+         benchmark.program.loads)
     if mode == RELAXED:
         _ = mesh.slip_set
 
 
-def _run_lane(benchmark: Benchmark, config: RunConfig,
-              lane: range) -> tuple[list[EpsTrajectory], list[float]]:
+def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
+              limit: tuple[np.ndarray, np.ndarray]) -> tuple[list[EpsTrajectory], list[float]]:
     """Run the epsilons ``lane`` indexes in order; return their trajectories and the Cauchy
     distance of each consecutive pair.
 
     A lane that starts on the previous lane's last epsilon runs it again only
-    for its stresses and leaves its trajectory out. Only the sweep's last
-    epsilon keeps its stresses past the lane.
+    for its stresses and leaves its trajectory out. The sweep's last epsilon
+    writes its fields into ``limit`` (``_limit_fields``); no trajectory the
+    lane returns carries a field.
     """
     epsilons = config.epsilon_list
     last = len(epsilons) - 1
@@ -249,7 +288,7 @@ def _run_lane(benchmark: Benchmark, config: RunConfig,
         try:
             tr, distance = _run_one_epsilon(benchmark, eps, config,
                                             None if prev is None else prev.sigma,
-                                            keep_ev=i == last)
+                                            limit if i == last else None)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"epsilon={eps:g}, step {exc.step_index}: {exc}",
@@ -260,32 +299,35 @@ def _run_lane(benchmark: Benchmark, config: RunConfig,
             cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
             prev.sigma = None  # not needed past this distance
         trajectories.append(tr)
-    if lane[-1] != last:
-        trajectories[-1].sigma = None  # the next lane runs this epsilon again
+    # the next lane runs this epsilon again, or it is the limit, whose fields are in ``limit``
+    trajectories[-1].sigma = trajectories[-1].ev = None
     return trajectories[1:] if lane[0] else trajectories, cauchy
 
 
-def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range) -> None:
+def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range,
+                limit: tuple[np.ndarray, np.ndarray]) -> None:
     """A forked lane: send ``_run_lane``'s result, or the exception it raised, to the parent."""
     try:
-        result = _run_lane(benchmark, config, lane)
+        result = _run_lane(benchmark, config, lane, limit)
     except Exception as exc:  # the parent raises it, in epsilon order
         result = exc
     sender.send(result)
     sender.close()
 
 
-def _run_lanes(benchmark: Benchmark, config: RunConfig,
-               lanes: list[range]) -> list[tuple[list[EpsTrajectory], list[float]]]:
+def _run_lanes(benchmark: Benchmark, config: RunConfig, lanes: list[range],
+               limit: tuple[np.ndarray, np.ndarray]
+               ) -> list[tuple[list[EpsTrajectory], list[float]]]:
     """``_run_lane`` of every lane, in lane order.
 
     One lane runs in this process. Several run each in a child forked here,
-    which reads the caches built so far copy-on-write. The first failure in
+    which reads the caches built so far copy-on-write and writes ``limit``,
+    a shared mapping, in place. The first failure in
     epsilon order is raised; the lanes after it are terminated, and no child
     outlives the call.
     """
     if len(lanes) == 1:
-        return [_run_lane(benchmark, config, lanes[0])]
+        return [_run_lane(benchmark, config, lanes[0], limit)]
     import multiprocessing  # here, not at module level: `run` would pay for the import
 
     context = multiprocessing.get_context("fork")
@@ -294,7 +336,8 @@ def _run_lanes(benchmark: Benchmark, config: RunConfig,
         # fork every lane first; no thread runs here, so no child inherits a held lock
         for lane in lanes:
             receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_lane_child, args=(sender, benchmark, config, lane))
+            child = context.Process(target=_lane_child,
+                                    args=(sender, benchmark, config, lane, limit))
             child.start()
             sender.close()  # so that a lane that dies shows as EOF
             children.append((child, receiver))
@@ -321,18 +364,22 @@ def _run_lanes(benchmark: Benchmark, config: RunConfig,
 def run_sweep(config: RunConfig) -> SweepReport:
     """One evolution per eps, in lanes (``_lanes``); metrics assembled in decreasing-eps order.
 
-    The mesh and program caches are built first, once, for every lane. A
-    failure is the first in eps order, tagged with its eps and step.
+    The mesh and program caches and the limit's shared fields are made
+    first, once, for every lane; the limit proxy gets its fields back as
+    views of that mapping. A failure is the first in eps order, tagged with
+    its eps and step.
     """
     benchmark = config.build_benchmark()
     mesh = benchmark.mesh
     times = benchmark.program.times
     _build_shared(benchmark, config.boundary_mode)
+    limit = _limit_fields(len(times), mesh.n_cells)
     trajectories, cauchy = [], []
     for lane_trajectories, lane_cauchy in _run_lanes(benchmark, config,
-                                                     _lanes(len(config.epsilon_list))):
+                                                     _lanes(len(config.epsilon_list)), limit):
         trajectories += lane_trajectories
         cauchy += lane_cauchy
+    trajectories[-1].sigma, trajectories[-1].ev = limit
 
     metrics = {name: np.zeros(len(trajectories)) for name in METRIC_NAMES}
     for i, tr in enumerate(trajectories):
@@ -410,28 +457,18 @@ class ResidualReport:
 
 
 def rigid_residuals(report: SweepReport) -> ResidualReport:
-    """Evaluate the limit-system residuals on the smallest-eps trajectory."""
-    benchmark = report.benchmark
-    mesh = benchmark.mesh
-    program = benchmark.program
-    kappa = benchmark.yield_set.radius
+    """The limit-system residuals on the smallest-eps trajectory.
+
+    Its lane took them step by step, next to the monitors; this packages
+    them and reads none of the limit's fields.
+    """
+    kappa = report.benchmark.yield_set.radius
     tr = report.limit_proxy
-    n_t = len(report.times)
-
-    eq_int = np.zeros(n_t)
-    eq_flux = np.zeros(n_t)
-    div_v = np.zeros(n_t)
-
-    for k in range(n_t):
-        eq_int[k], eq_flux[k] = divergence_check(tr.sigma[k], mesh, None, program.g[k],
-                                                 program.loads[k])
-        ev = tr.ev[k]
-        div_v[k] = scalar_l2(mesh.areas, ev[:, 0] + ev[:, 2])
-
     return ResidualReport(
         epsilon=tr.epsilon, times=report.times.copy(),
-        equilibrium_interior=eq_int, equilibrium_flux=eq_flux,
-        feasibility_excess=tr.sigma_dev_max - kappa, div_v_l2=div_v,
+        equilibrium_interior=tr.equilibrium_interior.copy(),
+        equilibrium_flux=tr.equilibrium_flux.copy(),
+        feasibility_excess=tr.sigma_dev_max - kappa, div_v_l2=tr.div_v_l2.copy(),
         flow_gap_rate=tr.flow_gap_rate.copy(),
         dirichlet_normal_gap=tr.normal_gap.copy(),
     )

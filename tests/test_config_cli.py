@@ -272,13 +272,15 @@ def test_import_defaults_openblas_to_one_thread(setting, want):
 
 
 def test_cli_import_loads_no_process_machinery():
-    """``import rigiplast.cli`` loads no process pool: only a sweep with several lanes imports
-    ``multiprocessing``, so ``run`` does not pay for it. (``concurrent.futures`` itself comes
-    with scipy, through ``numpy.testing``; its process pool does not.)"""
+    """``import rigiplast.cli`` loads no process pool and no ``mmap``: only a sweep imports
+    them (``multiprocessing`` with several lanes, ``mmap`` for the limit's shared fields),
+    so ``run`` does not pay for them. (``concurrent.futures`` itself comes with scipy,
+    through ``numpy.testing``; its process pool does not.)"""
     src = str(Path(rigiplast.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = ("import sys, rigiplast.cli; print(sorted(name for name in sys.modules if "
-              "name.split('.')[0] == 'multiprocessing' or name == 'concurrent.futures.process'))")
+              "name.split('.')[0] in ('multiprocessing', 'mmap') "
+              "or name == 'concurrent.futures.process'))")
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import mmap
 import multiprocessing
 import os
 
@@ -13,6 +14,7 @@ from oracles import cauchy_distances_all_pairs
 from rigiplast import cli, sweep
 from rigiplast.config import ConfigError, RunConfig, parse_config
 from rigiplast.evolution import ConvergenceError, run_evolution
+from rigiplast.fem import divergence_check, scalar_l2
 from rigiplast.sweep import (
     EpsTrajectory,
     SweepConfig,
@@ -237,6 +239,13 @@ def _pin_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _mapping_of(a):
+    """The object at the end of an array's ``.base`` chain."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
 def _assert_same_sweep(a, b):
     assert len(a.trajectories) == len(b.trajectories)
     for tr_a, tr_b in zip(a.trajectories, b.trajectories):
@@ -287,6 +296,56 @@ class TestLanes:
         assert runs == []  # every lane ran in a forked child
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_no_field_crosses_the_pipe(self, monkeypatch, tmp_path, cpus):
+        """A lane sends back monitor arrays and distances only; the limit proxy's fields are
+        views of one shared mapping, which its lane wrote in place."""
+        config = SweepConfig(epsilons=EPS5, **LANE_CASES["SHEAR-strong"])
+        run_lane = sweep._run_lane
+
+        def recorded(benchmark, config, lane, limit):
+            result = run_lane(benchmark, config, lane, limit)
+            shapes = [[list(v.shape) for v in vars(tr).values() if isinstance(v, np.ndarray)]
+                      for tr in result[0]]
+            (tmp_path / f"lane{lane[0]}.json").write_text(json.dumps(shapes), encoding="utf-8")
+            return result
+
+        monkeypatch.setattr(sweep, "_run_lane", recorded)
+        _pin_cpus(monkeypatch, cpus)
+        report = run_sweep(config)
+        field = [len(report.times), report.benchmark.mesh.n_cells, 3]
+        sent = [json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted(tmp_path.glob("lane*.json"))]
+        assert len(sent) == cpus
+        assert sum(len(lane) for lane in sent) == len(EPS5)  # every trajectory, once
+        for lane in sent:
+            for shapes in lane:
+                assert field not in shapes
+        limit = report.limit_proxy
+        assert limit.sigma.shape == limit.ev.shape == tuple(field)
+        assert isinstance(_mapping_of(limit.sigma), mmap.mmap)
+        assert _mapping_of(limit.sigma) is _mapping_of(limit.ev)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_lane_residuals_are_those_of_the_limit_fields(self, monkeypatch, cpus):
+        """The residuals the limit's lane took step by step equal, bit for bit, the checks
+        on the limit proxy's fields that the parent read back."""
+        _pin_cpus(monkeypatch, cpus)
+        report = run_sweep(SweepConfig(epsilons=EPS5, **LANE_CASES["TRACTION-strong"]))
+        program, mesh, limit = report.benchmark.program, report.benchmark.mesh, report.limit_proxy
+        checks = np.array([divergence_check(limit.sigma[k], mesh, None, program.g[k],
+                                            program.loads[k])
+                           for k in range(len(report.times))])
+        div_v = np.array([scalar_l2(mesh.areas, ev[:, 0] + ev[:, 2]) for ev in limit.ev])
+        residuals = rigid_residuals(report)
+        assert np.array_equal(residuals.equilibrium_interior, checks[:, 0])
+        assert np.array_equal(residuals.equilibrium_flux, checks[:, 1])
+        assert np.array_equal(residuals.div_v_l2, div_v)
+        assert checks[:, 1].max() > 0  # TRACTION's tractions load the flux term
+        for tr in report.trajectories[:-1]:
+            assert tr.equilibrium_interior is None and tr.div_v_l2 is None
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_cli_artifacts_byte_equal(self, monkeypatch, tmp_path, cpus):
         monkeypatch.delenv("TOOL_OUT", raising=False)
@@ -308,7 +367,7 @@ class TestLanes:
         bench = config.build_benchmark()
         sweep._build_shared(bench, mode)
         built = set(vars(bench.mesh)), set(vars(bench.program))
-        sweep._run_lane(bench, config, range(2))
+        sweep._run_lane(bench, config, range(2), sweep._limit_fields(5, bench.mesh.n_cells))
         assert (set(vars(bench.mesh)), set(vars(bench.program))) == built
 
     def test_first_failing_epsilon_is_reported(self, monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigiplast.tensors import (
+    DEV_TOL,
     HookeTensor,
     NonDeviatoricError,
     YieldSet,
@@ -15,8 +16,10 @@ from rigiplast.tensors import (
     deviator,
     dim_of,
     identity,
+    is_deviatoric,
     norm,
     radial_return,
+    require_deviatoric,
     sym_outer,
     trace,
 )
@@ -301,6 +304,29 @@ class TestRadialReturn:
         hooke = HookeTensor(1.0, 1.0, 1.0)
         with pytest.raises(NonDeviatoricError):
             radial_return(np.array([1.0, 0.0, 0.0]), np.zeros(3), hooke, YieldSet(1.0))
+
+
+class TestRequireDeviatoric:
+    """The early return on small traces keeps the verdict of the per-entry bound
+    |tr a| <= DEV_TOL * max(1, |a|), and the message."""
+
+    @pytest.mark.parametrize("a, raises", [
+        (np.array([[DEV_TOL, 0.0, 0.0], [0.5, 0.3, -0.5]]), False),   # |tr| = DEV_TOL
+        (np.array([[1.5 * DEV_TOL, 4.0, 0.0]]), False),              # above DEV_TOL, |a| > 1
+        (np.array([[1.5 * DEV_TOL, 0.1, 0.0]]), True),               # above DEV_TOL, |a| < 1
+        (np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), True),
+        (np.zeros((0, 3)), False),
+        (np.array([2 * DEV_TOL, 0.0, 0.0]), True),                   # one tensor
+    ])
+    def test_raises_exactly_when_an_entry_is_not_deviatoric(self, a, raises):
+        assert bool((~is_deviatoric(a)).any()) == raises
+        if raises:
+            worst = float(np.max(np.abs(trace(a))))
+            with pytest.raises(NonDeviatoricError,
+                               match=f"^field has trace up to {worst:.3e} beyond tolerance$"):
+                require_deviatoric(a, "field")
+        else:
+            require_deviatoric(a, "field")
 
 
 class TestPackedLayout:
