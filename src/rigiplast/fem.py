@@ -5,12 +5,13 @@ integrands via the centroid) and two-point Gauss per boundary edge (exact for
 the P1 traces that appear here). Operators that depend on the mesh alone are
 built once per mesh and cached on it (the cells' dofs and (3, 6) strain
 blocks S_c, ``Mesh.B`` scattered from them, the free dofs' ``ElementMap``,
-the load maps, the boundary-edge arrays), so a strain, a load vector or
-``nodal_forces`` is one sparse matvec and boundary sums are array code; a
-load program assembles the loads of all its grid times at once
-(``LoadProgram.loads``), and callers take each strain once. The stiffness
-matrix and the Newton tangent are both B^T blockdiag(area W D_c) B, a sum of
-6x6 cell blocks S_c^T (area W D_c) S_c (``cell_blocks``), and so is
+the load maps, the Neumann and Dirichlet selections of the boundary's
+``EdgeArrays``), so a strain, a load vector or ``nodal_forces`` is one
+sparse matvec and boundary sums are array code; a load program assembles
+the loads of all its grid times at once (``LoadProgram.loads``), and callers
+take each strain once. The stiffness matrix and the Newton tangent are both
+B^T blockdiag(area W D_c) B, a sum of 6x6 cell blocks S_c^T (area W D_c) S_c
+(``cell_blocks``), and so is
 safeload's Gram matrix, with D_c = area_c times the 0/1 mask of the stress
 components the tractions leave free. An ``ElementMap`` (of the free dofs,
 or of a slip set) holds the S_c of its unknowns and the position of every

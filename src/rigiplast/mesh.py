@@ -5,12 +5,14 @@ from its lower-left to its upper-right corner into two counter-clockwise
 triangles (lower-right first, then upper-left). No crossed diagonals: the
 orientation is uniform so results are reproducible cell-for-cell.
 
-Boundary faces are named "left", "right", "bottom", "top"; each boundary edge
-carries its outward unit normal and a Dirichlet/Neumann label. Displacement
+Boundary faces are named "left", "right", "bottom", "top". The boundary is
+one set of arrays (``EdgeArrays``), one row per edge: its end nodes, outward
+unit normal, length, adjacent cell, face and whether the face is a Dirichlet
+face; the Neumann and Dirichlet edges are selections of it. Displacement
 fields are nodal (P1, shape ``(n_nodes, 2)``); strain/stress fields are
 cellwise packed symmetric tensors (P0, shape ``(n_cells, 3)``).
 
-Everything derived from the mesh alone (boundary-edge arrays, Dirichlet
+Everything derived from the mesh alone (the boundary selections, Dirichlet
 nodes, lumped mass and its reciprocal at the free dofs, the cell dofs and
 strain blocks, the strain operator built from them, its transpose and that
 in absolute value, the element map of the free dofs, the slip set of relaxed
@@ -20,56 +22,48 @@ kept on the mesh instance; all but the element maps are marked read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 FACES = ("left", "right", "bottom", "top")
 
+# outward unit normals, in the order the boundary runs: counter-clockwise from the origin
 _FACE_NORMALS = {
-    "left": np.array([-1.0, 0.0]),
-    "right": np.array([1.0, 0.0]),
-    "bottom": np.array([0.0, -1.0]),
-    "top": np.array([0.0, 1.0]),
+    "bottom": (0.0, -1.0),
+    "right": (1.0, 0.0),
+    "top": (0.0, 1.0),
+    "left": (-1.0, 0.0),
 }
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
-
-
-@dataclass(frozen=True)
-class BoundaryEdge:
-    nodes: tuple[int, int]
-    normal: np.ndarray
-    label: str
-    face: str
-    length: float
-    cell: int
 
 
 @dataclass(frozen=True)
 class EdgeArrays:
-    """Boundary edges as arrays, one row per edge in the order of their tuple."""
+    """Boundary edges as read-only arrays, one row per edge."""
 
     nodes: np.ndarray      # (m, 2) end nodes
     normals: np.ndarray    # (m, 2) outward unit normals
     lengths: np.ndarray    # (m,)
     cells: np.ndarray      # (m,) adjacent cell
-    dirichlet: np.ndarray  # (m,) True on Dirichlet-labelled edges
+    dirichlet: np.ndarray  # (m,) True on the edges of Dirichlet faces
     faces: np.ndarray      # (m,) face name
 
-    @classmethod
-    def of(cls, edges) -> "EdgeArrays":
-        return cls(
-            nodes=_read_only(np.array([e.nodes for e in edges], dtype=int).reshape(-1, 2)),
-            normals=_read_only(np.array([e.normal for e in edges], dtype=float).reshape(-1, 2)),
-            lengths=_read_only(np.array([e.length for e in edges], dtype=float)),
-            cells=_read_only(np.array([e.cell for e in edges], dtype=int)),
-            dirichlet=_read_only(np.array([e.label == DIRICHLET for e in edges], dtype=bool)),
-            faces=_read_only(np.array([e.face for e in edges], dtype=str)),
-        )
+    def select(self, mask: np.ndarray) -> "EdgeArrays":
+        """The rows where ``mask`` is True, in their order, as read-only arrays."""
+        return EdgeArrays(*(_read_only(getattr(self, f.name)[mask]) for f in fields(self)))
+
+
+class NeumannEdge(NamedTuple):
+    """One row of ``Mesh.neumann_boundary``, for readers that go edge by edge."""
+
+    nodes: tuple[int, int]
+    normal: np.ndarray
+    length: float
+    cell: int
+    face: str
 
 
 def _read_only(x):
@@ -86,13 +80,14 @@ class Mesh:
     nodes:     (n_nodes, 2) coordinates
     triangles: (n_cells, 3) CCW node indices
     areas:     (n_cells,) positive triangle areas
-    edges:     boundary edges partitioning the square's boundary
+    boundary:  the edges partitioning the square's boundary, running bottom,
+               right, top, left, each face counter-clockwise
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     areas: np.ndarray
-    edges: tuple[BoundaryEdge, ...]
+    boundary: EdgeArrays
     n_side: int
     dirichlet_faces: frozenset[str]
 
@@ -110,28 +105,23 @@ class Mesh:
 
     @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
-        """Sorted indices of nodes on a Dirichlet-labelled edge."""
+        """Sorted indices of nodes on a Dirichlet edge."""
         return _read_only(np.unique(self.boundary.nodes[self.boundary.dirichlet]))
 
     @cached_property
-    def neumann_edges(self) -> tuple[BoundaryEdge, ...]:
-        return tuple(e for e in self.edges if e.label == NEUMANN)
-
-    @cached_property
-    def dirichlet_edges(self) -> tuple[BoundaryEdge, ...]:
-        return tuple(e for e in self.edges if e.label == DIRICHLET)
-
-    @cached_property
-    def boundary(self) -> EdgeArrays:
-        return EdgeArrays.of(self.edges)
-
-    @cached_property
     def neumann_boundary(self) -> EdgeArrays:
-        return EdgeArrays.of(self.neumann_edges)
+        return self.boundary.select(~self.boundary.dirichlet)
 
     @cached_property
     def dirichlet_boundary(self) -> EdgeArrays:
-        return EdgeArrays.of(self.dirichlet_edges)
+        return self.boundary.select(self.boundary.dirichlet)
+
+    @cached_property
+    def neumann_edges(self) -> tuple[NeumannEdge, ...]:
+        """``neumann_boundary`` edge by edge; the package itself reads only the arrays."""
+        b = self.neumann_boundary
+        return tuple(map(NeumannEdge, map(tuple, b.nodes.tolist()), b.normals,
+                         b.lengths.tolist(), b.cells.tolist(), b.faces.tolist()))
 
     @cached_property
     def lumped_mass(self) -> np.ndarray:
@@ -247,7 +237,7 @@ def _scatter_map(n_nodes: int, ends: np.ndarray, weights: np.ndarray) -> sp.csr_
 
 
 def build_square_mesh(n_cells_per_side: int, dirichlet_faces) -> Mesh:
-    """Uniform right-angled triangulation of (0,1)^2 with labelled boundary.
+    """Uniform right-angled triangulation of (0,1)^2 with a Dirichlet/Neumann boundary.
 
     ``dirichlet_faces`` is an iterable of face names; it must be non-empty
     (the problem needs a hard device somewhere). Produces (n+1)^2 nodes and
@@ -267,17 +257,11 @@ def build_square_mesh(n_cells_per_side: int, dirichlet_faces) -> Mesh:
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((v00, v10, v11))  # lower-right of the cell
-            tris.append((v00, v11, v01))  # upper-left of the cell
-    triangles = np.array(tris, dtype=int)
+    s = n + 1  # node index step from one row of nodes to the next
+    v00 = (s * np.arange(n)[:, None] + np.arange(n)).ravel()  # lower-left node of each cell
+    triangles = np.column_stack([v00, v00 + 1, v00 + s + 1,    # lower-right of the cell
+                                 v00, v00 + s + 1, v00 + s]    # upper-left of the cell
+                                ).reshape(-1, 3)
 
     v = nodes[triangles]
     areas = 0.5 * np.abs(
@@ -285,28 +269,17 @@ def build_square_mesh(n_cells_per_side: int, dirichlet_faces) -> Mesh:
         - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
     )
 
-    h = 1.0 / n
-
-    def cell_of(i, j, upper):
-        return 2 * (j * n + i) + (1 if upper else 0)
-
-    edges = []
-    for k in range(n):
-        label = DIRICHLET if "bottom" in dfaces else NEUMANN
-        edges.append(BoundaryEdge((nid(k, 0), nid(k + 1, 0)), _FACE_NORMALS["bottom"],
-                                  label, "bottom", h, cell_of(k, 0, upper=False)))
-    for k in range(n):
-        label = DIRICHLET if "right" in dfaces else NEUMANN
-        edges.append(BoundaryEdge((nid(n, k), nid(n, k + 1)), _FACE_NORMALS["right"],
-                                  label, "right", h, cell_of(n - 1, k, upper=False)))
-    for k in range(n):
-        label = DIRICHLET if "top" in dfaces else NEUMANN
-        edges.append(BoundaryEdge((nid(k + 1, n), nid(k, n)), _FACE_NORMALS["top"],
-                                  label, "top", h, cell_of(k, n - 1, upper=True)))
-    for k in range(n):
-        label = DIRICHLET if "left" in dfaces else NEUMANN
-        edges.append(BoundaryEdge((nid(0, k + 1), nid(0, k)), _FACE_NORMALS["left"],
-                                  label, "left", h, cell_of(0, k, upper=True)))
+    # the n edges of each face in _FACE_NORMALS order, each running counter-clockwise; cells
+    # 2 (n j + i) and 2 (n j + i) + 1 are the lower-right and upper-left triangles of cell (i, j)
+    k = np.arange(n)
+    starts = np.concatenate([k, s * k + n, s * n + k + 1, s * (k + 1)])
+    ends = np.concatenate([k + 1, s * (k + 1) + n, s * n + k, s * k])
+    cells = np.concatenate([2 * k, 2 * (n * k + n - 1), 2 * (n * (n - 1) + k) + 1, 2 * n * k + 1])
+    faces = np.repeat(list(_FACE_NORMALS), n)
+    normals = np.repeat(list(_FACE_NORMALS.values()), n, axis=0)
+    boundary = EdgeArrays(*map(_read_only, (np.column_stack([starts, ends]), normals,
+                                            np.full(4 * n, 1.0 / n), cells,
+                                            np.isin(faces, list(dfaces)), faces)))
 
     return Mesh(nodes=nodes, triangles=triangles, areas=areas,
-                edges=tuple(edges), n_side=n, dirichlet_faces=dfaces)
+                boundary=boundary, n_side=n, dirichlet_faces=dfaces)

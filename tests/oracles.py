@@ -61,6 +61,53 @@ def scalar_prox_golden_section(g_mod, kappa, s_norm, iters=80):
     return 0.5 * (a + b)
 
 
+def square_mesh_loop(n, dirichlet_faces):
+    """The square mesh built cell by cell and edge by edge: (triangles, areas, boundary rows).
+
+    Each boundary row is (end nodes, outward normal, length, cell, Dirichlet?, face); the rows
+    run bottom, right, top, left, each face's edges in increasing coordinate, each edge
+    oriented counter-clockwise.
+    """
+    def nid(i, j):
+        return j * (n + 1) + i
+
+    def cell_of(i, j, upper):
+        return 2 * (j * n + i) + (1 if upper else 0)
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = nid(i, j), nid(i + 1, j)
+            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
+            tris.append((v00, v10, v11))  # lower-right of the cell
+            tris.append((v00, v11, v01))  # upper-left of the cell
+    triangles = np.array(tris, dtype=int)
+
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
+    v = np.column_stack([xx.ravel(), yy.ravel()])[triangles]
+    areas = 0.5 * np.abs(
+        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
+    )
+
+    h = 1.0 / n
+    rows = []
+    for k in range(n):
+        rows.append(((nid(k, 0), nid(k + 1, 0)), (0.0, -1.0), h, cell_of(k, 0, upper=False),
+                     "bottom" in dirichlet_faces, "bottom"))
+    for k in range(n):
+        rows.append(((nid(n, k), nid(n, k + 1)), (1.0, 0.0), h, cell_of(n - 1, k, upper=False),
+                     "right" in dirichlet_faces, "right"))
+    for k in range(n):
+        rows.append(((nid(k + 1, n), nid(k, n)), (0.0, 1.0), h, cell_of(k, n - 1, upper=True),
+                     "top" in dirichlet_faces, "top"))
+    for k in range(n):
+        rows.append(((nid(0, k + 1), nid(0, k)), (-1.0, 0.0), h, cell_of(0, k, upper=True),
+                     "left" in dirichlet_faces, "left"))
+    return triangles, areas, rows
+
+
 def body_load_vector_loop(mesh, f_cells):
     """int f . phi by per-vertex scatter-adds, one vertex slot at a time."""
     F = np.zeros(2 * mesh.n_nodes)

@@ -47,18 +47,17 @@ class TestBuildSquareMesh:
         assert np.all(mesh.areas > 0)
 
     def test_boundary_closed_and_unit_normals(self):
-        mesh = build_square_mesh(5, ALL)
-        assert len(mesh.edges) == 20
-        total = sum(e.length * e.normal for e in mesh.edges)
+        edges = build_square_mesh(5, ALL).boundary
+        assert len(edges.lengths) == 20
+        total = (edges.lengths[:, None] * edges.normals).sum(axis=0)
         np.testing.assert_allclose(total, 0.0, atol=1e-14)
-        for e in mesh.edges:
-            assert np.linalg.norm(e.normal) == pytest.approx(1.0)
-            assert e.length == pytest.approx(1 / 5)
+        assert np.linalg.norm(edges.normals, axis=1) == pytest.approx(1.0)
+        assert edges.lengths == pytest.approx(1 / 5)
 
     def test_labels(self):
         mesh = build_square_mesh(3, ("bottom", "top"))
-        faces_d = {e.face for e in mesh.dirichlet_edges}
-        faces_n = {e.face for e in mesh.neumann_edges}
+        faces_d = set(mesh.dirichlet_boundary.faces.tolist())
+        faces_n = set(mesh.neumann_boundary.faces.tolist())
         assert faces_d == {"bottom", "top"}
         assert faces_n == {"left", "right"}
 
@@ -72,9 +71,9 @@ class TestBuildSquareMesh:
 
     def test_edge_cells_adjacent(self):
         mesh = build_square_mesh(4, ALL)
-        for e in mesh.edges:
-            tri = set(mesh.triangles[e.cell])
-            assert set(e.nodes) <= tri
+        edges = mesh.boundary
+        tris = mesh.triangles[edges.cells]
+        assert (edges.nodes[:, :, None] == tris[:, None, :]).any(axis=2).all()
 
 
 class TestStrain:

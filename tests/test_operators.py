@@ -1,23 +1,30 @@
 """Per-mesh cached operators and the load program's load assembly.
 
-The cached load maps and the array-based boundary code are checked against
-the per-edge loops in ``oracles``, and a program's loads against the per-step
-assembly; the work counts check that operators are built once per mesh,
-per-system invariants once per system, a program's loads and datum strains
-once per program, not once per evolution or step, each strain once, and that
-the CLI holds one state at a time, not the whole evolution.
+The mesh's triangles and boundary arrays, the cached load maps and the
+array-based boundary code are checked against the loops in ``oracles``, and a
+program's loads against the per-step assembly; the work counts check that
+operators are built once per mesh, per-system invariants once per system, a
+program's loads and datum strains once per program, not once per evolution or
+step, each strain once, and that the CLI holds one state at a time, not the
+whole evolution.
 """
 
 import gc
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse._base import _spbase
 
-from oracles import body_load_vector_loop, flux_residual_loop, traction_load_vector_loop
+from oracles import (
+    body_load_vector_loop,
+    flux_residual_loop,
+    square_mesh_loop,
+    traction_load_vector_loop,
+)
 
 import rigiplast.fem
 from rigiplast import cli, evolution
@@ -30,7 +37,7 @@ from rigiplast.fem import (
     external_load_vector,
     traction_load_vector,
 )
-from rigiplast.mesh import DIRICHLET, build_square_mesh
+from rigiplast.mesh import FACES, build_square_mesh
 from rigiplast.sweep import SweepConfig, rigid_residuals, run_sweep
 
 RTOL = 1e-14
@@ -73,21 +80,38 @@ class TestAgainstLoops:
         want = flux_residual_loop(mesh, sigma, g)
         assert abs(flux - want) <= RTOL * want
 
-    def test_edge_arrays_match_edges(self, make_mesh):
-        mesh = make_mesh()
-        for arrays, edges in ((mesh.boundary, mesh.edges),
-                              (mesh.neumann_boundary, mesh.neumann_edges),
-                              (mesh.dirichlet_boundary, mesh.dirichlet_edges)):
-            assert len(arrays.lengths) == len(edges)
-            for j, e in enumerate(edges):
-                assert tuple(arrays.nodes[j]) == e.nodes
-                assert np.array_equal(arrays.normals[j], e.normal)
-                assert arrays.lengths[j] == e.length
-                assert arrays.cells[j] == e.cell
-                assert arrays.dirichlet[j] == (e.label == DIRICHLET)
-                assert arrays.faces[j] == e.face
-        want = sorted({nd for e in mesh.dirichlet_edges for nd in e.nodes})
-        assert mesh.dirichlet_nodes.tolist() == want
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _edge_columns(rows):
+    """The numeric ``EdgeArrays`` fields of ``square_mesh_loop``'s boundary rows, by name."""
+    return {"nodes": np.array([r[0] for r in rows], dtype=int).reshape(-1, 2),
+            "normals": np.array([r[1] for r in rows], dtype=float).reshape(-1, 2),
+            "lengths": np.array([r[2] for r in rows], dtype=float),
+            "cells": np.array([r[3] for r in rows], dtype=int),
+            "dirichlet": np.array([r[4] for r in rows], dtype=bool)}
+
+
+@pytest.mark.parametrize("faces", [("bottom",), ("left", "top"), ("bottom", "left", "right"), FACES],
+                         ids=["bottom", "left_top", "bottom_left_right", "all_faces"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 32, 64])
+def test_mesh_arrays_match_the_loops(n, faces):
+    mesh = build_square_mesh(n, faces)
+    triangles, areas, rows = square_mesh_loop(n, faces)
+    _assert_same(mesh.triangles, triangles)
+    _assert_same(mesh.areas, areas)
+    dirichlet_rows = [r for r in rows if r[4]]
+    for edges, want in ((mesh.boundary, rows),
+                        (mesh.neumann_boundary, [r for r in rows if not r[4]]),
+                        (mesh.dirichlet_boundary, dirichlet_rows)):
+        for name, column in _edge_columns(want).items():
+            _assert_same(getattr(edges, name), column)
+        assert edges.faces.tolist() == [r[5] for r in want]  # by value: selections keep <U6
+    _assert_same(mesh.dirichlet_nodes,
+                 np.array(sorted({nd for r in dirichlet_rows for nd in r[0]}), dtype=int))
 
 
 @pytest.mark.parametrize("n", [4, 16, 32])
@@ -114,10 +138,10 @@ def test_program_loads_equal_the_per_step_assembly(n, faces):
 
 def test_cached_arrays_are_read_only():
     mesh = _mixed_mesh()
-    arrays = [mesh.dirichlet_nodes, mesh.free_dofs, mesh.lumped_mass, mesh.boundary.nodes,
-              mesh.boundary.normals, mesh.boundary.lengths, mesh.boundary.cells,
-              mesh.boundary.dirichlet, mesh.neumann_boundary.normals, mesh.cell_dofs,
+    arrays = [mesh.dirichlet_nodes, mesh.free_dofs, mesh.lumped_mass, mesh.cell_dofs,
               mesh.cell_strains, mesh.free_inv_mass, *mesh.slip_set[:3]]
+    for edges in (mesh.boundary, mesh.neumann_boundary, mesh.dirichlet_boundary):
+        arrays += [getattr(edges, f.name) for f in fields(edges)]
     for op in (mesh.B, mesh.B_T, mesh.body_load_map, mesh.traction_load_map):
         arrays += [op.data, op.indices, op.indptr]
     for a in arrays:
