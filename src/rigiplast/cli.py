@@ -201,6 +201,7 @@ def main(argv=None) -> int:
                 "kind": type(exc).__name__,
                 "message": str(exc),
                 "step": getattr(exc, "step_index", None),
+                "reason": getattr(exc, "reason", None),
             }
         }
         write_json(out / "error.json", record)

@@ -9,12 +9,10 @@ The closed-form cellwise return map eliminates p, which leaves a convex C^1
 functional of u alone (a Moreau envelope). A semismooth Newton method with
 the consistent tangent of the return map minimizes it; an Armijo line search
 keeps the functional decreasing, and one alternating step (elastic solve with
-p frozen) stands in where a Newton direction fails. A step stops when the
-equilibrium residual on the free dofs is at most ``stress_tol * kappa`` (or
-the round-off floor of its operands) and the last decrease is below
-``tol * (1 + |value|)`` at the predictor. The stress comes from the return
-map of the final iterate, so the deviatoric stress satisfies the yield
-constraint exactly.
+p frozen) stands in where a Newton direction fails. ``_stop`` is the one stop
+rule: a step ends "converged", "stalled" or at its "iteration cap". The stress
+comes from the return map of the final iterate, so the deviatoric stress
+satisfies the yield constraint exactly.
 
 Boundary condition modes differ only in the slip set, the Dirichlet nodes
 that may slip tangentially; every step runs the same solver:
@@ -84,17 +82,18 @@ _CHECK_TOL = 1e-10  # defect a state may have in FEState.check, relative to its 
 class ConvergenceError(RuntimeError):
     """The inner Newton iteration failed to converge.
 
-    Carries the last iterate, the history of functional decreases (one per
-    Newton iteration) and the residual history (the predictor's first).
+    Carries the last iterate, the decrease history (one per Newton iteration),
+    the residual history (the predictor's first) and ``reason``, ``_stop``'s answer.
     """
 
     def __init__(self, message, state=None, decrease_history=None, step_index=None,
-                 residual_history=None):
+                 residual_history=None, reason=None):
         super().__init__(message)
         self.state = state
         self.decrease_history = decrease_history or []
         self.residual_history = residual_history or []
         self.step_index = step_index
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -301,15 +300,6 @@ class StepInfo:
     plastic_fraction: float
 
 
-def _functional(system, yset, slip, loads, u, eu, p, p_prev, s, s_prev) -> float:
-    """The incremental functional at displacement ``u`` with strain ``eu`` = Eu and slips ``s``."""
-    val = system.energy(eu - p)
-    val += yset.radius * float((system.mesh.areas * norm(p - p_prev)).sum())
-    val += yset.radius / np.sqrt(2.0) * float((slip.lengths * np.abs(s - s_prev)).sum())
-    val -= float(loads @ u.ravel())
-    return val
-
-
 @dataclass
 class _Iterate:
     """One displacement iterate with everything the reduced functional derives from it."""
@@ -323,27 +313,169 @@ class _Iterate:
     sigma: np.ndarray
     value: float
     grad: np.ndarray     # B^T(area W sigma) - F on the Newton unknowns: free dofs, then slips
-    q: np.ndarray        # force pushing each slip node along its tangent: minus dJ_smooth/ds
 
 
 # Armijo sufficient-decrease constant and the most step halvings before the
 # alternating fallback; multiple of eps_mach * (operand magnitudes) below
-# which a residual is round-off.
+# which a residual is round-off; change of the functional, relative to
+# 1 + |value|, that counts as round-off.
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _ROUNDOFF = 64.0 * np.finfo(float).eps
+_SLACK = 1e-12
 # Levenberg-Marquardt damping of the Newton system by a multiple of the
 # elastic stiffness diagonal: raised after a failed direction or a step that
 # needed more than two halvings, lowered after any other step, zero below the
 # minimum (the slip dofs keep the minimum).
 _DAMPING_MIN = 1e-6
 _DAMPING_GROWTH = 10.0
-# Iterations in a row without a new smallest residual before the step is
-# given up: a load beyond the limit load drives the displacement so far that
-# round-off swamps the residual, which then only wanders.
+# The stall length and the iteration cap of ``_stop``, in Newton steps.
 _MAX_STALLED = 10
-# Most Newton steps in one time step.
 _MAX_ITERS = 10_000
+
+
+def _stop(residuals: list, decreases: list, threshold: float, small_decrease: float) -> str | None:
+    """Why a step's Newton loop ends after these histories (the first that holds), or None.
+
+    ``residuals`` are the free-dof residuals in the lumped dual norm, the
+    predictor's first; ``decreases`` the functional's decrease per Newton step.
+
+    * ``"converged"``: the last residual is at most ``threshold`` (``stress_tol
+      * kappa`` or the predictor's round-off floor) and the last decrease below
+      ``small_decrease`` (``tol * (1 + |value|)`` at the predictor); a
+      predictor that passes needs no Newton step;
+    * ``"stalled"``: ``_MAX_STALLED`` Newton steps in a row set no new
+      smallest residual (past the limit load, round-off swamps the residual);
+    * ``"iteration cap"``: ``_MAX_ITERS`` Newton steps are taken.
+    """
+    if residuals[-1] <= threshold and (not decreases or decreases[-1] < small_decrease):
+        return "converged"
+    start = len(residuals) - _MAX_STALLED  # the residuals from here on set no new minimum
+    if start > 0:
+        best = min(residuals[:start])
+        if all(r >= best for r in residuals[start:]):
+            return "stalled"
+    if len(decreases) >= _MAX_ITERS:
+        return "iteration cap"
+    return None
+
+
+@dataclass(frozen=True)
+class _Step:
+    """What one incremental step holds fixed, and the phases of its solver."""
+
+    system: ElasticSystem
+    yield_set: YieldSet
+    slip: SlipNodes
+    w_nodes: np.ndarray
+    loads: np.ndarray
+    p_prev: np.ndarray
+    s_prev: np.ndarray
+
+    @cached_property
+    def friction(self) -> np.ndarray:
+        """The friction force kappa * length / sqrt(2) of each slip node."""
+        return self.yield_set.radius / np.sqrt(2.0) * self.slip.lengths
+
+    def pin(self, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``u``, with each slip node set to the datum moved by -(s_prev + z) along its tangent."""
+        nodes = self.slip.nodes
+        u[nodes] = self.w_nodes[nodes] - (self.s_prev + z)[:, None] * self.slip.tangents
+        return u
+
+    def dissipation(self, dp_norm: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+        """(volume, slip) dissipation of plastic increments of norm ``dp_norm``, slips ``s``."""
+        kappa, areas, lengths = self.yield_set.radius, self.system.mesh.areas, self.slip.lengths
+        return (kappa * float((areas * dp_norm).sum()),
+                kappa / np.sqrt(2.0) * float((lengths * np.abs(s - self.s_prev)).sum()))
+
+    def functional(self, u: np.ndarray, eu: np.ndarray, p: np.ndarray, s: np.ndarray) -> float:
+        """The incremental functional at ``u`` with strain ``eu`` = Eu and slips ``s``."""
+        volume, boundary = self.dissipation(norm(p - self.p_prev), s)
+        return self.system.energy(eu - p) + volume + boundary - float(self.loads @ u.ravel())
+
+    def evaluate(self, u: np.ndarray, z: np.ndarray) -> _Iterate:
+        """The iterate at ``u`` and slip increments ``z``, p by the return map."""
+        mesh, hooke = self.system.mesh, self.system.hooke
+        eu = strain_of(u, mesh)
+        e_dev, e_mean = dev_decompose(eu)
+        p, sigma_dev = radial_return(e_dev, self.p_prev, hooke, self.yield_set)
+        sigma = sigma_dev.copy()
+        sigma[:, ::2] += (2.0 * hooke.bulk_modulus / hooke.epsilon * e_mean)[:, None]
+        value = self.functional(u, eu, p, self.s_prev + z)
+        grad = self.slip.elements.from_dofs(nodal_forces(mesh, sigma) - self.loads)
+        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value, grad)
+
+    def elastic(self, p: np.ndarray, z: np.ndarray) -> _Iterate:
+        """The iterate of the elastic solve with ``p`` frozen and the slips at ``z``."""
+        return self.evaluate(self.system.solve(p, self.pin(self.w_nodes.copy(), z), self.loads), z)
+
+    def slip_force(self, it: _Iterate) -> np.ndarray:
+        """The force pushing each slip node along its tangent: minus dJ_smooth/ds."""
+        return -it.grad[self.system.free.size:]
+
+    def dual_norm(self, forces: np.ndarray, slip_part: np.ndarray) -> float:
+        """Lumped dual norm of the free-dof forces (first in ``forces``) plus the slip-node part."""
+        sq = float((forces[:self.system.free.size] ** 2 * self.system.mesh.free_inv_mass).sum())
+        inv_mass = 1.0 / self.system.mesh.lumped_mass[self.slip.nodes]
+        sq += float((slip_part ** 2 * inv_mass).sum())
+        return np.sqrt(sq)
+
+    def residual(self, it: _Iterate) -> float:
+        """Free-dof residual; at a slip node, the distance of its force from the friction set."""
+        q, friction = self.slip_force(it), self.friction
+        rho = np.where(it.z != 0.0, np.abs(q - friction * np.sign(it.z)),
+                       np.maximum(np.abs(q) - friction, 0.0))
+        return self.dual_norm(it.grad, rho)
+
+    def roundoff_floor(self, it: _Iterate) -> float:
+        """The residual that round-off in the operands of ``it``, p at p_prev, can make."""
+        magnitudes = self.system.force_magnitudes(it.eu, self.p_prev, self.loads)
+        slip_magnitudes = (np.abs(self.slip.tangents)
+                           * magnitudes.reshape(-1, 2)[self.slip.nodes]).sum(axis=1) + self.friction
+        return _ROUNDOFF * self.dual_norm(magnitudes[self.system.free], slip_magnitudes)
+
+    def newton_direction(self, it: _Iterate, damping: float):
+        """(du, dz, stuck, slope) of the damped Newton step, or None where it fails."""
+        system, slip, friction = self.system, self.slip, self.friction
+        n_free = system.free.size
+        q = self.slip_force(it)
+        tangent = consistent_tangent(it.e_dev, self.p_prev, system.hooke, self.yield_set)
+        y = it.z + q / slip.stiffness
+        stuck = np.abs(y) <= friction / slip.stiffness
+        # a stuck slip is held at dz = -z, at its previous value, and eliminated
+        rhs = -np.concatenate([it.grad[:n_free], np.where(stuck, it.z, friction * np.sign(y) - q)])
+        # a face that slides as a whole leaves the smooth part flat along
+        # its rigid translation: the slips are always damped a little
+        shift = np.concatenate([damping * system.stiffness_diagonal,
+                                max(damping, _DAMPING_MIN) * slip.stiffness])
+        try:
+            sol = system.solve_tangent(tangent, rhs, slip.elements, shift,
+                                       n_free + np.flatnonzero(stuck))
+        except SolverError:
+            return None
+        dz = sol[n_free:]
+        slope = float(it.grad @ sol)
+        slope += float(friction @ np.where(it.z != 0.0, np.sign(it.z) * dz, np.abs(dz)))
+        if not slope < 0.0:
+            return None
+        return slip.elements.to_dofs(sol), dz, stuck, slope
+
+    def line_search(self, it: _Iterate, direction) -> tuple[_Iterate | None, int]:
+        """(accepted iterate, halvings), or (None, halvings) when it gives out."""
+        du, dz, stuck, slope = direction
+        step = 1.0
+        for halvings in range(_MAX_BACKTRACKS + 1):
+            u = it.u + step * du.reshape(-1, 2)
+            z = it.z + step * dz
+            z[stuck] = (1.0 - step) * it.z[stuck]  # exactly the previous slip at a full step
+            trial = self.evaluate(self.pin(u, z), z)
+            change = trial.value - it.value
+            if change <= _ARMIJO * step * slope or (
+                    step == 1.0 and change <= _SLACK * (1.0 + abs(trial.value))):
+                return trial, halvings
+            step *= 0.5
+        return None, _MAX_BACKTRACKS
 
 
 def incremental_step(
@@ -362,196 +494,79 @@ def incremental_step(
 
     With p eliminated by the radial return the step minimizes the reduced
     functional J(u) = sum_cells area psi(Eu) - F.u, which is convex and C^1.
-    It starts from the elastic solve with p frozen at ``p_prev`` and takes
-    semismooth Newton steps: the gradient is B^T(area W sigma) - F, the
-    Hessian is assembled from ``consistent_tangent``, and an Armijo line
-    search on the functional accepts each step (a full step whose change is
-    within round-off of the value is accepted too). Where the tangent is
-    singular, the direction does not descend or the line search gives out,
-    one alternating step (elastic solve with p frozen, then the return map)
-    is taken instead, and later Newton systems are damped by a multiple of
-    the elastic stiffness diagonal until a step succeeds again
-    (Levenberg-Marquardt); this carries the solver through the nearly
-    singular tangents of loads close to the limit load and of a face that
-    slides as a whole. ``loads`` is the step's load dof vector. ``slip`` is
-    the slip set (by default none: strong mode), with one previous slip per
-    node in ``state_prev.boundary_slip``; the Hooke tensor is ``system.hooke``.
-    The slips join the Newton system as a primal-dual active set: a stuck
-    node keeps its previous slip, a sliding node carries the constant
-    friction force kappa * length / sqrt(2).
+    From the elastic solve with p frozen at ``p_prev`` (the predictor) it
+    takes semismooth Newton steps: gradient B^T(area W sigma) - F, Hessian
+    from ``consistent_tangent``, and an Armijo line search on the functional
+    (a full step whose change is round-off is accepted too). Where the
+    tangent is singular, the direction does not descend or the line search
+    gives out, one alternating step (elastic solve with p frozen, then the
+    return map) is taken instead, and later Newton systems are damped by a
+    multiple of the elastic stiffness diagonal until a step succeeds again
+    (Levenberg-Marquardt), for the nearly singular tangents near the limit
+    load and of a face that slides as a whole. ``loads`` is the step's load
+    dof vector; ``slip`` the slip set (none by default: strong mode), with one
+    previous slip per node in ``state_prev.boundary_slip``. The slips join
+    the Newton system as a primal-dual active set: a stuck node keeps its
+    previous slip, a sliding node carries the friction force kappa * length /
+    sqrt(2). ``_stop`` ends the iteration.
 
-    The iteration stops when the free-dof residual, in the lumped dual norm,
-    is at most ``stress_tol * kappa`` or the round-off floor of the
-    predictor's operands, whichever is larger, and the last decrease of the
-    functional is below ``tol * (1 + |value|)`` at the predictor; a predictor
-    whose residual passes needs no Newton step. At most ``_MAX_ITERS``
-    Newton steps are taken, and ten steps in a row without a new smallest
-    residual end the step too.
-
-    The functional is asserted non-increasing at every inner iteration and the
-    converged value is checked against the admissible lift of the previous
-    state (u_prev shifted by the boundary-datum increment). A
-    ``ConvergenceError`` carries the last iterate and the decrease and
-    residual histories.
+    The functional is asserted non-increasing at every inner iteration, and
+    the converged value is checked against the admissible lift of the
+    previous state (u_prev shifted by the datum increment). A
+    ``ConvergenceError`` carries the last iterate, both histories and
+    ``_stop``'s reason.
     """
     if not (0.0 < tol < np.inf and 0.0 < stress_tol < np.inf):
         raise ValueError(f"tol and stress_tol must be positive and finite, "
                          f"got {tol!r} and {stress_tol!r}")
-    mesh, hooke = system.mesh, system.hooke
-    if slip is None:
-        slip = SlipNodes.none(mesh)
+    slip = SlipNodes.none(system.mesh) if slip is None else slip
     p_prev, s_prev = state_prev.p, state_prev.boundary_slip
     if len(s_prev) != slip.count:
         raise ValueError(f"{len(s_prev)} previous slips for {slip.count} slip nodes")
-    kappa = yield_set.radius
-    free = system.free
-    n_free = free.size
-    bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon
-    slack = 1e-12
-    nodes, tangents = slip.nodes, slip.tangents
-    friction = kappa / np.sqrt(2.0) * slip.lengths
-    slip_inv_mass = 1.0 / mesh.lumped_mass[nodes]
-    unknowns = slip.elements  # the Newton unknowns: the free dofs, then the slips
-
-    def boundary_values(z):
-        w_eff = w_nodes.copy()
-        w_eff[nodes] -= (s_prev + z)[:, None] * tangents
-        return w_eff
-
-    def evaluate(u, z):
-        eu = strain_of(u, mesh)
-        e_dev, e_mean = dev_decompose(eu)
-        p, sigma_dev = radial_return(e_dev, p_prev, hooke, yield_set)
-        sigma = sigma_dev.copy()
-        sigma[:, 0] += bulk * e_mean
-        sigma[:, 2] += bulk * e_mean
-        value = _functional(system, yield_set, slip, loads, u, eu, p, p_prev, s_prev + z, s_prev)
-        grad = unknowns.from_dofs(nodal_forces(mesh, sigma) - loads)
-        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value, grad, -grad[n_free:])
-
-    def dual_norm(forces, slip_part):
-        """Lumped dual norm of the free-dof forces (first in ``forces``) plus the slip-node part."""
-        sq = float((forces[:n_free] ** 2 * mesh.free_inv_mass).sum())
-        sq += float((slip_part ** 2 * slip_inv_mass).sum())
-        return np.sqrt(sq)
-
-    def residual(it):
-        """Free-dof residual; at a slip node, the distance of its force from the friction set."""
-        rho = np.where(it.z != 0.0, np.abs(it.q - friction * np.sign(it.z)),
-                       np.maximum(np.abs(it.q) - friction, 0.0))
-        return dual_norm(it.grad, rho)
-
-    def newton_direction(it, damping):
-        """(du, dz, stuck, slope) of the damped Newton step, or None where it fails."""
-        tangent = consistent_tangent(it.e_dev, p_prev, hooke, yield_set)
-        y = it.z + it.q / slip.stiffness
-        stuck = np.abs(y) <= friction / slip.stiffness
-        # unknowns: the free dofs, then the slips; a stuck slip is held at
-        # dz = -z, back to its previous value, and eliminated from the system
-        rhs = -np.concatenate([it.grad[:n_free],
-                               np.where(stuck, it.z, friction * np.sign(y) - it.q)])
-        # a face that slides as a whole leaves the smooth part flat along
-        # its rigid translation: the slips are always damped a little
-        shift = np.concatenate([damping * system.stiffness_diagonal,
-                                max(damping, _DAMPING_MIN) * slip.stiffness])
-        try:
-            sol = system.solve_tangent(tangent, rhs, unknowns, shift,
-                                       n_free + np.flatnonzero(stuck))
-        except SolverError:
-            return None
-        dz = sol[n_free:]
-        slope = float(it.grad @ sol)
-        slope += float(friction @ np.where(it.z != 0.0, np.sign(it.z) * dz, np.abs(dz)))
-        if not slope < 0.0:
-            return None
-        return unknowns.to_dofs(sol), dz, stuck, slope
-
-    def line_search(it, direction):
-        """(accepted iterate, halvings), or (None, halvings) when it gives out."""
-        du, dz, stuck, slope = direction
-        step = 1.0
-        for halvings in range(_MAX_BACKTRACKS + 1):
-            u = it.u + step * du.reshape(-1, 2)
-            z = it.z + step * dz
-            z[stuck] = (1.0 - step) * it.z[stuck]  # exactly the previous slip at a full step
-            u[nodes] = w_nodes[nodes] - (s_prev + z)[:, None] * tangents
-            trial = evaluate(u, z)
-            change = trial.value - it.value
-            if change <= _ARMIJO * step * slope or (
-                    step == 1.0 and change <= slack * (1.0 + abs(trial.value))):
-                return trial, halvings
-            step *= 0.5
-        return None, _MAX_BACKTRACKS
-
-    z0 = np.zeros(slip.count)
-    it = evaluate(system.solve(p_prev, boundary_values(z0), loads), z0)
-    res = residual(it)
-    magnitudes = system.force_magnitudes(it.eu, p_prev, loads)
-    slip_magnitudes = (np.abs(tangents) * magnitudes.reshape(-1, 2)[nodes]).sum(axis=1) + friction
-    threshold = max(stress_tol * kappa, _ROUNDOFF * dual_norm(magnitudes[free], slip_magnitudes))
+    step = _Step(system, yield_set, slip, w_nodes, loads, p_prev, s_prev)
+    it = step.elastic(p_prev, np.zeros(slip.count))
+    threshold = max(stress_tol * yield_set.radius, step.roundoff_floor(it))
     small_decrease = tol * (1.0 + abs(it.value))
-    decreases, residuals = [], [res]
-    backtracks = fallbacks = 0
-    damping = 0.0
-    converged = res <= threshold
-    iterations = 1
-    stalled = 0  # consecutive iterations without a new smallest residual
-    while not converged and iterations <= _MAX_ITERS and stalled < _MAX_STALLED:
-        direction = newton_direction(it, damping)
-        new = None
-        if direction is not None:
-            new, halvings = line_search(it, direction)
-            backtracks += halvings
+    residuals, decreases = [step.residual(it)], []
+    backtracks, fallbacks, damping = 0, 0, 0.0
+    while (why := _stop(residuals, decreases, threshold, small_decrease)) is None:
+        direction = step.newton_direction(it, damping)
+        new, halvings = (None, 0) if direction is None else step.line_search(it, direction)
+        backtracks += halvings
+        damping = (max(_DAMPING_GROWTH * damping, _DAMPING_MIN) if new is None or halvings > 2
+                   else damping / _DAMPING_GROWTH if damping > _DAMPING_MIN else 0.0)
         if new is None:
             fallbacks += 1
-            damping = max(_DAMPING_GROWTH * damping, _DAMPING_MIN)
-            new = evaluate(system.solve(it.p, boundary_values(it.z), loads), it.z)
-        elif halvings > 2:
-            damping = max(_DAMPING_GROWTH * damping, _DAMPING_MIN)
-        else:
-            damping = damping / _DAMPING_GROWTH if damping > _DAMPING_MIN else 0.0
-        decrease = it.value - new.value
-        decreases.append(decrease)
-        if decrease < -slack * (1.0 + abs(new.value)):
-            raise AssertionError(
-                f"incremental functional increased by {-decrease:.3e} "
-                f"at inner iteration {iterations}"
-            )
+            new = step.elastic(it.p, it.z)
+        decreases.append(it.value - new.value)
+        if decreases[-1] < -_SLACK * (1.0 + abs(new.value)):
+            raise AssertionError(f"incremental functional increased by {-decreases[-1]:.3e} "
+                                 f"at inner iteration {len(decreases)}")
         it = new
-        iterations += 1
-        res = residual(it)
-        residuals.append(res)
-        converged = res <= threshold and decrease < small_decrease
-        stalled = stalled + 1 if res >= min(residuals[:-1]) else 0
+        residuals.append(step.residual(it))
 
     state = FEState(t=t, u=it.u, e=it.eu - it.p, p=it.p, sigma=it.sigma,
                     boundary_slip=s_prev + it.z, eu=it.eu)
-    if not converged:
+    if why != "converged":
         last = decreases[-1] if decreases else float("nan")
-        why = (f"residual stalled after {iterations - 1} inner iterations"
-               if stalled >= _MAX_STALLED else f"no convergence in {_MAX_ITERS} inner iterations")
-        raise ConvergenceError(
-            f"{why} (last decrease {last:.3e}, residual {res:.3e})",
-            state=state, decrease_history=decreases, residual_history=residuals,
-        )
-
-    value = it.value
+        text = (f"residual stalled after {len(decreases)} inner iterations" if why == "stalled"
+                else f"no convergence in {_MAX_ITERS} inner iterations")
+        raise ConvergenceError(f"{text} (last decrease {last:.3e}, residual {residuals[-1]:.3e})",
+                               state=state, decrease_history=decreases,
+                               residual_history=residuals, reason=why)
     if w_prev_nodes is not None:
         # minimality against the admissible lift u_prev + (w_k - w_{k-1})
         u_lift = state_prev.u + (w_nodes - w_prev_nodes)
-        value_at_lift = _functional(system, yield_set, slip, loads, u_lift,
-                                    strain_of(u_lift, mesh), p_prev, p_prev, s_prev, s_prev)
-        if value > value_at_lift + slack * (1.0 + abs(value)):
+        at_lift = step.functional(u_lift, strain_of(u_lift, system.mesh), p_prev, s_prev)
+        if it.value > at_lift + _SLACK * (1.0 + abs(it.value)):
             raise AssertionError("incremental minimum above the lifted previous state")
     state.check(yield_set)
     dp_norm = norm(it.p - p_prev)
-    dissipation = kappa * float((mesh.areas * dp_norm).sum())
-    dissipation += kappa / np.sqrt(2.0) * float(
-        (slip.lengths * np.abs(state.boundary_slip - s_prev)).sum())
-    return state, StepInfo(iterations=iterations, decreases=tuple(decreases), residual=res,
-                           backtracks=backtracks, fallbacks=fallbacks,
+    return state, StepInfo(iterations=len(residuals), decreases=tuple(decreases),
+                           residual=residuals[-1], backtracks=backtracks, fallbacks=fallbacks,
                            max_sigma_dev=float(norm(it.sigma_dev).max()),
-                           dissipation=dissipation, plastic_fraction=float((dp_norm > 0).mean()))
+                           dissipation=sum(step.dissipation(dp_norm, state.boundary_slip)),
+                           plastic_fraction=float((dp_norm > 0).mean()))
 
 
 def evolve(
@@ -567,7 +582,7 @@ def evolve(
     ``info`` is the ``StepInfo`` of the step that produced ``state``, all zero
     for the zero state. ``mode`` only chooses the slip set; an unknown one
     raises ``ValueError`` before anything is built. Only the previous state is
-    kept. Step failures are re-raised tagged with the step index.
+    kept. A step's ``ConvergenceError`` or ``SolverError`` gets its ``step_index``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown boundary mode {mode!r}")
@@ -582,7 +597,7 @@ def evolve(
                 prev, float(program.times[k]), program.w[k], program.loads[k], system, yield_set,
                 slip=slip, tol=tol, stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
             )
-        except ConvergenceError as exc:
+        except (ConvergenceError, SolverError) as exc:
             exc.step_index = k
             raise
         yield prev, info

@@ -43,7 +43,7 @@ from .benchmarks import Benchmark
 # SweepConfig is re-exported: a sweep's RunConfig under the sweep's keyword names.
 from .config import RunConfig, SweepConfig
 from .evolution import RELAXED, ConvergenceError, bd_norm_surrogate, evolve
-from .fem import divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
+from .fem import SolverError, divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
 
 from .tensors import ddot, dev_decompose, norm
 
@@ -289,12 +289,11 @@ def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
             tr, distance = _run_one_epsilon(benchmark, eps, config,
                                             None if prev is None else prev.sigma,
                                             limit if i == last else None)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"epsilon={eps:g}, step {exc.step_index}: {exc}",
-                state=exc.state, decrease_history=exc.decrease_history,
-                step_index=exc.step_index, residual_history=exc.residual_history,
-            ) from exc
+        except (ConvergenceError, SolverError) as exc:
+            step = getattr(exc, "step_index", None)
+            where = f"epsilon={eps:g}" if step is None else f"epsilon={eps:g}, step {step}"
+            exc.args = (f"{where}: {exc}",)
+            raise
         if prev is not None:
             cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
             prev.sigma = None  # not needed past this distance

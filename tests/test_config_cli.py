@@ -284,3 +284,34 @@ def test_cli_import_loads_no_process_machinery():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def test_the_benchmark_tracer_still_sees_the_solver(tmp_path):
+    """``perfbench/tracer.py`` wraps rigiplast's names from outside, so a refactor that drops
+    one, or calls the step past ``evolution.incremental_step``, hides work from the benchmark.
+    Traced, TRACTION n=4, M=4 counts its 4 steps, 12 inner iterations, 4 elastic solves and
+    12 return maps."""
+    src = str(Path(rigiplast.__file__).parents[1])
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    env = {k: v for k, v in os.environ.items() if k != "TOOL_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\n", encoding="utf-8")
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import rigiplast.cli, tracer\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "code = rigiplast.cli.main(['run', '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(json.dumps([code, tracer.layer_metrics(t)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(perfbench), str(cfg),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    code, layers = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert layers["evolution.steps"] == 4
+    assert layers["evolution.inner_iters"] == 12
+    assert layers["fem.solves"] == 4
+    assert layers["tensors.return_calls"] == 12

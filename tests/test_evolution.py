@@ -528,3 +528,84 @@ class TestNewtonSolver:
         assert ledger.iterations.max() == most
         assert ledger.dissipation[-1] == pytest.approx(dissipation, rel=1e-6)
         assert ledger.work[-1] == pytest.approx(work, rel=1e-6)
+
+
+class TestStopRule:
+    """``_stop`` on recorded histories, with no solve: residuals (the predictor's first), then
+    one decrease per Newton step."""
+
+    THRESHOLD = SMALL = 1e-10
+
+    def stop(self, residuals, decreases=None):
+        if decreases is None:
+            decreases = [1.0] * (len(residuals) - 1)
+        return evolution._stop(residuals, decreases, self.THRESHOLD, self.SMALL)
+
+    def test_a_predictor_that_passes_converges(self):
+        assert self.stop([1e-12], []) == "converged"
+        assert self.stop([1e-3], []) is None
+
+    def test_a_passing_residual_needs_a_small_decrease(self):
+        assert self.stop([1.0, 1e-12], [self.SMALL]) is None
+        assert self.stop([1.0, 1e-12], [0.5 * self.SMALL]) == "converged"
+
+    def test_ten_steps_without_a_new_minimum_stall(self):
+        assert self.stop([1.0] + [2.0] * 9) is None
+        assert self.stop([1.0] + [2.0] * 10) == "stalled"
+        assert self.stop([1.0] * 11) == "stalled"  # a tie is no new minimum
+        # a new minimum in between starts the count again
+        reset = [1.0] + [2.0] * 5 + [0.5]
+        assert self.stop(reset + [2.0] * 9) is None
+        assert self.stop(reset + [2.0] * 10) == "stalled"
+
+    def test_the_stall_length_is_read_at_the_call(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_MAX_STALLED", 2)
+        assert self.stop([1.0, 2.0]) is None
+        assert self.stop([1.0, 2.0, 2.0]) == "stalled"
+
+    def test_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_MAX_ITERS", 3)
+        assert self.stop([1.0, 0.9, 0.8]) is None
+        assert self.stop([1.0, 0.9, 0.8, 0.7]) == "iteration cap"
+
+    def test_a_stall_at_the_cap_is_a_stall(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_MAX_ITERS", 10)
+        assert self.stop([1.0] + [2.0] * 10) == "stalled"
+
+
+def _run_cli(tmp_path, monkeypatch, text):
+    """``rigiplast run`` on the config ``text``, which fails: its exit code and error record."""
+    monkeypatch.delenv("TOOL_OUT", raising=False)
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    return code, json.loads((tmp_path / "out" / "error.json").read_text(encoding="utf-8"))["error"]
+
+
+@pytest.mark.parametrize("max_iters, step, reason, message", [
+    (None, 8, "stalled", "residual stalled after 10 inner iterations"),
+    (2, 3, "iteration cap", "no convergence in 2 inner iterations"),
+])
+def test_error_json_records_the_stop_reason(monkeypatch, tmp_path, max_iters, step, reason,
+                                            message):
+    """A step that fails leaves ``_stop``'s answer in ``error.json``, next to its step."""
+    if max_iters is not None:
+        monkeypatch.setattr(evolution, "_MAX_ITERS", max_iters)
+    code, error = _run_cli(tmp_path, monkeypatch,
+                           "benchmark = TRACTION\nmesh_n = 8\ntime_steps = 8\nload_scale = 1.5\n")
+    assert code == 3
+    assert error["kind"] == "ConvergenceError"
+    assert (error["step"], error["reason"]) == (step, reason)
+    assert error["message"].startswith(message)
+
+
+def test_a_solver_error_in_a_step_is_tagged_with_its_step(monkeypatch, tmp_path,
+                                                          fail_elastic_solve):
+    """At n=4 every TRACTION step makes one elastic solve, its predictor: the third is step 3."""
+    fail_elastic_solve(1.0, 3)
+    code, error = _run_cli(tmp_path, monkeypatch,
+                           "benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\nepsilon = 1.0\n")
+    assert code == 3
+    assert error == {"kind": "SolverError", "step": 3, "reason": None,
+                     "message": "elastic solve residual 1.000e+00 exceeds tolerance"}
+

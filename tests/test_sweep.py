@@ -398,6 +398,26 @@ class TestLanes:
         assert record["error"]["message"].startswith("epsilon=1, step 4: ")
         assert multiprocessing.active_children() == []
 
+    def test_a_solver_error_is_tagged_with_its_epsilon_and_step(self, monkeypatch, tmp_path,
+                                                               fail_elastic_solve):
+        """A ``SolverError`` in a step comes back, from any lane, as the same exception with
+        its epsilon and step in front of its message, and ``error.json`` records the step."""
+        fail_elastic_solve(0.25, 3)  # at n=4, step 3's predictor
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\n"
+                       "epsilon_list = 1.0, 0.25, 0.0625, 0.015625\n", encoding="utf-8")
+        monkeypatch.delenv("TOOL_OUT", raising=False)
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out{cpus}"
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+            record = json.loads((out / "error.json").read_text(encoding="utf-8"))
+            assert record["error"] == {
+                "kind": "SolverError", "step": 3, "reason": None,
+                "message": "epsilon=0.25, step 3: "
+                           "elastic solve residual 1.000e+00 exceeds tolerance"}
+            assert multiprocessing.active_children() == []
+
     def test_a_lane_that_dies_is_an_error(self, monkeypatch):
         """A lane that ends without a result (killed, say) fails the sweep; none outlives it."""
         parent = os.getpid()
