@@ -60,7 +60,7 @@ def _cmd_run(config: RunConfig, out: Path) -> dict:
     ledger = EnergyLedger.zeros(bench.program.times)
     steps = evolve(bench.program, hooke, bench.yield_set, mode=config.boundary_mode,
                    tol=config.tol, stress_tol=config.stress_tol)
-    for final, _ in ledger.record(steps, bench.program, hooke):
+    for final, _ in ledger.record(steps, bench.program):
         pass  # only the last state is written
     write_csv(out / "metrics.csv", EnergyLedger.CSV_HEADER, ledger.csv_rows())
     write_vtk(out / "fields_final.vtk", bench.mesh,

@@ -35,9 +35,9 @@ took, so nothing downstream takes it again. The energy ledger is a reader of
 that stream, which only ``run`` and ``run_evolution`` (the states in a list)
 attach. It uses time-trapezoid work increments, which makes the purely elastic
 balance exact to solver precision and keeps the plastic balance gap one-sided
-and first order in the step size; its elastic energy is that of each state's
-elastic strain ``e``, which is ``Eu - p`` bit for bit, and it takes the datum
-strains E w_k in one product (``LoadProgram.datum_strains``).
+and first order in the step size. It reads each step's elastic energy off its
+``StepInfo`` and takes each datum strain E w_k and mid-step load vector step by
+step, through ``strain_of`` and ``external_load_vector``: no all-times array.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .fem import (
     SolverError,
     boundary_integral_p1,
     cell_blocks,
+    external_load_vector,
     gauss_traces,
     integrate_tensor_dot,
     nodal_forces,
@@ -125,37 +126,25 @@ class LoadProgram:
         if self.g.shape != (n_t, len(self.mesh.neumann_boundary.lengths), 2):
             raise ValueError(f"traction shape {self.g.shape} does not match grid/mesh")
         scale = max(1.0, float(np.abs(self.w).max()))
-        ew = self.datum_strains()
-        div_max = np.abs(ew[:, :, 0] + ew[:, :, 2]).max(axis=1)
-        bad = np.flatnonzero(div_max > _DIV_TOL * scale)
-        if bad.size:
-            raise ValueError(
-                f"boundary field is not divergence-free at t={self.times[bad[0]]:g} "
-                f"(max |div w| = {div_max[bad[0]]:.3e})"
-            )
+        for t, w in zip(self.times, self.w):
+            ew = strain_of(w, self.mesh)
+            div_max = float(np.abs(ew[:, 0] + ew[:, 2]).max())
+            if div_max > _DIV_TOL * scale:
+                raise ValueError(f"boundary field is not divergence-free at t={t:g} "
+                                 f"(max |div w| = {div_max:.3e})")
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def datum_strains(self) -> np.ndarray:
-        """E w_k, (M+1, n_cells, 3), by one product of ``mesh.B``; not kept. Row k equals
-        ``strain_of(w[k], mesh)`` bit for bit."""
-        n_t = len(self.times)
-        ew = self.mesh.B @ self.w.reshape(n_t, -1).T  # (3 n_cells, n_t): every grid time at once
-        return ew.T.reshape(n_t, self.mesh.n_cells, 3)
-
     @cached_property
     def loads(self) -> np.ndarray:
-        """The load vector of every grid time, (M+1, 2 n_nodes), on first use."""
-        return _read_only(self.load_vectors(self.f, self.g))  # every evolution shares it
-
-    def load_vectors(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The load vectors of stacked loads on the mesh, one product per load map; row k
-        equals ``external_load_vector(mesh, f[k], g[k])`` bit for bit."""
-        loads = self.mesh.body_load_map @ f.reshape(len(f), -1).T
-        loads += self.mesh.traction_load_map @ g.reshape(len(g), -1).T
-        return np.ascontiguousarray(loads.T)
+        """The load vector of every grid time, (M+1, 2 n_nodes), on first use; row k is
+        ``external_load_vector(mesh, f[k], g[k])``."""
+        loads = np.empty((len(self.times), 2 * self.mesh.n_nodes))
+        for k, (f, g) in enumerate(zip(self.f, self.g)):
+            loads[k] = external_load_vector(self.mesh, f, g)
+        return _read_only(loads)  # every evolution shares it
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,8 @@ class FEState:
     ``boundary_slip`` holds the tangential slip per slip node in relaxed mode
     (empty in strong mode). ``eu`` is the strain Eu that the step took of
     ``u``, which ``check`` and the sweep monitors read; a state built by hand
-    for other uses may leave it None.
+    for other uses may leave it None. ``sigma_dev`` and ``eu_norm`` are taken
+    on first use and kept, so ``check`` and the monitors share them.
     """
 
     t: float
@@ -182,17 +172,26 @@ class FEState:
                    np.zeros((mesh.n_cells, 3)), np.zeros((mesh.n_cells, 3)),
                    np.zeros(n_slip), np.zeros((mesh.n_cells, 3)))
 
+    @cached_property
+    def sigma_dev(self) -> np.ndarray:
+        """The deviatoric part of ``sigma``."""
+        return dev_decompose(self.sigma)[0]
+
+    @cached_property
+    def eu_norm(self) -> np.ndarray:
+        """|Eu| per cell."""
+        return norm(self.eu)
+
     def check(self, yield_set: YieldSet) -> None:
         """Assert eu = e + p, tr p = 0 and |sigma_D| <= kappa to ``_CHECK_TOL``."""
         gap = float(norm(self.eu - self.e - self.p).max())
-        scale = max(1.0, float(norm(self.eu).max()))
+        scale = max(1.0, float(self.eu_norm.max()))
         if gap > _CHECK_TOL * scale:
             raise AssertionError(f"additive decomposition violated by {gap:.3e}")
         tr_p = float(np.abs(self.p[:, 0] + self.p[:, 2]).max())
         if tr_p > _CHECK_TOL * scale:
             raise AssertionError(f"plastic strain has trace {tr_p:.3e}")
-        dev_s, _ = dev_decompose(self.sigma)
-        over = float(norm(dev_s).max()) - yield_set.radius
+        over = float(norm(self.sigma_dev).max()) - yield_set.radius
         if over > _CHECK_TOL * yield_set.radius:
             raise AssertionError(f"deviatoric stress exceeds the yield radius by {over:.3e}")
 
@@ -248,27 +247,28 @@ class EnergyLedger:
                    work=np.zeros(n_t), gap=np.zeros(n_t), max_sigma_dev=np.zeros(n_t),
                    plastic_fraction=np.zeros(n_t), iterations=np.zeros(n_t, dtype=int))
 
-    def record(self, steps: Iterator[tuple[FEState, StepInfo]], program: LoadProgram,
-               hooke: HookeTensor) -> Iterator[tuple[FEState, StepInfo]]:
-        """Pass on the pairs ``steps`` of ``evolve(program, hooke, ...)``, filling row k first."""
-        mesh, ew, f, g = program.mesh, program.datum_strains(), program.f, program.g
-        mid_loads = program.load_vectors(0.5 * (f[1:] + f[:-1]), 0.5 * (g[1:] + g[:-1]))
-        cmat = hooke.matrix()  # the elastic energy of ElasticSystem.energy, bit for bit
+    def record(self, steps: Iterator[tuple[FEState, StepInfo]],
+               program: LoadProgram) -> Iterator[tuple[FEState, StepInfo]]:
+        """Pass on the pairs ``steps`` of ``evolve(program, ...)``, filling row k first."""
+        mesh, w, f, g = program.mesh, program.w, program.f, program.g
         for k, (state, info) in enumerate(steps):
-            self.elastic[k] = 0.5 * integrate_tensor_dot(mesh.areas, state.e @ cmat.T, state.e)
+            ew = strain_of(w[k], mesh)
+            self.elastic[k] = info.elastic_energy
             self.max_sigma_dev[k] = info.max_sigma_dev
             self.plastic_fraction[k] = info.plastic_fraction
             self.iterations[k] = info.iterations
             if k:
                 sig_mid = 0.5 * (state.sigma + prev.sigma)
-                work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew[k] - ew[k - 1])
-                du_dw = (state.u - prev.u) - (program.w[k] - program.w[k - 1])
-                work_inc += float(mid_loads[k - 1] @ du_dw.ravel())
+                work_inc = integrate_tensor_dot(mesh.areas, sig_mid, ew - ew_prev)
+                du_dw = (state.u - prev.u) - (w[k] - w[k - 1])
+                mid_load = external_load_vector(mesh, 0.5 * (f[k] + f[k - 1]),
+                                                0.5 * (g[k] + g[k - 1]))
+                work_inc += float(mid_load @ du_dw.ravel())
                 self.dissipation[k] = self.dissipation[k - 1] + info.dissipation
                 self.work[k] = self.work[k - 1] + work_inc
                 self.gap[k] = self.elastic[k] + self.dissipation[k] - self.work[k] - self.elastic[0]
             yield state, info
-            prev = state
+            prev, ew_prev = state, ew
 
     def csv_rows(self):
         for k in range(len(self.times)):
@@ -287,7 +287,8 @@ class StepInfo:
     ``max_sigma_dev`` is the largest norm of the deviatoric stress as the
     return map capped it, before the spherical part is added.
     ``dissipation`` is the step's dissipation increment, volume plus boundary
-    slip, and ``plastic_fraction`` the share of cells whose plastic strain moved.
+    slip, ``plastic_fraction`` the share of cells whose plastic strain moved,
+    and ``elastic_energy`` the elastic energy of the step's state.
     """
 
     iterations: int
@@ -298,6 +299,7 @@ class StepInfo:
     max_sigma_dev: float
     dissipation: float
     plastic_fraction: float
+    elastic_energy: float
 
 
 @dataclass
@@ -311,7 +313,9 @@ class _Iterate:
     p: np.ndarray        # return-mapped plastic strain
     sigma_dev: np.ndarray  # deviatoric stress of the return map
     sigma: np.ndarray
-    value: float
+    dp_norm: np.ndarray  # |p - p_prev| per cell
+    energy: float        # elastic energy of eu - p
+    value: float         # the incremental functional
     grad: np.ndarray     # B^T(area W sigma) - F on the Newton unknowns: free dofs, then slips
 
 
@@ -389,22 +393,21 @@ class _Step:
         return (kappa * float((areas * dp_norm).sum()),
                 kappa / np.sqrt(2.0) * float((lengths * np.abs(s - self.s_prev)).sum()))
 
-    def functional(self, u: np.ndarray, eu: np.ndarray, p: np.ndarray, s: np.ndarray) -> float:
-        """The incremental functional at ``u`` with strain ``eu`` = Eu and slips ``s``."""
-        volume, boundary = self.dissipation(norm(p - self.p_prev), s)
-        return self.system.energy(eu - p) + volume + boundary - float(self.loads @ u.ravel())
-
     def evaluate(self, u: np.ndarray, z: np.ndarray) -> _Iterate:
-        """The iterate at ``u`` and slip increments ``z``, p by the return map."""
+        """The iterate at ``u`` and slip increments ``z``, p by the return map, with the
+        incremental functional: elastic energy, plus dissipation, minus the loads' work."""
         mesh, hooke = self.system.mesh, self.system.hooke
         eu = strain_of(u, mesh)
         e_dev, e_mean = dev_decompose(eu)
         p, sigma_dev = radial_return(e_dev, self.p_prev, hooke, self.yield_set)
         sigma = sigma_dev.copy()
         sigma[:, ::2] += (2.0 * hooke.bulk_modulus / hooke.epsilon * e_mean)[:, None]
-        value = self.functional(u, eu, p, self.s_prev + z)
+        dp_norm = norm(p - self.p_prev)
+        energy = self.system.energy(eu - p)
+        volume, boundary = self.dissipation(dp_norm, self.s_prev + z)
+        value = energy + volume + boundary - float(self.loads @ u.ravel())
         grad = self.slip.elements.from_dofs(nodal_forces(mesh, sigma) - self.loads)
-        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, value, grad)
+        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, dp_norm, energy, value, grad)
 
     def elastic(self, p: np.ndarray, z: np.ndarray) -> _Iterate:
         """The iterate of the elastic solve with ``p`` frozen and the slips at ``z``."""
@@ -555,18 +558,19 @@ def incremental_step(
                                state=state, decrease_history=decreases,
                                residual_history=residuals, reason=why)
     if w_prev_nodes is not None:
-        # minimality against the admissible lift u_prev + (w_k - w_{k-1})
+        # minimality against the admissible lift u_prev + (w_k - w_{k-1}); it dissipates nothing
         u_lift = state_prev.u + (w_nodes - w_prev_nodes)
-        at_lift = step.functional(u_lift, strain_of(u_lift, system.mesh), p_prev, s_prev)
+        at_lift = (system.energy(strain_of(u_lift, system.mesh) - p_prev)
+                   - float(loads @ u_lift.ravel()))
         if it.value > at_lift + _SLACK * (1.0 + abs(it.value)):
             raise AssertionError("incremental minimum above the lifted previous state")
     state.check(yield_set)
-    dp_norm = norm(it.p - p_prev)
     return state, StepInfo(iterations=len(residuals), decreases=tuple(decreases),
                            residual=residuals[-1], backtracks=backtracks, fallbacks=fallbacks,
                            max_sigma_dev=float(norm(it.sigma_dev).max()),
-                           dissipation=sum(step.dissipation(dp_norm, state.boundary_slip)),
-                           plastic_fraction=float((dp_norm > 0).mean()))
+                           dissipation=sum(step.dissipation(it.dp_norm, state.boundary_slip)),
+                           plastic_fraction=float((it.dp_norm > 0).mean()),
+                           elastic_energy=it.energy)
 
 
 def evolve(
@@ -589,7 +593,7 @@ def evolve(
     system = ElasticSystem(program.mesh, hooke)
     slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(program.mesh)
     prev = replace(FEState.zeros(program.mesh, slip.count), t=float(program.times[0]))
-    yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0)
+    yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0, 0.0)
 
     for k in range(1, program.n_steps + 1):
         try:
@@ -614,7 +618,7 @@ def run_evolution(program: LoadProgram, hooke: HookeTensor, yield_set: YieldSet,
     if mesh is not program.mesh:
         raise ValueError("mesh is not the mesh the program was made on")
     ledger = EnergyLedger.zeros(program.times)
-    steps = ledger.record(evolve(program, hooke, yield_set, **options), program, hooke)
+    steps = ledger.record(evolve(program, hooke, yield_set, **options), program)
     return [state for state, _ in steps], ledger
 
 
@@ -678,9 +682,9 @@ def energy_report(states, ledger: EnergyLedger, program: LoadProgram,
                          budget_constant=budget_constant, flagged=flagged)
 
 
-def bd_norm_surrogate(mesh: Mesh, u: np.ndarray, eu: np.ndarray) -> float:
-    """||u||_BD surrogate: Dirichlet trace L1 plus the strain mass; ``eu`` is Eu."""
-    total = float((mesh.areas * norm(eu)).sum())
+def bd_norm_surrogate(mesh: Mesh, u: np.ndarray, eu_norm: np.ndarray) -> float:
+    """||u||_BD surrogate: Dirichlet trace L1 plus the strain mass; ``eu_norm`` is |Eu|."""
+    total = float((mesh.areas * eu_norm).sum())
     d = mesh.dirichlet_boundary
     uv = gauss_traces(u, d)
     total += float((0.5 * d.lengths * np.sqrt((uv * uv).sum(axis=-1))).sum())

@@ -8,7 +8,7 @@ blocks S_c, ``Mesh.B`` scattered from them, the free dofs' ``ElementMap``,
 the load maps, the Neumann and Dirichlet selections of the boundary's
 ``EdgeArrays``), so a strain, a load vector or ``nodal_forces`` is one
 sparse matvec and boundary sums are array code; a load program assembles
-the loads of all its grid times at once (``LoadProgram.loads``), and callers
+the loads of all its grid times once (``LoadProgram.loads``), and callers
 take each strain once. The stiffness matrix and the Newton tangent are both
 B^T blockdiag(area W D_c) B, a sum of 6x6 cell blocks S_c^T (area W D_c) S_c
 (``cell_blocks``), and so is

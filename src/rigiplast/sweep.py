@@ -13,8 +13,9 @@ the backward-Euler stepping.
 
 Each evolution is streamed: the monitors, the velocity and the distance to the
 previous eps are taken step by step as ``evolve`` yields the states, each
-state's strain is the one its step took, and the deviatoric stress bound and
-the plastic increment mass are read off each step's ``StepInfo`` (no ledger).
+state's strain, |Eu| and dev sigma are the ones its step's check took, and the
+deviatoric stress bound and the plastic increment mass are read off each
+step's ``StepInfo`` (no ledger).
 The limit proxy (the smallest eps) also takes the limit-system residuals step
 by step, and writes its stress and velocity-strain histories into
 ``_limit_fields``, views of one anonymous shared mapping made before any lane
@@ -204,7 +205,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         infos.append(info)
         e_l2[k] = tensor_l2(areas, st.e)
         sigma_l2[k] = tensor_l2(areas, st.sigma)
-        u_bd[k] = bd_norm_surrogate(mesh, st.u, st.eu)
+        u_bd[k] = bd_norm_surrogate(mesh, st.u, st.eu_norm)
         div_u_l2[k] = scalar_l2(areas, st.eu[:, 0] + st.eu[:, 2])
         hydro = 0.5 * (st.sigma[:, 0] + st.sigma[:, 2])
         hydro_mean = float((areas * hydro).sum() / areas.sum())
@@ -220,7 +221,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
             if ev_all is not None:
                 ev_all[k] = ev
             ev_norm = norm(ev)
-            gap_cells = kappa * ev_norm - ddot(dev_decompose(st.sigma)[0], ev)
+            gap_cells = kappa * ev_norm - ddot(st.sigma_dev, ev)
             worst = float(gap_cells.min())
             scale = max(kappa * float(ev_norm.max()), 1.0)
             if worst < -1e-12 * scale:

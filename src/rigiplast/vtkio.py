@@ -38,41 +38,34 @@ def _columns(field) -> list:
     return [strs[j::field.shape[1]] for j in range(field.shape[1])]
 
 
+def _check(fields: dict | None, shape: tuple, kind: str) -> None:
+    """``ValueError`` unless every field of ``fields`` has ``shape``."""
+    for name, field in (fields or {}).items():
+        if np.shape(field) != shape:
+            raise ValueError(f"{kind} field {name!r} has shape {np.shape(field)}")
+
+
 def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
               cell_tensors: dict | None = None, title: str = "rigiplast fields") -> None:
-    """Write nodal vector fields and packed cell tensor fields to ``path``."""
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    lines.extend(f"{x} {y} 0.0" for x, y in zip(*_columns(mesh.nodes)))
-    lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
-    for tri in mesh.triangles:
-        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend(["5"] * mesh.n_cells)
-
-    if point_vectors:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-        for name, field in point_vectors.items():
-            field = np.asarray(field)
-            if field.shape != (mesh.n_nodes, 2):
-                raise ValueError(f"point field {name!r} has shape {field.shape}")
-            lines.append(f"VECTORS {name} double")
-            lines.extend(f"{vx} {vy} 0.0" for vx, vy in zip(*_columns(field)))
-
-    if cell_tensors:
-        lines.append(f"CELL_DATA {mesh.n_cells}")
-        for name, field in cell_tensors.items():
-            field = np.asarray(field)
-            if field.shape != (mesh.n_cells, 3):
-                raise ValueError(f"cell field {name!r} has shape {field.shape}")
-            lines.append(f"TENSORS {name} double")
-            for a11, a12, a22 in zip(*_columns(field)):
-                lines += (f"{a11} {a12} 0.0", f"{a12} {a22} 0.0", "0.0 0.0 0.0")
-
+    """Write nodal vector fields and packed cell tensor fields to ``path``, block by block;
+    a field of the wrong shape raises ``ValueError`` before the file is opened."""
+    _check(point_vectors, (mesh.n_nodes, 2), "point")
+    _check(cell_tensors, (mesh.n_cells, 3), "cell")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {mesh.n_nodes} double\n")
+        fh.write("".join(f"{x} {y} 0.0\n" for x, y in zip(*_columns(mesh.nodes))))
+        fh.write(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}\n")
+        fh.write("".join(f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n" + "5\n" * mesh.n_cells)
+        if point_vectors:
+            fh.write(f"POINT_DATA {mesh.n_nodes}\n")
+            for name, field in point_vectors.items():
+                fh.write(f"VECTORS {name} double\n")
+                fh.write("".join(f"{vx} {vy} 0.0\n" for vx, vy in zip(*_columns(field))))
+        if cell_tensors:
+            fh.write(f"CELL_DATA {mesh.n_cells}\n")
+            for name, field in cell_tensors.items():
+                fh.write(f"TENSORS {name} double\n")
+                fh.write("".join(f"{a11} {a12} 0.0\n{a12} {a22} 0.0\n0.0 0.0 0.0\n"
+                                 for a11, a12, a22 in zip(*_columns(field))))

@@ -129,6 +129,22 @@ def traction_load_vector_loop(mesh, g_edges):
     return F
 
 
+def datum_strains_stacked(program):
+    """E w_k of every grid time of a load program by one product of ``mesh.B``,
+    (M+1, n_cells, 3)."""
+    n_t = len(program.times)
+    ew = program.mesh.B @ program.w.reshape(n_t, -1).T  # (3 n_cells, n_t)
+    return ew.T.reshape(n_t, program.mesh.n_cells, 3)
+
+
+def load_vectors_stacked(mesh, f, g):
+    """The load vectors of stacked body loads ``f`` and tractions ``g``, one product per
+    load map, (len(f), 2 n_nodes) with C-contiguous rows."""
+    loads = mesh.body_load_map @ f.reshape(len(f), -1).T
+    loads += mesh.traction_load_map @ g.reshape(len(g), -1).T
+    return np.ascontiguousarray(loads.T)
+
+
 def flux_residual_loop(mesh, sigma, g_edges):
     """L2(Gamma_N) mismatch between the cell tractions sigma.nu and g, edge by edge."""
     flux_sq = 0.0

@@ -256,6 +256,16 @@ class TestVTK:
             write_vtk(tmp_path / "x.vtk", mesh,
                       point_vectors={"bad": np.zeros((3, 2))})
 
+    def test_a_bad_cell_field_leaves_no_file(self, tmp_path):
+        """Every shape is checked before the file is opened, the cell fields' too, which are
+        written last."""
+        mesh = build_square_mesh(2, ("bottom",))
+        path = tmp_path / "x.vtk"
+        with pytest.raises(ValueError, match="cell field 'bad'"):
+            write_vtk(path, mesh, point_vectors={"u": np.zeros((mesh.n_nodes, 2))},
+                      cell_tensors={"bad": np.zeros((mesh.n_cells, 2))})
+        assert not path.exists()
+
 
 @pytest.mark.parametrize("setting, want", [(None, "1"), ("2", "2")], ids=["unset", "set"])
 def test_import_defaults_openblas_to_one_thread(setting, want):
@@ -289,8 +299,9 @@ def test_cli_import_loads_no_process_machinery():
 def test_the_benchmark_tracer_still_sees_the_solver(tmp_path):
     """``perfbench/tracer.py`` wraps rigiplast's names from outside, so a refactor that drops
     one, or calls the step past ``evolution.incremental_step``, hides work from the benchmark.
-    Traced, TRACTION n=4, M=4 counts its 4 steps, 12 inner iterations, 4 elastic solves and
-    12 return maps."""
+    Traced, TRACTION n=4, M=4 counts its 4 steps, 12 inner iterations, 4 elastic solves,
+    12 return maps, and 18 load vectors: a body and a traction load per grid time for the
+    program's loads, and per step for the ledger's mid-step load."""
     src = str(Path(rigiplast.__file__).parents[1])
     perfbench = Path(__file__).parents[1] / "perfbench"
     env = {k: v for k, v in os.environ.items() if k != "TOOL_OUT"}
@@ -315,3 +326,4 @@ def test_the_benchmark_tracer_still_sees_the_solver(tmp_path):
     assert layers["evolution.inner_iters"] == 12
     assert layers["fem.solves"] == 4
     assert layers["tensors.return_calls"] == 12
+    assert layers["fem.load_vector_calls"] == 2 * 5 + 2 * 4

@@ -9,6 +9,7 @@ from rigiplast import cli, evolution
 from rigiplast.benchmarks import benchmark_catalog
 from rigiplast.evolution import (
     ConvergenceError,
+    EnergyLedger,
     FEState,
     LoadProgram,
     bd_norm_surrogate,
@@ -313,6 +314,24 @@ class TestEnergyReport:
         assert not rep_ok.flagged.any()
 
 
+@pytest.mark.parametrize("bench_id, epsilon, mode", [
+    ("TRACTION", 1.0, "strong"), ("TRACTION", 1.0, "relaxed"), ("SHEAR", 0.25, "strong"),
+], ids=["traction-strong", "traction-relaxed", "shear-strong"])
+def test_step_info_carries_the_state_energy(bench_id, epsilon, mode):
+    """The elastic energy the functional took of the final iterate is ``ElasticSystem.energy``
+    of the state's e bit for bit, and the ledger's Q column reads it."""
+    bench = benchmark_catalog(bench_id, mesh_n=8, n_steps=8)
+    hooke = bench.hooke.with_epsilon(epsilon)
+    system = ElasticSystem(bench.mesh, hooke)
+    ledger = EnergyLedger.zeros(bench.program.times)
+    steps = ledger.record(evolve(bench.program, hooke, bench.yield_set, mode=mode),
+                          bench.program)
+    energies = [(info.elastic_energy, system.energy(state.e)) for state, info in steps]
+    assert all(ours == want for ours, want in energies)
+    assert ledger.elastic.tolist() == [ours for ours, _ in energies]
+    assert ledger.dissipation[-1] > 0.0
+
+
 class TestDualityPairing:
     def test_zero_plastic_strain(self):
         mesh = build_square_mesh(3, FACES)
@@ -416,13 +435,13 @@ class TestBDSurrogate:
     def test_zero_field(self):
         mesh = build_square_mesh(3, FACES)
         u = np.zeros((mesh.n_nodes, 2))
-        assert bd_norm_surrogate(mesh, u, strain_of(u, mesh)) == 0.0
+        assert bd_norm_surrogate(mesh, u, norm(strain_of(u, mesh))) == 0.0
 
     def test_shear_value(self):
         mesh = build_square_mesh(4, FACES)
         u = shear_field_local = np.column_stack([mesh.nodes[:, 1],
                                                  np.zeros(mesh.n_nodes)])
-        val = bd_norm_surrogate(mesh, u, strain_of(u, mesh))
+        val = bd_norm_surrogate(mesh, u, norm(strain_of(u, mesh)))
         # strain mass 1/sqrt(2); trace integral: |x2| on the four faces
         # left+right contribute 2 * 1/2, top contributes 1, bottom 0
         assert val == pytest.approx(1 / np.sqrt(2) + 2.0, rel=1e-10)

@@ -12,7 +12,9 @@ whole evolution.
 import gc
 import os
 import sys
+import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from scipy.sparse._base import _spbase
 
 from oracles import (
     body_load_vector_loop,
+    datum_strains_stacked,
     flux_residual_loop,
+    load_vectors_stacked,
     square_mesh_loop,
     traction_load_vector_loop,
 )
@@ -29,12 +33,14 @@ from oracles import (
 import rigiplast.fem
 from rigiplast import cli, evolution
 from rigiplast.benchmarks import benchmark_catalog
-from rigiplast.evolution import FEState, LoadProgram, run_evolution
+from rigiplast.evolution import EnergyLedger, FEState, LoadProgram, evolve, run_evolution
 from rigiplast.fem import (
     ElasticSystem,
     body_load_vector,
     divergence_check,
     external_load_vector,
+    integrate_tensor_dot,
+    strain_of,
     traction_load_vector,
 )
 from rigiplast.mesh import FACES, build_square_mesh
@@ -126,14 +132,84 @@ def test_program_loads_equal_the_per_step_assembly(n, faces):
     assert program.loads.shape == (n_t, 2 * mesh.n_nodes)
     for k in range(n_t):
         assert np.array_equal(program.loads[k], external_load_vector(mesh, f[k], g[k]))
+    assert np.array_equal(program.loads, load_vectors_stacked(mesh, f, g))
     assert program.loads is program.loads
     with pytest.raises(ValueError):
         program.loads[0, 0] = 0.0
-    # the ledger's mid-step loads, one stacked product, are the per-step vectors bit for bit
-    mid_loads = program.load_vectors(0.5 * (f[1:] + f[:-1]), 0.5 * (g[1:] + g[:-1]))
+    # the ledger's mid-step loads, taken step by step, are the stacked product bit for bit
+    mid_loads = load_vectors_stacked(mesh, 0.5 * (f[1:] + f[:-1]), 0.5 * (g[1:] + g[:-1]))
     for k in range(1, n_t):
         f_mid, g_mid = 0.5 * (f[k] + f[k - 1]), 0.5 * (g[k] + g[k - 1])
         assert np.array_equal(mid_loads[k - 1], external_load_vector(mesh, f_mid, g_mid))
+
+
+@pytest.mark.parametrize("n", [4, 16, 32])
+def test_datum_strains_equal_the_stacked_product(n):
+    """``strain_of`` of each grid time's datum, which the program's check and the ledger take,
+    is the row of the one stacked product bit for bit."""
+    mesh = build_square_mesh(n, FACES)
+    w = np.random.default_rng(n).standard_normal((6, mesh.n_nodes, 2))
+    stacked = datum_strains_stacked(SimpleNamespace(mesh=mesh, times=np.arange(6.0), w=w))
+    for k in range(6):
+        assert np.array_equal(strain_of(w[k], mesh), stacked[k])
+
+
+@pytest.mark.parametrize("bench_id, epsilon, mode", [
+    ("TRACTION", 1.0, "strong"), ("TRACTION", 1.0, "relaxed"), ("SHEAR", 0.25, "strong"),
+], ids=["traction-strong", "traction-relaxed", "shear-strong"])
+def test_ledger_work_equals_the_stacked_formulas(bench_id, epsilon, mode):
+    """The W column, with the datum strains and the mid-step loads taken step by step, is the
+    one of the stacked products bit for bit."""
+    bench = benchmark_catalog(bench_id, mesh_n=8, n_steps=8)
+    program, mesh = bench.program, bench.mesh
+    states, ledger = run_evolution(program, bench.hooke.with_epsilon(epsilon), bench.yield_set,
+                                   mesh, mode=mode)
+    assert ledger.dissipation[-1] > 0.0
+    ew, w, f, g = datum_strains_stacked(program), program.w, program.f, program.g
+    mid_loads = load_vectors_stacked(mesh, 0.5 * (f[1:] + f[:-1]), 0.5 * (g[1:] + g[:-1]))
+    work = np.zeros(len(states))
+    for k in range(1, len(states)):
+        state, prev = states[k], states[k - 1]
+        work_inc = integrate_tensor_dot(mesh.areas, 0.5 * (state.sigma + prev.sigma),
+                                        ew[k] - ew[k - 1])
+        du_dw = (state.u - prev.u) - (w[k] - w[k - 1])
+        work[k] = work[k - 1] + (work_inc + float(mid_loads[k - 1] @ du_dw.ravel()))
+    assert np.array_equal(ledger.work, work)
+
+
+def test_making_a_program_allocates_no_all_times_strain():
+    """Making the SHEAR program at n=32, M=64 and taking its loads allocates no array of
+    (M+1) n_cells 3 doubles beyond the arrays the program keeps: its div w check takes the
+    datum strains time by time, and its loads are filled row by row."""
+    source = benchmark_catalog("SHEAR", mesh_n=32, n_steps=64).program
+    mesh = source.mesh
+    mesh.body_load_map, mesh.traction_load_map  # the mesh's own operators, built on first use
+    tracemalloc.start()
+    try:
+        program = LoadProgram(mesh, source.times, source.w, source.f, source.g)
+        program.loads
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < len(source.times) * mesh.n_cells * 3 * 8
+
+
+def test_the_ledger_holds_no_all_times_array():
+    """Recording the ledger of a TRACTION run allocates no all-times datum-strain or mid-load
+    array: the smallest of them, M mid-step load vectors, outweighs its peak."""
+    bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
+    program = bench.program
+    steps = list(evolve(program, bench.hooke.with_epsilon(1.0), bench.yield_set))
+    ledger = EnergyLedger.zeros(program.times)
+    tracemalloc.start()
+    try:
+        for _ in ledger.record(iter(steps), program):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ledger.work[-1] > 0.0
+    assert peak < program.n_steps * 2 * bench.mesh.n_nodes * 8
 
 
 def test_cached_arrays_are_read_only():
@@ -221,50 +297,63 @@ def test_sweep_builds_per_system_invariants_once(monkeypatch):
 
 
 def test_sweep_takes_each_strain_once(monkeypatch):
-    """One strain per iterate, lifted state and velocity; the state check and the
-    monitors reuse the step's strain."""
+    """One strain per iterate, lifted state and velocity, and one datum strain per grid time
+    when the program is checked; the state check and the monitors reuse the step's strain."""
     counts = {}
     _count_calls(monkeypatch, "strain_of", counts)
     run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
-    assert counts["strain_of"] <= 24
+    assert counts["strain_of"] <= 24 + 5
 
 
-def _count_program_work(monkeypatch, counts):
-    """Count the load assemblies (``LoadProgram.loads``) and datum-strain products of programs."""
-    loads, datum_strains = LoadProgram.loads.func, LoadProgram.datum_strains
+def _count_program_work(monkeypatch, counts, strained):
+    """Count the load assemblies (``LoadProgram.loads``) and the load vectors of programs, and
+    keep the argument of every ``strain_of`` in ``strained`` (see ``_datum_strains``)."""
+    loads = LoadProgram.loads.func
 
     def counted_loads(self):
         counts["loads"] = counts.get("loads", 0) + 1
         return loads(self)
 
-    def counted_datum_strains(self):
-        counts["datum_strains"] = counts.get("datum_strains", 0) + 1
-        return datum_strains(self)
-
     monkeypatch.setattr(LoadProgram.loads, "func", counted_loads)
-    monkeypatch.setattr(LoadProgram, "datum_strains", counted_datum_strains)
     for name in ("body_load_vector", "traction_load_vector"):
         _count_calls(monkeypatch, name, counts)
+    strain_of = rigiplast.fem.strain_of
+
+    def kept_strain_of(u, mesh):
+        strained.append(u)
+        return strain_of(u, mesh)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("rigiplast") and getattr(module, "strain_of", None) is strain_of:
+            monkeypatch.setattr(module, "strain_of", kept_strain_of)
+
+
+def _datum_strains(strained, program):
+    """How many of the ``strained`` fields are rows of ``program.w``: its datum strains."""
+    return sum(np.shares_memory(u, program.w) for u in strained)
 
 
 def test_sweep_assembles_loads_and_datum_strains_once(monkeypatch):
-    """Two epsilons, one program: its loads are assembled once and shared by both evolutions,
-    its datum strains are taken once, when it is made and checked, and no step assembles a
-    load vector; the sweep keeps no ledger."""
-    counts = {}
-    _count_program_work(monkeypatch, counts)
-    run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
-    assert counts == {"loads": 1, "datum_strains": 1}
+    """Two epsilons, one program: its loads are assembled once, two load vectors per grid time,
+    and shared by both evolutions, its datum strains are taken once, when it is made and
+    checked, and no step assembles a load vector; the sweep keeps no ledger."""
+    counts, strained = {}, []
+    _count_program_work(monkeypatch, counts, strained)
+    report = run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=16,
+                                   n_steps=4))
+    assert counts == {"loads": 1, "body_load_vector": 5, "traction_load_vector": 5}
+    assert _datum_strains(strained, report.benchmark.program) == 5
 
 
 def test_rigid_residuals_read_the_program_loads(monkeypatch):
     """The limit-system residuals assemble no load vector: they read the program's loads,
     with the same values as a check that assembles each time's loads from f and g."""
     report = run_sweep(SweepConfig(epsilons=(1.0, 0.25), benchmark="SHEAR", mesh_n=8, n_steps=4))
-    counts = {}
-    _count_program_work(monkeypatch, counts)
+    counts, strained = {}, []
+    _count_program_work(monkeypatch, counts, strained)
     residuals = rigid_residuals(report)
     assert counts == {}
+    assert strained == []
     program, sigma = report.benchmark.program, report.limit_proxy.sigma
     for k in range(len(report.times)):
         want = divergence_check(sigma[k], program.mesh, program.f[k], program.g[k])
@@ -272,15 +361,16 @@ def test_rigid_residuals_read_the_program_loads(monkeypatch):
 
 
 def test_traction_run_takes_datum_strains_twice(monkeypatch):
-    """Once when the program is made, once in the ledger; the steps read the program's loads,
-    and the ledger assembles no load vector per step: it stacks the mid-step loads."""
-    counts = {}
-    _count_program_work(monkeypatch, counts)
+    """Each datum strain twice: once when the program is made, once in the ledger. The steps
+    read the program's loads, assembled once; the ledger takes one mid-step load per step."""
+    counts, strained = {}, []
+    _count_program_work(monkeypatch, counts, strained)
     bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=32)
     hooke = bench.hooke.with_epsilon(1.0)
     _, ledger = run_evolution(bench.program, hooke, bench.yield_set, bench.mesh)
     assert ledger.iterations.sum() > bench.program.n_steps  # some steps take inner iterations
-    assert counts == {"loads": 1, "datum_strains": 2}
+    assert counts == {"loads": 1, "body_load_vector": 33 + 32, "traction_load_vector": 33 + 32}
+    assert _datum_strains(strained, bench.program) == 2 * 33
 
 
 def test_traction_run_orders_the_band_once_per_system(monkeypatch):
