@@ -289,10 +289,8 @@ def benchmark_catalog(
     g = np.zeros((len(times), len(mesh.neumann_boundary.lengths), 2))
     if benchmark_id == "SHEAR":
         gamma = SHEAR_RATE * load_scale
-        w = np.array([
-            t * gamma * np.column_stack([mesh.nodes[:, 1], np.zeros(mesh.n_nodes)])
-            for t in times
-        ])
+        column = np.column_stack([mesh.nodes[:, 1], np.zeros(mesh.n_nodes)])
+        w = (times * gamma)[:, None, None] * column
         meta = {"gamma": gamma}
     elif benchmark_id == "TRACTION":
         s_final = TRACTION_FINAL * yield_radius * load_scale
@@ -301,7 +299,7 @@ def benchmark_catalog(
     else:  # RIGID41
         params = default_example41_params(yield_radius)
         vel = params.velocity(mesh.nodes) * load_scale
-        w = np.array([t * vel for t in times])
+        w = times[:, None, None] * vel
         meta = {"example41": params}
     return Benchmark(id=benchmark_id, program=LoadProgram(mesh, times, w, f, g), hooke=hooke,
                      yield_set=yset, meta=meta)

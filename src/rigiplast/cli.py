@@ -59,7 +59,7 @@ def _cmd_run(config: RunConfig, out: Path) -> dict:
     hooke = bench.hooke.with_epsilon(config.run_epsilon)
     ledger = EnergyLedger.zeros(bench.program.times)
     steps = evolve(bench.program, hooke, bench.yield_set, mode=config.boundary_mode,
-                   tol=config.tol, stress_tol=config.stress_tol)
+                   stress_tol=config.stress_tol)
     for final, _ in ledger.record(steps, bench.program):
         pass  # only the last state is written
     write_csv(out / "metrics.csv", EnergyLedger.CSV_HEADER, ledger.csv_rows())

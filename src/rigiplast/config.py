@@ -18,16 +18,12 @@ ignored. Unknown keys are errors (fail-closed). Documented keys and defaults:
     bulk_modulus   = 1.0
     yield_radius   = 1.0
     boundary_mode  = strong         strong | relaxed
-    tol            = 1e-10          inner solver: stop once the last decrease
-                                    is below tol * (1 + |functional|)
-                                    at the step's predictor
-    stress_tol     = 1e-10          inner solver: and the equilibrium residual
-                                    is below stress_tol * yield_radius (or its
-                                    round-off floor, if larger)
+    stress_tol     = 1e-10          inner solver: stop once the equilibrium
+                                    residual is below stress_tol * yield_radius
+                                    (or its round-off floor, if larger)
     load_scale     = 1.0            multiplies the benchmark load amplitude (>= 0)
     horizon        = 1.0            final time T
     out_dir        = out            artifact directory
-    seed           = 0              used only by randomized property tooling
 """
 
 from __future__ import annotations
@@ -66,12 +62,10 @@ class RunConfig:
     bulk_modulus: float = 1.0
     yield_radius: float = 1.0
     boundary_mode: str = "strong"
-    tol: float = 1e-10
     stress_tol: float = 1e-10
     load_scale: float = 1.0
     horizon: float = 1.0
     out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         # `0 < x < inf` rejects nan (every comparison with nan is false) and inf
@@ -81,7 +75,7 @@ class RunConfig:
             raise ConfigError(f"benchmark must be one of {BENCHMARK_IDS}, got {self.benchmark!r}")
         if self.boundary_mode not in MODES:
             raise ConfigError(f"boundary mode must be one of {MODES}, got {self.boundary_mode!r}")
-        for name, least in (("mesh_n", 1), ("time_steps", 1), ("seed", 0)):
+        for name, least in (("mesh_n", 1), ("time_steps", 1)):
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -93,7 +87,7 @@ class RunConfig:
             raise ConfigError("epsilon list must be strictly decreasing")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        for name in ("shear_modulus", "bulk_modulus", "yield_radius", "tol", "stress_tol", "horizon"):
+        for name in ("shear_modulus", "bulk_modulus", "yield_radius", "stress_tol", "horizon"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.load_scale < math.inf:
@@ -118,9 +112,9 @@ def SweepConfig(*, epsilons=DEFAULT_EPSILONS, n_steps=RunConfig.time_steps,
     return RunConfig(epsilon_list=epsilons, time_steps=n_steps, boundary_mode=mode, **settings)
 
 
-_INT_KEYS = {"mesh_n", "time_steps", "seed"}
+_INT_KEYS = {"mesh_n", "time_steps"}
 _FLOAT_KEYS = {"epsilon", "shear_modulus", "bulk_modulus", "yield_radius",
-               "tol", "stress_tol", "load_scale", "horizon"}
+               "stress_tol", "load_scale", "horizon"}
 _STR_KEYS = {"benchmark", "boundary_mode", "out_dir"}
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"epsilon_list"}
 assert _KNOWN_KEYS == {f.name for f in fields(RunConfig)}

@@ -338,28 +338,27 @@ _MAX_STALLED = 10
 _MAX_ITERS = 10_000
 
 
-def _stop(residuals: list, decreases: list, threshold: float, small_decrease: float) -> str | None:
-    """Why a step's Newton loop ends after these histories (the first that holds), or None.
+def _stop(residuals: list, threshold: float) -> str | None:
+    """Why a step's Newton loop ends after these residuals (the first that holds), or None.
 
     ``residuals`` are the free-dof residuals in the lumped dual norm, the
-    predictor's first; ``decreases`` the functional's decrease per Newton step.
+    predictor's first, then one per Newton step.
 
     * ``"converged"``: the last residual is at most ``threshold`` (``stress_tol
-      * kappa`` or the predictor's round-off floor) and the last decrease below
-      ``small_decrease`` (``tol * (1 + |value|)`` at the predictor); a
-      predictor that passes needs no Newton step;
+      * kappa`` or the predictor's round-off floor); a predictor that passes
+      needs no Newton step;
     * ``"stalled"``: ``_MAX_STALLED`` Newton steps in a row set no new
       smallest residual (past the limit load, round-off swamps the residual);
     * ``"iteration cap"``: ``_MAX_ITERS`` Newton steps are taken.
     """
-    if residuals[-1] <= threshold and (not decreases or decreases[-1] < small_decrease):
+    if residuals[-1] <= threshold:
         return "converged"
     start = len(residuals) - _MAX_STALLED  # the residuals from here on set no new minimum
     if start > 0:
         best = min(residuals[:start])
         if all(r >= best for r in residuals[start:]):
             return "stalled"
-    if len(decreases) >= _MAX_ITERS:
+    if len(residuals) - 1 >= _MAX_ITERS:
         return "iteration cap"
     return None
 
@@ -485,13 +484,12 @@ def incremental_step(
     state_prev: FEState,
     t: float,
     w_nodes: np.ndarray,
+    w_prev_nodes: np.ndarray,
     loads: np.ndarray,
     system: ElasticSystem,
     yield_set: YieldSet,
     slip: SlipNodes | None = None,
-    tol: float = 1e-10,
     stress_tol: float = 1e-10,
-    w_prev_nodes: np.ndarray | None = None,
 ) -> tuple[FEState, StepInfo]:
     """One backward-Euler incremental minimization from ``state_prev`` on ``system``'s mesh.
 
@@ -506,12 +504,13 @@ def incremental_step(
     return map) is taken instead, and later Newton systems are damped by a
     multiple of the elastic stiffness diagonal until a step succeeds again
     (Levenberg-Marquardt), for the nearly singular tangents near the limit
-    load and of a face that slides as a whole. ``loads`` is the step's load
-    dof vector; ``slip`` the slip set (none by default: strong mode), with one
-    previous slip per node in ``state_prev.boundary_slip``. The slips join
-    the Newton system as a primal-dual active set: a stuck node keeps its
-    previous slip, a sliding node carries the friction force kappa * length /
-    sqrt(2). ``_stop`` ends the iteration.
+    load and of a face that slides as a whole. ``w_nodes`` is the step's
+    datum and ``w_prev_nodes`` that of ``state_prev``; ``loads`` is the
+    step's load dof vector; ``slip`` the slip set (none by default: strong
+    mode), with one previous slip per node in ``state_prev.boundary_slip``.
+    The slips join the Newton system as a primal-dual active set: a stuck
+    node keeps its previous slip, a sliding node carries the friction force
+    kappa * length / sqrt(2). ``_stop`` ends the iteration.
 
     The functional is asserted non-increasing at every inner iteration, and
     the converged value is checked against the admissible lift of the
@@ -519,9 +518,8 @@ def incremental_step(
     ``ConvergenceError`` carries the last iterate, both histories and
     ``_stop``'s reason.
     """
-    if not (0.0 < tol < np.inf and 0.0 < stress_tol < np.inf):
-        raise ValueError(f"tol and stress_tol must be positive and finite, "
-                         f"got {tol!r} and {stress_tol!r}")
+    if not 0.0 < stress_tol < np.inf:
+        raise ValueError(f"stress_tol must be positive and finite, got {stress_tol!r}")
     slip = SlipNodes.none(system.mesh) if slip is None else slip
     p_prev, s_prev = state_prev.p, state_prev.boundary_slip
     if len(s_prev) != slip.count:
@@ -529,10 +527,9 @@ def incremental_step(
     step = _Step(system, yield_set, slip, w_nodes, loads, p_prev, s_prev)
     it = step.elastic(p_prev, np.zeros(slip.count))
     threshold = max(stress_tol * yield_set.radius, step.roundoff_floor(it))
-    small_decrease = tol * (1.0 + abs(it.value))
     residuals, decreases = [step.residual(it)], []
     backtracks, fallbacks, damping = 0, 0, 0.0
-    while (why := _stop(residuals, decreases, threshold, small_decrease)) is None:
+    while (why := _stop(residuals, threshold)) is None:
         direction = step.newton_direction(it, damping)
         new, halvings = (None, 0) if direction is None else step.line_search(it, direction)
         backtracks += halvings
@@ -557,13 +554,11 @@ def incremental_step(
         raise ConvergenceError(f"{text} (last decrease {last:.3e}, residual {residuals[-1]:.3e})",
                                state=state, decrease_history=decreases,
                                residual_history=residuals, reason=why)
-    if w_prev_nodes is not None:
-        # minimality against the admissible lift u_prev + (w_k - w_{k-1}); it dissipates nothing
-        u_lift = state_prev.u + (w_nodes - w_prev_nodes)
-        at_lift = (system.energy(strain_of(u_lift, system.mesh) - p_prev)
-                   - float(loads @ u_lift.ravel()))
-        if it.value > at_lift + _SLACK * (1.0 + abs(it.value)):
-            raise AssertionError("incremental minimum above the lifted previous state")
+    # minimality against the admissible lift u_prev + (w_k - w_{k-1}); it dissipates nothing
+    u_lift = state_prev.u + (w_nodes - w_prev_nodes)
+    at_lift = system.energy(strain_of(u_lift, system.mesh) - p_prev) - float(loads @ u_lift.ravel())
+    if it.value > at_lift + _SLACK * (1.0 + abs(it.value)):
+        raise AssertionError("incremental minimum above the lifted previous state")
     state.check(yield_set)
     return state, StepInfo(iterations=len(residuals), decreases=tuple(decreases),
                            residual=residuals[-1], backtracks=backtracks, fallbacks=fallbacks,
@@ -578,7 +573,6 @@ def evolve(
     hooke: HookeTensor,
     yield_set: YieldSet,
     mode: str = STRONG,
-    tol: float = 1e-10,
     stress_tol: float = 1e-10,
 ) -> Iterator[tuple[FEState, StepInfo]]:
     """Yield ``(state, info)`` at every grid time of ``program``, on its mesh, from zero on.
@@ -598,8 +592,8 @@ def evolve(
     for k in range(1, program.n_steps + 1):
         try:
             prev, info = incremental_step(
-                prev, float(program.times[k]), program.w[k], program.loads[k], system, yield_set,
-                slip=slip, tol=tol, stress_tol=stress_tol, w_prev_nodes=program.w[k - 1],
+                prev, float(program.times[k]), program.w[k], program.w[k - 1], program.loads[k],
+                system, yield_set, slip=slip, stress_tol=stress_tol,
             )
         except (ConvergenceError, SolverError) as exc:
             exc.step_index = k

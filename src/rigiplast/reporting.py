@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = "rigiplast-summary-v1"
+SCHEMA_VERSION = "rigiplast-summary-v2"
 
 
 def _cell(x) -> str:

@@ -17,9 +17,10 @@ state's strain, |Eu| and dev sigma are the ones its step's check took, and the
 deviatoric stress bound and the plastic increment mass are read off each
 step's ``StepInfo`` (no ledger).
 The limit proxy (the smallest eps) also takes the limit-system residuals step
-by step, and writes its stress and velocity-strain histories into
-``_limit_fields``, views of one anonymous shared mapping made before any lane
-starts.
+by step, and writes its stress and velocity-strain histories into views of one
+anonymous shared mapping (``_histories``) made before any lane starts. Every
+other eps writes its stress history into a mapping of its own, which returns
+its pages when the history is dropped.
 
 The evolutions are independent, so the eps list runs in lanes (``_lanes``):
 contiguous runs of it, one per usable CPU and at most one per consecutive
@@ -68,15 +69,15 @@ CSV_HEADER = ("epsilon,time,e_l2,sigma_l2,sigma_dev_max,dp_mass_cum,u_bd,"
 class EpsTrajectory:
     """Per-time monitor values for one eps, plus its stress and velocity strain.
 
-    The monitor arrays (M+1 values each) and ``u_final`` are kept for the
-    whole sweep. ``sigma`` is kept until the next eps has taken its Cauchy
-    distance against it; the lane then sets it to None, so a lane holds at
-    most two stress histories at a time, and no stress history leaves its
-    lane. ``ev`` and the three limit-system residuals are computed only on the
-    limit proxy (the smallest eps) and are None on every other trajectory.
-    The limit proxy's two (M+1, n_cells, 3) fields are views of the sweep's
-    shared mapping (``_limit_fields``), which the limit comparison and the
-    VTK output read.
+    The monitor arrays (M+1 values each) are kept for the whole sweep.
+    ``sigma`` is kept until the next eps has taken its Cauchy distance against
+    it; the lane then sets it to None, so a lane holds at most two stress
+    histories at a time, and no stress history leaves its lane. ``ev``, the
+    four limit-system residuals and ``u_final`` are computed only on the limit
+    proxy (the smallest eps) and are None on every other trajectory. The limit
+    proxy's two (M+1, n_cells, 3) fields are views of the sweep's shared
+    mapping (``_histories``), which the limit comparison and the VTK output
+    read.
     """
 
     epsilon: float
@@ -89,13 +90,13 @@ class EpsTrajectory:
     hydro_dev: np.ndarray
     flow_gap_rate: np.ndarray     # index k is the rate on (t_{k-1}, t_k]; entry 0 is 0
     diss_rate: np.ndarray
-    normal_gap: np.ndarray        # sup over Gamma_D of |(w - u) . nu|
+    normal_gap: np.ndarray | None   # sup over Gamma_D of |(w - u) . nu|
     sigma: np.ndarray | None      # (M+1, n_cells, 3)
     ev: np.ndarray | None         # (M+1, n_cells, 3), entry 0 is 0
     equilibrium_interior: np.ndarray | None   # the residuals of ``divergence_check``
     equilibrium_flux: np.ndarray | None
     div_v_l2: np.ndarray | None   # ||div v||_2 of the velocity strain, entry 0 is 0
-    u_final: np.ndarray
+    u_final: np.ndarray | None
 
 
 @dataclass
@@ -145,32 +146,31 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _limit_fields(n_t: int, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed (n_t, n_cells, 3) stress and velocity-strain histories for the limit eps.
+def _histories(count: int, n_t: int, n_cells: int) -> np.ndarray:
+    """``count`` zeroed (n_t, n_cells, 3) histories, views of one anonymous shared mapping.
 
-    Both are views of one anonymous shared mapping, so a lane forked after it
-    is made writes them in place, and the parent reads them without their
-    crossing a pipe.
+    A lane forked after the mapping is made writes it in place, and the
+    parent reads it without its crossing a pipe. The mapping is unmapped when
+    the last view is dropped, so a history never leaves its pages in the heap.
     """
     import mmap  # here, not at module level: `run` would pay for the import
 
-    shape = (2, n_t, n_cells, 3)
-    fields = np.ndarray(shape, dtype=float, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
-    return fields[0], fields[1]
+    shape = (count, n_t, n_cells, 3)
+    return np.ndarray(shape, dtype=float, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
 
 
 def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
                      sigma_prev: np.ndarray | None,
-                     limit: tuple[np.ndarray, np.ndarray] | None
-                     ) -> tuple[EpsTrajectory, np.ndarray]:
+                     limit: np.ndarray | None) -> tuple[EpsTrajectory, np.ndarray]:
     """Stream one evolution through the monitors; return its trajectory and stress distances.
 
     The distances are, per time, the L2 distance between this evolution's
     stress and ``sigma_prev`` (zero where that is None). Only the current
     state and the previous displacement are held while the evolution runs.
     ``limit``, for the limit eps only, is the (sigma, ev) pair of histories to
-    write (``_limit_fields``); that evolution also takes the limit-system
-    residuals step by step. Every other eps keeps a private stress history.
+    write (``_histories``); that evolution also takes the limit-system
+    residuals step by step and keeps its final displacement. Every other eps
+    keeps a private stress history, on a mapping of its own.
     """
     mesh = benchmark.mesh
     program = benchmark.program
@@ -189,19 +189,18 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
     hydro_dev = np.zeros(n_t)
     flow_gap_rate = np.zeros(n_t)
     diss_rate = np.zeros(n_t)
-    normal_gap = np.zeros(n_t)
     distance = np.zeros(n_t)
     if limit is None:
-        sigma_all, ev_all = np.zeros((n_t, mesh.n_cells, 3)), None
-        eq_interior = eq_flux = div_v_l2 = None
+        sigma_all, ev_all = _histories(1, n_t, mesh.n_cells)[0], None
+        eq_interior = eq_flux = div_v_l2 = normal_gap = None
     else:
         sigma_all, ev_all = limit
-        eq_interior, eq_flux, div_v_l2 = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
+        eq_interior, eq_flux, div_v_l2, normal_gap = (np.zeros(n_t) for _ in range(4))
 
     dirichlet = mesh.dirichlet_boundary
     infos = []
     for k, (st, info) in enumerate(evolve(program, hooke, yset, mode=config.boundary_mode,
-                                          tol=config.tol, stress_tol=config.stress_tol)):
+                                          stress_tol=config.stress_tol)):
         infos.append(info)
         e_l2[k] = tensor_l2(areas, st.e)
         sigma_l2[k] = tensor_l2(areas, st.sigma)
@@ -210,8 +209,6 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         hydro = 0.5 * (st.sigma[:, 0] + st.sigma[:, 2])
         hydro_mean = float((areas * hydro).sum() / areas.sum())
         hydro_dev[k] = scalar_l2(areas, hydro - hydro_mean)
-        gv = gauss_traces(program.w[k] - st.u, dirichlet)
-        normal_gap[k] = np.abs((gv * dirichlet.normals).sum(axis=-1)).max(initial=0.0)
         sigma_all[k] = st.sigma
         if sigma_prev is not None:
             distance[k] = tensor_l2(areas, sigma_prev[k] - st.sigma)
@@ -232,6 +229,8 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
             eq_interior[k], eq_flux[k] = divergence_check(sigma_all[k], mesh, None, program.g[k],
                                                           program.loads[k])
             div_v_l2[k] = scalar_l2(areas, ev_all[k, :, 0] + ev_all[k, :, 2])
+            gv = gauss_traces(program.w[k] - st.u, dirichlet)
+            normal_gap[k] = np.abs((gv * dirichlet.normals).sum(axis=-1)).max(initial=0.0)
         u_prev = st.u
 
     trajectory = EpsTrajectory(
@@ -240,7 +239,8 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         dp_mass_cum=np.cumsum([info.dissipation for info in infos]) / kappa,  # as the ledger sums
         hydro_dev=hydro_dev, flow_gap_rate=flow_gap_rate, diss_rate=diss_rate,
         normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, equilibrium_interior=eq_interior,
-        equilibrium_flux=eq_flux, div_v_l2=div_v_l2, u_final=u_prev,
+        equilibrium_flux=eq_flux, div_v_l2=div_v_l2,
+        u_final=None if limit is None else u_prev,
     )
     return trajectory, distance
 
@@ -270,13 +270,13 @@ def _build_shared(benchmark: Benchmark, mode: str) -> None:
 
 
 def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
-              limit: tuple[np.ndarray, np.ndarray]) -> tuple[list[EpsTrajectory], list[float]]:
+              limit: np.ndarray) -> tuple[list[EpsTrajectory], list[float]]:
     """Run the epsilons ``lane`` indexes in order; return their trajectories and the Cauchy
     distance of each consecutive pair.
 
     A lane that starts on the previous lane's last epsilon runs it again only
     for its stresses and leaves its trajectory out. The sweep's last epsilon
-    writes its fields into ``limit`` (``_limit_fields``); no trajectory the
+    writes its fields into ``limit`` (``_histories``); no trajectory the
     lane returns carries a field.
     """
     epsilons = config.epsilon_list
@@ -305,7 +305,7 @@ def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
 
 
 def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range,
-                limit: tuple[np.ndarray, np.ndarray]) -> None:
+                limit: np.ndarray) -> None:
     """A forked lane: send ``_run_lane``'s result, or the exception it raised, to the parent."""
     try:
         result = _run_lane(benchmark, config, lane, limit)
@@ -316,8 +316,7 @@ def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range,
 
 
 def _run_lanes(benchmark: Benchmark, config: RunConfig, lanes: list[range],
-               limit: tuple[np.ndarray, np.ndarray]
-               ) -> list[tuple[list[EpsTrajectory], list[float]]]:
+               limit: np.ndarray) -> list[tuple[list[EpsTrajectory], list[float]]]:
     """``_run_lane`` of every lane, in lane order.
 
     One lane runs in this process. Several run each in a child forked here,
@@ -373,7 +372,7 @@ def run_sweep(config: RunConfig) -> SweepReport:
     mesh = benchmark.mesh
     times = benchmark.program.times
     _build_shared(benchmark, config.boundary_mode)
-    limit = _limit_fields(len(times), mesh.n_cells)
+    limit = _histories(2, len(times), mesh.n_cells)
     trajectories, cauchy = [], []
     for lane_trajectories, lane_cauchy in _run_lanes(benchmark, config,
                                                      _lanes(len(config.epsilon_list)), limit):

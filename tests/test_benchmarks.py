@@ -215,6 +215,21 @@ class TestCatalog:
         top = [j for j, e in enumerate(bench.mesh.neumann_edges) if e.face == "top"]
         assert np.abs(bench.program.g[-1, top, 0]).min() > 0
 
+    @pytest.mark.parametrize("bid", ["SHEAR", "RIGID41"])
+    @pytest.mark.parametrize("n, m", [(7, 13), (16, 32)])
+    def test_datum_equals_the_time_loop(self, bid, n, m):
+        """The broadcast datum is bit for bit (signs included) w(t) = t * field, time by time."""
+        bench = benchmark_catalog(bid, mesh_n=n, n_steps=m, load_scale=0.7, horizon=1.3)
+        nodes, times = bench.mesh.nodes, bench.program.times
+        if bid == "SHEAR":
+            gamma = bench.meta["gamma"]
+            want = np.array([t * gamma * np.column_stack([nodes[:, 1], np.zeros(len(nodes))])
+                             for t in times])
+        else:
+            vel = bench.meta["example41"].velocity(nodes) * 0.7
+            want = np.array([t * vel for t in times])
+        assert bench.program.w.tobytes() == want.tobytes()
+
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             benchmark_catalog("TWIST")

@@ -1,5 +1,6 @@
 """Configuration parsing, CLI commands, artifact formats, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from rigiplast.cli import main
 from rigiplast.config import (
     DEFAULT_EPSILONS,
     ConfigError,
+    RunConfig,
     parse_config,
 )
 from rigiplast.mesh import build_square_mesh
@@ -77,7 +79,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["epsilon", "shear_modulus", "bulk_modulus", "yield_radius",
-                                     "tol", "stress_tol", "load_scale", "horizon"])
+                                     "stress_tol", "load_scale", "horizon"])
     def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be .*finite"):
             parse_config(f"{key} = {value}\n")
@@ -87,13 +89,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epsilon list entries must be positive and finite"):
             parse_config(f"epsilon_list = {entries}\n")
 
+    def test_the_docstring_table_names_every_setting(self):
+        """The key table in the module docstring, which the README defers to, names exactly
+        the settings of ``RunConfig``."""
+        table = rigiplast.config.__doc__.split("Documented keys and defaults:", 1)[1]
+        keys = [line.split()[0] for line in table.splitlines() if line.split()[1:2] == ["="]]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+
 
 class TestCLI:
     def test_example41_command(self, tmp_path):
         out = tmp_path / "a"
         assert main(["example41", "--out", str(out)]) == 0
         payload = json.loads((out / "summary.json").read_text())
-        assert payload["schema"] == "rigiplast-summary-v1"
+        assert payload["schema"] == "rigiplast-summary-v2"
         assert payload["nonuniqueness_witness"] is True
         assert payload["stress_gap"] > 0
         assert (out / "fields_sigma.vtk").exists()
@@ -162,7 +171,7 @@ class TestCLI:
 
     def test_non_finite_tol_is_a_configuration_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\ntol = nan\n")
+        cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\nstress_tol = nan\n")
         out = tmp_path / "x"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "error.json").exists()
@@ -171,6 +180,15 @@ class TestCLI:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("nope = 1\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line", ["tol = 1e-10", "seed = 0"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mesh_n = 2\n{line}\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "line 2: unknown key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_command(self, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -216,7 +234,7 @@ class TestCLI:
         assert set(payload["config"]) == {
             "benchmark", "mesh_n", "time_steps", "epsilon_list", "epsilon",
             "shear_modulus", "bulk_modulus", "yield_radius", "boundary_mode",
-            "tol", "stress_tol", "load_scale", "horizon", "out_dir", "seed",
+            "stress_tol", "load_scale", "horizon", "out_dir",
         }
 
 

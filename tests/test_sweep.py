@@ -5,6 +5,7 @@ import json
 import mmap
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,16 +73,16 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="mode"):
             SweepConfig(mode="slippery")
 
-    @pytest.mark.parametrize("name, value", [("tol", 0.0), ("stress_tol", -1.0)])
+    @pytest.mark.parametrize("name, value", [("stress_tol", -1.0)])
     def test_rejects_non_positive_solver_tolerances(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             SweepConfig(**{name: value})
 
     @pytest.mark.parametrize("settings, message", [
         ({"mesh_n": 0}, "mesh_n"), ({"n_steps": 0}, "time_steps"), ({"benchmark": "TWIST"}, "benchmark"),
-        # counts are integers: 2.5 built an n=2 mesh, True an n=1 mesh, and seed 0.5 passed
+        # counts are integers: 2.5 built an n=2 mesh and True an n=1 mesh
         ({"mesh_n": 2.5}, "mesh_n must be an integer"), ({"mesh_n": True}, "mesh_n must be an integer"),
-        ({"n_steps": 2.5}, "time_steps must be an integer"), ({"seed": 0.5}, "seed must be an integer"),
+        ({"n_steps": 2.5}, "time_steps must be an integer"),
     ])
     def test_rejects_invalid_settings_when_made(self, settings, message):
         with pytest.raises(ConfigError, match=message):
@@ -152,7 +153,7 @@ class TestRunSweep:
         for eps, tr in zip(cfg.epsilon_list, rep.trajectories):
             states, ledger = run_evolution(bench.program, bench.hooke.with_epsilon(eps),
                                            bench.yield_set, bench.mesh, mode=cfg.boundary_mode,
-                                           tol=cfg.tol, stress_tol=cfg.stress_tol)
+                                           stress_tol=cfg.stress_tol)
             sigmas.append(np.stack([st.sigma for st in states]))
             # the sweep's columns come from the steps, bit for bit the ledger's
             assert np.array_equal(tr.sigma_dev_max, ledger.max_sigma_dev)
@@ -192,6 +193,21 @@ class TestRigidResiduals:
         assert rr.maxima()["div_v_l2"] < 1e-10
         assert rr.maxima()["dirichlet_normal_gap"] < 1e-12
         assert np.all(rr.flow_gap_rate >= -1e-12)
+
+    def test_the_normal_gap_and_final_displacement_are_the_limits_only(self):
+        """Only the limit proxy takes its Dirichlet normal gap and keeps its final
+        displacement; its residual maxima are bit for bit those of a sweep that took the
+        normal gap on every eps."""
+        rep = run_sweep(SweepConfig(epsilons=EPS4, benchmark="TRACTION", mesh_n=4, n_steps=8,
+                                    mode="relaxed"))
+        for tr in rep.trajectories[:-1]:
+            assert tr.normal_gap is None and tr.u_final is None
+        assert rep.limit_proxy.normal_gap.shape == rep.times.shape
+        assert rep.limit_proxy.u_final.shape == (rep.benchmark.mesh.n_nodes, 2)
+        assert rigid_residuals(rep).maxima() == {
+            "equilibrium_interior": 1.5837169285457597e-11, "equilibrium_flux": 0.606028250886247,
+            "feasibility_excess": -7.771561172376096e-16, "div_v_l2": 0.014544315161634045,
+            "flow_gap_rate": 0.006689963114924883, "dirichlet_normal_gap": 0.0}
 
 
 class TestCompareLimits:
@@ -359,6 +375,31 @@ class TestLanes:
             want = (tmp_path / "1" / name).read_bytes()
             assert (tmp_path / str(cpus) / name).read_bytes() == want, name
 
+    def test_a_one_lane_sweep_keeps_no_history_on_the_heap(self, monkeypatch):
+        """Each stress history is a view of an anonymous mapping, which returns its pages
+        when the history is dropped; none is a numpy block of the heap."""
+        _pin_cpus(monkeypatch, 1)
+        snapshots = []
+        evolve = sweep.evolve
+
+        def watched(*args, **kwargs):
+            for k, step in enumerate(evolve(*args, **kwargs)):
+                if k == 0:  # the evolution's histories are made by now
+                    snapshots.append(tracemalloc.take_snapshot())
+                yield step
+
+        monkeypatch.setattr(sweep, "evolve", watched)
+        tracemalloc.start()
+        try:
+            report = run_sweep(SweepConfig(epsilons=EPS4[:3], **LANE_CASES["SHEAR-strong"]))
+        finally:
+            tracemalloc.stop()
+        history = 8 * len(report.times) * report.benchmark.mesh.n_cells * 3
+        blocks = [trace.size for snapshot in snapshots for trace in snapshot.traces
+                  if trace.domain == np.lib.tracemalloc_domain]
+        assert len(snapshots) == 3 and blocks  # numpy's blocks are traced
+        assert history not in blocks
+
     @pytest.mark.parametrize("mode", ["strong", "relaxed"])
     def test_caches_are_built_before_the_lanes(self, mode):
         """A lane builds no mesh or program cache of its own: forked lanes share the parent's."""
@@ -367,7 +408,7 @@ class TestLanes:
         bench = config.build_benchmark()
         sweep._build_shared(bench, mode)
         built = set(vars(bench.mesh)), set(vars(bench.program))
-        sweep._run_lane(bench, config, range(2), sweep._limit_fields(5, bench.mesh.n_cells))
+        sweep._run_lane(bench, config, range(2), sweep._histories(2, 5, bench.mesh.n_cells))
         assert (set(vars(bench.mesh)), set(vars(bench.program))) == built
 
     def test_first_failing_epsilon_is_reported(self, monkeypatch, tmp_path):
