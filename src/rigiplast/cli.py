@@ -35,7 +35,7 @@ from .benchmarks import (benchmark_catalog, default_example41_params, example41_
                          example41_verify)
 from .config import ConfigError, RunConfig, parse_config
 from .evolution import ConvergenceError, EnergyLedger, evolve
-from .fem import SolverError
+from .fem import ElasticSystem, SolverError
 from .mesh import build_square_mesh
 from .reporting import summary_payload, write_csv, write_json
 from .safeload import max_safety_margin, verify_safe_load
@@ -56,9 +56,9 @@ def _benchmark(config: RunConfig):
 
 def _cmd_run(config: RunConfig, out: Path) -> dict:
     bench = _benchmark(config)
-    hooke = bench.hooke.with_epsilon(config.run_epsilon)
+    system = ElasticSystem(bench.mesh, bench.hooke.with_epsilon(config.run_epsilon))
     ledger = EnergyLedger.zeros(bench.program.times)
-    steps = evolve(bench.program, hooke, bench.yield_set, mode=config.boundary_mode,
+    steps = evolve(bench.program, system, bench.yield_set, mode=config.boundary_mode,
                    stress_tol=config.stress_tol)
     for final, _ in ledger.record(steps, bench.program):
         pass  # only the last state is written

@@ -10,7 +10,11 @@ functional of u alone (a Moreau envelope). A semismooth Newton method with
 the consistent tangent of the return map minimizes it; an Armijo line search
 keeps the functional decreasing, and one alternating step (elastic solve with
 p frozen) stands in where a Newton direction fails. ``_stop`` is the one stop
-rule: a step ends "converged", "stalled" or at its "iteration cap". The stress
+rule: a step ends "converged", "stalled" or at its "iteration cap". A step
+converges once its residual is at most ``stress_tol * kappa`` or the
+predictor's round-off floor; the floor is taken only when the predictor
+misses ``stress_tol * kappa``, since only then can it decide, so a step that
+converges at its predictor (every SHEAR step) never takes it. The stress
 comes from the return map of the final iterate, so the deviatoric stress
 satisfies the yield constraint exactly.
 
@@ -25,8 +29,10 @@ that may slip tangentially; every step runs the same solver:
   a primal-dual active set (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13).
 
 A ``LoadProgram`` is checked once, when it is made on its mesh; its evolutions
-run on that mesh and share its load vectors. Every evolution starts from the
-zero state at the first grid time. ``evolve`` is the one loop over time steps:
+run on that mesh and share its load vectors. An evolution runs on the
+``ElasticSystem`` it is given, so the evolutions of a sweep lane share one
+elastic factor (``ElasticSystem.with_epsilon``). Every evolution starts from
+the zero state at the first grid time. ``evolve`` is the one loop over time steps:
 a generator that yields each state with the ``StepInfo`` of its step as soon
 as the step is done and keeps only the previous state, so a caller that reads
 each state once (the CLI ``run``, the sweep monitors) holds O(n_cells) of
@@ -54,8 +60,8 @@ from .fem import (
     SolverError,
     boundary_integral_p1,
     cell_blocks,
+    dirichlet_traces,
     external_load_vector,
-    gauss_traces,
     integrate_tensor_dot,
     nodal_forces,
     strain_of,
@@ -310,11 +316,13 @@ class _Iterate:
     z: np.ndarray        # slip increment s - s_prev per slip node
     eu: np.ndarray
     e_dev: np.ndarray
+    e: np.ndarray        # the elastic strain eu - p
     p: np.ndarray        # return-mapped plastic strain
     sigma_dev: np.ndarray  # deviatoric stress of the return map
     sigma: np.ndarray
     dp_norm: np.ndarray  # |p - p_prev| per cell
     energy: float        # elastic energy of eu - p
+    dissipation: float   # volume plus slip dissipation of the step to this iterate
     value: float         # the incremental functional
     grad: np.ndarray     # B^T(area W sigma) - F on the Newton unknowns: free dofs, then slips
 
@@ -345,8 +353,9 @@ def _stop(residuals: list, threshold: float) -> str | None:
     predictor's first, then one per Newton step.
 
     * ``"converged"``: the last residual is at most ``threshold`` (``stress_tol
-      * kappa`` or the predictor's round-off floor); a predictor that passes
-      needs no Newton step;
+      * kappa``, or the predictor's round-off floor where the predictor misses
+      that and the floor is larger); a predictor that passes needs no Newton
+      step;
     * ``"stalled"``: ``_MAX_STALLED`` Newton steps in a row set no new
       smallest residual (past the limit load, round-off swamps the residual);
     * ``"iteration cap"``: ``_MAX_ITERS`` Newton steps are taken.
@@ -400,13 +409,17 @@ class _Step:
         e_dev, e_mean = dev_decompose(eu)
         p, sigma_dev = radial_return(e_dev, self.p_prev, hooke, self.yield_set)
         sigma = sigma_dev.copy()
-        sigma[:, ::2] += (2.0 * hooke.bulk_modulus / hooke.epsilon * e_mean)[:, None]
+        bulk = 2.0 * hooke.bulk_modulus / hooke.epsilon * e_mean
+        sigma[:, 0] += bulk  # column by column: an (n, 1) broadcast costs several times more
+        sigma[:, 2] += bulk
         dp_norm = norm(p - self.p_prev)
-        energy = self.system.energy(eu - p)
+        e = eu - p
+        energy = self.system.energy(e)
         volume, boundary = self.dissipation(dp_norm, self.s_prev + z)
         value = energy + volume + boundary - float(self.loads @ u.ravel())
         grad = self.slip.elements.from_dofs(nodal_forces(mesh, sigma) - self.loads)
-        return _Iterate(u, z, eu, e_dev, p, sigma_dev, sigma, dp_norm, energy, value, grad)
+        return _Iterate(u, z, eu, e_dev, e, p, sigma_dev, sigma, dp_norm, energy,
+                        volume + boundary, value, grad)
 
     def elastic(self, p: np.ndarray, z: np.ndarray) -> _Iterate:
         """The iterate of the elastic solve with ``p`` frozen and the slips at ``z``."""
@@ -510,7 +523,9 @@ def incremental_step(
     mode), with one previous slip per node in ``state_prev.boundary_slip``.
     The slips join the Newton system as a primal-dual active set: a stuck
     node keeps its previous slip, a sliding node carries the friction force
-    kappa * length / sqrt(2). ``_stop`` ends the iteration.
+    kappa * length / sqrt(2). ``_stop`` ends the iteration at the threshold
+    ``stress_tol * kappa``, raised to the predictor's round-off floor where
+    the predictor misses it (only then is the floor taken).
 
     The functional is asserted non-increasing at every inner iteration, and
     the converged value is checked against the admissible lift of the
@@ -526,8 +541,10 @@ def incremental_step(
         raise ValueError(f"{len(s_prev)} previous slips for {slip.count} slip nodes")
     step = _Step(system, yield_set, slip, w_nodes, loads, p_prev, s_prev)
     it = step.elastic(p_prev, np.zeros(slip.count))
-    threshold = max(stress_tol * yield_set.radius, step.roundoff_floor(it))
     residuals, decreases = [step.residual(it)], []
+    threshold = stress_tol * yield_set.radius
+    if residuals[0] > threshold:  # only then can the round-off floor decide a stop
+        threshold = max(threshold, step.roundoff_floor(it))
     backtracks, fallbacks, damping = 0, 0, 0.0
     while (why := _stop(residuals, threshold)) is None:
         direction = step.newton_direction(it, damping)
@@ -545,7 +562,7 @@ def incremental_step(
         it = new
         residuals.append(step.residual(it))
 
-    state = FEState(t=t, u=it.u, e=it.eu - it.p, p=it.p, sigma=it.sigma,
+    state = FEState(t=t, u=it.u, e=it.e, p=it.p, sigma=it.sigma,
                     boundary_slip=s_prev + it.z, eu=it.eu)
     if why != "converged":
         last = decreases[-1] if decreases else float("nan")
@@ -563,28 +580,33 @@ def incremental_step(
     return state, StepInfo(iterations=len(residuals), decreases=tuple(decreases),
                            residual=residuals[-1], backtracks=backtracks, fallbacks=fallbacks,
                            max_sigma_dev=float(norm(it.sigma_dev).max()),
-                           dissipation=sum(step.dissipation(it.dp_norm, state.boundary_slip)),
-                           plastic_fraction=float((it.dp_norm > 0).mean()),
+                           dissipation=it.dissipation,
+                           plastic_fraction=np.count_nonzero(it.dp_norm > 0) / it.dp_norm.size,
                            elastic_energy=it.energy)
 
 
 def evolve(
     program: LoadProgram,
-    hooke: HookeTensor,
+    system: ElasticSystem,
     yield_set: YieldSet,
     mode: str = STRONG,
     stress_tol: float = 1e-10,
 ) -> Iterator[tuple[FEState, StepInfo]]:
-    """Yield ``(state, info)`` at every grid time of ``program``, on its mesh, from zero on.
+    """Yield ``(state, info)`` at every grid time of ``program``, on ``system``, from zero on.
 
+    ``system`` is the ``ElasticSystem`` of the evolution's Hooke law on the
+    program's mesh; a sweep lane makes one per epsilon with
+    ``ElasticSystem.with_epsilon``, so its evolutions share one factor.
     ``info`` is the ``StepInfo`` of the step that produced ``state``, all zero
-    for the zero state. ``mode`` only chooses the slip set; an unknown one
-    raises ``ValueError`` before anything is built. Only the previous state is
-    kept. A step's ``ConvergenceError`` or ``SolverError`` gets its ``step_index``.
+    for the zero state. ``mode`` only chooses the slip set; an unknown one, or
+    a system on another mesh, raises ``ValueError`` before anything is built.
+    Only the previous state is kept. A step's ``ConvergenceError`` or
+    ``SolverError`` gets its ``step_index``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown boundary mode {mode!r}")
-    system = ElasticSystem(program.mesh, hooke)
+    if system.mesh is not program.mesh:
+        raise ValueError("system is not on the mesh the program was made on")
     slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(program.mesh)
     prev = replace(FEState.zeros(program.mesh, slip.count), t=float(program.times[0]))
     yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0, 0.0)
@@ -612,7 +634,8 @@ def run_evolution(program: LoadProgram, hooke: HookeTensor, yield_set: YieldSet,
     if mesh is not program.mesh:
         raise ValueError("mesh is not the mesh the program was made on")
     ledger = EnergyLedger.zeros(program.times)
-    steps = ledger.record(evolve(program, hooke, yield_set, **options), program)
+    steps = ledger.record(evolve(program, ElasticSystem(mesh, hooke), yield_set, **options),
+                          program)
     return [state for state, _ in steps], ledger
 
 
@@ -644,7 +667,7 @@ def pairing_mass_bound(sigma: np.ndarray, state: FEState, w_nodes: np.ndarray,
     sup = float(norm(dev_s).max())
     mass = float((mesh.areas * norm(state.p)).sum())
     d = mesh.dirichlet_boundary
-    gv = gauss_traces(w_nodes - state.u, d)
+    gv = dirichlet_traces(w_nodes - state.u, mesh)
     mass += float((0.5 * d.lengths * norm(sym_outer(gv, d.normals))).sum())
     return sup * mass
 
@@ -679,7 +702,7 @@ def energy_report(states, ledger: EnergyLedger, program: LoadProgram,
 def bd_norm_surrogate(mesh: Mesh, u: np.ndarray, eu_norm: np.ndarray) -> float:
     """||u||_BD surrogate: Dirichlet trace L1 plus the strain mass; ``eu_norm`` is |Eu|."""
     total = float((mesh.areas * eu_norm).sum())
-    d = mesh.dirichlet_boundary
-    uv = gauss_traces(u, d)
-    total += float((0.5 * d.lengths * np.sqrt((uv * uv).sum(axis=-1))).sum())
+    uv = dirichlet_traces(u, mesh)  # only its squares enter, so the sign of a zero does not
+    sq = uv * uv
+    total += float((0.5 * mesh.dirichlet_boundary.lengths * np.sqrt(sq[..., 0] + sq[..., 1])).sum())
     return total

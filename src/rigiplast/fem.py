@@ -4,14 +4,15 @@ Quadrature is one-point per triangle (exact for P0 integrands and for P1
 integrands via the centroid) and two-point Gauss per boundary edge (exact for
 the P1 traces that appear here). Operators that depend on the mesh alone are
 built once per mesh and cached on it (the cells' dofs and (3, 6) strain
-blocks S_c, ``Mesh.B`` scattered from them, the free dofs' ``ElementMap``,
-the load maps, the Neumann and Dirichlet selections of the boundary's
-``EdgeArrays``), so a strain, a load vector or ``nodal_forces`` is one
-sparse matvec and boundary sums are array code; a load program assembles
-the loads of all its grid times once (``LoadProgram.loads``), and callers
-take each strain once. The stiffness matrix and the Newton tangent are both
-B^T blockdiag(area W D_c) B, a sum of 6x6 cell blocks S_c^T (area W D_c) S_c
-(``cell_blocks``), and so is
+blocks S_c, ``Mesh.B`` scattered from them with its zero entries dropped,
+its Dirichlet columns, the free dofs' ``ElementMap``, the load maps, the
+Dirichlet trace map, the Neumann and Dirichlet selections of the boundary's
+``EdgeArrays``), so a strain, a load vector, a boundary trace or
+``nodal_forces`` is one sparse matvec and boundary sums are array code; a
+load program assembles the loads of all its grid times once
+(``LoadProgram.loads``), and callers take each strain once. The stiffness
+matrix and the Newton tangent are both B^T blockdiag(area W D_c) B, a sum of
+6x6 cell blocks S_c^T (area W D_c) S_c (``cell_blocks``), and so is
 safeload's Gram matrix, with D_c = area_c times the 0/1 mask of the stress
 components the tractions leave free. An ``ElementMap`` (of the free dofs,
 or of a slip set) holds the S_c of its unknowns and the position of every
@@ -20,13 +21,17 @@ these matrices are narrow bands. Each matrix is then one batched product of
 the blocks and one ``bincount`` into the band, factorized by banded
 Cholesky (``ElementMap.factor``), the package's one factorization; no
 sparse matrix is built for it. An ``ElasticSystem`` holds what the Hooke
-tensor C^eps sets: the stiffness and its factor, which every elastic solve
-reuses; the tangent changes with every iterate and is factorized afresh.
+tensor C^eps sets: the factor of its stiffness, which every elastic solve
+reuses, and which the system ``with_epsilon`` makes at 4^k times its
+epsilon shares, so a sweep lane factorizes once for the default epsilons;
+the tangent changes with every iterate and is factorized afresh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,9 +53,13 @@ def strain_matrix(mesh: Mesh) -> sp.csr_matrix:
     Rows are (cell, component) in packed order (e11, e12, e22); columns are
     nodal dofs interleaved (node0_x, node0_y, node1_x, ...). Row block c is
     the structural part of ``mesh.cell_strains[c]``: e11 and e22 read the x
-    and the y dofs of the cell, e12 all six, 12 entries per cell with the
-    columns sorted in each row. Exact for P1 fields: affine displacements
-    produce their exact constant strain.
+    and the y dofs of the cell, e12 all six, with the columns sorted in each
+    row. Only nonzero entries are kept: on a right triangle one vertex
+    function is constant along x and one along y, so 4 of the 12 are 0.0. A
+    CSR product adds its terms from +0.0 in column order, so a 0.0 * u term
+    changes no sum, and the products are the same bit for bit with a third
+    less work. Exact for P1 fields: affine displacements produce their exact
+    constant strain.
     """
     S, dofs, n = mesh.cell_strains, mesh.cell_dofs, mesh.n_cells
     data = np.concatenate([S[:, 0, 0::2], S[:, 1], S[:, 2, 1::2]], axis=1)
@@ -59,6 +68,7 @@ def strain_matrix(mesh: Mesh) -> sp.csr_matrix:
     B = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
                       shape=(3 * n, 2 * mesh.n_nodes))
     B.sort_indices()
+    B.eliminate_zeros()
     return B
 
 
@@ -70,9 +80,13 @@ def strain_of(u: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 
 def nodal_forces(mesh: Mesh, sigma: np.ndarray, B_T=None) -> np.ndarray:
-    """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` (default ``mesh.B_T``)."""
+    """Assemble int sigma : E(phi) as a dof vector, through ``B_T`` (default ``mesh.B_T``).
+
+    The weights 1, 2, 1 are powers of 2, so area times weight times sigma is
+    the same number in either order of the products.
+    """
     B_T = mesh.B_T if B_T is None else B_T
-    return B_T @ (mesh.packed_areas * (sigma * WEIGHTS).ravel())
+    return B_T @ (mesh.weighted_areas * sigma.ravel())
 
 
 def body_load_vector(mesh: Mesh, f_cells: np.ndarray) -> np.ndarray:
@@ -101,10 +115,23 @@ def cell_tractions(sigma: np.ndarray, edges: EdgeArrays) -> np.ndarray:
                             s[:, 1] * nu[:, 0] + s[:, 2] * nu[:, 1]])
 
 
-def gauss_traces(field: np.ndarray, edges: EdgeArrays) -> np.ndarray:
-    """A nodal P1 field at the two Gauss points of each edge, shape (2, m, 2)."""
-    a, b = field[edges.nodes[:, 0]], field[edges.nodes[:, 1]]
-    return np.stack([(1 - xi) * a + xi * b for xi in _GAUSS2])
+def gauss_trace_map(n_nodes: int, edges: EdgeArrays) -> sp.csr_matrix:
+    """Sparse map of a nodal P1 field (raveled) to its values at the two Gauss points of
+    each edge, raveled from shape (2, m, 2): (1 - xi) a + xi b at Gauss point xi of edge
+    (a, b), two products and one sum per entry."""
+    m = len(edges.lengths)
+    rows = np.arange(4 * m).reshape(2, m, 2)
+    ends = 2 * edges.nodes[:, :, None] + np.arange(2)  # (m, end, component)
+    cols = np.broadcast_to(ends[None], (2, m, 2, 2)).transpose(0, 1, 3, 2)
+    weights = np.array([[1 - xi, xi] for xi in _GAUSS2])[:, None, None, :]
+    vals = np.broadcast_to(weights, (2, m, 2, 2))
+    return sp.csr_matrix((vals.ravel(), (np.repeat(rows.ravel(), 2), cols.ravel())),
+                         shape=(4 * m, 2 * n_nodes))
+
+
+def dirichlet_traces(field: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """A nodal P1 field at the two Gauss points of each Dirichlet edge, shape (2, m, 2)."""
+    return (mesh.dirichlet_trace_map @ field.ravel()).reshape(2, -1, 2)
 
 
 def integrate_tensor_dot(areas: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -260,42 +287,81 @@ class ElasticSystem:
     place of C^eps into the band of the same or another map (``element_map``
     with slip unknowns), for the inner solver's Newton steps, and factorizes
     it the same way.
+
+    ``with_epsilon`` makes the system of the same law at another epsilon. It
+    shares this system's factor where that gives the same bits as a factor of
+    its own: K(eps) = K(eps0) eps0 / eps, and when eps / eps0 is a power of 4
+    the factor of K(eps) is the factor of K(eps0) times a power of 2, so
+    eps / eps0 times a solve with K(eps0) is the solve with K(eps) bit for bit.
+    A sweep lane thus factorizes once for the default epsilons 4^-k.
     """
 
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
+        self._set_law(mesh, hooke)
+        self._factor = mesh.elements.factor(self._blocks(), 0.0, "elastic")
+        self._factor_epsilon = hooke.epsilon  # the epsilon of the K that ``_factor`` factorizes
+
+    def _set_law(self, mesh: Mesh, hooke: HookeTensor) -> None:
+        _ = mesh.dirichlet_B  # built with the system, as the factor is, not in its first solve
         self.mesh = mesh
         self.hooke = hooke
         self.cmat = hooke.matrix()
         self.fixed = np.flatnonzero(~mesh.free_dofs)
         self.free = np.flatnonzero(mesh.free_dofs)
-        blocks = cell_blocks(mesh, self.cmat, mesh.cell_strains)
-        self.stiffness_diagonal = mesh.elements.diagonal_of(blocks)  # on the free dofs
-        self._factor = mesh.elements.factor(blocks, 0.0, "elastic")
+        # C^T and |C|^T contiguous: an (n, 3) @ (3, 3) product with them takes half the time
+        self._cmat_T = np.ascontiguousarray(self.cmat.T)
+        self._abs_cmat_T = np.abs(self._cmat_T)
+
+    def _blocks(self) -> np.ndarray:
+        return cell_blocks(self.mesh, self.cmat, self.mesh.cell_strains)
+
+    def with_epsilon(self, epsilon: float) -> "ElasticSystem":
+        """The system of this law at ``epsilon``: it shares this system's factor when
+        ``epsilon`` over the factor's epsilon is a power of 4, else it factorizes its own."""
+        ratio = epsilon / self._factor_epsilon
+        mantissa, exponent = math.frexp(ratio)
+        hooke = self.hooke.with_epsilon(epsilon)
+        if mantissa != 0.5 or exponent % 2 != 1 or ratio * self._factor_epsilon != epsilon:
+            return ElasticSystem(self.mesh, hooke)
+        system = object.__new__(ElasticSystem)
+        system._set_law(self.mesh, hooke)
+        system._factor, system._factor_epsilon = self._factor, self._factor_epsilon
+        return system
+
+    @cached_property
+    def stiffness_diagonal(self) -> np.ndarray:
+        """The diagonal of K_ff, on the free dofs; only damped Newton steps read it."""
+        return self.mesh.elements.diagonal_of(self._blocks())
 
     def force_magnitudes(self, eu: np.ndarray, p: np.ndarray, loads: np.ndarray) -> np.ndarray:
         """``nodal_forces(C^eps (eu - p)) - loads`` with every term in absolute value.
 
         Scaled by eps_mach, it bounds the round-off in that residual.
         """
-        cells = (np.abs(eu) + np.abs(p)) @ np.abs(self.cmat).T
+        cells = (np.abs(eu) + np.abs(p)) @ self._abs_cmat_T
         return nodal_forces(self.mesh, cells, self.mesh.abs_B_T) + np.abs(loads)
 
     def plastic_load_vector(self, p: np.ndarray) -> np.ndarray:
         """Assemble int C^eps p : E(phi) as a dof vector."""
-        return nodal_forces(self.mesh, p @ self.cmat.T)
+        return nodal_forces(self.mesh, p @ self._cmat_T)
 
     def solve(self, p: np.ndarray, w_nodes: np.ndarray,
               loads: np.ndarray | None = None) -> np.ndarray:
         """Displacement minimizing the incremental energy under load vector ``loads``, p frozen."""
         mesh = self.mesh
-        u = np.zeros(2 * mesh.n_nodes)
-        u[self.fixed] = w_nodes.ravel()[self.fixed]
-        # int C^eps (p - E u_fixed) : E(phi), the boundary values' forces moved over
-        F = self.plastic_load_vector(p - (mesh.B @ u).reshape(-1, 3))
+        w_fixed = w_nodes.ravel()[self.fixed]
+        # int C^eps (p - E u_fixed) : E(phi), the boundary values' forces moved over. A CSR
+        # product adds its terms from +0.0 in column order, so the terms 0.0 * B_ij of the
+        # free columns change no sum: E u_fixed is the product with B's Dirichlet columns.
+        F = self.plastic_load_vector(p - (mesh.dirichlet_B @ w_fixed).reshape(-1, 3))
         rhs = F[self.free] if loads is None else F[self.free] + loads[self.free]
         x = _band_solve(self._factor, rhs)
-        Kx = self.plastic_load_vector((mesh.B @ mesh.elements.to_dofs(x)).reshape(-1, 3))
-        u[self.free] = _guarded(Kx[self.free], x, rhs, "elastic")
+        x *= self.hooke.epsilon / self._factor_epsilon  # exact: 1, or the factor's power of 4
+        u = np.zeros(2 * mesh.n_nodes)
+        u[self.free] = x  # x on the free dofs and 0.0 on the rest: K x is the guard's product
+        Kx = self.plastic_load_vector((mesh.B @ u).reshape(-1, 3))
+        _guarded(Kx[self.free], x, rhs, "elastic")
+        u[self.fixed] = w_fixed
         return u.reshape(mesh.n_nodes, 2)
 
     def solve_tangent(self, tangent: np.ndarray, rhs: np.ndarray,
@@ -329,7 +395,7 @@ class ElasticSystem:
 
     def energy(self, e: np.ndarray) -> float:
         """(1/2) int C^eps e:e of the elastic strain e = Eu - p."""
-        return 0.5 * integrate_tensor_dot(self.mesh.areas, e @ self.cmat.T, e)
+        return 0.5 * integrate_tensor_dot(self.mesh.areas, e @ self._cmat_T, e)
 
 
 def _band_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -340,11 +406,15 @@ def _band_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
 
 def _guarded(Kx: np.ndarray, x: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """``x`` if ``Kx``, the product K x, matches rhs to the solver guard, else ``SolverError``."""
-    res = np.linalg.norm(Kx - rhs)
-    scale = np.linalg.norm(rhs) + np.linalg.norm(x) + 1.0
+    res, scale = _norm2(Kx - rhs), _norm2(rhs) + _norm2(x) + 1.0
     if not np.isfinite(res) or res > 1e-10 * scale:
         raise SolverError(f"{what} solve residual {res:.3e} exceeds tolerance")
     return x
+
+
+def _norm2(v: np.ndarray) -> float:
+    """The Euclidean norm sqrt(v . v) of a vector, as ``np.linalg.norm`` takes it."""
+    return math.sqrt(v @ v)
 
 
 def divergence_check(

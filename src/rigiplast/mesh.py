@@ -13,11 +13,12 @@ fields are nodal (P1, shape ``(n_nodes, 2)``); strain/stress fields are
 cellwise packed symmetric tensors (P0, shape ``(n_cells, 3)``).
 
 Everything derived from the mesh alone (the boundary selections, Dirichlet
-nodes, lumped mass and its reciprocal at the free dofs, the cell dofs and
-strain blocks, the strain operator built from them, its transpose and that
-in absolute value, the element map of the free dofs, the slip set of relaxed
-mode with its element map, and the load maps) is built on first use and
-kept on the mesh instance; all but the element maps are marked read-only.
+nodes, lumped mass and its reciprocal at the free dofs, the weighted cell
+areas, the cell dofs and strain blocks, the strain operator built from them,
+its Dirichlet columns, its transpose and that in absolute value, the element
+map of the free dofs, the slip set of relaxed mode with its element map, the
+Dirichlet trace map and the load maps) is built on first use and kept on the
+mesh instance; all but the element maps are marked read-only.
 """
 
 from __future__ import annotations
@@ -131,9 +132,12 @@ class Mesh:
         return _read_only(m)
 
     @cached_property
-    def packed_areas(self) -> np.ndarray:
-        """Each cell's area once per packed stress component, (3 n_cells,) in packed order."""
-        return _read_only(np.repeat(self.areas, 3))
+    def weighted_areas(self) -> np.ndarray:
+        """Each cell's area times the contraction weight of each packed stress component
+        (1, 2, 1), (3 n_cells,) in packed order."""
+        from .tensors import WEIGHTS
+
+        return _read_only((self.areas[:, None] * WEIGHTS).ravel())
 
     @cached_property
     def cell_dofs(self) -> np.ndarray:
@@ -192,6 +196,24 @@ class Mesh:
         tangents = _read_only(np.column_stack([-lo[nodes, 1], lo[nodes, 0]]))
         lengths = 0.5 * np.bincount(ends, weights=np.repeat(d.lengths, 2), minlength=self.n_nodes)
         return nodes, tangents, _read_only(lengths[nodes]), element_map(self, nodes, tangents)
+
+    @cached_property
+    def dirichlet_trace_map(self) -> sp.csr_matrix:
+        """``rigiplast.fem.gauss_trace_map`` of the Dirichlet edges."""
+        from .fem import gauss_trace_map
+
+        return _read_only(gauss_trace_map(self.n_nodes, self.dirichlet_boundary))
+
+    @cached_property
+    def dirichlet_B(self) -> sp.csr_matrix:
+        """The columns of ``B`` at the Dirichlet dofs (those off ``free_dofs``), in order: the
+        entries of B at those columns, each row's in the order B holds them."""
+        B, fixed = self.B, ~self.free_dofs
+        keep = fixed[B.indices]
+        indptr = np.append(0, np.cumsum(keep))[B.indptr]
+        column = np.cumsum(fixed) - 1  # a Dirichlet dof's place among them
+        return _read_only(sp.csr_matrix((B.data[keep], column[B.indices[keep]], indptr),
+                                        shape=(B.shape[0], int(fixed.sum()))))
 
     @cached_property
     def B_T(self) -> sp.csr_matrix:

@@ -173,7 +173,7 @@ def max_safety_margin(
     fixed, values = _flux_components(mesh, g_edges)
     loads = external_load_vector(mesh, f_cells, g_edges)[mesh.free_dofs]
     elements = mesh.elements
-    masked = mesh.packed_areas * ~fixed  # D_c = area_c M_c
+    masked = np.repeat(mesh.areas, 3) * ~fixed  # D_c = area_c M_c
     blocks = cell_blocks(mesh, masked.reshape(-1, 3, 1) * np.eye(3), elements.strains)
     factor = elements.factor(blocks, 1e-12 * elements.diagonal_of(blocks).max(), "gram")
     w = np.tile(WEIGHTS, n_cells)

@@ -19,19 +19,25 @@ step's ``StepInfo`` (no ledger).
 The limit proxy (the smallest eps) also takes the limit-system residuals step
 by step, and writes its stress and velocity-strain histories into views of one
 anonymous shared mapping (``_histories``) made before any lane starts. Every
-other eps writes its stress history into a mapping of its own, which returns
-its pages when the history is dropped.
+other eps writes its stress history into a private mapping of its own, which
+returns its pages when the history is dropped.
 
 The evolutions are independent, so the eps list runs in lanes (``_lanes``):
 contiguous runs of it, one per usable CPU and at most one per consecutive
 pair. Neighbouring lanes share their boundary eps, which runs in both, so
-every Cauchy distance is taken inside one lane. Several lanes run each in a
-child forked once the mesh and program caches and the shared mapping are
-made, and the children read those caches copy-on-write; one lane runs in the
-calling process. A lane sends back monitor arrays and distances only: no
-field crosses a pipe, and the limit's fields are read from the mapping. Each
-evolution is the same computation in any lane, so the results do not depend
-on the number of lanes.
+every Cauchy distance is taken inside one lane; the lane that starts on it
+runs it for its stresses only and takes none of its monitors. A lane shares
+one elastic factor across its evolutions: its first eps factorizes, and
+``ElasticSystem.with_epsilon`` gives each later eps a system that shares the
+factor wherever that gives the same bits (eps a power of 4 times the
+factor's eps, as for the default list), and factorizes otherwise. The factor
+lives in the lane, not in the process that forks it. Several lanes run each
+in a child forked once the mesh and program caches and the shared mapping
+are made, and the children read those caches copy-on-write; one lane runs
+in the calling process. A lane sends back monitor arrays and distances only:
+no field crosses a pipe, and the limit's fields are read from the mapping.
+Each evolution is the same computation in any lane, so the results do not
+depend on the number of lanes.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from .benchmarks import Benchmark
 # SweepConfig is re-exported: a sweep's RunConfig under the sweep's keyword names.
 from .config import RunConfig, SweepConfig
 from .evolution import RELAXED, ConvergenceError, bd_norm_surrogate, evolve
-from .fem import SolverError, divergence_check, gauss_traces, scalar_l2, strain_of, tensor_l2
+from .fem import (ElasticSystem, SolverError, dirichlet_traces, divergence_check, scalar_l2,
+                  strain_of, tensor_l2)
 
 from .tensors import ddot, dev_decompose, norm
 
@@ -70,14 +77,14 @@ class EpsTrajectory:
     """Per-time monitor values for one eps, plus its stress and velocity strain.
 
     The monitor arrays (M+1 values each) are kept for the whole sweep.
-    ``sigma`` is kept until the next eps has taken its Cauchy distance against
-    it; the lane then sets it to None, so a lane holds at most two stress
-    histories at a time, and no stress history leaves its lane. ``ev``, the
-    four limit-system residuals and ``u_final`` are computed only on the limit
-    proxy (the smallest eps) and are None on every other trajectory. The limit
-    proxy's two (M+1, n_cells, 3) fields are views of the sweep's shared
-    mapping (``_histories``), which the limit comparison and the VTK output
-    read.
+    ``_run_one_epsilon`` returns ``sigma``; the lane takes it over, to take
+    the next eps's Cauchy distance against it, and sets the field to None, so
+    a lane holds at most two stress histories at a time, and no stress
+    history leaves its lane. ``ev``, the four limit-system residuals and
+    ``u_final`` are computed only on the limit proxy (the smallest eps) and
+    are None on every other trajectory. The limit proxy's two (M+1, n_cells,
+    3) fields are views of the sweep's shared mapping (``_histories``), which
+    the limit comparison and the VTK output read.
     """
 
     epsilon: float
@@ -146,23 +153,29 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _histories(count: int, n_t: int, n_cells: int) -> np.ndarray:
-    """``count`` zeroed (n_t, n_cells, 3) histories, views of one anonymous shared mapping.
+def _histories(count: int, n_t: int, n_cells: int, shared: bool = True) -> np.ndarray:
+    """``count`` zeroed (n_t, n_cells, 3) histories, views of one anonymous mapping.
 
-    A lane forked after the mapping is made writes it in place, and the
-    parent reads it without its crossing a pipe. The mapping is unmapped when
-    the last view is dropped, so a history never leaves its pages in the heap.
+    A shared mapping (the limit's) made before the lanes fork is written by a
+    lane in place and read by the parent without its crossing a pipe. A
+    private one is a lane's own stress history: the lane writes every row of
+    it, so its pages are made in one call (``MAP_POPULATE``, on Linux) rather
+    than one fault at a time. The mapping is unmapped when the last view is
+    dropped, so a history never leaves its pages in the heap.
     """
     import mmap  # here, not at module level: `run` would pay for the import
 
     shape = (count, n_t, n_cells, 3)
-    return np.ndarray(shape, dtype=float, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
+    flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    return np.ndarray(shape, dtype=float,
+                      buffer=mmap.mmap(-1, 8 * int(np.prod(shape)), flags=flags))
 
 
 def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
-                     sigma_prev: np.ndarray | None,
+                     system: ElasticSystem, sigma_prev: np.ndarray | None,
                      limit: np.ndarray | None) -> tuple[EpsTrajectory, np.ndarray]:
-    """Stream one evolution through the monitors; return its trajectory and stress distances.
+    """Stream one evolution on ``system`` (at ``epsilon``) through the monitors; return its
+    trajectory and stress distances.
 
     The distances are, per time, the L2 distance between this evolution's
     stress and ``sigma_prev`` (zero where that is None). Only the current
@@ -175,12 +188,13 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
     mesh = benchmark.mesh
     program = benchmark.program
     yset = benchmark.yield_set
-    hooke = benchmark.hooke.with_epsilon(epsilon)
 
     times = program.times
     n_t = program.n_steps + 1
     areas = mesh.areas
     kappa = yset.radius
+    total_area = areas.sum()
+    kappa_areas = areas * kappa
 
     e_l2 = np.zeros(n_t)
     sigma_l2 = np.zeros(n_t)
@@ -191,15 +205,15 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
     diss_rate = np.zeros(n_t)
     distance = np.zeros(n_t)
     if limit is None:
-        sigma_all, ev_all = _histories(1, n_t, mesh.n_cells)[0], None
+        sigma_all, ev_all = _histories(1, n_t, mesh.n_cells, shared=False)[0], None
         eq_interior = eq_flux = div_v_l2 = normal_gap = None
     else:
         sigma_all, ev_all = limit
         eq_interior, eq_flux, div_v_l2, normal_gap = (np.zeros(n_t) for _ in range(4))
 
-    dirichlet = mesh.dirichlet_boundary
+    normals = mesh.dirichlet_boundary.normals
     infos = []
-    for k, (st, info) in enumerate(evolve(program, hooke, yset, mode=config.boundary_mode,
+    for k, (st, info) in enumerate(evolve(program, system, yset, mode=config.boundary_mode,
                                           stress_tol=config.stress_tol)):
         infos.append(info)
         e_l2[k] = tensor_l2(areas, st.e)
@@ -207,7 +221,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         u_bd[k] = bd_norm_surrogate(mesh, st.u, st.eu_norm)
         div_u_l2[k] = scalar_l2(areas, st.eu[:, 0] + st.eu[:, 2])
         hydro = 0.5 * (st.sigma[:, 0] + st.sigma[:, 2])
-        hydro_mean = float((areas * hydro).sum() / areas.sum())
+        hydro_mean = float((areas * hydro).sum() / total_area)
         hydro_dev[k] = scalar_l2(areas, hydro - hydro_mean)
         sigma_all[k] = st.sigma
         if sigma_prev is not None:
@@ -224,13 +238,13 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
             if worst < -1e-12 * scale:
                 raise AssertionError(f"flow-rule gap negative ({worst:.3e}) at step {k}")
             flow_gap_rate[k] = float((areas * gap_cells).sum())
-            diss_rate[k] = float((areas * kappa * ev_norm).sum())
+            diss_rate[k] = float((kappa_areas * ev_norm).sum())
         if ev_all is not None:  # the limit-system residuals, on the histories' rows
             eq_interior[k], eq_flux[k] = divergence_check(sigma_all[k], mesh, None, program.g[k],
                                                           program.loads[k])
             div_v_l2[k] = scalar_l2(areas, ev_all[k, :, 0] + ev_all[k, :, 2])
-            gv = gauss_traces(program.w[k] - st.u, dirichlet)
-            normal_gap[k] = np.abs((gv * dirichlet.normals).sum(axis=-1)).max(initial=0.0)
+            gv = dirichlet_traces(program.w[k] - st.u, mesh)
+            normal_gap[k] = np.abs((gv * normals).sum(axis=-1)).max(initial=0.0)
         u_prev = st.u
 
     trajectory = EpsTrajectory(
@@ -243,6 +257,20 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         u_final=None if limit is None else u_prev,
     )
     return trajectory, distance
+
+
+def _stress_history(benchmark: Benchmark, config: RunConfig,
+                    system: ElasticSystem) -> np.ndarray:
+    """The stress of every state of one evolution on ``system``, on a private mapping of its
+    own: what a lane needs of the epsilon it shares with the lane before it. Its steps run
+    every check of a step; its monitors, and the flow-rule gap among them, are taken by
+    the lane before, on the same evolution."""
+    program = benchmark.program
+    sigma_all = _histories(1, program.n_steps + 1, benchmark.mesh.n_cells, shared=False)[0]
+    for k, (st, _) in enumerate(evolve(program, system, benchmark.yield_set,
+                                       mode=config.boundary_mode, stress_tol=config.stress_tol)):
+        sigma_all[k] = st.sigma
+    return sigma_all
 
 
 def _lanes(n_eps: int) -> list[range]:
@@ -262,9 +290,9 @@ def _build_shared(benchmark: Benchmark, mode: str) -> None:
     """Build the mesh and program caches that every evolution and its monitors read, so
     that lanes forked afterwards share them copy-on-write instead of each building them."""
     mesh = benchmark.mesh
-    _ = (mesh.B_T, mesh.abs_B_T, mesh.packed_areas, mesh.elements, mesh.lumped_mass,
-         mesh.free_inv_mass, mesh.dirichlet_boundary, mesh.free_dofs, mesh.neumann_boundary,
-         benchmark.program.loads)
+    _ = (mesh.B_T, mesh.abs_B_T, mesh.dirichlet_B, mesh.weighted_areas, mesh.elements,
+         mesh.lumped_mass, mesh.free_inv_mass, mesh.dirichlet_boundary, mesh.dirichlet_trace_map,
+         mesh.free_dofs, mesh.neumann_boundary, benchmark.program.loads)
     if mode == RELAXED:
         _ = mesh.slip_set
 
@@ -274,34 +302,43 @@ def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
     """Run the epsilons ``lane`` indexes in order; return their trajectories and the Cauchy
     distance of each consecutive pair.
 
-    A lane that starts on the previous lane's last epsilon runs it again only
-    for its stresses and leaves its trajectory out. The sweep's last epsilon
-    writes its fields into ``limit`` (``_histories``); no trajectory the
-    lane returns carries a field.
+    The lane's first epsilon factorizes the elastic stiffness, and every later
+    one takes its system from the one before by ``ElasticSystem.with_epsilon``,
+    which shares that factor whenever the bits allow (for the default
+    epsilons 4^-k, always). A lane that starts on the previous lane's last
+    epsilon runs it again only for its stresses (``_stress_history``) and
+    takes none of its monitors. The sweep's last epsilon writes its fields
+    into ``limit`` (``_histories``); no trajectory the lane returns carries a
+    field.
     """
     epsilons = config.epsilon_list
     last = len(epsilons) - 1
     times = benchmark.program.times
     trajectories, cauchy = [], []
+    system = sigma_prev = None
     for i in lane:
         eps = epsilons[i]
-        prev = trajectories[-1] if trajectories else None
         try:
-            tr, distance = _run_one_epsilon(benchmark, eps, config,
-                                            None if prev is None else prev.sigma,
+            system = (ElasticSystem(benchmark.mesh, benchmark.hooke.with_epsilon(eps))
+                      if system is None else system.with_epsilon(eps))
+            if i == lane[0] and i > 0:
+                sigma_prev = _stress_history(benchmark, config, system)
+                continue
+            tr, distance = _run_one_epsilon(benchmark, eps, config, system, sigma_prev,
                                             limit if i == last else None)
         except (ConvergenceError, SolverError) as exc:
             step = getattr(exc, "step_index", None)
             where = f"epsilon={eps:g}" if step is None else f"epsilon={eps:g}, step {step}"
             exc.args = (f"{where}: {exc}",)
             raise
-        if prev is not None:
+        if sigma_prev is not None:
             cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
-            prev.sigma = None  # not needed past this distance
+        sigma_prev = tr.sigma
+        tr.sigma = None  # a lane returns no field; ``sigma_prev`` keeps it for the next distance
         trajectories.append(tr)
-    # the next lane runs this epsilon again, or it is the limit, whose fields are in ``limit``
-    trajectories[-1].sigma = trajectories[-1].ev = None
-    return trajectories[1:] if lane[0] else trajectories, cauchy
+    # the next lane runs the last epsilon again, or it is the limit, whose fields are in ``limit``
+    trajectories[-1].ev = None
+    return trajectories, cauchy
 
 
 def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range,

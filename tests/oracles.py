@@ -160,7 +160,8 @@ def flux_residual_loop(mesh, sigma, g_edges):
 
 def strain_matrix_loop(mesh):
     """The strain operator B assembled in COO form vertex by vertex, from the gradients of the
-    barycentric functions; rows (cell, e11/e12/e22), columns the interleaved nodal dofs."""
+    barycentric functions; rows (cell, e11/e12/e22), columns the interleaved nodal dofs, and
+    only its nonzero entries kept."""
     v = mesh.nodes[mesh.triangles]
     x, y = v[..., 0], v[..., 1]
     a2 = 2.0 * mesh.areas
@@ -179,5 +180,6 @@ def strain_matrix_loop(mesh):
         # e22 = du2/dy
         rows.append(cell_rows + 2); cols.append(dofy); vals.append(gy[:, a])
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(3 * mesh.n_cells, 2 * mesh.n_nodes)).tocsr()
+    B = sp.coo_matrix((vals, (rows, cols)), shape=(3 * mesh.n_cells, 2 * mesh.n_nodes)).tocsr()
+    B.eliminate_zeros()
+    return B

@@ -270,18 +270,18 @@ class TestRunEvolutionEdges:
 
     def test_unknown_mode_fails_before_building(self, monkeypatch):
         built = []
-        system = evolution.ElasticSystem
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return system(*args, **kwargs)
-
-        monkeypatch.setattr(evolution, "ElasticSystem", counted)
+        monkeypatch.setattr(evolution, "slip_nodes_of", built.append)
+        monkeypatch.setattr(evolution.SlipNodes, "none", built.append)
         mesh = build_square_mesh(2, FACES)
         prog = zero_program(mesh)
         with pytest.raises(ValueError, match="unknown boundary mode 'slippery'"):
-            next(evolve(prog, HOOKE, YSET, mode="slippery"))
+            next(evolve(prog, ElasticSystem(mesh, HOOKE), YSET, mode="slippery"))
         assert built == []
+
+    def test_system_must_be_on_the_programs_mesh(self):
+        prog = zero_program(build_square_mesh(2, FACES))
+        with pytest.raises(ValueError, match="not on the mesh the program was made on"):
+            next(evolve(prog, ElasticSystem(build_square_mesh(2, FACES), HOOKE), YSET))
 
     def test_mesh_must_be_the_programs(self):
         prog = zero_program(build_square_mesh(2, FACES))
@@ -328,7 +328,7 @@ def test_step_info_carries_the_state_energy(bench_id, epsilon, mode):
     hooke = bench.hooke.with_epsilon(epsilon)
     system = ElasticSystem(bench.mesh, hooke)
     ledger = EnergyLedger.zeros(bench.program.times)
-    steps = ledger.record(evolve(bench.program, hooke, bench.yield_set, mode=mode),
+    steps = ledger.record(evolve(bench.program, system, bench.yield_set, mode=mode),
                           bench.program)
     energies = [(info.elastic_energy, system.energy(state.e)) for state, info in steps]
     assert all(ours == want for ours, want in energies)

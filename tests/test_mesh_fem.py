@@ -210,6 +210,42 @@ class TestElasticSolve:
         with pytest.raises(SolverError, match="elastic solve residual"):
             system.solve(p, w, None)
 
+    @pytest.mark.parametrize("name, n", [("SHEAR", 32), ("TRACTION", 16)])
+    def test_a_shared_factor_solves_as_its_own_factor(self, monkeypatch, name, n):
+        """For eps = 4^-k the system ``with_epsilon`` makes from eps = 1 factorizes nothing,
+        and its solves equal those of a system with its own factor of K(eps) bit for bit."""
+        bench = benchmark_catalog(name, mesh_n=n, n_steps=4)
+        mesh, program = bench.mesh, bench.program
+        p = np.random.default_rng(7).standard_normal((mesh.n_cells, 3)) * 1e-3
+        p[:, 2] = -p[:, 0]
+        widths = record_band_widths(monkeypatch)
+        system = ElasticSystem(mesh, bench.hooke.with_epsilon(1.0))
+        for k in range(1, 7):
+            epsilon = 4.0 ** -k
+            system = system.with_epsilon(epsilon)
+            assert len(widths) == k  # the factor of eps = 1, then one per ``own``
+            own = ElasticSystem(mesh, bench.hooke.with_epsilon(epsilon))
+            for step in (1, len(program.times) - 1):
+                got = system.solve(p, program.w[step], program.loads[step])
+                want = own.solve(p, program.w[step], program.loads[step])
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("base, epsilon, shared", [
+        (1.0, 0.5, False), (1.0, 0.3, False), (1.0, 2.0 ** -13, False), (1.0, 4.0, True),
+        (0.3, 0.3 / 4, True), (0.3, 0.3 / 16, True), (0.3, 0.1, False)])
+    def test_only_a_power_of_4_shares_the_factor(self, monkeypatch, base, epsilon, shared):
+        """``with_epsilon`` shares the factor where epsilon over the factor's epsilon is a
+        power of 4, and factorizes afresh otherwise; either way it solves as its own would."""
+        mesh = build_square_mesh(4, ALL)
+        widths = record_band_widths(monkeypatch)
+        system = ElasticSystem(mesh, HookeTensor(1.0, 1.0, base)).with_epsilon(epsilon)
+        assert len(widths) == (1 if shared else 2)
+        own = ElasticSystem(mesh, HookeTensor(1.0, 1.0, epsilon))
+        p = np.tile([1e-3, -2e-3, -1e-3], (mesh.n_cells, 1))
+        assert np.array_equal(system.solve(p, shear_field(mesh), None),
+                              own.solve(p, shear_field(mesh), None))
+
     @pytest.mark.parametrize("name", ["SHEAR", "TRACTION"])
     def test_band_stays_narrow(self, monkeypatch, name):
         # the grid order gives K_ff a half-bandwidth of about 2n

@@ -12,8 +12,8 @@ import pytest
 
 from oracles import cauchy_distances_all_pairs
 
-from rigiplast import cli, sweep
-from rigiplast.config import ConfigError, RunConfig, parse_config
+from rigiplast import cli, evolution, sweep
+from rigiplast.config import DEFAULT_EPSILONS, ConfigError, RunConfig, parse_config
 from rigiplast.evolution import ConvergenceError, run_evolution
 from rigiplast.fem import divergence_check, scalar_l2
 from rigiplast.sweep import (
@@ -410,6 +410,58 @@ class TestLanes:
         built = set(vars(bench.mesh)), set(vars(bench.program))
         sweep._run_lane(bench, config, range(2), sweep._histories(2, 5, bench.mesh.n_cells))
         assert (set(vars(bench.mesh)), set(vars(bench.program))) == built
+
+    @pytest.mark.parametrize("epsilons, cpus, want", [
+        (DEFAULT_EPSILONS, 1, 1), (DEFAULT_EPSILONS, 2, 2),
+        ((1.0, 0.5, 0.25, 0.125), 1, 4), ((1.0, 0.3, 0.09), 1, 3), ((1.0, 0.3, 0.075), 1, 2),
+    ], ids=["default-1-lane", "default-2-lanes", "ratio-0.5", "ratio-0.3", "ratio-0.3-then-4"])
+    def test_a_lane_factorizes_once_per_power_of_4(self, monkeypatch, epsilons, cpus, want):
+        """A lane factorizes the elastic stiffness at its first epsilon, and again only where
+        an epsilon is not a power of 4 times the last factorized one: once per lane for the
+        default epsilons 4^-k (1 factorization on one lane, 2 on two, not 7 and 8), once per
+        epsilon for a list with ratio 0.5 or 0.3."""
+        _pin_cpus(monkeypatch, cpus)
+        config = SweepConfig(epsilons=epsilons, benchmark="SHEAR", mesh_n=4, n_steps=4)
+        bench = config.build_benchmark()
+        sweep._build_shared(bench, config.boundary_mode)
+        factorizations = []
+        factor = type(bench.mesh.elements).factor
+
+        def counted(self, blocks, diagonal, what):
+            factorizations.append(what)
+            return factor(self, blocks, diagonal, what)
+
+        monkeypatch.setattr(type(bench.mesh.elements), "factor", counted)
+        limit = sweep._histories(2, 5, bench.mesh.n_cells)
+        for lane in sweep._lanes(len(epsilons)):  # in this process, so that the count is seen
+            sweep._run_lane(bench, config, lane, limit)
+        assert factorizations.count("elastic") == want
+
+    def test_the_roundoff_floor_is_taken_only_where_the_predictor_misses(self, monkeypatch):
+        """On the shear_sweep config (SHEAR, n=32, M=64, the default epsilons) every step ends
+        at its predictor, and the round-off floor is taken on exactly the 182 of the 448 steps
+        whose predictor residual exceeds ``stress_tol * kappa``: only there can it decide."""
+        _pin_cpus(monkeypatch, 1)
+        config = SweepConfig(benchmark="SHEAR", mesh_n=32, n_steps=64)
+        threshold = config.stress_tol * config.yield_radius
+        residuals, floors = [], []
+        residual, floor = evolution._Step.residual, evolution._Step.roundoff_floor
+
+        def recorded_residual(self, it):
+            residuals.append(residual(self, it))
+            return residuals[-1]
+
+        def recorded_floor(self, it):
+            floors.append(residual(self, it))  # the residual of the step that takes it
+            return floor(self, it)
+
+        monkeypatch.setattr(evolution._Step, "residual", recorded_residual)
+        monkeypatch.setattr(evolution._Step, "roundoff_floor", recorded_floor)
+        run_sweep(config)
+        assert len(residuals) == 7 * 64  # one per step: no step took a Newton step
+        missed = [r for r in residuals if r > threshold]
+        assert len(missed) == 182
+        assert floors == missed
 
     def test_first_failing_epsilon_is_reported(self, monkeypatch, tmp_path):
         """Beyond the limit load every eps fails; several lanes report the first, as one does."""

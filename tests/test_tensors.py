@@ -306,6 +306,45 @@ class TestRadialReturn:
             radial_return(np.array([1.0, 0.0, 0.0]), np.zeros(3), hooke, YieldSet(1.0))
 
 
+# trace-free rows (a, b, -a) with a and b drawn with signed zeros among them
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0, allow_subnormal=False))
+_DEV_ROWS = st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=12).map(
+    lambda rows: np.array([[a, b, -a] for a, b in rows]))
+
+
+class TestAllPlasticBranch:
+    """Where every cell is plastic, ``radial_return`` takes a branch without masks. It returns
+    what the general branch returns for the same cells bit for bit, signed zeros included;
+    a cell with no trial stress appended forces the general branch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(e_dev=_DEV_ROWS, p_old=_DEV_ROWS, epsilon=st.sampled_from([1.0, 0.25, 2.0 ** -12]))
+    def test_same_bits_as_the_general_branch(self, e_dev, p_old, epsilon):
+        n = min(len(e_dev), len(p_old))
+        e_dev, p_old = e_dev[:n], p_old[:n]
+        hooke, yset = HookeTensor(1.0, 3.0, epsilon), YieldSet(0.1)
+        plastic = norm(hooke.scaled_shear * (e_dev - p_old)) > yset.radius
+        e_dev, p_old = e_dev[plastic], p_old[plastic]
+        if not len(e_dev):
+            return
+        p_new, sigma_dev = radial_return(e_dev, p_old, hooke, yset)
+        zero = np.zeros((1, 3))
+        p_mixed, sigma_mixed = radial_return(np.vstack([e_dev, zero]), np.vstack([p_old, zero]),
+                                             hooke, yset)
+        for got, want in ((p_new, p_mixed[:-1]), (sigma_dev, sigma_mixed[:-1])):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_a_single_plastic_tensor(self):
+        hooke, yset = HookeTensor(1.0, 1.0, 1.0), YieldSet(1.0)
+        e_dev, p_old = np.array([1.0, -0.0, -1.0]), np.array([0.0, 0.5, -0.0])
+        p_new, sigma_dev = radial_return(e_dev, p_old, hooke, yset)
+        p_row, sigma_row = radial_return(np.vstack([e_dev, np.zeros(3)]),
+                                         np.vstack([p_old, np.zeros(3)]), hooke, yset)
+        assert p_new.shape == sigma_dev.shape == (3,)
+        assert np.array_equal(p_new, p_row[0]) and np.array_equal(sigma_dev, sigma_row[0])
+
+
 class TestRequireDeviatoric:
     """The early return on small traces keeps the verdict of the per-entry bound
     |tr a| <= DEV_TOL * max(1, |a|), and the message."""
