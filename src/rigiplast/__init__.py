@@ -33,6 +33,7 @@ from .fem import ElasticSystem, SolverError, divergence_check, strain_of
 from .mesh import Mesh, build_square_mesh
 from .safeload import SafeLoadCertificate, max_safety_margin, verify_safe_load
 from .sweep import (
+    LimitFields,
     RateFit,
     ResidualReport,
     SweepConfig,

@@ -93,10 +93,10 @@ def _cmd_sweep(config: RunConfig, out: Path) -> dict:
             fits[name] = {"error": str(exc)}
 
     residuals = rigid_residuals(report)
-    tr = report.limit_proxy
+    limit = report.limit_proxy
     write_vtk(out / "fields_limit.vtk", report.benchmark.mesh,
-              point_vectors={"displacement": tr.u_final},
-              cell_tensors={"stress": tr.sigma[-1]})
+              point_vectors={"displacement": limit.u_final},
+              cell_tensors={"stress": limit.sigma[-1]})
     body = report.summary_dict()
     body["fits"] = fits
     body["residual_maxima"] = residuals.maxima()

@@ -8,8 +8,8 @@ over displacements matching the boundary datum and deviatoric plastic strains.
 The closed-form cellwise return map eliminates p, which leaves a convex C^1
 functional of u alone (a Moreau envelope). A semismooth Newton method with
 the consistent tangent of the return map minimizes it; an Armijo line search
-keeps the functional decreasing, and one alternating step (elastic solve with
-p frozen) stands in where a Newton direction fails. ``_stop`` is the one stop
+keeps the functional decreasing, and a step whose Newton direction fails
+retries from the same iterate, damped harder. ``_stop`` is the one stop
 rule: a step ends "converged", "stalled" or at its "iteration cap". A step
 converges once its residual is at most ``stress_tol * kappa`` or the
 predictor's round-off floor; the floor is taken only when the predictor
@@ -287,9 +287,9 @@ class EnergyLedger:
 class StepInfo:
     """What the inner solver did in one step.
 
-    ``residual`` is the final free-dof residual in the lumped dual norm,
-    ``backtracks`` counts the line-search step halvings and ``fallbacks`` the
-    alternating steps taken where a Newton direction failed.
+    ``residual`` is the final free-dof residual in the lumped dual norm and
+    ``backtracks`` counts the line-search step halvings; ``iterations``
+    counts a retry after a failed direction as a Newton step.
     ``max_sigma_dev`` is the largest norm of the deviatoric stress as the
     return map capped it, before the spherical part is added.
     ``dissipation`` is the step's dissipation increment, volume plus boundary
@@ -301,7 +301,6 @@ class StepInfo:
     decreases: tuple
     residual: float
     backtracks: int
-    fallbacks: int
     max_sigma_dev: float
     dissipation: float
     plastic_fraction: float
@@ -327,8 +326,8 @@ class _Iterate:
     grad: np.ndarray     # B^T(area W sigma) - F on the Newton unknowns: free dofs, then slips
 
 
-# Armijo sufficient-decrease constant and the most step halvings before the
-# alternating fallback; multiple of eps_mach * (operand magnitudes) below
+# Armijo sufficient-decrease constant and the most step halvings before a
+# line search gives out; multiple of eps_mach * (operand magnitudes) below
 # which a residual is round-off; change of the functional, relative to
 # 1 + |value|, that counts as round-off.
 _ARMIJO = 1e-4
@@ -336,9 +335,9 @@ _MAX_BACKTRACKS = 30
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 _SLACK = 1e-12
 # Levenberg-Marquardt damping of the Newton system by a multiple of the
-# elastic stiffness diagonal: raised after a failed direction or a step that
-# needed more than two halvings, lowered after any other step, zero below the
-# minimum (the slip dofs keep the minimum).
+# elastic stiffness diagonal: raised after a failed direction (retried from
+# the same iterate) or a step that needed more than two halvings, lowered
+# after any other step, zero below the minimum (the slip dofs keep the minimum).
 _DAMPING_MIN = 1e-6
 _DAMPING_GROWTH = 10.0
 # The stall length and the iteration cap of ``_stop``, in Newton steps.
@@ -356,8 +355,8 @@ def _stop(residuals: list, threshold: float) -> str | None:
       * kappa``, or the predictor's round-off floor where the predictor misses
       that and the floor is larger); a predictor that passes needs no Newton
       step;
-    * ``"stalled"``: ``_MAX_STALLED`` Newton steps in a row set no new
-      smallest residual (past the limit load, round-off swamps the residual);
+    * ``"stalled"``: ``_MAX_STALLED`` Newton steps in a row, retries included,
+      set no new smallest residual (past the limit load, round-off swamps it);
     * ``"iteration cap"``: ``_MAX_ITERS`` Newton steps are taken.
     """
     if residuals[-1] <= threshold:
@@ -513,11 +512,11 @@ def incremental_step(
     from ``consistent_tangent``, and an Armijo line search on the functional
     (a full step whose change is round-off is accepted too). Where the
     tangent is singular, the direction does not descend or the line search
-    gives out, one alternating step (elastic solve with p frozen, then the
-    return map) is taken instead, and later Newton systems are damped by a
-    multiple of the elastic stiffness diagonal until a step succeeds again
-    (Levenberg-Marquardt), for the nearly singular tangents near the limit
-    load and of a face that slides as a whole. ``w_nodes`` is the step's
+    gives out, the step stays at its iterate and retries with the Newton
+    system damped ten times harder by a multiple of the elastic stiffness
+    diagonal (Levenberg-Marquardt), for the nearly singular tangents near the
+    limit load and of a face that slides as a whole; a retry adds a zero
+    decrease and repeats its residual. ``w_nodes`` is the step's
     datum and ``w_prev_nodes`` that of ``state_prev``; ``loads`` is the
     step's load dof vector; ``slip`` the slip set (none by default: strong
     mode), with one previous slip per node in ``state_prev.boundary_slip``.
@@ -545,16 +544,14 @@ def incremental_step(
     threshold = stress_tol * yield_set.radius
     if residuals[0] > threshold:  # only then can the round-off floor decide a stop
         threshold = max(threshold, step.roundoff_floor(it))
-    backtracks, fallbacks, damping = 0, 0, 0.0
+    backtracks, damping = 0, 0.0
     while (why := _stop(residuals, threshold)) is None:
         direction = step.newton_direction(it, damping)
         new, halvings = (None, 0) if direction is None else step.line_search(it, direction)
         backtracks += halvings
         damping = (max(_DAMPING_GROWTH * damping, _DAMPING_MIN) if new is None or halvings > 2
                    else damping / _DAMPING_GROWTH if damping > _DAMPING_MIN else 0.0)
-        if new is None:
-            fallbacks += 1
-            new = step.elastic(it.p, it.z)
+        new = it if new is None else new  # a failed direction retries from the same iterate
         decreases.append(it.value - new.value)
         if decreases[-1] < -_SLACK * (1.0 + abs(new.value)):
             raise AssertionError(f"incremental functional increased by {-decreases[-1]:.3e} "
@@ -578,7 +575,7 @@ def incremental_step(
         raise AssertionError("incremental minimum above the lifted previous state")
     state.check(yield_set)
     return state, StepInfo(iterations=len(residuals), decreases=tuple(decreases),
-                           residual=residuals[-1], backtracks=backtracks, fallbacks=fallbacks,
+                           residual=residuals[-1], backtracks=backtracks,
                            max_sigma_dev=float(norm(it.sigma_dev).max()),
                            dissipation=it.dissipation,
                            plastic_fraction=np.count_nonzero(it.dp_norm > 0) / it.dp_norm.size,
@@ -609,7 +606,7 @@ def evolve(
         raise ValueError("system is not on the mesh the program was made on")
     slip = slip_nodes_of(system) if mode == RELAXED else SlipNodes.none(program.mesh)
     prev = replace(FEState.zeros(program.mesh, slip.count), t=float(program.times[0]))
-    yield prev, StepInfo(0, (), 0.0, 0, 0, 0.0, 0.0, 0.0, 0.0)
+    yield prev, StepInfo(0, (), 0.0, 0, 0.0, 0.0, 0.0, 0.0)
 
     for k in range(1, program.n_steps + 1):
         try:

@@ -19,10 +19,10 @@ SCHEMA_VERSION = "rigiplast-summary-v2"
 def _cell(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):  # before int: a CSV cell is most often a float
+        return repr(float(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
     return str(x)
 
 

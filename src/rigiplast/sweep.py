@@ -15,12 +15,12 @@ Each evolution is streamed: the monitors, the velocity and the distance to the
 previous eps are taken step by step as ``evolve`` yields the states, each
 state's strain, |Eu| and dev sigma are the ones its step's check took, and the
 deviatoric stress bound and the plastic increment mass are read off each
-step's ``StepInfo`` (no ledger).
-The limit proxy (the smallest eps) also takes the limit-system residuals step
-by step, and writes its stress and velocity-strain histories into views of one
-anonymous shared mapping (``_histories``) made before any lane starts. Every
-other eps writes its stress history into a private mapping of its own, which
-returns its pages when the history is dropped.
+step's ``StepInfo`` (no ledger); an ``EpsTrajectory`` holds them and no field.
+The limit proxy (the smallest eps) also writes its ``LimitFields``: its stress
+and velocity-strain histories, the limit-system residuals, taken step by step,
+and its final displacement, views of one anonymous shared mapping made before
+any lane starts. Every other eps writes its stress history into a private
+mapping of its own (``_histories``), which returns its pages when dropped.
 
 The evolutions are independent, so the eps list runs in lanes (``_lanes``):
 contiguous runs of it, one per usable CPU and at most one per consecutive
@@ -34,8 +34,8 @@ factor's eps, as for the default list), and factorizes otherwise. The factor
 lives in the lane, not in the process that forks it. Several lanes run each
 in a child forked once the mesh and program caches and the shared mapping
 are made, and the children read those caches copy-on-write; one lane runs
-in the calling process. A lane sends back monitor arrays and distances only:
-no field crosses a pipe, and the limit's fields are read from the mapping.
+in the calling process. A lane sends back (M+1,) monitor arrays and
+distances only: no field crosses a pipe.
 Each evolution is the same computation in any lane, so the results do not
 depend on the number of lanes.
 """
@@ -43,7 +43,8 @@ depend on the number of lanes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -72,19 +73,12 @@ CSV_HEADER = ("epsilon,time,e_l2,sigma_l2,sigma_dev_max,dp_mass_cum,u_bd,"
               "div_u_l2,hydro_dev,flow_gap_rate,diss_rate")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpsTrajectory:
-    """Per-time monitor values for one eps, plus its stress and velocity strain.
+    """Per-time monitor values for one eps (M+1 values each), kept for the whole sweep.
 
-    The monitor arrays (M+1 values each) are kept for the whole sweep.
-    ``_run_one_epsilon`` returns ``sigma``; the lane takes it over, to take
-    the next eps's Cauchy distance against it, and sets the field to None, so
-    a lane holds at most two stress histories at a time, and no stress
-    history leaves its lane. ``ev``, the four limit-system residuals and
-    ``u_final`` are computed only on the limit proxy (the smallest eps) and
-    are None on every other trajectory. The limit proxy's two (M+1, n_cells,
-    3) fields are views of the sweep's shared mapping (``_histories``), which
-    the limit comparison and the VTK output read.
+    A trajectory carries no field: ``_run_one_epsilon`` returns the stress
+    history beside it, and the limit's fields are its ``LimitFields``.
     """
 
     epsilon: float
@@ -97,13 +91,36 @@ class EpsTrajectory:
     hydro_dev: np.ndarray
     flow_gap_rate: np.ndarray     # index k is the rate on (t_{k-1}, t_k]; entry 0 is 0
     diss_rate: np.ndarray
-    normal_gap: np.ndarray | None   # sup over Gamma_D of |(w - u) . nu|
-    sigma: np.ndarray | None      # (M+1, n_cells, 3)
-    ev: np.ndarray | None         # (M+1, n_cells, 3), entry 0 is 0
-    equilibrium_interior: np.ndarray | None   # the residuals of ``divergence_check``
-    equilibrium_flux: np.ndarray | None
-    div_v_l2: np.ndarray | None   # ||div v||_2 of the velocity strain, entry 0 is 0
-    u_final: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class LimitFields:
+    """The fields and limit-system residuals of the limit proxy (the smallest eps).
+
+    Every array is a view of one anonymous shared mapping (``shared``) that
+    ``run_sweep`` makes before any lane forks; the limit's lane writes every
+    row in place, and the sweep's process reads them without their crossing
+    a pipe.
+    """
+
+    sigma: np.ndarray                 # (M+1, n_cells, 3)
+    ev: np.ndarray                    # (M+1, n_cells, 3), entry 0 is 0
+    equilibrium_interior: np.ndarray  # (M+1,), the residuals of ``divergence_check``
+    equilibrium_flux: np.ndarray      # (M+1,)
+    div_v_l2: np.ndarray              # (M+1,), ||div v||_2 of ``ev``
+    normal_gap: np.ndarray            # (M+1,), sup over Gamma_D of |(w - u) . nu|
+    u_final: np.ndarray               # (n_nodes, 2)
+
+    @classmethod
+    def shared(cls, n_t: int, n_cells: int, n_nodes: int) -> "LimitFields":
+        """Zeroed fields for ``n_t`` grid times, sliced from one ``MAP_SHARED`` mapping."""
+        import mmap  # here, not at module level: `run` would pay for the import
+
+        shapes = [(n_t, n_cells, 3)] * 2 + [(n_t,)] * 4 + [(n_nodes, 2)]
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        flat = np.ndarray(sum(sizes), buffer=mmap.mmap(-1, 8 * sum(sizes), flags=mmap.MAP_SHARED))
+        views = np.split(flat, np.cumsum(sizes)[:-1])
+        return cls(*(view.reshape(shape) for view, shape in zip(views, shapes)))
 
 
 @dataclass
@@ -113,15 +130,16 @@ class SweepReport:
     ``benchmark`` is the one the sweep built and ran; the residuals and the
     limit-field output reuse it. ``cauchy_distances[i]`` is the L2-in-time,
     L2-in-space distance between the stresses at eps i and i+1, taken time by
-    time while eps i+1 runs, in the lane that runs both; only ``limit_proxy``
-    keeps its fields past the next eps, as views of one shared mapping that
-    its lane wrote.
+    time while eps i+1 runs, in the lane that runs both. ``limit_proxy`` holds
+    the fields of the smallest eps, the only ones kept past the next eps, as
+    views of the shared mapping that its lane wrote.
     """
 
     config: RunConfig
     benchmark: Benchmark
     times: np.ndarray
     trajectories: list[EpsTrajectory]
+    limit_proxy: LimitFields
     metrics: dict[str, np.ndarray]
     cauchy_distances: np.ndarray
     mesh_signature: tuple
@@ -130,17 +148,13 @@ class SweepReport:
     def epsilons(self) -> np.ndarray:
         return np.array([t.epsilon for t in self.trajectories])
 
-    @property
-    def limit_proxy(self) -> EpsTrajectory:
-        """Fields at the smallest eps in the list."""
-        return self.trajectories[-1]
-
     def csv_rows(self):
+        """One row of Python floats per (eps, time): the epsilon, the time, then the monitors
+        in the order of ``EpsTrajectory``'s fields, which is ``CSV_HEADER``'s."""
+        times = self.times.tolist()
         for tr in self.trajectories:
-            for k, t in enumerate(self.times):
-                yield (tr.epsilon, t, tr.e_l2[k], tr.sigma_l2[k], tr.sigma_dev_max[k],
-                       tr.dp_mass_cum[k], tr.u_bd[k], tr.div_u_l2[k], tr.hydro_dev[k],
-                       tr.flow_gap_rate[k], tr.diss_rate[k])
+            monitors = [getattr(tr, field.name).tolist() for field in fields(tr)[1:]]
+            yield from zip(repeat(tr.epsilon), times, *monitors)
 
     def summary_dict(self) -> dict:
         out = {"epsilons": [tr.epsilon for tr in self.trajectories]}
@@ -153,37 +167,34 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _histories(count: int, n_t: int, n_cells: int, shared: bool = True) -> np.ndarray:
-    """``count`` zeroed (n_t, n_cells, 3) histories, views of one anonymous mapping.
+def _histories(n_t: int, n_cells: int) -> np.ndarray:
+    """A zeroed (n_t, n_cells, 3) stress history, a view of a private anonymous mapping.
 
-    A shared mapping (the limit's) made before the lanes fork is written by a
-    lane in place and read by the parent without its crossing a pipe. A
-    private one is a lane's own stress history: the lane writes every row of
-    it, so its pages are made in one call (``MAP_POPULATE``, on Linux) rather
-    than one fault at a time. The mapping is unmapped when the last view is
-    dropped, so a history never leaves its pages in the heap.
+    The lane that makes it writes every row, so its pages are made in one call
+    (``MAP_POPULATE``, on Linux) rather than one fault at a time. The mapping
+    is unmapped when the last view is dropped, so a history never leaves its
+    pages in the heap.
     """
     import mmap  # here, not at module level: `run` would pay for the import
 
-    shape = (count, n_t, n_cells, 3)
-    flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-    return np.ndarray(shape, dtype=float,
-                      buffer=mmap.mmap(-1, 8 * int(np.prod(shape)), flags=flags))
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    return np.ndarray((n_t, n_cells, 3), dtype=float,
+                      buffer=mmap.mmap(-1, 8 * n_t * n_cells * 3, flags=flags))
 
 
 def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
                      system: ElasticSystem, sigma_prev: np.ndarray | None,
-                     limit: np.ndarray | None) -> tuple[EpsTrajectory, np.ndarray]:
+                     limit: LimitFields | None) -> tuple[EpsTrajectory, np.ndarray, np.ndarray]:
     """Stream one evolution on ``system`` (at ``epsilon``) through the monitors; return its
-    trajectory and stress distances.
+    trajectory, its stress history and its stress distances.
 
     The distances are, per time, the L2 distance between this evolution's
     stress and ``sigma_prev`` (zero where that is None). Only the current
     state and the previous displacement are held while the evolution runs.
-    ``limit``, for the limit eps only, is the (sigma, ev) pair of histories to
-    write (``_histories``); that evolution also takes the limit-system
-    residuals step by step and keeps its final displacement. Every other eps
-    keeps a private stress history, on a mapping of its own.
+    ``limit`` is given for the limit eps only: that evolution writes its
+    stress history, its velocity strains, the limit-system residuals, step by
+    step, and its final displacement into it. Every other eps keeps a private
+    stress history (``_histories``).
     """
     mesh = benchmark.mesh
     program = benchmark.program
@@ -204,12 +215,7 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
     flow_gap_rate = np.zeros(n_t)
     diss_rate = np.zeros(n_t)
     distance = np.zeros(n_t)
-    if limit is None:
-        sigma_all, ev_all = _histories(1, n_t, mesh.n_cells, shared=False)[0], None
-        eq_interior = eq_flux = div_v_l2 = normal_gap = None
-    else:
-        sigma_all, ev_all = limit
-        eq_interior, eq_flux, div_v_l2, normal_gap = (np.zeros(n_t) for _ in range(4))
+    sigma_all = _histories(n_t, mesh.n_cells) if limit is None else limit.sigma
 
     normals = mesh.dirichlet_boundary.normals
     infos = []
@@ -229,8 +235,8 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
         if k > 0:
             dt = times[k] - times[k - 1]
             ev = strain_of((st.u - u_prev) / dt, mesh)
-            if ev_all is not None:
-                ev_all[k] = ev
+            if limit is not None:
+                limit.ev[k] = ev
             ev_norm = norm(ev)
             gap_cells = kappa * ev_norm - ddot(st.sigma_dev, ev)
             worst = float(gap_cells.min())
@@ -239,24 +245,23 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
                 raise AssertionError(f"flow-rule gap negative ({worst:.3e}) at step {k}")
             flow_gap_rate[k] = float((areas * gap_cells).sum())
             diss_rate[k] = float((kappa_areas * ev_norm).sum())
-        if ev_all is not None:  # the limit-system residuals, on the histories' rows
-            eq_interior[k], eq_flux[k] = divergence_check(sigma_all[k], mesh, None, program.g[k],
-                                                          program.loads[k])
-            div_v_l2[k] = scalar_l2(areas, ev_all[k, :, 0] + ev_all[k, :, 2])
+        if limit is not None:  # the limit-system residuals, on the fields' rows
+            limit.equilibrium_interior[k], limit.equilibrium_flux[k] = divergence_check(
+                sigma_all[k], mesh, None, program.g[k], program.loads[k])
+            limit.div_v_l2[k] = scalar_l2(areas, limit.ev[k, :, 0] + limit.ev[k, :, 2])
             gv = dirichlet_traces(program.w[k] - st.u, mesh)
-            normal_gap[k] = np.abs((gv * normals).sum(axis=-1)).max(initial=0.0)
+            limit.normal_gap[k] = np.abs((gv * normals).sum(axis=-1)).max(initial=0.0)
         u_prev = st.u
+    if limit is not None:
+        limit.u_final[...] = u_prev
 
     trajectory = EpsTrajectory(
         epsilon=epsilon, e_l2=e_l2, sigma_l2=sigma_l2, u_bd=u_bd, div_u_l2=div_u_l2,
         sigma_dev_max=np.array([info.max_sigma_dev for info in infos]),
         dp_mass_cum=np.cumsum([info.dissipation for info in infos]) / kappa,  # as the ledger sums
         hydro_dev=hydro_dev, flow_gap_rate=flow_gap_rate, diss_rate=diss_rate,
-        normal_gap=normal_gap, sigma=sigma_all, ev=ev_all, equilibrium_interior=eq_interior,
-        equilibrium_flux=eq_flux, div_v_l2=div_v_l2,
-        u_final=None if limit is None else u_prev,
     )
-    return trajectory, distance
+    return trajectory, sigma_all, distance
 
 
 def _stress_history(benchmark: Benchmark, config: RunConfig,
@@ -266,7 +271,7 @@ def _stress_history(benchmark: Benchmark, config: RunConfig,
     every check of a step; its monitors, and the flow-rule gap among them, are taken by
     the lane before, on the same evolution."""
     program = benchmark.program
-    sigma_all = _histories(1, program.n_steps + 1, benchmark.mesh.n_cells, shared=False)[0]
+    sigma_all = _histories(program.n_steps + 1, benchmark.mesh.n_cells)
     for k, (st, _) in enumerate(evolve(program, system, benchmark.yield_set,
                                        mode=config.boundary_mode, stress_tol=config.stress_tol)):
         sigma_all[k] = st.sigma
@@ -298,7 +303,7 @@ def _build_shared(benchmark: Benchmark, mode: str) -> None:
 
 
 def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
-              limit: np.ndarray) -> tuple[list[EpsTrajectory], list[float]]:
+              limit: LimitFields) -> tuple[list[EpsTrajectory], list[float]]:
     """Run the epsilons ``lane`` indexes in order; return their trajectories and the Cauchy
     distance of each consecutive pair.
 
@@ -307,9 +312,9 @@ def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
     which shares that factor whenever the bits allow (for the default
     epsilons 4^-k, always). A lane that starts on the previous lane's last
     epsilon runs it again only for its stresses (``_stress_history``) and
-    takes none of its monitors. The sweep's last epsilon writes its fields
-    into ``limit`` (``_histories``); no trajectory the lane returns carries a
-    field.
+    takes none of its monitors. Each stress history stays in the lane, for the
+    next epsilon's distances; the sweep's last epsilon writes its fields into
+    ``limit``.
     """
     epsilons = config.epsilon_list
     last = len(epsilons) - 1
@@ -324,25 +329,21 @@ def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
             if i == lane[0] and i > 0:
                 sigma_prev = _stress_history(benchmark, config, system)
                 continue
-            tr, distance = _run_one_epsilon(benchmark, eps, config, system, sigma_prev,
-                                            limit if i == last else None)
+            tr, sigma_prev, distance = _run_one_epsilon(benchmark, eps, config, system,
+                                                        sigma_prev, limit if i == last else None)
         except (ConvergenceError, SolverError) as exc:
             step = getattr(exc, "step_index", None)
             where = f"epsilon={eps:g}" if step is None else f"epsilon={eps:g}, step {step}"
             exc.args = (f"{where}: {exc}",)
             raise
-        if sigma_prev is not None:
+        if i > 0:
             cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
-        sigma_prev = tr.sigma
-        tr.sigma = None  # a lane returns no field; ``sigma_prev`` keeps it for the next distance
         trajectories.append(tr)
-    # the next lane runs the last epsilon again, or it is the limit, whose fields are in ``limit``
-    trajectories[-1].ev = None
     return trajectories, cauchy
 
 
 def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range,
-                limit: np.ndarray) -> None:
+                limit: LimitFields) -> None:
     """A forked lane: send ``_run_lane``'s result, or the exception it raised, to the parent."""
     try:
         result = _run_lane(benchmark, config, lane, limit)
@@ -353,13 +354,13 @@ def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range,
 
 
 def _run_lanes(benchmark: Benchmark, config: RunConfig, lanes: list[range],
-               limit: np.ndarray) -> list[tuple[list[EpsTrajectory], list[float]]]:
+               limit: LimitFields) -> list[tuple[list[EpsTrajectory], list[float]]]:
     """``_run_lane`` of every lane, in lane order.
 
     One lane runs in this process. Several run each in a child forked here,
     which reads the caches built so far copy-on-write and writes ``limit``,
-    a shared mapping, in place. The first failure in
-    epsilon order is raised; the lanes after it are terminated, and no child
+    views of a shared mapping, in place. The first failure in epsilon order
+    is raised; the lanes after it are terminated, and no child
     outlives the call.
     """
     if len(lanes) == 1:
@@ -400,22 +401,21 @@ def _run_lanes(benchmark: Benchmark, config: RunConfig, lanes: list[range],
 def run_sweep(config: RunConfig) -> SweepReport:
     """One evolution per eps, in lanes (``_lanes``); metrics assembled in decreasing-eps order.
 
-    The mesh and program caches and the limit's shared fields are made
-    first, once, for every lane; the limit proxy gets its fields back as
-    views of that mapping. A failure is the first in eps order, tagged with
-    its eps and step.
+    The mesh and program caches and the limit's shared ``LimitFields`` are
+    made first, once, for every lane, and the report keeps that record as its
+    ``limit_proxy``. A failure is the first in eps order, tagged with its
+    eps and step.
     """
     benchmark = config.build_benchmark()
     mesh = benchmark.mesh
     times = benchmark.program.times
     _build_shared(benchmark, config.boundary_mode)
-    limit = _histories(2, len(times), mesh.n_cells)
+    limit = LimitFields.shared(len(times), mesh.n_cells, mesh.n_nodes)
     trajectories, cauchy = [], []
     for lane_trajectories, lane_cauchy in _run_lanes(benchmark, config,
                                                      _lanes(len(config.epsilon_list)), limit):
         trajectories += lane_trajectories
         cauchy += lane_cauchy
-    trajectories[-1].sigma, trajectories[-1].ev = limit
 
     metrics = {name: np.zeros(len(trajectories)) for name in METRIC_NAMES}
     for i, tr in enumerate(trajectories):
@@ -433,9 +433,8 @@ def run_sweep(config: RunConfig) -> SweepReport:
     signature = (benchmark.id, mesh.n_side, tuple(sorted(mesh.dirichlet_faces)),
                  len(times), float(times[-1]))
     return SweepReport(config=config, benchmark=benchmark, times=times.copy(),
-                       trajectories=trajectories,
-                       metrics=metrics, cauchy_distances=np.array(cauchy),
-                       mesh_signature=signature)
+                       trajectories=trajectories, limit_proxy=limit, metrics=metrics,
+                       cauchy_distances=np.array(cauchy), mesh_signature=signature)
 
 
 @dataclass(frozen=True)
@@ -495,18 +494,18 @@ class ResidualReport:
 def rigid_residuals(report: SweepReport) -> ResidualReport:
     """The limit-system residuals on the smallest-eps trajectory.
 
-    Its lane took them step by step, next to the monitors; this packages
-    them and reads none of the limit's fields.
+    Its lane took them step by step, next to the monitors, into the limit's
+    record; this copies them and reads none of the limit's fields.
     """
     kappa = report.benchmark.yield_set.radius
-    tr = report.limit_proxy
+    limit, tr = report.limit_proxy, report.trajectories[-1]
     return ResidualReport(
         epsilon=tr.epsilon, times=report.times.copy(),
-        equilibrium_interior=tr.equilibrium_interior.copy(),
-        equilibrium_flux=tr.equilibrium_flux.copy(),
-        feasibility_excess=tr.sigma_dev_max - kappa, div_v_l2=tr.div_v_l2.copy(),
+        equilibrium_interior=limit.equilibrium_interior.copy(),
+        equilibrium_flux=limit.equilibrium_flux.copy(),
+        feasibility_excess=tr.sigma_dev_max - kappa, div_v_l2=limit.div_v_l2.copy(),
         flow_gap_rate=tr.flow_gap_rate.copy(),
-        dirichlet_normal_gap=tr.normal_gap.copy(),
+        dirichlet_normal_gap=limit.normal_gap.copy(),
     )
 
 
@@ -546,16 +545,16 @@ def compare_limits(report_a: SweepReport, report_b: SweepReport) -> UniquenessRe
     """
     if report_a.mesh_signature != report_b.mesh_signature:
         raise ValueError("sweeps ran on different meshes or programs")
-    tr_a, tr_b = report_a.limit_proxy, report_b.limit_proxy
+    limit_a, limit_b = report_a.limit_proxy, report_b.limit_proxy
     n_t = len(report_a.times)
     on_max = np.zeros(n_t)
     off_max = np.zeros(n_t)
     frac = np.zeros(n_t)
     for k in range(n_t):
-        dev_a, _ = dev_decompose(tr_a.sigma[k])
-        dev_b, _ = dev_decompose(tr_b.sigma[k])
+        dev_a, _ = dev_decompose(limit_a.sigma[k])
+        dev_b, _ = dev_decompose(limit_b.sigma[k])
         diff = norm(dev_a - dev_b)
-        na, nb = norm(tr_a.ev[k]), norm(tr_b.ev[k])
+        na, nb = norm(limit_a.ev[k]), norm(limit_b.ev[k])
         mask = np.zeros(len(diff), dtype=bool)
         if na.max() > _SUPPORT_FLOOR:
             mask |= na > _SUPPORT_THRESHOLD * na.max()

@@ -145,8 +145,57 @@ class TestIncrementalStep:
         assert info.iterations == 1 + len(info.decreases) > 1
         assert 0.0 <= info.residual <= 1e-10 * YSET.radius
         assert info.backtracks > 0
-        assert info.fallbacks >= 0
         assert np.abs(state.boundary_slip).max() > 0.0
+
+    @staticmethod
+    def _plastic_step(monkeypatch, spoil):
+        """A plastic step of a clamped block whose Newton tangent on call n is ``spoil(n, D)``."""
+        calls = []
+        tangent = evolution.consistent_tangent
+
+        def spoiled(*args):
+            calls.append(None)
+            return spoil(len(calls), tangent(*args))
+
+        monkeypatch.setattr(evolution, "consistent_tangent", spoiled)
+        mesh = build_square_mesh(3, ("bottom",))
+        w = 3.0 * np.column_stack([mesh.nodes[:, 0], -mesh.nodes[:, 1]])
+        return incremental_step(FEState.zeros(mesh), 1.0, w, np.zeros_like(w),
+                                np.zeros(2 * mesh.n_nodes), ElasticSystem(mesh, HOOKE), YSET)
+
+    def test_a_failed_direction_recovers_through_damping(self, monkeypatch):
+        """A negated tangent on the first Newton call gives no descent direction: the step
+        stays at its predictor, records a zero decrease, and converges on the damped
+        directions that follow."""
+        _, plain = self._plastic_step(monkeypatch, lambda n, d: d)
+        state, info = self._plastic_step(monkeypatch, lambda n, d: -d if n == 1 else d)
+        assert info.decreases[0] == 0.0 and min(info.decreases) >= 0.0
+        assert info.iterations == 1 + len(info.decreases) > plain.iterations
+        assert info.residual <= 1e-10 * YSET.radius
+
+    def test_a_tangent_that_fails_on_every_call_stalls(self, monkeypatch):
+        """Where every direction fails, each retry repeats the predictor's residual, and
+        ``_stop`` ends the step "stalled" after ``_MAX_STALLED`` retries."""
+        with pytest.raises(ConvergenceError) as err:
+            self._plastic_step(monkeypatch, lambda n, d: np.full_like(d, np.nan))
+        assert err.value.reason == "stalled"
+        assert err.value.decrease_history == [0.0] * evolution._MAX_STALLED
+        residuals = err.value.residual_history
+        assert residuals == [residuals[0]] * (1 + evolution._MAX_STALLED)
+
+    def test_a_negated_tangent_on_every_call_is_damped_into_descent(self, monkeypatch):
+        """Damping ten times harder after each failure makes the negated Newton system
+        positive definite within ``_MAX_STALLED`` retries: the step then descends (slowly,
+        as a scaled gradient method) until its iteration cap."""
+        monkeypatch.setattr(evolution, "_MAX_ITERS", 40)
+        with pytest.raises(ConvergenceError) as err:
+            self._plastic_step(monkeypatch, lambda n, d: -d)
+        decreases, residuals = err.value.decrease_history, err.value.residual_history
+        assert err.value.reason == "iteration cap"
+        assert 1 + len(decreases) == len(residuals) == 41
+        first_descent = next(i for i, d in enumerate(decreases) if d > 0.0)
+        assert 0 < first_descent < evolution._MAX_STALLED
+        assert min(decreases) == 0.0 and residuals[-1] < residuals[0]
 
     def test_slips_must_match_the_slip_set(self):
         mesh = build_square_mesh(3, ("bottom",))

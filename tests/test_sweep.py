@@ -18,6 +18,7 @@ from rigiplast.evolution import ConvergenceError, run_evolution
 from rigiplast.fem import divergence_check, scalar_l2
 from rigiplast.sweep import (
     EpsTrajectory,
+    LimitFields,
     SweepConfig,
     compare_limits,
     fit_rate,
@@ -145,6 +146,14 @@ class TestRunSweep:
         assert len(rows) == len(EPS4) * 17
         assert len(rows[0]) == 11
 
+    def test_a_trajectory_holds_its_monitors_only(self, shear_report):
+        """A trajectory is the epsilon and the nine monitors of the CSV, in its column order;
+        the limit's fields live in ``SweepReport.limit_proxy`` alone."""
+        names = [field.name for field in dataclasses.fields(EpsTrajectory)]
+        assert names == [name for name in sweep.CSV_HEADER.split(",") if name != "time"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shear_report.trajectories[-1].e_l2 = None
+
     def test_cauchy_distances_streamed(self, shear_report):
         """The streamed distances equal the all-pairs formula; only the limit proxy keeps fields."""
         rep = shear_report
@@ -161,8 +170,6 @@ class TestRunSweep:
         want = cauchy_distances_all_pairs(sigmas, bench.mesh.areas, rep.times)
         assert want.shape == (len(EPS4) - 1,) and np.all(want > 0)
         np.testing.assert_allclose(rep.cauchy_distances, want, rtol=1e-12, atol=0)
-        for tr in rep.trajectories[:-1]:
-            assert tr.sigma is None and tr.ev is None
         np.testing.assert_array_equal(rep.limit_proxy.sigma, sigmas[-1])
         assert rep.limit_proxy.ev.shape == sigmas[-1].shape
 
@@ -200,8 +207,6 @@ class TestRigidResiduals:
         normal gap on every eps."""
         rep = run_sweep(SweepConfig(epsilons=EPS4, benchmark="TRACTION", mesh_n=4, n_steps=8,
                                     mode="relaxed"))
-        for tr in rep.trajectories[:-1]:
-            assert tr.normal_gap is None and tr.u_final is None
         assert rep.limit_proxy.normal_gap.shape == rep.times.shape
         assert rep.limit_proxy.u_final.shape == (rep.benchmark.mesh.n_nodes, 2)
         assert rigid_residuals(rep).maxima() == {
@@ -266,14 +271,14 @@ def _assert_same_sweep(a, b):
     assert len(a.trajectories) == len(b.trajectories)
     for tr_a, tr_b in zip(a.trajectories, b.trajectories):
         for field in dataclasses.fields(EpsTrajectory):
-            va, vb = getattr(tr_a, field.name), getattr(tr_b, field.name)
-            assert (va is None) == (vb is None), field.name
-            assert va is None or np.array_equal(va, vb), field.name
+            assert np.array_equal(getattr(tr_a, field.name), getattr(tr_b, field.name)), field.name
+    for field in dataclasses.fields(LimitFields):
+        va, vb = getattr(a.limit_proxy, field.name), getattr(b.limit_proxy, field.name)
+        assert np.array_equal(va, vb), field.name
     assert a.metrics.keys() == b.metrics.keys()
     for name in a.metrics:
         assert np.array_equal(a.metrics[name], b.metrics[name]), name
     assert np.array_equal(a.cauchy_distances, b.cauchy_distances)
-    assert a.limit_proxy.sigma is not None and a.limit_proxy.ev is not None
     ra, rb = rigid_residuals(a), rigid_residuals(b)
     for field in dataclasses.fields(ra):
         assert np.array_equal(getattr(ra, field.name), getattr(rb, field.name)), field.name
@@ -314,8 +319,8 @@ class TestLanes:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_no_field_crosses_the_pipe(self, monkeypatch, tmp_path, cpus):
-        """A lane sends back monitor arrays and distances only; the limit proxy's fields are
-        views of one shared mapping, which its lane wrote in place."""
+        """A lane sends back (M+1,) monitor arrays and distances only; the limit's seven
+        arrays are views of one shared mapping, which its lane wrote in place."""
         config = SweepConfig(epsilons=EPS5, **LANE_CASES["SHEAR-strong"])
         run_lane = sweep._run_lane
 
@@ -329,18 +334,19 @@ class TestLanes:
         monkeypatch.setattr(sweep, "_run_lane", recorded)
         _pin_cpus(monkeypatch, cpus)
         report = run_sweep(config)
-        field = [len(report.times), report.benchmark.mesh.n_cells, 3]
         sent = [json.loads(path.read_text(encoding="utf-8"))
                 for path in sorted(tmp_path.glob("lane*.json"))]
         assert len(sent) == cpus
         assert sum(len(lane) for lane in sent) == len(EPS5)  # every trajectory, once
         for lane in sent:
             for shapes in lane:
-                assert field not in shapes
+                assert shapes == [[len(report.times)]] * 9
         limit = report.limit_proxy
-        assert limit.sigma.shape == limit.ev.shape == tuple(field)
-        assert isinstance(_mapping_of(limit.sigma), mmap.mmap)
-        assert _mapping_of(limit.sigma) is _mapping_of(limit.ev)
+        assert limit.sigma.shape == limit.ev.shape == (len(report.times),
+                                                       report.benchmark.mesh.n_cells, 3)
+        mappings = {id(_mapping_of(getattr(limit, field.name)))
+                    for field in dataclasses.fields(LimitFields)}
+        assert len(mappings) == 1 and isinstance(_mapping_of(limit.sigma), mmap.mmap)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -359,8 +365,6 @@ class TestLanes:
         assert np.array_equal(residuals.equilibrium_flux, checks[:, 1])
         assert np.array_equal(residuals.div_v_l2, div_v)
         assert checks[:, 1].max() > 0  # TRACTION's tractions load the flux term
-        for tr in report.trajectories[:-1]:
-            assert tr.equilibrium_interior is None and tr.div_v_l2 is None
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_cli_artifacts_byte_equal(self, monkeypatch, tmp_path, cpus):
@@ -408,7 +412,8 @@ class TestLanes:
         bench = config.build_benchmark()
         sweep._build_shared(bench, mode)
         built = set(vars(bench.mesh)), set(vars(bench.program))
-        sweep._run_lane(bench, config, range(2), sweep._histories(2, 5, bench.mesh.n_cells))
+        sweep._run_lane(bench, config, range(2),
+                        LimitFields.shared(5, bench.mesh.n_cells, bench.mesh.n_nodes))
         assert (set(vars(bench.mesh)), set(vars(bench.program))) == built
 
     @pytest.mark.parametrize("epsilons, cpus, want", [
@@ -432,7 +437,7 @@ class TestLanes:
             return factor(self, blocks, diagonal, what)
 
         monkeypatch.setattr(type(bench.mesh.elements), "factor", counted)
-        limit = sweep._histories(2, 5, bench.mesh.n_cells)
+        limit = LimitFields.shared(5, bench.mesh.n_cells, bench.mesh.n_nodes)
         for lane in sweep._lanes(len(epsilons)):  # in this process, so that the count is seen
             sweep._run_lane(bench, config, lane, limit)
         assert factorizations.count("elastic") == want
