@@ -14,9 +14,9 @@ Commands:
                as VTK
     report     pretty-print a previously written summary.json
 
-The environment variable TOOL_OUT overrides --out. Exit codes: 0 success,
-2 configuration error, 3 solver failure (with error.json in the output
-directory), 1 anything else.
+The environment variable TOOL_OUT overrides --out. Exit codes: 0 success, 2
+configuration error (no command runs), 3 the command failed and error.json in
+the output directory says how, 1 only that report found no summary.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 from .benchmarks import (benchmark_catalog, default_example41_params, example41_stress,
                          example41_verify)
 from .config import ConfigError, RunConfig, parse_config
-from .evolution import ConvergenceError, EnergyLedger, evolve
-from .fem import ElasticSystem, SolverError
+from .evolution import EnergyLedger, evolve
+from .fem import ElasticSystem
 from .mesh import build_square_mesh
 from .reporting import summary_payload, write_csv, write_json
 from .safeload import max_safety_margin, verify_safe_load
@@ -137,13 +137,14 @@ def _cmd_safeload(config: RunConfig, out: Path) -> dict:
     }
 
 
-def _cmd_report(config: RunConfig, out: Path) -> dict:
+def _report(path: Path) -> int:
     import json
 
-    path = out / "summary.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no summary at {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        print(f"error: no summary at {path} ({type(exc).__name__})", file=sys.stderr)
+        return 1
     print(f"summary: {path}")
     print(f"  schema:  {payload.get('schema')}")
     print(f"  command: {payload.get('command')}")
@@ -151,13 +152,11 @@ def _cmd_report(config: RunConfig, out: Path) -> dict:
         if key in ("schema", "command", "config"):
             continue
         val = payload[key]
-        if isinstance(val, (int, float, str, bool)):
-            print(f"  {key}: {val}")
-        elif isinstance(val, list) and len(val) <= 8:
+        if isinstance(val, (int, float, str, bool)) or (isinstance(val, list) and len(val) <= 8):
             print(f"  {key}: {val}")
         else:
             print(f"  {key}: [{type(val).__name__}]")
-    return payload
+    return 0
 
 
 _COMMANDS = {
@@ -165,7 +164,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "example41": _cmd_example41,
     "safeload": _cmd_safeload,
-    "report": _cmd_report,
 }
 
 
@@ -174,7 +172,7 @@ def main(argv=None) -> int:
         prog="rigiplast",
         description="plane-strain perfect plasticity and its rigid-plastic limit",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted([*_COMMANDS, "report"]))
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--out", help="output directory (default: config out_dir)")
     args = parser.parse_args(argv)
@@ -185,8 +183,9 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = os.environ.get("TOOL_OUT") or args.out or config.out_dir
-    out = Path(out_dir)
+    out = Path(os.environ.get("TOOL_OUT") or args.out or config.out_dir)
+    if args.command == "report":  # it reads, and makes no directory
+        return _report(out / "summary.json")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -195,25 +194,23 @@ def main(argv=None) -> int:
 
     try:
         body = _COMMANDS[args.command](config, out)
-    except (ConvergenceError, SolverError) as exc:
-        record = {
-            "error": {
-                "kind": type(exc).__name__,
-                "message": str(exc),
-                "step": getattr(exc, "step_index", None),
-                "reason": getattr(exc, "reason", None),
-            }
-        }
-        write_json(out / "error.json", record)
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # any failure: the same keys, null for what exc does not carry
+        residuals = getattr(exc, "residual_history", None)  # a ConvergenceError's histories
+        decreases = getattr(exc, "decrease_history", None)
+        write_json(out / "error.json", {"error": {
+            "kind": type(exc).__name__,
+            "message": str(exc),
+            "step": getattr(exc, "step_index", None),  # evolve's tag
+            "epsilon": getattr(exc, "epsilon", None),  # a sweep lane's tag
+            "reason": getattr(exc, "reason", None),
+            "residuals": None if residuals is None else residuals[-10:],
+            "decreases": None if decreases is None else decreases[-10:],
+        }})
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 1
 
-    if args.command != "report":
-        write_json(out / "summary.json", summary_payload(args.command, config, body))
-        print(f"wrote {out / 'summary.json'}")
+    write_json(out / "summary.json", summary_payload(args.command, config, body))
+    print(f"wrote {out / 'summary.json'}")
     return 0
 
 

@@ -89,17 +89,17 @@ _CHECK_TOL = 1e-10  # defect a state may have in FEState.check, relative to its 
 class ConvergenceError(RuntimeError):
     """The inner Newton iteration failed to converge.
 
-    Carries the last iterate, the decrease history (one per Newton iteration),
-    the residual history (the predictor's first) and ``reason``, ``_stop``'s answer.
+    Carries the last iterate, the decrease history (one per Newton iteration), the
+    residual history (the predictor's first) and ``reason``, ``_stop``'s answer;
+    ``evolve`` tags it with its ``step_index``, as it tags any exception of a step.
     """
 
-    def __init__(self, message, state=None, decrease_history=None, step_index=None,
-                 residual_history=None, reason=None):
+    def __init__(self, message, state=None, decrease_history=None, residual_history=None,
+                 reason=None):
         super().__init__(message)
         self.state = state
         self.decrease_history = decrease_history or []
         self.residual_history = residual_history or []
-        self.step_index = step_index
         self.reason = reason
 
 
@@ -597,8 +597,8 @@ def evolve(
     ``info`` is the ``StepInfo`` of the step that produced ``state``, all zero
     for the zero state. ``mode`` only chooses the slip set; an unknown one, or
     a system on another mesh, raises ``ValueError`` before anything is built.
-    Only the previous state is kept. A step's ``ConvergenceError`` or
-    ``SolverError`` gets its ``step_index``.
+    Only the previous state is kept. Any exception a step raises is tagged
+    with its ``step_index`` and raised on.
     """
     if mode not in MODES:
         raise ValueError(f"unknown boundary mode {mode!r}")
@@ -614,7 +614,7 @@ def evolve(
                 prev, float(program.times[k]), program.w[k], program.w[k - 1], program.loads[k],
                 system, yield_set, slip=slip, stress_tol=stress_tol,
             )
-        except (ConvergenceError, SolverError) as exc:
+        except Exception as exc:
             exc.step_index = k
             raise
         yield prev, info

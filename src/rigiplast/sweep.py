@@ -51,9 +51,9 @@ import numpy as np
 from .benchmarks import Benchmark
 # SweepConfig is re-exported: a sweep's RunConfig under the sweep's keyword names.
 from .config import RunConfig, SweepConfig
-from .evolution import RELAXED, ConvergenceError, bd_norm_surrogate, evolve
-from .fem import (ElasticSystem, SolverError, dirichlet_traces, divergence_check, scalar_l2,
-                  strain_of, tensor_l2)
+from .evolution import RELAXED, bd_norm_surrogate, evolve
+from .fem import (ElasticSystem, dirichlet_traces, divergence_check, scalar_l2, strain_of,
+                  tensor_l2)
 
 from .tensors import ddot, dev_decompose, norm
 
@@ -314,7 +314,8 @@ def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
     epsilon runs it again only for its stresses (``_stress_history``) and
     takes none of its monitors. Each stress history stays in the lane, for the
     next epsilon's distances; the sweep's last epsilon writes its fields into
-    ``limit``.
+    ``limit``. Any exception an epsilon raises gets its ``epsilon``, and the prefix
+    ``epsilon=<eps>, step <k>: `` (no step if ``evolve`` tagged none) on its message.
     """
     epsilons = config.epsilon_list
     last = len(epsilons) - 1
@@ -331,10 +332,11 @@ def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
                 continue
             tr, sigma_prev, distance = _run_one_epsilon(benchmark, eps, config, system,
                                                         sigma_prev, limit if i == last else None)
-        except (ConvergenceError, SolverError) as exc:
+        except Exception as exc:
             step = getattr(exc, "step_index", None)
             where = f"epsilon={eps:g}" if step is None else f"epsilon={eps:g}, step {step}"
             exc.args = (f"{where}: {exc}",)
+            exc.epsilon = eps
             raise
         if i > 0:
             cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
@@ -403,8 +405,8 @@ def run_sweep(config: RunConfig) -> SweepReport:
 
     The mesh and program caches and the limit's shared ``LimitFields`` are
     made first, once, for every lane, and the report keeps that record as its
-    ``limit_proxy``. A failure is the first in eps order, tagged with its
-    eps and step.
+    ``limit_proxy``. A failure is the first in eps order: any exception, tagged by
+    ``_run_lane`` with its eps and step, or a dead lane's ``RuntimeError``.
     """
     benchmark = config.build_benchmark()
     mesh = benchmark.mesh

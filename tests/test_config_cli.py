@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import rigiplast
+from rigiplast import cli, evolution, sweep
+from rigiplast.benchmarks import VerificationError
 from rigiplast.cli import main
 from rigiplast.config import (
     DEFAULT_EPSILONS,
@@ -19,6 +21,7 @@ from rigiplast.config import (
     parse_config,
 )
 from rigiplast.mesh import build_square_mesh
+from rigiplast.tensors import NonDeviatoricError
 from rigiplast.vtkio import write_vtk
 
 GOLDEN_RUN_HEADER = "step,time,Q,D,W,gap,max_sigma_dev,plastic_cell_fraction"
@@ -201,6 +204,20 @@ class TestCLI:
     def test_report_missing_summary(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "void")]) == 1
 
+    def test_report_writes_nothing(self, tmp_path, capsys):
+        """``report`` only reads: without a summary, or with one that is not JSON, it exits 1
+        with one line, and makes no directory and no ``error.json``."""
+        out = tmp_path / "void"
+        assert main(["report", "--out", str(out)]) == 1
+        assert not out.exists()
+        out.mkdir()
+        (out / "summary.json").write_text("{", encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 1
+        assert sorted(path.name for path in out.iterdir()) == ["summary.json"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: no summary at {out / 'summary.json'} ({kind})"
+            for kind in ("FileNotFoundError", "JSONDecodeError")]
+
     def test_tool_out_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "env_target"
         monkeypatch.setenv("TOOL_OUT", str(target))
@@ -236,6 +253,86 @@ class TestCLI:
             "shear_modulus", "bulk_modulus", "yield_radius", "boundary_mode",
             "stress_tol", "load_scale", "horizon", "out_dir",
         }
+
+
+def _fail_every_check(monkeypatch):
+    monkeypatch.setattr(evolution, "_CHECK_TOL", -1.0)  # no state passes FEState.check
+
+
+def _pin_two_cpus(monkeypatch):
+    """Two usable CPUs: a sweep runs two lanes, each in a forked child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _fail_checks_in_lanes(monkeypatch):
+    _fail_every_check(monkeypatch)
+    _pin_two_cpus(monkeypatch)
+
+
+def _kill_a_lane(monkeypatch):
+    """The second of two lanes exits with code 7 at its first epsilon of its own."""
+    _pin_two_cpus(monkeypatch)
+    parent, one_epsilon = os.getpid(), sweep._run_one_epsilon
+
+    def dying(benchmark, epsilon, *args, **kwargs):
+        if epsilon == 0.015625 and os.getpid() != parent:
+            os._exit(7)
+        return one_epsilon(benchmark, epsilon, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "_run_one_epsilon", dying)
+
+
+def _raising(error):
+    def raise_it(*args, **kwargs):
+        raise error
+    return raise_it
+
+
+def _fail_verification(monkeypatch):
+    monkeypatch.setattr(cli, "example41_verify", _raising(VerificationError("gap too small")))
+
+
+def _fail_return_map(monkeypatch):
+    monkeypatch.setattr(evolution, "radial_return",
+                        _raising(NonDeviatoricError("trace 1.0e+00 on a deviator")))
+
+
+TRACTION_RUN = "benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\n"
+SHEAR_SWEEP = ("benchmark = SHEAR\nmesh_n = 4\ntime_steps = 4\n"
+               "epsilon_list = 1.0, 0.25, 0.0625, 0.015625, 0.00390625\n")
+ERROR_KEYS = {"kind", "message", "step", "epsilon", "reason", "residuals", "decreases"}
+
+
+@pytest.mark.parametrize("command, text, fail, kind, step, epsilon, prefix", [
+    ("run", TRACTION_RUN, _fail_every_check, "AssertionError", 1, None, ""),
+    ("sweep", SHEAR_SWEEP, _fail_checks_in_lanes, "AssertionError", 1, 1.0,
+     "epsilon=1, step 1: "),
+    ("sweep", SHEAR_SWEEP, _kill_a_lane, "RuntimeError", None, None,
+     "the sweep lane of epsilon=0.0625 to 0.00390625 exited with code 7"),
+    ("example41", "mesh_n = 4\n", _fail_verification, "VerificationError", None, None,
+     "gap too small"),
+    ("run", TRACTION_RUN, _fail_return_map, "NonDeviatoricError", 1, None,
+     "trace 1.0e+00 on a deviator"),
+], ids=["run-check", "sweep-check", "dead-lane", "example41-verification", "run-value-error"])
+def test_every_failure_of_a_command_leaves_its_record(monkeypatch, tmp_path, capsys, command,
+                                                      text, fail, kind, step, epsilon, prefix):
+    """Whatever a command raises, ``main`` returns 3 (it raises nothing), prints one line,
+    and writes one ``error.json``, with the same keys for every kind of failure."""
+    monkeypatch.delenv("TOOL_OUT", raising=False)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    fail(monkeypatch)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert sorted(path.name for path in out.iterdir() if path.suffix == ".json") == ["error.json"]
+    record = json.loads((out / "error.json").read_text(encoding="utf-8"))
+    assert set(record) == {"error"}
+    error = record["error"]
+    assert set(error) == ERROR_KEYS
+    assert (error["kind"], error["step"], error["epsilon"]) == (kind, step, epsilon)
+    assert error["message"].startswith(prefix)
+    assert (error["reason"], error["residuals"], error["decreases"]) == (None, None, None)
 
 
 class TestVTK:

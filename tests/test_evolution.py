@@ -656,7 +656,8 @@ def _run_cli(tmp_path, monkeypatch, text):
 ])
 def test_error_json_records_the_stop_reason(monkeypatch, tmp_path, max_iters, step, reason,
                                             message):
-    """A step that fails leaves ``_stop``'s answer in ``error.json``, next to its step."""
+    """A step that fails leaves ``_stop``'s answer in ``error.json``, next to its step, and
+    the last (at most 10) entries of its residual and decrease histories."""
     if max_iters is not None:
         monkeypatch.setattr(evolution, "_MAX_ITERS", max_iters)
     code, error = _run_cli(tmp_path, monkeypatch,
@@ -665,6 +666,10 @@ def test_error_json_records_the_stop_reason(monkeypatch, tmp_path, max_iters, st
     assert error["kind"] == "ConvergenceError"
     assert (error["step"], error["reason"]) == (step, reason)
     assert error["message"].startswith(message)
+    # the stall's histories are longer than 10; the cap's are 3 residuals and 2 decreases
+    tails = (10, 10) if max_iters is None else (max_iters + 1, max_iters)
+    assert (len(error["residuals"]), len(error["decreases"])) == tails
+    assert error["message"].endswith(f"residual {error['residuals'][-1]:.3e})")
 
 
 def test_a_solver_error_in_a_step_is_tagged_with_its_step(monkeypatch, tmp_path,
@@ -674,6 +679,7 @@ def test_a_solver_error_in_a_step_is_tagged_with_its_step(monkeypatch, tmp_path,
     code, error = _run_cli(tmp_path, monkeypatch,
                            "benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\nepsilon = 1.0\n")
     assert code == 3
-    assert error == {"kind": "SolverError", "step": 3, "reason": None,
+    assert error == {"kind": "SolverError", "step": 3, "epsilon": None, "reason": None,
+                     "residuals": None, "decreases": None,
                      "message": "elastic solve residual 1.000e+00 exceeds tolerance"}
 

@@ -499,7 +499,7 @@ class TestLanes:
     def test_a_solver_error_is_tagged_with_its_epsilon_and_step(self, monkeypatch, tmp_path,
                                                                fail_elastic_solve):
         """A ``SolverError`` in a step comes back, from any lane, as the same exception with
-        its epsilon and step in front of its message, and ``error.json`` records the step."""
+        its epsilon and step in front of its message, and ``error.json`` records both."""
         fail_elastic_solve(0.25, 3)  # at n=4, step 3's predictor
         cfg = tmp_path / "fail.cfg"
         cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\n"
@@ -511,7 +511,8 @@ class TestLanes:
             assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
             record = json.loads((out / "error.json").read_text(encoding="utf-8"))
             assert record["error"] == {
-                "kind": "SolverError", "step": 3, "reason": None,
+                "kind": "SolverError", "step": 3, "epsilon": 0.25, "reason": None,
+                "residuals": None, "decreases": None,
                 "message": "epsilon=0.25, step 3: "
                            "elastic solve residual 1.000e+00 exceeds tolerance"}
             assert multiprocessing.active_children() == []
