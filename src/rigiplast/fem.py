@@ -21,10 +21,11 @@ these matrices are narrow bands. Each matrix is then one batched product of
 the blocks and one ``bincount`` into the band, factorized by banded
 Cholesky (``ElementMap.factor``), the package's one factorization; no
 sparse matrix is built for it. An ``ElasticSystem`` holds what the Hooke
-tensor C^eps sets: the factor of its stiffness, which every elastic solve
-reuses, and which the system ``with_epsilon`` makes at 4^k times its
-epsilon shares, so a sweep lane factorizes once for the default epsilons;
-the tangent changes with every iterate and is factorized afresh.
+tensor C^eps sets, and one factor, of the unit-epsilon stiffness K(1): since
+K(eps) = K(1)/eps, every elastic solve is eps times a solve with K(1), and
+the systems ``with_epsilon`` makes share that factor, so a sweep lane
+factorizes once for any epsilons; the tangent changes with every iterate
+and is factorized afresh.
 """
 
 from __future__ import annotations
@@ -288,18 +289,19 @@ class ElasticSystem:
     with slip unknowns), for the inner solver's Newton steps, and factorizes
     it the same way.
 
-    ``with_epsilon`` makes the system of the same law at another epsilon. It
-    shares this system's factor where that gives the same bits as a factor of
-    its own: K(eps) = K(eps0) eps0 / eps, and when eps / eps0 is a power of 4
-    the factor of K(eps) is the factor of K(eps0) times a power of 2, so
-    eps / eps0 times a solve with K(eps0) is the solve with K(eps) bit for bit.
-    A sweep lane thus factorizes once for the default epsilons 4^-k.
+    The factor is of the unit-epsilon stiffness K(1), whatever the system's
+    epsilon: K(eps) = K(1)/eps, so a solve is eps times a solve with K(1), and
+    ``with_epsilon`` makes the system of the same law at another epsilon on the
+    same factor. Where eps is a power of 4 (the default epsilons 4^-k, and
+    eps = 1), the factor of K(eps) is the factor of K(1) times a power of 2,
+    so this is the solve with K(eps)'s own factor bit for bit; at any other
+    eps the two differ at round-off.
     """
 
     def __init__(self, mesh: Mesh, hooke: HookeTensor):
         self._set_law(mesh, hooke)
-        self._factor = mesh.elements.factor(self._blocks(), 0.0, "elastic")
-        self._factor_epsilon = hooke.epsilon  # the epsilon of the K that ``_factor`` factorizes
+        unit = cell_blocks(mesh, hooke.with_epsilon(1.0).matrix(), mesh.cell_strains)
+        self._factor = mesh.elements.factor(unit, 0.0, "elastic")
 
     def _set_law(self, mesh: Mesh, hooke: HookeTensor) -> None:
         _ = mesh.dirichlet_B  # built with the system, as the factor is, not in its first solve
@@ -312,26 +314,18 @@ class ElasticSystem:
         self._cmat_T = np.ascontiguousarray(self.cmat.T)
         self._abs_cmat_T = np.abs(self._cmat_T)
 
-    def _blocks(self) -> np.ndarray:
-        return cell_blocks(self.mesh, self.cmat, self.mesh.cell_strains)
-
     def with_epsilon(self, epsilon: float) -> "ElasticSystem":
-        """The system of this law at ``epsilon``: it shares this system's factor when
-        ``epsilon`` over the factor's epsilon is a power of 4, else it factorizes its own."""
-        ratio = epsilon / self._factor_epsilon
-        mantissa, exponent = math.frexp(ratio)
-        hooke = self.hooke.with_epsilon(epsilon)
-        if mantissa != 0.5 or exponent % 2 != 1 or ratio * self._factor_epsilon != epsilon:
-            return ElasticSystem(self.mesh, hooke)
+        """The system of this law at ``epsilon``, on this system's factor of K(1)."""
         system = object.__new__(ElasticSystem)
-        system._set_law(self.mesh, hooke)
-        system._factor, system._factor_epsilon = self._factor, self._factor_epsilon
+        system._set_law(self.mesh, self.hooke.with_epsilon(epsilon))
+        system._factor = self._factor
         return system
 
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
         """The diagonal of K_ff, on the free dofs; only damped Newton steps read it."""
-        return self.mesh.elements.diagonal_of(self._blocks())
+        return self.mesh.elements.diagonal_of(cell_blocks(self.mesh, self.cmat,
+                                                          self.mesh.cell_strains))
 
     def force_magnitudes(self, eu: np.ndarray, p: np.ndarray, loads: np.ndarray) -> np.ndarray:
         """``nodal_forces(C^eps (eu - p)) - loads`` with every term in absolute value.
@@ -356,7 +350,7 @@ class ElasticSystem:
         F = self.plastic_load_vector(p - (mesh.dirichlet_B @ w_fixed).reshape(-1, 3))
         rhs = F[self.free] if loads is None else F[self.free] + loads[self.free]
         x = _band_solve(self._factor, rhs)
-        x *= self.hooke.epsilon / self._factor_epsilon  # exact: 1, or the factor's power of 4
+        x *= self.hooke.epsilon  # K(eps) = K(1)/eps
         u = np.zeros(2 * mesh.n_nodes)
         u[self.free] = x  # x on the free dofs and 0.0 on the rest: K x is the guard's product
         Kx = self.plastic_load_vector((mesh.B @ u).reshape(-1, 3))

@@ -11,31 +11,31 @@ stress distances witness the Cauchy property of the stress trajectory.
 Velocities are backward difference quotients (u_k - u_{k-1})/dt, aligned with
 the backward-Euler stepping.
 
-Each evolution is streamed: the monitors, the velocity and the distance to the
-previous eps are taken step by step as ``evolve`` yields the states, each
-state's strain, |Eu| and dev sigma are the ones its step's check took, and the
-deviatoric stress bound and the plastic increment mass are read off each
-step's ``StepInfo`` (no ledger); an ``EpsTrajectory`` holds them and no field.
-The limit proxy (the smallest eps) also writes its ``LimitFields``: its stress
-and velocity-strain histories, the limit-system residuals, taken step by step,
-and its final displacement, views of one anonymous shared mapping made before
-any lane starts. Every other eps writes its stress history into a private
-mapping of its own (``_histories``), which returns its pages when dropped.
+A lane runs its evolutions in lockstep: each turn of its one loop over time
+steps advances every eps of the lane by one step, so the monitors, the
+velocity and the distance to the previous eps are taken step by step
+between live states, and no stress history is kept but the limit's. Each
+state's strain, |Eu| and dev sigma are the ones its step's check took, and
+the deviatoric stress bound and the plastic increment mass are read off each
+step's ``StepInfo`` (no ledger). An eps's ``_Monitors`` take them into the
+columns of its ``EpsTrajectory``, which holds no field. The limit proxy (the
+smallest eps) also writes its ``LimitFields``: its stress and
+velocity-strain histories, the limit-system residuals, taken step by step,
+and its final displacement, views of one anonymous shared mapping made
+before any lane starts.
 
 The evolutions are independent, so the eps list runs in lanes (``_lanes``):
 contiguous runs of it, one per usable CPU and at most one per consecutive
 pair. Neighbouring lanes share their boundary eps, which runs in both, so
-every Cauchy distance is taken inside one lane; the lane that starts on it
-runs it for its stresses only and takes none of its monitors. A lane shares
-one elastic factor across its evolutions: its first eps factorizes, and
-``ElasticSystem.with_epsilon`` gives each later eps a system that shares the
-factor wherever that gives the same bits (eps a power of 4 times the
-factor's eps, as for the default list), and factorizes otherwise. The factor
-lives in the lane, not in the process that forks it. Several lanes run each
-in a child forked once the mesh and program caches and the shared mapping
-are made, and the children read those caches copy-on-write; one lane runs
-in the calling process. A lane sends back (M+1,) monitor arrays and
-distances only: no field crosses a pipe.
+every Cauchy distance is taken inside one lane; in the lane that starts on
+it, it is one more member of the loop, with no monitors. A lane factorizes
+the elastic stiffness once: every evolution's ``ElasticSystem`` solves with
+the factor of the unit-epsilon stiffness K(1) (``ElasticSystem.with_epsilon``).
+The factor lives in the lane, not in the process that forks it. Several
+lanes run each in a child forked once the mesh and program caches and the
+shared mapping are made, and the children read those caches copy-on-write;
+one lane runs in the calling process. A lane sends back (M+1,) monitor
+arrays and distances only: no field crosses a pipe.
 Each evolution is the same computation in any lane, so the results do not
 depend on the number of lanes.
 """
@@ -77,8 +77,7 @@ CSV_HEADER = ("epsilon,time,e_l2,sigma_l2,sigma_dev_max,dp_mass_cum,u_bd,"
 class EpsTrajectory:
     """Per-time monitor values for one eps (M+1 values each), kept for the whole sweep.
 
-    A trajectory carries no field: ``_run_one_epsilon`` returns the stress
-    history beside it, and the limit's fields are its ``LimitFields``.
+    A trajectory carries no field: the limit's fields are its ``LimitFields``.
     """
 
     epsilon: float
@@ -98,9 +97,10 @@ class LimitFields:
     """The fields and limit-system residuals of the limit proxy (the smallest eps).
 
     Every array is a view of one anonymous shared mapping (``shared``) that
-    ``run_sweep`` makes before any lane forks; the limit's lane writes every
-    row in place, and the sweep's process reads them without their crossing
-    a pipe.
+    ``run_sweep`` makes before any lane forks; the limit's ``_Monitors`` write
+    every row in place, step by step, and the sweep's process reads them
+    without their crossing a pipe. ``sigma`` is the one stress history a
+    sweep keeps.
     """
 
     sigma: np.ndarray                 # (M+1, n_cells, 3)
@@ -130,9 +130,9 @@ class SweepReport:
     ``benchmark`` is the one the sweep built and ran; the residuals and the
     limit-field output reuse it. ``cauchy_distances[i]`` is the L2-in-time,
     L2-in-space distance between the stresses at eps i and i+1, taken time by
-    time while eps i+1 runs, in the lane that runs both. ``limit_proxy`` holds
-    the fields of the smallest eps, the only ones kept past the next eps, as
-    views of the shared mapping that its lane wrote.
+    time between their live states, in the lane that runs both. ``limit_proxy``
+    holds the fields of the smallest eps, the only fields kept, as views of
+    the shared mapping that its lane wrote.
     """
 
     config: RunConfig
@@ -167,74 +167,41 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _histories(n_t: int, n_cells: int) -> np.ndarray:
-    """A zeroed (n_t, n_cells, 3) stress history, a view of a private anonymous mapping.
+class _Monitors:
+    """The monitors of one eps, taken step by step (``take``) from its evolution's states
+    into the columns of its ``EpsTrajectory`` (``trajectory``).
 
-    The lane that makes it writes every row, so its pages are made in one call
-    (``MAP_POPULATE``, on Linux) rather than one fault at a time. The mapping
-    is unmapped when the last view is dropped, so a history never leaves its
-    pages in the heap.
+    Only the previous displacement is held between steps, for the velocity.
+    ``limit`` is given for the limit eps only: its monitors also write its
+    stress, its velocity strains and the limit-system residuals, step by step,
+    and its final displacement, into it.
     """
-    import mmap  # here, not at module level: `run` would pay for the import
 
-    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-    return np.ndarray((n_t, n_cells, 3), dtype=float,
-                      buffer=mmap.mmap(-1, 8 * n_t * n_cells * 3, flags=flags))
+    def __init__(self, benchmark: Benchmark, epsilon: float, limit: LimitFields | None):
+        self.benchmark, self.epsilon, self.limit = benchmark, epsilon, limit
+        n_t = len(benchmark.program.times)
+        self.columns = {field.name: np.zeros(n_t) for field in fields(EpsTrajectory)[1:]}
+        self.dissipation = np.zeros(n_t)
+        self.total_area = benchmark.mesh.areas.sum()
+        self.u_prev = None
 
-
-def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
-                     system: ElasticSystem, sigma_prev: np.ndarray | None,
-                     limit: LimitFields | None) -> tuple[EpsTrajectory, np.ndarray, np.ndarray]:
-    """Stream one evolution on ``system`` (at ``epsilon``) through the monitors; return its
-    trajectory, its stress history and its stress distances.
-
-    The distances are, per time, the L2 distance between this evolution's
-    stress and ``sigma_prev`` (zero where that is None). Only the current
-    state and the previous displacement are held while the evolution runs.
-    ``limit`` is given for the limit eps only: that evolution writes its
-    stress history, its velocity strains, the limit-system residuals, step by
-    step, and its final displacement into it. Every other eps keeps a private
-    stress history (``_histories``).
-    """
-    mesh = benchmark.mesh
-    program = benchmark.program
-    yset = benchmark.yield_set
-
-    times = program.times
-    n_t = program.n_steps + 1
-    areas = mesh.areas
-    kappa = yset.radius
-    total_area = areas.sum()
-    kappa_areas = areas * kappa
-
-    e_l2 = np.zeros(n_t)
-    sigma_l2 = np.zeros(n_t)
-    u_bd = np.zeros(n_t)
-    div_u_l2 = np.zeros(n_t)
-    hydro_dev = np.zeros(n_t)
-    flow_gap_rate = np.zeros(n_t)
-    diss_rate = np.zeros(n_t)
-    distance = np.zeros(n_t)
-    sigma_all = _histories(n_t, mesh.n_cells) if limit is None else limit.sigma
-
-    normals = mesh.dirichlet_boundary.normals
-    infos = []
-    for k, (st, info) in enumerate(evolve(program, system, yset, mode=config.boundary_mode,
-                                          stress_tol=config.stress_tol)):
-        infos.append(info)
-        e_l2[k] = tensor_l2(areas, st.e)
-        sigma_l2[k] = tensor_l2(areas, st.sigma)
-        u_bd[k] = bd_norm_surrogate(mesh, st.u, st.eu_norm)
-        div_u_l2[k] = scalar_l2(areas, st.eu[:, 0] + st.eu[:, 2])
+    def take(self, k: int, st, info) -> None:
+        """The monitors of state ``st``, at grid time ``k``, made by the step of ``info``."""
+        mesh, program, limit, c = (self.benchmark.mesh, self.benchmark.program, self.limit,
+                                   self.columns)
+        areas, kappa = mesh.areas, self.benchmark.yield_set.radius
+        c["e_l2"][k] = tensor_l2(areas, st.e)
+        c["sigma_l2"][k] = tensor_l2(areas, st.sigma)
+        c["sigma_dev_max"][k] = info.max_sigma_dev
+        self.dissipation[k] = info.dissipation
+        c["u_bd"][k] = bd_norm_surrogate(mesh, st.u, st.eu_norm)
+        c["div_u_l2"][k] = scalar_l2(areas, st.eu[:, 0] + st.eu[:, 2])
         hydro = 0.5 * (st.sigma[:, 0] + st.sigma[:, 2])
-        hydro_mean = float((areas * hydro).sum() / total_area)
-        hydro_dev[k] = scalar_l2(areas, hydro - hydro_mean)
-        sigma_all[k] = st.sigma
-        if sigma_prev is not None:
-            distance[k] = tensor_l2(areas, sigma_prev[k] - st.sigma)
+        hydro_mean = float((areas * hydro).sum() / self.total_area)
+        c["hydro_dev"][k] = scalar_l2(areas, hydro - hydro_mean)
         if k > 0:
-            dt = times[k] - times[k - 1]
-            ev = strain_of((st.u - u_prev) / dt, mesh)
+            dt = program.times[k] - program.times[k - 1]
+            ev = strain_of((st.u - self.u_prev) / dt, mesh)
             if limit is not None:
                 limit.ev[k] = ev
             ev_norm = norm(ev)
@@ -243,39 +210,24 @@ def _run_one_epsilon(benchmark: Benchmark, epsilon: float, config: RunConfig,
             scale = max(kappa * float(ev_norm.max()), 1.0)
             if worst < -1e-12 * scale:
                 raise AssertionError(f"flow-rule gap negative ({worst:.3e}) at step {k}")
-            flow_gap_rate[k] = float((areas * gap_cells).sum())
-            diss_rate[k] = float((kappa_areas * ev_norm).sum())
+            c["flow_gap_rate"][k] = float((areas * gap_cells).sum())
+            c["diss_rate"][k] = float((areas * kappa * ev_norm).sum())
         if limit is not None:  # the limit-system residuals, on the fields' rows
+            limit.sigma[k] = st.sigma
             limit.equilibrium_interior[k], limit.equilibrium_flux[k] = divergence_check(
-                sigma_all[k], mesh, None, program.g[k], program.loads[k])
+                limit.sigma[k], mesh, None, program.g[k], program.loads[k])
             limit.div_v_l2[k] = scalar_l2(areas, limit.ev[k, :, 0] + limit.ev[k, :, 2])
             gv = dirichlet_traces(program.w[k] - st.u, mesh)
+            normals = mesh.dirichlet_boundary.normals
             limit.normal_gap[k] = np.abs((gv * normals).sum(axis=-1)).max(initial=0.0)
-        u_prev = st.u
-    if limit is not None:
-        limit.u_final[...] = u_prev
+            limit.u_final[...] = st.u
+        self.u_prev = st.u
 
-    trajectory = EpsTrajectory(
-        epsilon=epsilon, e_l2=e_l2, sigma_l2=sigma_l2, u_bd=u_bd, div_u_l2=div_u_l2,
-        sigma_dev_max=np.array([info.max_sigma_dev for info in infos]),
-        dp_mass_cum=np.cumsum([info.dissipation for info in infos]) / kappa,  # as the ledger sums
-        hydro_dev=hydro_dev, flow_gap_rate=flow_gap_rate, diss_rate=diss_rate,
-    )
-    return trajectory, sigma_all, distance
-
-
-def _stress_history(benchmark: Benchmark, config: RunConfig,
-                    system: ElasticSystem) -> np.ndarray:
-    """The stress of every state of one evolution on ``system``, on a private mapping of its
-    own: what a lane needs of the epsilon it shares with the lane before it. Its steps run
-    every check of a step; its monitors, and the flow-rule gap among them, are taken by
-    the lane before, on the same evolution."""
-    program = benchmark.program
-    sigma_all = _histories(program.n_steps + 1, benchmark.mesh.n_cells)
-    for k, (st, _) in enumerate(evolve(program, system, benchmark.yield_set,
-                                       mode=config.boundary_mode, stress_tol=config.stress_tol)):
-        sigma_all[k] = st.sigma
-    return sigma_all
+    def trajectory(self) -> EpsTrajectory:
+        # the plastic increment mass, summed as the ledger sums it
+        kappa = self.benchmark.yield_set.radius
+        return EpsTrajectory(self.epsilon, **dict(self.columns,
+                                                  dp_mass_cum=np.cumsum(self.dissipation) / kappa))
 
 
 def _lanes(n_eps: int) -> list[range]:
@@ -304,44 +256,71 @@ def _build_shared(benchmark: Benchmark, mode: str) -> None:
 
 def _run_lane(benchmark: Benchmark, config: RunConfig, lane: range,
               limit: LimitFields) -> tuple[list[EpsTrajectory], list[float]]:
-    """Run the epsilons ``lane`` indexes in order; return their trajectories and the Cauchy
+    """Run the epsilons ``lane`` indexes in lockstep; return their trajectories and the Cauchy
     distance of each consecutive pair.
 
-    The lane's first epsilon factorizes the elastic stiffness, and every later
-    one takes its system from the one before by ``ElasticSystem.with_epsilon``,
-    which shares that factor whenever the bits allow (for the default
-    epsilons 4^-k, always). A lane that starts on the previous lane's last
-    epsilon runs it again only for its stresses (``_stress_history``) and
-    takes none of its monitors. Each stress history stays in the lane, for the
-    next epsilon's distances; the sweep's last epsilon writes its fields into
-    ``limit``. Any exception an epsilon raises gets its ``epsilon``, and the prefix
-    ``epsilon=<eps>, step <k>: `` (no step if ``evolve`` tagged none) on its message.
+    Each turn of the loop advances every epsilon by one step, in epsilon
+    order, and takes its monitors and its distance to the epsilon before. All
+    of them solve with the lane's one factor, of K(1). A lane that starts on
+    the previous lane's last epsilon steps it for its stresses only and takes
+    none of its monitors; the sweep's last epsilon writes its fields into
+    ``limit``. An epsilon that fails is dropped with every later one, the
+    earlier ones step on, and the failure of the earliest epsilon that failed
+    is raised, tagged by ``_tagged``, so that a failure is the same in any lane.
     """
     epsilons = config.epsilon_list
-    last = len(epsilons) - 1
-    times = benchmark.program.times
-    trajectories, cauchy = [], []
-    system = sigma_prev = None
-    for i in lane:
-        eps = epsilons[i]
-        try:
-            system = (ElasticSystem(benchmark.mesh, benchmark.hooke.with_epsilon(eps))
-                      if system is None else system.with_epsilon(eps))
-            if i == lane[0] and i > 0:
-                sigma_prev = _stress_history(benchmark, config, system)
-                continue
-            tr, sigma_prev, distance = _run_one_epsilon(benchmark, eps, config, system,
-                                                        sigma_prev, limit if i == last else None)
-        except Exception as exc:
-            step = getattr(exc, "step_index", None)
-            where = f"epsilon={eps:g}" if step is None else f"epsilon={eps:g}, step {step}"
-            exc.args = (f"{where}: {exc}",)
-            exc.epsilon = eps
-            raise
-        if i > 0:
-            cauchy.append(np.sqrt(_trapezoid(distance**2, times)))
-        trajectories.append(tr)
-    return trajectories, cauchy
+    program = benchmark.program
+    areas = benchmark.mesh.areas
+    unit = ElasticSystem(benchmark.mesh, benchmark.hooke)
+    members = [(epsilons[i],
+                evolve(program, unit.with_epsilon(epsilons[i]), benchmark.yield_set,
+                       mode=config.boundary_mode, stress_tol=config.stress_tol),
+                None if i == lane[0] > 0 else
+                _Monitors(benchmark, epsilons[i], limit if i == len(epsilons) - 1 else None))
+               for i in lane]
+    distances = np.zeros((len(lane) - 1, len(program.times)))
+    failure = None
+    for k in range(len(program.times)):
+        for j, (eps, steps, monitors) in enumerate(members):
+            try:
+                st, info = next(steps)
+                if monitors is not None:
+                    monitors.take(k, st, info)
+            except Exception as exc:  # from now on only an earlier epsilon can fail
+                failure = _tagged(exc, eps)
+                del members[j:]
+                break
+            if j > 0:
+                distances[j - 1, k] = tensor_l2(areas, sigma_prev - st.sigma)
+            sigma_prev = st.sigma
+    if failure is not None:
+        raise failure
+    return ([monitors.trajectory() for _, _, monitors in members if monitors is not None],
+            [np.sqrt(_trapezoid(distance**2, program.times)) for distance in distances])
+
+
+def _tagged(exc: Exception, epsilon: float) -> Exception:
+    """``exc`` with its ``epsilon`` set and ``epsilon=<eps>, step <k>: `` (no step if
+    ``evolve`` tagged none) in front of its message.
+
+    A forked lane sends its failure by pickle, which rebuilds an exception from
+    its message alone. An exception that cannot be rebuilt so becomes a
+    ``RuntimeError`` with the same tag, ``epsilon`` and ``step_index``, whose
+    message keeps the original kind and message.
+    """
+    import pickle  # here, not at module level: only a failure needs it
+
+    step = getattr(exc, "step_index", None)
+    where = f"epsilon={epsilon:g}" if step is None else f"epsilon={epsilon:g}, step {step}"
+    message = str(exc)
+    exc.args = (f"{where}: {message}",)
+    exc.epsilon = epsilon
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{where}: {type(exc).__name__}: {message}")
+        exc.epsilon, exc.step_index = epsilon, step
+    return exc
 
 
 def _lane_child(sender, benchmark: Benchmark, config: RunConfig, lane: range,
@@ -405,8 +384,9 @@ def run_sweep(config: RunConfig) -> SweepReport:
 
     The mesh and program caches and the limit's shared ``LimitFields`` are
     made first, once, for every lane, and the report keeps that record as its
-    ``limit_proxy``. A failure is the first in eps order: any exception, tagged by
-    ``_run_lane`` with its eps and step, or a dead lane's ``RuntimeError``.
+    ``limit_proxy``. A failure is the first in eps order, whatever the lane
+    count: any exception, tagged by ``_tagged`` with its eps and step, or a dead
+    lane's ``RuntimeError``.
     """
     benchmark = config.build_benchmark()
     mesh = benchmark.mesh

@@ -10,20 +10,25 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def fail_elastic_solve(monkeypatch):
-    """``fail(epsilon, call)`` makes the ``call``-th elastic solve of every system at
-    ``epsilon`` raise ``SolverError``; forked sweep lanes inherit it."""
+    """``fail(epsilon, call, error)`` makes the ``call``-th elastic solve of every system at
+    ``epsilon`` raise ``error()`` (by default a ``SolverError``); each epsilon keeps the last
+    call given for it, and forked sweep lanes inherit them."""
     solve = ElasticSystem.solve
+    plan = {}
 
-    def fail(epsilon, call):
-        def failing(self, *args, **kwargs):
-            if self.hooke.epsilon == epsilon:
-                self.solves_seen = getattr(self, "solves_seen", 0) + 1
-                if self.solves_seen == call:
-                    raise SolverError("elastic solve residual 1.000e+00 exceeds tolerance")
-            return solve(self, *args, **kwargs)
+    def failing(self, *args, **kwargs):
+        if self.hooke.epsilon in plan:
+            call, error = plan[self.hooke.epsilon]
+            self.solves_seen = getattr(self, "solves_seen", 0) + 1
+            if self.solves_seen == call:
+                raise error()
+        return solve(self, *args, **kwargs)
 
-        monkeypatch.setattr(ElasticSystem, "solve", failing)
+    def fail(epsilon, call,
+             error=lambda: SolverError("elastic solve residual 1.000e+00 exceeds tolerance")):
+        plan[epsilon] = (call, error)
 
+    monkeypatch.setattr(ElasticSystem, "solve", failing)
     return fail
 
 

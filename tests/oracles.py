@@ -183,3 +183,47 @@ def strain_matrix_loop(mesh):
     B = sp.coo_matrix((vals, (rows, cols)), shape=(3 * mesh.n_cells, 2 * mesh.n_nodes)).tocsr()
     B.eliminate_zeros()
     return B
+
+
+def sweep_sequential(config):
+    """A sweep run one epsilon after the other, every stress history held, as
+    ``(trajectories, cauchy_distances, limit_sigma, limit_ev)``: one dict of monitor
+    columns per eps, keyed as ``EpsTrajectory``'s fields, and the last eps's stress and
+    velocity-strain histories. The monitors are the package's own reductions, so a
+    sweep that takes them step by step in any order matches this bit for bit."""
+    from rigiplast.evolution import bd_norm_surrogate, evolve
+    from rigiplast.fem import ElasticSystem, scalar_l2, strain_of, tensor_l2
+    from rigiplast.tensors import ddot, norm
+
+    bench = config.build_benchmark()
+    mesh, program, kappa = bench.mesh, bench.program, bench.yield_set.radius
+    areas, times = mesh.areas, program.times
+    trajectories, distances, sigma_prev = [], [], None
+    for eps in config.epsilon_list:
+        system = ElasticSystem(mesh, bench.hooke.with_epsilon(eps))
+        states, infos = zip(*evolve(program, system, bench.yield_set,
+                                    mode=config.boundary_mode, stress_tol=config.stress_tol))
+        sigma = np.stack([st.sigma for st in states])
+        ev = np.zeros_like(sigma)
+        for k in range(1, len(times)):
+            ev[k] = strain_of((states[k].u - states[k - 1].u) / (times[k] - times[k - 1]), mesh)
+        hydro = [0.5 * (st.sigma[:, 0] + st.sigma[:, 2]) for st in states]
+        gap = [kappa * norm(e) - ddot(st.sigma_dev, e) for st, e in zip(states, ev)]
+        trajectories.append({
+            "e_l2": np.array([tensor_l2(areas, st.e) for st in states]),
+            "sigma_l2": np.array([tensor_l2(areas, st.sigma) for st in states]),
+            "sigma_dev_max": np.array([info.max_sigma_dev for info in infos]),
+            "dp_mass_cum": np.cumsum([info.dissipation for info in infos]) / kappa,
+            "u_bd": np.array([bd_norm_surrogate(mesh, st.u, st.eu_norm) for st in states]),
+            "div_u_l2": np.array([scalar_l2(areas, st.eu[:, 0] + st.eu[:, 2]) for st in states]),
+            "hydro_dev": np.array([scalar_l2(areas, h - float((areas * h).sum() / areas.sum()))
+                                   for h in hydro]),
+            "flow_gap_rate": np.array([0.0] + [float((areas * g).sum()) for g in gap[1:]]),
+            "diss_rate": np.array([0.0] + [float((areas * kappa * norm(e)).sum())
+                                           for e in ev[1:]]),
+        })
+        if sigma_prev is not None:
+            d = np.array([tensor_l2(areas, a - b) for a, b in zip(sigma_prev, sigma)])
+            distances.append(np.sqrt(float(np.trapezoid(d**2, times))))
+        sigma_prev = sigma
+    return trajectories, np.array(distances), sigma_prev, ev

@@ -272,14 +272,14 @@ def _fail_checks_in_lanes(monkeypatch):
 def _kill_a_lane(monkeypatch):
     """The second of two lanes exits with code 7 at its first epsilon of its own."""
     _pin_two_cpus(monkeypatch)
-    parent, one_epsilon = os.getpid(), sweep._run_one_epsilon
+    parent, take = os.getpid(), sweep._Monitors.take
 
-    def dying(benchmark, epsilon, *args, **kwargs):
-        if epsilon == 0.015625 and os.getpid() != parent:
+    def dying(self, *args):
+        if self.epsilon == 0.015625 and os.getpid() != parent:
             os._exit(7)
-        return one_epsilon(benchmark, epsilon, *args, **kwargs)
+        take(self, *args)
 
-    monkeypatch.setattr(sweep, "_run_one_epsilon", dying)
+    monkeypatch.setattr(sweep._Monitors, "take", dying)
 
 
 def _raising(error):

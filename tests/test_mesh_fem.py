@@ -213,38 +213,38 @@ class TestElasticSolve:
     @pytest.mark.parametrize("name, n", [("SHEAR", 32), ("TRACTION", 16)])
     def test_a_shared_factor_solves_as_its_own_factor(self, monkeypatch, name, n):
         """For eps = 4^-k the system ``with_epsilon`` makes from eps = 1 factorizes nothing,
-        and its solves equal those of a system with its own factor of K(eps) bit for bit."""
+        and its solves equal those with the factor of its own K(eps) bit for bit."""
         bench = benchmark_catalog(name, mesh_n=n, n_steps=4)
-        mesh, program = bench.mesh, bench.program
-        p = np.random.default_rng(7).standard_normal((mesh.n_cells, 3)) * 1e-3
-        p[:, 2] = -p[:, 0]
+        program = bench.program
+        p = plastic_strain(bench.mesh)
         widths = record_band_widths(monkeypatch)
-        system = ElasticSystem(mesh, bench.hooke.with_epsilon(1.0))
-        for k in range(1, 7):
-            epsilon = 4.0 ** -k
-            system = system.with_epsilon(epsilon)
-            assert len(widths) == k  # the factor of eps = 1, then one per ``own``
-            own = ElasticSystem(mesh, bench.hooke.with_epsilon(epsilon))
+        unit = ElasticSystem(bench.mesh, bench.hooke.with_epsilon(1.0))
+        systems = [unit.with_epsilon(4.0 ** -k) for k in range(1, 7)]
+        assert len(widths) == 1  # the factor of K(1), for every system
+        for system in systems:
             for step in (1, len(program.times) - 1):
-                got = system.solve(p, program.w[step], program.loads[step])
-                want = own.solve(p, program.w[step], program.loads[step])
+                got, want = solve_both_ways(monkeypatch, system, p, program.w[step],
+                                            program.loads[step])
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("base, epsilon, shared", [
+    @pytest.mark.parametrize("base, epsilon, bitwise", [
         (1.0, 0.5, False), (1.0, 0.3, False), (1.0, 2.0 ** -13, False), (1.0, 4.0, True),
-        (0.3, 0.3 / 4, True), (0.3, 0.3 / 16, True), (0.3, 0.1, False)])
-    def test_only_a_power_of_4_shares_the_factor(self, monkeypatch, base, epsilon, shared):
-        """``with_epsilon`` shares the factor where epsilon over the factor's epsilon is a
-        power of 4, and factorizes afresh otherwise; either way it solves as its own would."""
-        mesh = build_square_mesh(4, ALL)
+        (0.3, 0.3 / 4, False), (0.3, 0.3 / 16, False), (0.3, 0.1, False)])
+    def test_every_system_solves_with_the_unit_factor(self, monkeypatch, base, epsilon,
+                                                      bitwise):
+        """A system at any epsilon factorizes K(1), which the systems its ``with_epsilon``
+        makes share. Its solves agree with those of its own K(eps)'s factor to round-off,
+        and bit for bit where epsilon is a power of 4."""
+        bench = benchmark_catalog("TRACTION", mesh_n=16, n_steps=4)
+        program = bench.program
         widths = record_band_widths(monkeypatch)
-        system = ElasticSystem(mesh, HookeTensor(1.0, 1.0, base)).with_epsilon(epsilon)
-        assert len(widths) == (1 if shared else 2)
-        own = ElasticSystem(mesh, HookeTensor(1.0, 1.0, epsilon))
-        p = np.tile([1e-3, -2e-3, -1e-3], (mesh.n_cells, 1))
-        assert np.array_equal(system.solve(p, shear_field(mesh), None),
-                              own.solve(p, shear_field(mesh), None))
+        system = ElasticSystem(bench.mesh, bench.hooke.with_epsilon(base)).with_epsilon(epsilon)
+        assert len(widths) == 1
+        got, want = solve_both_ways(monkeypatch, system, plastic_strain(bench.mesh),
+                                    program.w[-1], program.loads[-1])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(got, want) == bitwise
 
     @pytest.mark.parametrize("name", ["SHEAR", "TRACTION"])
     def test_band_stays_narrow(self, monkeypatch, name):
@@ -254,6 +254,31 @@ class TestElasticSolve:
                       HookeTensor(1.0, 1.0, 1.0))
         assert len(widths) == 1
         assert widths[0] < 64
+
+
+def plastic_strain(mesh):
+    """A random deviatoric P0 plastic strain of size 1e-3."""
+    p = np.random.default_rng(7).standard_normal((mesh.n_cells, 3)) * 1e-3
+    p[:, 2] = -p[:, 0]
+    return p
+
+
+def solve_both_ways(monkeypatch, system, p, w, loads):
+    """``system.solve``'s displacements on the free dofs, and the solve of the same
+    right-hand side with the factor of the system's own K(eps), which it does not use."""
+    rhs = []
+    band_solve = fem._band_solve
+
+    def recorded(factor, b):
+        rhs.append(b.copy())
+        return band_solve(factor, b)
+
+    monkeypatch.setattr(fem, "_band_solve", recorded)
+    got = system.solve(p, w, loads).ravel()[system.free]
+    monkeypatch.setattr(fem, "_band_solve", band_solve)
+    mesh = system.mesh
+    own = mesh.elements.factor(fem.cell_blocks(mesh, system.cmat, mesh.cell_strains), 0.0, "own")
+    return got, band_solve(own, rhs[0])
 
 
 def record_band_widths(monkeypatch):

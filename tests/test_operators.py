@@ -247,8 +247,8 @@ def test_sweep_builds_strain_matrix_once_per_mesh(monkeypatch):
 
 
 def test_sweep_builds_the_free_dof_element_map_once_per_mesh(monkeypatch):
-    """Three epsilons, three systems, one mesh: the free dofs' element map and the cell strain
-    blocks are the mesh's, built once, not once per system."""
+    """Three epsilons, one mesh, one factorized system, whose factor of K(1) the other two
+    share: the free dofs' element map and the cell strain blocks are the mesh's, built once."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one lane, in this process
     counts = {}
     for name in ("element_map", "strain_matrix"):
@@ -261,10 +261,11 @@ def test_sweep_builds_the_free_dof_element_map_once_per_mesh(monkeypatch):
         systems.append(self)
 
     monkeypatch.setattr(ElasticSystem, "__init__", recorded_system_init)
-    run_sweep(SweepConfig(epsilons=(1.0, 0.5, 0.25), benchmark="SHEAR", mesh_n=16, n_steps=4))
-    assert len(systems) == 3
+    report = run_sweep(SweepConfig(epsilons=(1.0, 0.5, 0.25), benchmark="SHEAR", mesh_n=16,
+                                   n_steps=4))
+    assert len(systems) == 1
     assert counts == {"element_map": 1, "strain_matrix": 1}
-    assert all(system.mesh is systems[0].mesh for system in systems)
+    assert systems[0].mesh is report.benchmark.mesh
 
 
 def test_sweep_builds_per_system_invariants_once(monkeypatch):
@@ -468,13 +469,14 @@ def test_cli_sweep_builds_strain_matrix_once(monkeypatch, tmp_path):
     assert counts == {"strain_matrix": 1}
 
 
-@pytest.mark.parametrize("command, text, steps", [
-    ("run", "benchmark = TRACTION\nmesh_n = 4\ntime_steps = 16\n", 16),
+@pytest.mark.parametrize("command, text, n_eps", [
+    ("run", "benchmark = TRACTION\nmesh_n = 4\ntime_steps = 16\n", 1),
     ("sweep", "benchmark = SHEAR\nmesh_n = 4\ntime_steps = 16\n"
-              "epsilon_list = 1.0, 0.25, 0.0625\n", 3 * 16),
+              "epsilon_list = 1.0, 0.25, 0.0625\n", 3),
 ], ids=["run", "sweep"])
-def test_cli_streams_the_states(monkeypatch, tmp_path, command, text, steps):
-    """``run`` and ``sweep`` hold at most two states at any step, not the whole evolution."""
+def test_cli_streams_the_states(monkeypatch, tmp_path, command, text, n_eps):
+    """``run`` and ``sweep`` hold at most one state per epsilon of the lane, plus the one a
+    step is making, at any step: not the whole evolution."""
     monkeypatch.delenv("TOOL_OUT", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one lane, in this process
     live = []
@@ -489,5 +491,5 @@ def test_cli_streams_the_states(monkeypatch, tmp_path, command, text, steps):
     config = tmp_path / "run.cfg"
     config.write_text(text, encoding="utf-8")
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert len(live) == steps
-    assert max(live) <= 2
+    assert len(live) == n_eps * 16
+    assert max(live) <= n_eps + 1

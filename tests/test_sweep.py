@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import cauchy_distances_all_pairs
+from oracles import cauchy_distances_all_pairs, sweep_sequential
 
 from rigiplast import cli, evolution, sweep
 from rigiplast.config import DEFAULT_EPSILONS, ConfigError, RunConfig, parse_config
@@ -253,6 +253,8 @@ LANE_CASES = {
     "SHEAR-relaxed": dict(benchmark="SHEAR", mesh_n=4, n_steps=8, mode="relaxed"),
     "TRACTION-strong": dict(benchmark="TRACTION", mesh_n=4, n_steps=8),
 }
+ORACLE_CASES = {**LANE_CASES,
+                "TRACTION-relaxed": dict(benchmark="TRACTION", mesh_n=4, n_steps=8, mode="relaxed")}
 
 
 def _pin_cpus(monkeypatch, n: int) -> None:
@@ -305,13 +307,13 @@ class TestLanes:
         _pin_cpus(monkeypatch, 1)
         serial = run_sweep(config)
         runs = []
-        one_epsilon = sweep._run_one_epsilon
+        monitors = sweep._Monitors.__init__
 
-        def counted(*args, **kwargs):
-            runs.append(args[1])
-            return one_epsilon(*args, **kwargs)
+        def counted(self, benchmark, epsilon, limit):
+            runs.append(epsilon)
+            monitors(self, benchmark, epsilon, limit)
 
-        monkeypatch.setattr(sweep, "_run_one_epsilon", counted)
+        monkeypatch.setattr(sweep._Monitors, "__init__", counted)
         _pin_cpus(monkeypatch, cpus)
         _assert_same_sweep(run_sweep(config), serial)
         assert runs == []  # every lane ran in a forked child
@@ -380,15 +382,15 @@ class TestLanes:
             assert (tmp_path / str(cpus) / name).read_bytes() == want, name
 
     def test_a_one_lane_sweep_keeps_no_history_on_the_heap(self, monkeypatch):
-        """Each stress history is a view of an anonymous mapping, which returns its pages
-        when the history is dropped; none is a numpy block of the heap."""
+        """A lane keeps no stress history: at the last step of every evolution no numpy
+        block of the heap is the size of one (the limit's is in the shared mapping)."""
         _pin_cpus(monkeypatch, 1)
         snapshots = []
         evolve = sweep.evolve
 
         def watched(*args, **kwargs):
             for k, step in enumerate(evolve(*args, **kwargs)):
-                if k == 0:  # the evolution's histories are made by now
+                if k == LANE_CASES["SHEAR-strong"]["n_steps"]:  # any history would be full
                     snapshots.append(tracemalloc.take_snapshot())
                 yield step
 
@@ -416,15 +418,14 @@ class TestLanes:
                         LimitFields.shared(5, bench.mesh.n_cells, bench.mesh.n_nodes))
         assert (set(vars(bench.mesh)), set(vars(bench.program))) == built
 
-    @pytest.mark.parametrize("epsilons, cpus, want", [
-        (DEFAULT_EPSILONS, 1, 1), (DEFAULT_EPSILONS, 2, 2),
-        ((1.0, 0.5, 0.25, 0.125), 1, 4), ((1.0, 0.3, 0.09), 1, 3), ((1.0, 0.3, 0.075), 1, 2),
-    ], ids=["default-1-lane", "default-2-lanes", "ratio-0.5", "ratio-0.3", "ratio-0.3-then-4"])
-    def test_a_lane_factorizes_once_per_power_of_4(self, monkeypatch, epsilons, cpus, want):
-        """A lane factorizes the elastic stiffness at its first epsilon, and again only where
-        an epsilon is not a power of 4 times the last factorized one: once per lane for the
-        default epsilons 4^-k (1 factorization on one lane, 2 on two, not 7 and 8), once per
-        epsilon for a list with ratio 0.5 or 0.3."""
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("epsilons", [
+        DEFAULT_EPSILONS, tuple(2.0 ** -k for k in range(6)), tuple(0.3 ** k for k in range(5)),
+        (1.0, 0.3, 0.075),
+    ], ids=["default", "halving", "ratio-0.3", "ratio-0.3-then-4"])
+    def test_a_lane_factorizes_once(self, monkeypatch, epsilons, cpus):
+        """A lane factorizes the elastic stiffness once, for K(1), whatever its epsilons:
+        one factorization on one lane and two on two."""
         _pin_cpus(monkeypatch, cpus)
         config = SweepConfig(epsilons=epsilons, benchmark="SHEAR", mesh_n=4, n_steps=4)
         bench = config.build_benchmark()
@@ -438,9 +439,29 @@ class TestLanes:
 
         monkeypatch.setattr(type(bench.mesh.elements), "factor", counted)
         limit = LimitFields.shared(5, bench.mesh.n_cells, bench.mesh.n_nodes)
-        for lane in sweep._lanes(len(epsilons)):  # in this process, so that the count is seen
+        lanes = sweep._lanes(len(epsilons))
+        assert len(lanes) == cpus
+        for lane in lanes:  # in this process, so that the count is seen
             sweep._run_lane(bench, config, lane, limit)
-        assert factorizations.count("elastic") == want
+        assert factorizations == ["elastic"] * cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_lanes_match_the_sequential_loop(self, monkeypatch, case, cpus):
+        """Lockstep lanes give, bit for bit, the trajectories, distances and limit fields of
+        one evolution after the other with every stress history held."""
+        config = SweepConfig(epsilons=EPS5, **ORACLE_CASES[case])
+        trajectories, distances, sigma, ev = sweep_sequential(config)
+        _pin_cpus(monkeypatch, cpus)
+        report = run_sweep(config)
+        assert len(report.trajectories) == len(trajectories)
+        for got, want in zip(report.trajectories, trajectories):
+            for name, column in want.items():
+                assert np.array_equal(getattr(got, name), column), name
+        assert np.array_equal(report.cauchy_distances, distances)
+        assert np.array_equal(report.limit_proxy.sigma, sigma)
+        assert np.array_equal(report.limit_proxy.ev, ev)
+        assert multiprocessing.active_children() == []
 
     def test_the_roundoff_floor_is_taken_only_where_the_predictor_misses(self, monkeypatch):
         """On the shear_sweep config (SHEAR, n=32, M=64, the default epsilons) every step ends
@@ -517,17 +538,57 @@ class TestLanes:
                            "elastic solve residual 1.000e+00 exceeds tolerance"}
             assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_earliest_epsilon_that_fails_is_reported(self, monkeypatch, tmp_path, cpus,
+                                                         fail_elastic_solve):
+        """Two epsilons of one lane fail, the smaller at an earlier step: the lane drops it
+        and steps on, and the sweep reports the larger epsilon at its later step."""
+        fail_elastic_solve(1.0, 3)
+        fail_elastic_solve(0.25, 1)
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 4\n"
+                       "epsilon_list = 1.0, 0.25, 0.0625, 0.015625, 0.00390625\n",
+                       encoding="utf-8")
+        monkeypatch.delenv("TOOL_OUT", raising=False)
+        _pin_cpus(monkeypatch, cpus)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        record = json.loads((tmp_path / "out" / "error.json").read_text(encoding="utf-8"))
+        assert (record["error"]["epsilon"], record["error"]["step"]) == (1.0, 3)
+        assert record["error"]["message"].startswith("epsilon=1, step 3: ")
+        assert multiprocessing.active_children() == []
+
+    def test_an_exception_pickle_cannot_rebuild_keeps_its_tag(self, monkeypatch, tmp_path,
+                                                             fail_elastic_solve):
+        """A lane's failure that pickle cannot rebuild from its message alone comes back as a
+        ``RuntimeError`` with the epsilon, the step, and the original kind and message."""
+        fail_elastic_solve(0.015625, 2,
+                           lambda: UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"))
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text("benchmark = SHEAR\nmesh_n = 4\ntime_steps = 4\n"
+                       "epsilon_list = 1.0, 0.25, 0.0625, 0.015625, 0.00390625\n",
+                       encoding="utf-8")
+        monkeypatch.delenv("TOOL_OUT", raising=False)
+        _pin_cpus(monkeypatch, 2)  # 0.015625 fails in the second lane, in a child
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        record = json.loads((tmp_path / "out" / "error.json").read_text(encoding="utf-8"))
+        assert record["error"] == {
+            "kind": "RuntimeError", "step": 2, "epsilon": 0.015625, "reason": None,
+            "residuals": None, "decreases": None,
+            "message": "epsilon=0.015625, step 2: UnicodeDecodeError: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0: invalid start byte"}
+        assert multiprocessing.active_children() == []
+
     def test_a_lane_that_dies_is_an_error(self, monkeypatch):
         """A lane that ends without a result (killed, say) fails the sweep; none outlives it."""
         parent = os.getpid()
-        one_epsilon = sweep._run_one_epsilon
+        take = sweep._Monitors.take
 
-        def dying(benchmark, epsilon, *args, **kwargs):
-            if epsilon == EPS5[3] and os.getpid() != parent:
+        def dying(self, *args):
+            if self.epsilon == EPS5[3] and os.getpid() != parent:
                 os._exit(7)
-            return one_epsilon(benchmark, epsilon, *args, **kwargs)
+            take(self, *args)
 
-        monkeypatch.setattr(sweep, "_run_one_epsilon", dying)
+        monkeypatch.setattr(sweep._Monitors, "take", dying)
         _pin_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="epsilon=0.0625 to 0.00390625 exited with code 7"):
             run_sweep(SweepConfig(epsilons=EPS5, benchmark="SHEAR", mesh_n=3, n_steps=4))
