@@ -35,7 +35,6 @@ from .safeload import SafeLoadCertificate, max_safety_margin, verify_safe_load
 from .sweep import (
     LimitFields,
     RateFit,
-    ResidualReport,
     SweepConfig,
     SweepReport,
     UniquenessReport,

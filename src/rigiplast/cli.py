@@ -5,7 +5,8 @@ Commands:
     run        one evolution at a single epsilon; emits metrics.csv (energy
                ledger), summary.json, fields_final.vtk
     sweep      the decreasing-epsilon sweep; emits metrics.csv (per eps/time),
-               summary.json (fits, residual maxima), fields_limit.vtk
+               fields_limit.vtk and summary.json, whose body is the sweep
+               report's own summary (metrics, fits, residual maxima)
     example41  the non-uniqueness witness; emits summary.json and the two
                stress fields as VTK
     safeload   the largest certified safety margin for the clamped-sides
@@ -39,7 +40,7 @@ from .fem import ElasticSystem
 from .mesh import build_square_mesh
 from .reporting import summary_payload, write_csv, write_json
 from .safeload import max_safety_margin, verify_safe_load
-from .sweep import CSV_HEADER, fit_rate, rigid_residuals, run_sweep
+from .sweep import CSV_HEADER, run_sweep
 from .tensors import YieldSet
 from .vtkio import write_vtk
 
@@ -81,26 +82,11 @@ def _cmd_run(config: RunConfig, out: Path) -> dict:
 def _cmd_sweep(config: RunConfig, out: Path) -> dict:
     report = run_sweep(config)
     write_csv(out / "metrics.csv", CSV_HEADER, report.csv_rows())
-
-    fits = {}
-    for name in ("e_sup", "div_u_sup", "flow_gap_int"):
-        try:
-            fit = fit_rate(report.epsilons, report.metrics[name],
-                           floor=1e-13 * config.yield_radius)
-            fits[name] = {"slope": fit.slope, "intercept": fit.intercept,
-                          "r_squared": fit.r_squared, "n_excluded": fit.n_excluded}
-        except ValueError as exc:
-            fits[name] = {"error": str(exc)}
-
-    residuals = rigid_residuals(report)
     limit = report.limit_proxy
     write_vtk(out / "fields_limit.vtk", report.benchmark.mesh,
               point_vectors={"displacement": limit.u_final},
               cell_tensors={"stress": limit.sigma[-1]})
-    body = report.summary_dict()
-    body["fits"] = fits
-    body["residual_maxima"] = residuals.maxima()
-    return body
+    return report.summary_dict()
 
 
 def _cmd_example41(config: RunConfig, out: Path) -> dict:

@@ -38,12 +38,16 @@ one lane runs in the calling process. A lane sends back (M+1,) monitor
 arrays and distances only: no field crosses a pipe.
 Each evolution is the same computation in any lane, so the results do not
 depend on the number of lanes.
+
+The ``SweepReport`` is the sweep's one record, and its ``summary_dict`` the
+whole ``sweep`` summary: the rate fits and the maxima of the limit-system
+residuals are read off the report's arrays, where the lanes wrote them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -100,7 +104,7 @@ class LimitFields:
     ``run_sweep`` makes before any lane forks; the limit's ``_Monitors`` write
     every row in place, step by step, and the sweep's process reads them
     without their crossing a pipe. ``sigma`` is the one stress history a
-    sweep keeps.
+    sweep keeps; ``rigid_residuals`` reads the residual rows in place.
     """
 
     sigma: np.ndarray                 # (M+1, n_cells, 3)
@@ -125,14 +129,14 @@ class LimitFields:
 
 @dataclass
 class SweepReport:
-    """All trajectories plus the eps-indexed scalar reductions.
+    """A sweep's one record: all trajectories, the eps-indexed reductions and the limit.
 
     ``benchmark`` is the one the sweep built and ran; the residuals and the
     limit-field output reuse it. ``cauchy_distances[i]`` is the L2-in-time,
     L2-in-space distance between the stresses at eps i and i+1, taken time by
     time between their live states, in the lane that runs both. ``limit_proxy``
-    holds the fields of the smallest eps, the only fields kept, as views of
-    the shared mapping that its lane wrote.
+    holds the fields and residuals of the smallest eps, the only fields kept,
+    as views of the shared mapping that its lane wrote.
     """
 
     config: RunConfig
@@ -142,11 +146,19 @@ class SweepReport:
     limit_proxy: LimitFields
     metrics: dict[str, np.ndarray]
     cauchy_distances: np.ndarray
-    mesh_signature: tuple
 
     @property
     def epsilons(self) -> np.ndarray:
         return np.array([t.epsilon for t in self.trajectories])
+
+    @property
+    def mesh_signature(self) -> tuple:
+        """What ``compare_limits`` requires two sweeps to share: the mesh, the time grid, the
+        bits of the load program, the yield radius and the boundary mode (not the moduli)."""
+        mesh, program = self.benchmark.mesh, self.benchmark.program
+        return (mesh.n_side, tuple(sorted(mesh.dirichlet_faces)), self.times.tobytes(),
+                program.w.tobytes(), program.f.tobytes(), program.g.tobytes(),
+                self.benchmark.yield_set.radius, self.config.boundary_mode)
 
     def csv_rows(self):
         """One row of Python floats per (eps, time): the epsilon, the time, then the monitors
@@ -157,10 +169,20 @@ class SweepReport:
             yield from zip(repeat(tr.epsilon), times, *monitors)
 
     def summary_dict(self) -> dict:
-        out = {"epsilons": [tr.epsilon for tr in self.trajectories]}
-        out.update({name: list(map(float, vals)) for name, vals in self.metrics.items()})
-        out["cauchy_distances"] = list(map(float, self.cauchy_distances))
-        return out
+        """The ``sweep`` command's summary body: the epsilons, the metrics, the Cauchy
+        distances, the rate fits of three metrics (or why a fit cannot be made) and the
+        maxima of the limit-system residuals (``rigid_residuals``)."""
+        floor = 1e-13 * self.benchmark.yield_set.radius  # round-off of the yield radius
+        fits = {}
+        for name in ("e_sup", "div_u_sup", "flow_gap_int"):
+            try:
+                fits[name] = asdict(fit_rate(self.epsilons, self.metrics[name], floor=floor))
+            except ValueError as exc:  # fewer than 3 values above the floor
+                fits[name] = {"error": str(exc)}
+        return {"epsilons": [tr.epsilon for tr in self.trajectories],
+                **{name: list(map(float, vals)) for name, vals in self.metrics.items()},
+                "cauchy_distances": list(map(float, self.cauchy_distances)),
+                "fits": fits, "residual_maxima": rigid_residuals(self)}
 
 
 def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
@@ -412,11 +434,9 @@ def run_sweep(config: RunConfig) -> SweepReport:
         metrics["flow_gap_int"][i] = float((dt * tr.flow_gap_rate[1:]).sum())
         metrics["diss_rate_int"][i] = float((dt * tr.diss_rate[1:]).sum())
 
-    signature = (benchmark.id, mesh.n_side, tuple(sorted(mesh.dirichlet_faces)),
-                 len(times), float(times[-1]))
     return SweepReport(config=config, benchmark=benchmark, times=times.copy(),
                        trajectories=trajectories, limit_proxy=limit, metrics=metrics,
-                       cauchy_distances=np.array(cauchy), mesh_signature=signature)
+                       cauchy_distances=np.array(cauchy))
 
 
 @dataclass(frozen=True)
@@ -449,46 +469,20 @@ def fit_rate(epsilons, values, floor: float = 0.0) -> RateFit:
                    r_squared=r2, n_excluded=n_excluded)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Per-time residuals of the rigid-plastic limit system at the smallest eps."""
+def rigid_residuals(report: SweepReport) -> dict[str, float]:
+    """The maxima over the grid times of the limit-system residuals at the smallest eps.
 
-    epsilon: float
-    times: np.ndarray
-    equilibrium_interior: np.ndarray
-    equilibrium_flux: np.ndarray
-    feasibility_excess: np.ndarray   # max(|sigma_D| - kappa), <= 0 when feasible
-    div_v_l2: np.ndarray
-    flow_gap_rate: np.ndarray
-    dirichlet_normal_gap: np.ndarray
-
-    def maxima(self) -> dict:
-        return {
-            "equilibrium_interior": float(self.equilibrium_interior.max()),
-            "equilibrium_flux": float(self.equilibrium_flux.max()),
-            "feasibility_excess": float(self.feasibility_excess.max()),
-            "div_v_l2": float(self.div_v_l2.max()),
-            "flow_gap_rate": float(self.flow_gap_rate.max()),
-            "dirichlet_normal_gap": float(self.dirichlet_normal_gap.max()),
-        }
-
-
-def rigid_residuals(report: SweepReport) -> ResidualReport:
-    """The limit-system residuals on the smallest-eps trajectory.
-
-    Its lane took them step by step, next to the monitors, into the limit's
-    record; this copies them and reads none of the limit's fields.
+    Its lane took them step by step into the limit's record, whose rows this
+    reads in place; the flow-rule gap and the feasibility excess |sigma_D| - kappa
+    (<= 0 when feasible) come from its trajectory. No field is read.
     """
-    kappa = report.benchmark.yield_set.radius
     limit, tr = report.limit_proxy, report.trajectories[-1]
-    return ResidualReport(
-        epsilon=tr.epsilon, times=report.times.copy(),
-        equilibrium_interior=limit.equilibrium_interior.copy(),
-        equilibrium_flux=limit.equilibrium_flux.copy(),
-        feasibility_excess=tr.sigma_dev_max - kappa, div_v_l2=limit.div_v_l2.copy(),
-        flow_gap_rate=tr.flow_gap_rate.copy(),
-        dirichlet_normal_gap=limit.normal_gap.copy(),
-    )
+    rows = {"equilibrium_interior": limit.equilibrium_interior,
+            "equilibrium_flux": limit.equilibrium_flux,
+            "feasibility_excess": tr.sigma_dev_max - report.benchmark.yield_set.radius,
+            "div_v_l2": limit.div_v_l2, "flow_gap_rate": tr.flow_gap_rate,
+            "dirichlet_normal_gap": limit.normal_gap}
+    return {name: float(row.max()) for name, row in rows.items()}
 
 
 # A cell is on the plastic support where |Ev| exceeds _SUPPORT_THRESHOLD times
@@ -515,9 +509,11 @@ class UniquenessReport:
         return float(self.on_support_max.max())
 
 
-
 def compare_limits(report_a: SweepReport, report_b: SweepReport) -> UniquenessReport:
     """Compare limit-proxy deviatoric stresses where plastic flow is active.
+
+    Sweeps of different problems (``mesh_signature``) raise ``ValueError``;
+    their elastic moduli may differ.
 
     The support at each time is the union of cells where either run's |Ev|
     exceeds ``_SUPPORT_THRESHOLD`` times its maximum; elsewhere the same

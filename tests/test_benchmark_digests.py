@@ -11,6 +11,7 @@ commands write to the bits they had before those paths existed.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -36,9 +37,13 @@ DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["1cpu", "2cpus"])
 @pytest.mark.parametrize("workload", sorted(CONFIGS))
-def test_benchmark_size_artifacts_match_pinned_digests(monkeypatch, tmp_path, workload):
+def test_benchmark_size_artifacts_match_pinned_digests(monkeypatch, tmp_path, workload, cpus):
+    """On one and on two usable CPUs: a sweep then runs in the calling process or in two
+    forked lanes."""
     monkeypatch.delenv("TOOL_OUT", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     command, text = CONFIGS[workload]
     config = tmp_path / "cfg"
     config.write_text(text, encoding="utf-8")

@@ -356,10 +356,12 @@ def test_rigid_residuals_read_the_program_loads(monkeypatch):
     residuals = rigid_residuals(report)
     assert counts == {}
     assert strained == []
-    program, sigma = report.benchmark.program, report.limit_proxy.sigma
+    program, limit = report.benchmark.program, report.limit_proxy
     for k in range(len(report.times)):
-        want = divergence_check(sigma[k], program.mesh, program.f[k], program.g[k])
-        assert (residuals.equilibrium_interior[k], residuals.equilibrium_flux[k]) == want
+        want = divergence_check(limit.sigma[k], program.mesh, program.f[k], program.g[k])
+        assert (limit.equilibrium_interior[k], limit.equilibrium_flux[k]) == want
+    assert residuals["equilibrium_interior"] == limit.equilibrium_interior.max()
+    assert residuals["equilibrium_flux"] == limit.equilibrium_flux.max()
 
 
 def test_traction_run_takes_datum_strains_twice(monkeypatch):

@@ -188,7 +188,7 @@ class TestRigidResiduals:
         rep = run_sweep(SweepConfig(epsilons=(1.0, 0.25, 0.0625),
                                     benchmark="RIGID41", mesh_n=3, n_steps=4))
         rr = rigid_residuals(rep)
-        for key, val in rr.maxima().items():
+        for key, val in rr.items():
             if key == "feasibility_excess":
                 assert val <= 0.0
             else:
@@ -196,10 +196,10 @@ class TestRigidResiduals:
 
     def test_shear_limit_residuals(self, shear_report):
         rr = rigid_residuals(shear_report)
-        assert rr.maxima()["feasibility_excess"] <= 0.0
-        assert rr.maxima()["div_v_l2"] < 1e-10
-        assert rr.maxima()["dirichlet_normal_gap"] < 1e-12
-        assert np.all(rr.flow_gap_rate >= -1e-12)
+        assert rr["feasibility_excess"] <= 0.0
+        assert rr["div_v_l2"] < 1e-10
+        assert rr["dirichlet_normal_gap"] < 1e-12
+        assert np.all(shear_report.trajectories[-1].flow_gap_rate >= -1e-12)
 
     def test_the_normal_gap_and_final_displacement_are_the_limits_only(self):
         """Only the limit proxy takes its Dirichlet normal gap and keeps its final
@@ -209,7 +209,7 @@ class TestRigidResiduals:
                                     mode="relaxed"))
         assert rep.limit_proxy.normal_gap.shape == rep.times.shape
         assert rep.limit_proxy.u_final.shape == (rep.benchmark.mesh.n_nodes, 2)
-        assert rigid_residuals(rep).maxima() == {
+        assert rigid_residuals(rep) == {
             "equilibrium_interior": 1.5837169285457597e-11, "equilibrium_flux": 0.606028250886247,
             "feasibility_excess": -7.771561172376096e-16, "div_v_l2": 0.014544315161634045,
             "flow_gap_rate": 0.006689963114924883, "dirichlet_normal_gap": 0.0}
@@ -246,6 +246,31 @@ class TestCompareLimits:
         with pytest.raises(ValueError, match="different meshes"):
             compare_limits(a, b)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_steps", 8),            # the time grid
+        ("horizon", 2.0),          # the time grid, with as many steps
+        ("load_scale", 0.5),       # the load program
+        ("benchmark", "RIGID41"),  # the load program, on the same full-Dirichlet mesh
+        ("yield_radius", 2.0),
+        ("mode", "relaxed"),
+    ])
+    def test_different_problems_rejected(self, key, value):
+        """Two limits are compared only on one problem: one mesh, time grid, load program,
+        yield radius and boundary mode. Only the elastic moduli may differ."""
+        base = dict(epsilons=EPS4[:3], benchmark="SHEAR", mesh_n=3, n_steps=4)
+        a = run_sweep(SweepConfig(**base))
+        b = run_sweep(SweepConfig(**{**base, key: value}))
+        with pytest.raises(ValueError, match="different meshes or programs"):
+            compare_limits(a, b)
+        with pytest.raises(ValueError, match="different meshes or programs"):
+            compare_limits(b, a)
+
+    def test_different_moduli_accepted(self):
+        base = dict(epsilons=EPS4[:3], benchmark="SHEAR", mesh_n=3, n_steps=4)
+        a = run_sweep(SweepConfig(**base))
+        b = run_sweep(SweepConfig(**base, shear_modulus=2.0, bulk_modulus=3.0))
+        assert np.array_equal(compare_limits(a, b).times, a.times)  # no ValueError
+
 
 EPS5 = tuple(2.0 ** (-2 * k) for k in range(5))
 LANE_CASES = {
@@ -281,9 +306,7 @@ def _assert_same_sweep(a, b):
     for name in a.metrics:
         assert np.array_equal(a.metrics[name], b.metrics[name]), name
     assert np.array_equal(a.cauchy_distances, b.cauchy_distances)
-    ra, rb = rigid_residuals(a), rigid_residuals(b)
-    for field in dataclasses.fields(ra):
-        assert np.array_equal(getattr(ra, field.name), getattr(rb, field.name)), field.name
+    assert rigid_residuals(a) == rigid_residuals(b)
 
 
 class TestLanes:
@@ -362,10 +385,9 @@ class TestLanes:
                                             program.loads[k])
                            for k in range(len(report.times))])
         div_v = np.array([scalar_l2(mesh.areas, ev[:, 0] + ev[:, 2]) for ev in limit.ev])
-        residuals = rigid_residuals(report)
-        assert np.array_equal(residuals.equilibrium_interior, checks[:, 0])
-        assert np.array_equal(residuals.equilibrium_flux, checks[:, 1])
-        assert np.array_equal(residuals.div_v_l2, div_v)
+        assert np.array_equal(limit.equilibrium_interior, checks[:, 0])
+        assert np.array_equal(limit.equilibrium_flux, checks[:, 1])
+        assert np.array_equal(limit.div_v_l2, div_v)
         assert checks[:, 1].max() > 0  # TRACTION's tractions load the flux term
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -380,6 +402,30 @@ class TestLanes:
         for name in ("metrics.csv", "summary.json", "fields_limit.vtk"):
             want = (tmp_path / "1" / name).read_bytes()
             assert (tmp_path / str(cpus) / name).read_bytes() == want, name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_cli_summary_is_the_reports(self, monkeypatch, tmp_path, cpus):
+        """The ``sweep`` command writes its report's ``summary_dict`` as it is, fits and
+        residual maxima included, and each maximum is that of its row, bit for bit."""
+        monkeypatch.delenv("TOOL_OUT", raising=False)
+        _pin_cpus(monkeypatch, cpus)
+        text = ("benchmark = TRACTION\nmesh_n = 4\ntime_steps = 8\n"
+                "epsilon_list = 1.0, 0.25, 0.0625, 0.015625\n")
+        (tmp_path / "sweep.cfg").write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(out)]) == 0
+        written = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        report = run_sweep(parse_config(text))
+        body = report.summary_dict()
+        assert {key: written[key] for key in body} == body  # the fits and maxima among them
+        limit, tr = report.limit_proxy, report.trajectories[-1]
+        rows = {"equilibrium_interior": limit.equilibrium_interior,
+                "equilibrium_flux": limit.equilibrium_flux,
+                "feasibility_excess": tr.sigma_dev_max - report.benchmark.yield_set.radius,
+                "div_v_l2": limit.div_v_l2, "flow_gap_rate": tr.flow_gap_rate,
+                "dirichlet_normal_gap": limit.normal_gap}
+        assert body["residual_maxima"] == {name: row.max() for name, row in rows.items()}
+        assert all("slope" in fit for fit in body["fits"].values())
 
     def test_a_one_lane_sweep_keeps_no_history_on_the_heap(self, monkeypatch):
         """A lane keeps no stress history: at the last step of every evolution no numpy
